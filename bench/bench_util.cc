@@ -183,6 +183,10 @@ void PrintRunStats(const std::string& prefix, const RunStats& stats) {
           static_cast<double>(stats.locality_cache_hits));
   PrintKV(prefix + " locality cache misses",
           static_cast<double>(stats.locality_cache_misses));
+  PrintKV(prefix + " locality row hits",
+          static_cast<double>(stats.locality_row_hits));
+  PrintKV(prefix + " locality row misses",
+          static_cast<double>(stats.locality_row_misses));
   PrintKV(prefix + " bootstrap scans",
           static_cast<double>(stats.bootstrap_scans));
   PrintKV(prefix + " iterative scans",

@@ -9,7 +9,6 @@
 #include "data/engine.h"
 #include "distance/batch.h"
 #include "distance/metric.h"
-#include "sketch/plan.h"
 
 namespace proclus {
 
@@ -40,21 +39,11 @@ class MinDist2Consumer final : public ScanConsumer {
     dist2_ = dist2;
   }
 
-  /// Enables sketch screening: a point whose lower-bounded distance to
-  /// the new center cannot beat its current nearest-center distance
-  /// skips the exact evaluation (the min-update would be a no-op).
-  void SetSketch(const SketchPlan* sketch) { sketch_ = sketch; }
-
   Status Prepare(const ScanGeometry& geometry) override {
     if (center_->size() != geometry.dims)
       return Status::InvalidArgument("center dimensionality mismatch");
     dims_ = geometry.dims;
     PrepareKernelScratch(scratch_, geometry.num_blocks);
-    screening_ = sketch_ != nullptr && sketch_->ScreenProfitable(dims_);
-    if (screening_) {
-      center_sketch_.resize(sketch_->width);
-      center_mass_ = sketch_->ProjectPoint(*center_, center_sketch_.data());
-    }
     distance_evals_ = geometry.rows;
     return Status::OK();
   }
@@ -63,21 +52,6 @@ class MinDist2Consumer final : public ScanConsumer {
                     std::span<const double> data, size_t rows) override {
     KernelScratch& scratch = scratch_[block_index];
     scratch.dist.resize(rows);
-    if (screening_) {
-      const SketchSpec spec = sketch_->Spec();
-      SketchProjectBlock(data, rows, dims_, spec, scratch);
-      scratch.inside.resize(rows);
-      SquaredEuclideanScreenedBatch(
-          data, rows, dims_, *center_, center_sketch_.data(), center_mass_,
-          spec, std::span<const double>(dist2_->data() + first_row, rows),
-          scratch, scratch.dist.data(), scratch.inside.data());
-      for (size_t r = 0; r < rows; ++r) {
-        if (scratch.inside[r] == 0) continue;  // bound >= current min
-        double& slot = (*dist2_)[first_row + r];
-        if (scratch.dist[r] < slot) slot = scratch.dist[r];
-      }
-      return;
-    }
     SquaredEuclideanBatch(data, rows, dims_, *center_, scratch,
                           scratch.dist.data());
     for (size_t r = 0; r < rows; ++r) {
@@ -102,10 +76,6 @@ class MinDist2Consumer final : public ScanConsumer {
  private:
   const std::vector<double>* center_ = nullptr;
   std::vector<double>* dist2_ = nullptr;
-  const SketchPlan* sketch_ = nullptr;
-  bool screening_ = false;
-  std::vector<double> center_sketch_;
-  double center_mass_ = 0.0;
   std::vector<KernelScratch> scratch_;  // [block]
   size_t dims_ = 0;
   uint64_t distance_evals_ = 0;
@@ -120,10 +90,6 @@ class LloydConsumer final : public ScanConsumer {
     centroids_ = centroids;
   }
 
-  /// Enables sketch screening of the nearest-centroid argmin; labels and
-  /// inertia are bit-identical on or off.
-  void SetSketch(const SketchPlan* sketch) { sketch_ = sketch; }
-
   Status Prepare(const ScanGeometry& geometry) override {
     if (!centroids_->empty() && (*centroids_)[0].size() != geometry.dims)
       return Status::InvalidArgument("centroid dimensionality mismatch");
@@ -132,17 +98,6 @@ class LloydConsumer final : public ScanConsumer {
     partials_.resize(geometry.num_blocks);
     inertia_partials_.assign(geometry.num_blocks, 0.0);
     PrepareKernelScratch(scratch_, geometry.num_blocks);
-    screening_ = sketch_ != nullptr && sketch_->ScreenProfitable(dims_);
-    if (screening_) {
-      // Centroids move every iteration, so re-project them per scan
-      // (k*d work — one row's worth of the scan itself).
-      const size_t width = sketch_->width;
-      center_sketches_.resize(centroids_->size() * width);
-      center_masses_.resize(centroids_->size());
-      for (size_t c = 0; c < centroids_->size(); ++c)
-        center_masses_[c] = sketch_->ProjectPoint(
-            (*centroids_)[c], center_sketches_.data() + c * width);
-    }
     distance_evals_ =
         static_cast<uint64_t>(geometry.rows) * centroids_->size();
     return Status::OK();
@@ -156,17 +111,8 @@ class LloydConsumer final : public ScanConsumer {
     partial.sums.assign(k * d, 0.0);
     partial.count.assign(k, 0);
     KernelScratch& scratch = scratch_[block_index];
-    if (screening_) {
-      const SketchSpec spec = sketch_->Spec();
-      SketchProjectBlock(data, rows, d, spec, scratch);
-      SquaredEuclideanArgminScreenedBatch(
-          data, rows, d, *centroids_, center_sketches_.data(),
-          center_masses_.data(), spec, scratch,
-          labels_.data() + first_row);
-    } else {
-      SquaredEuclideanArgminBatch(data, rows, d, *centroids_, scratch,
-                                  labels_.data() + first_row);
-    }
+    SquaredEuclideanArgminBatch(data, rows, d, *centroids_, scratch,
+                                labels_.data() + first_row);
     double inertia = 0.0;
     for (size_t r = 0; r < rows; ++r) {
       std::span<const double> point = data.subspan(r * d, d);
@@ -221,10 +167,6 @@ class LloydConsumer final : public ScanConsumer {
   };
 
   const std::vector<std::vector<double>>* centroids_ = nullptr;
-  const SketchPlan* sketch_ = nullptr;
-  bool screening_ = false;
-  std::vector<double> center_sketches_;
-  std::vector<double> center_masses_;
   std::vector<int> labels_;
   std::vector<BlockPartial> partials_;
   std::vector<double> inertia_partials_;
@@ -309,7 +251,7 @@ class FarthestPointConsumer final : public ScanConsumer {
 // version would.
 Result<std::vector<std::vector<double>>> PlusPlusInitOnSource(
     const PointSource& source, size_t k, Rng& rng,
-    const ScanExecutor& executor, const SketchPlan* sketch) {
+    const ScanExecutor& executor) {
   const size_t n = source.size();
   std::vector<std::vector<double>> centers;
   centers.reserve(k);
@@ -322,7 +264,6 @@ Result<std::vector<std::vector<double>>> PlusPlusInitOnSource(
 
   std::vector<double> dist2(n, std::numeric_limits<double>::infinity());
   MinDist2Consumer min_dist2;
-  min_dist2.SetSketch(sketch);
   while (centers.size() < k) {
     min_dist2.Bind(&centers.back(), &dist2);
     PROCLUS_RETURN_IF_ERROR(executor.Run(source, {&min_dist2}));
@@ -367,17 +308,12 @@ Result<KMeansResult> RunKMeansOnSource(const PointSource& source,
   scan_options.cancel = params.cancel;
   ScanExecutor executor(scan_options);
   Timer timer;
-  // Private-stream sketch plan (see sketch/plan.h): `rng` is untouched,
-  // so the seeding and re-seeding draws match the sketch-off run.
-  const SketchPlan sketch_plan =
-      params.sketch ? BuildSketchPlan(params.seed, n, d) : SketchPlan{};
-  const SketchPlan* sketch = params.sketch ? &sketch_plan : nullptr;
 
   std::vector<std::vector<double>> centroids;
   // draws: invariant — the branch is selected by run config (params),
   // not by data, and each config owns its own golden stream.
   if (params.plus_plus_init) {
-    auto centers = PlusPlusInitOnSource(source, k, rng, executor, sketch);
+    auto centers = PlusPlusInitOnSource(source, k, rng, executor);
     PROCLUS_RETURN_IF_ERROR(centers.status());
     centroids = std::move(centers).value();
   } else {
@@ -393,7 +329,6 @@ Result<KMeansResult> RunKMeansOnSource(const PointSource& source,
 
   KMeansResult result;
   LloydConsumer lloyd;
-  lloyd.SetSketch(sketch);
   FarthestPointConsumer farthest;
   for (size_t iteration = 0; iteration < params.max_iterations; ++iteration) {
     if (params.cancel.active()) {

@@ -36,11 +36,6 @@ struct KMeansParams {
   /// at the top of every Lloyd iteration and once per scan block. Never
   /// changes results (DESIGN.md §13).
   CancelContext cancel{};
-  /// Enable the random-projection sketch screens (src/sketch/) on the
-  /// Lloyd assignment and k-means++ seeding scans. Results are
-  /// bit-identical on or off (DESIGN.md §14); the ablation toggle for
-  /// bench/sketch.cc.
-  bool sketch = true;
 
   Status Validate(size_t num_points) const;
 };

@@ -9,7 +9,6 @@
 #include "common/timer.h"
 #include "data/engine.h"
 #include "distance/batch.h"
-#include "sketch/plan.h"
 
 namespace proclus {
 
@@ -71,10 +70,6 @@ class MedoidAssignConsumer final : public ScanConsumer {
     metric_ = metric;
   }
 
-  /// Enables sketch screening of the nearest-medoid argmin; labels and
-  /// cost are bit-identical on or off.
-  void SetSketch(const SketchPlan* sketch) { sketch_ = sketch; }
-
   Status Prepare(const ScanGeometry& geometry) override {
     if (medoids_->cols() != geometry.dims)
       return Status::InvalidArgument("medoid dimensionality mismatch");
@@ -82,16 +77,6 @@ class MedoidAssignConsumer final : public ScanConsumer {
     labels_.resize(geometry.rows);
     cost_partials_.assign(geometry.num_blocks, 0.0);
     PrepareKernelScratch(scratch_, geometry.num_blocks);
-    screening_ = sketch_ != nullptr && sketch_->ScreenProfitable(dims_);
-    if (screening_) {
-      // Trial medoid sets change every scan, so project them per scan.
-      const size_t width = sketch_->width;
-      medoid_sketches_.resize(medoids_->rows() * width);
-      medoid_masses_.resize(medoids_->rows());
-      for (size_t m = 0; m < medoids_->rows(); ++m)
-        medoid_masses_[m] = sketch_->ProjectPoint(
-            medoids_->row(m), medoid_sketches_.data() + m * width);
-    }
     distance_evals_ =
         static_cast<uint64_t>(geometry.rows) * medoids_->rows();
     return Status::OK();
@@ -100,17 +85,8 @@ class MedoidAssignConsumer final : public ScanConsumer {
   void ConsumeBlock(size_t block_index, size_t first_row,
                     std::span<const double> data, size_t rows) override {
     KernelScratch& scratch = scratch_[block_index];
-    if (screening_) {
-      const SketchSpec spec = sketch_->Spec();
-      SketchProjectBlock(data, rows, dims_, spec, scratch);
-      MetricArgminScreenedBatch(data, rows, dims_, metric_, *medoids_,
-                                medoid_sketches_.data(),
-                                medoid_masses_.data(), spec, scratch,
-                                labels_.data() + first_row);
-    } else {
-      MetricArgminBatch(data, rows, dims_, metric_, *medoids_, scratch,
-                        labels_.data() + first_row);
-    }
+    MetricArgminBatch(data, rows, dims_, metric_, *medoids_, scratch,
+                      labels_.data() + first_row);
     double cost = 0.0;
     for (size_t r = 0; r < rows; ++r) cost += scratch.best[r];
     cost_partials_[block_index] = cost;
@@ -140,10 +116,6 @@ class MedoidAssignConsumer final : public ScanConsumer {
  private:
   const Matrix* medoids_ = nullptr;
   MetricKind metric_ = MetricKind::kManhattan;
-  const SketchPlan* sketch_ = nullptr;
-  bool screening_ = false;
-  std::vector<double> medoid_sketches_;
-  std::vector<double> medoid_masses_;
   std::vector<int> labels_;
   std::vector<double> cost_partials_;
   std::vector<KernelScratch> scratch_;  // [block]
@@ -263,13 +235,7 @@ Result<MedoidClustering> RunClaransOnSource(const PointSource& source,
 
   MedoidClustering best;
   best.cost = std::numeric_limits<double>::infinity();
-  // Private-stream sketch plan (see sketch/plan.h): `rng` is untouched,
-  // so every neighbor draw matches the sketch-off run.
-  const SketchPlan sketch_plan =
-      params.sketch ? BuildSketchPlan(params.seed, n, source.dims())
-                    : SketchPlan{};
   MedoidAssignConsumer assign;
-  assign.SetSketch(params.sketch ? &sketch_plan : nullptr);
 
   for (size_t local = 0; local < params.num_local; ++local) {
     std::vector<size_t> current = rng.SampleWithoutReplacement(n, k);

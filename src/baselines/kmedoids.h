@@ -74,10 +74,6 @@ struct ClaransParams {
   /// before every trial medoid set and once per scan block. Never
   /// changes results (DESIGN.md §13).
   CancelContext cancel{};
-  /// Enable the random-projection sketch screen (src/sketch/) on the
-  /// per-trial assignment scans. Results are bit-identical on or off
-  /// (DESIGN.md §14); the ablation toggle for bench/sketch.cc.
-  bool sketch = true;
 
   Status Validate(size_t num_points) const;
 };

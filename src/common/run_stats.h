@@ -43,19 +43,19 @@ struct RunStats {
   uint64_t tile_reuse_hits = 0;
   /// Locality-scan medoid distance columns served from the cross-scan
   /// cache (fused engine only). Each hit skips one full n-row distance
-  /// computation.
+  /// computation. Only medoids whose locality row missed the row memo
+  /// below look up a column at all.
   uint64_t locality_cache_hits = 0;
   /// Locality-scan medoid distance columns that had to be computed.
   uint64_t locality_cache_misses = 0;
-  /// (row, reference) pairs examined by a sketch / prefix screen
-  /// (src/sketch/): candidates a lower bound was computed for.
-  uint64_t sketch_rows_screened = 0;
-  /// Screened pairs whose lower bound proved the exact evaluation could
-  /// not change the result — the exact kernel skipped them.
-  uint64_t sketch_rows_pruned = 0;
-  /// Screened pairs the bound could not discard; evaluated exactly by
-  /// the verify phase. screened = pruned + exact_verifications.
-  uint64_t sketch_exact_verifications = 0;
+  /// Locality statistics rows (one medoid's d averages for one delta)
+  /// served from the cross-scan row memo (fused engine only). Each hit
+  /// skips that row's whole n-row accumulation.
+  uint64_t locality_row_hits = 0;
+  /// Locality statistics rows the scans had to accumulate. Counted once
+  /// per distinct (medoid slot, delta) per scan, however many
+  /// speculative variants share it.
+  uint64_t locality_row_misses = 0;
 
   // ----- Resilience counters (recorded by ScanExecutor / retry helpers) -----
   /// Operations (scans or fetches) re-issued after a transient failure.
@@ -141,9 +141,8 @@ struct RunStats {
     tile_reuse_hits += other.tile_reuse_hits;
     locality_cache_hits += other.locality_cache_hits;
     locality_cache_misses += other.locality_cache_misses;
-    sketch_rows_screened += other.sketch_rows_screened;
-    sketch_rows_pruned += other.sketch_rows_pruned;
-    sketch_exact_verifications += other.sketch_exact_verifications;
+    locality_row_hits += other.locality_row_hits;
+    locality_row_misses += other.locality_row_misses;
     retries += other.retries;
     failed_scans += other.failed_scans;
     wasted_rows += other.wasted_rows;

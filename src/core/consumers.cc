@@ -1,6 +1,7 @@
 #include "core/consumers.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "common/check.h"
@@ -10,6 +11,9 @@
 namespace proclus {
 
 namespace {
+
+// Row-plan target of a variant row that Prepare copied from the memo.
+constexpr size_t kFromMemo = static_cast<size_t>(-1);
 
 // Full-space Manhattan segmental distance between two equal-length rows.
 inline double FullSegmental(std::span<const double> a,
@@ -116,59 +120,100 @@ Status LocalityStatsConsumer::Prepare(const ScanGeometry& geometry) {
   if (medoids_ == nullptr) return Status::InvalidArgument("Bind not called");
   if (medoids_->cols() != geometry.dims)
     return Status::InvalidArgument("medoid dimensionality mismatch");
-  dims_ = geometry.dims;
+  const size_t d = geometry.dims;
+  dims_ = d;
   rows_ = geometry.rows;
   const size_t u = medoids_->rows();
-  partials_.resize(variant_rows_.size());
-  for (std::vector<BlockSums>& blocks : partials_)
-    blocks.resize(geometry.num_blocks);
+  const size_t num_variants = variant_rows_.size();
+  partials_.resize(geometry.num_blocks);
   PrepareKernelScratch(scratch_, geometry.num_blocks);
   cols_.resize(geometry.num_blocks);
-  exact_cols_.resize(geometry.num_blocks);
-  stats_.resize(variant_rows_.size());
+  stats_.resize(num_variants);
+  targets_.resize(num_variants);
 
-  // Sketch screen setup: project the union medoids once per scan and
-  // derive each union row's pruning threshold — the largest locality
-  // delta any variant compares that row's column against. A column value
-  // whose lower bound exceeds the threshold decides every comparison
-  // identically without the exact distance.
-  screening_ = sketch_ != nullptr && sketch_->ScreenProfitable(geometry.dims);
-  if (screening_) {
-    const size_t width = sketch_->width;
-    union_sketches_.resize(u * width);
-    union_masses_.resize(u);
-    for (size_t m = 0; m < u; ++m)
-      union_masses_[m] = sketch_->ProjectPoint(
-          medoids_->row(m), union_sketches_.data() + m * width);
-    thresholds_.assign(u, -std::numeric_limits<double>::infinity());
-    for (size_t v = 0; v < variant_rows_.size(); ++v) {
-      const std::vector<size_t>& map = variant_rows_[v];
-      for (size_t i = 0; i < map.size(); ++i)
-        thresholds_[map[i]] = std::max(thresholds_[map[i]], deltas_[v][i]);
+  if (cache_ != nullptr) {
+    // One clock tick per scan attempt. Entries and rows touched during
+    // this attempt carry the current tick; validity and new rows are only
+    // committed by Merge, so an attempt that fails and retries simply
+    // looks everything up again.
+    ++cache_->clock;
+    const std::pair<size_t, size_t> scope{geometry.rows, geometry.block_rows};
+    if (cache_->row_scope != scope) {
+      cache_->rows.clear();
+      cache_->row_scope = scope;
     }
   }
 
-  fresh_rows_.clear();
+  // Row plan: each variant row is served by an earlier acc row with the
+  // same (union row, delta) key, by the memo, or by a new acc row.
+  acc_medoid_.clear();
+  acc_delta_.clear();
+  for (size_t v = 0; v < num_variants; ++v) {
+    const std::vector<size_t>& map = variant_rows_[v];
+    ResetMatrix(&stats_[v], map.size(), d);
+    targets_[v].assign(map.size(), kFromMemo);
+    for (size_t i = 0; i < map.size(); ++i) {
+      const size_t m = map[i];
+      const double delta = deltas_[v][i];
+      const uint64_t bits = std::bit_cast<uint64_t>(delta);
+      size_t a = 0;
+      while (a < acc_medoid_.size() &&
+             (acc_medoid_[a] != m ||
+              std::bit_cast<uint64_t>(acc_delta_[a]) != bits))
+        ++a;
+      if (a < acc_medoid_.size()) {
+        targets_[v][i] = a;
+        continue;
+      }
+      if (cache_ != nullptr) {
+        MedoidDistanceCache::Row* hit = nullptr;
+        for (MedoidDistanceCache::Row& row : cache_->rows)
+          if (row.slot == slots_[m] && row.delta_bits == bits) {
+            hit = &row;
+            break;
+          }
+        if (hit != nullptr) {
+          PROCLUS_DCHECK(hit->stats.size() == d);
+          // Counted once per distinct key per scan attempt.
+          if (hit->last_used != cache_->clock) ++cache_->row_hits;
+          hit->last_used = cache_->clock;
+          std::copy(hit->stats.begin(), hit->stats.end(),
+                    stats_[v].row(i).begin());
+          continue;
+        }
+      }
+      targets_[v][i] = acc_medoid_.size();
+      acc_medoid_.push_back(m);
+      acc_delta_.push_back(delta);
+    }
+  }
+  if (cache_ != nullptr) cache_->row_misses += acc_medoid_.size();
+
+  // Distance columns: only union rows with an acc row need one. Uncached
+  // binds compute each of them into a scan-local column; cached binds
+  // reuse committed columns and claim cache entries for the rest.
+  fill_rows_.clear();
   fresh_entries_.clear();
-  if (cache_ != nullptr) {
-    // One clock tick per scan attempt. Entries touched during this
-    // attempt carry the current tick and are protected from eviction;
-    // validity is only committed by Merge, so an attempt that fails and
-    // retries simply reclaims its entries and refills them.
-    ++cache_->clock;
+  col_base_.assign(u, nullptr);
+  if (cache_ == nullptr) {
+    for (size_t m : acc_medoid_)
+      if (std::find(fill_rows_.begin(), fill_rows_.end(), m) ==
+          fill_rows_.end())
+        fill_rows_.push_back(m);
+    own_cols_.resize(fill_rows_.size() * geometry.rows);
+    for (size_t f = 0; f < fill_rows_.size(); ++f)
+      col_base_[fill_rows_[f]] = own_cols_.data() + f * geometry.rows;
+  } else {
     // Reserve before taking any pointers: push_back must never relocate
     // entries mid-Prepare, and the eviction cap must always leave an
     // unprotected entry to reuse.
     const size_t capacity = std::max<size_t>(16, 2 * u + 4);
-    cache_->entries.reserve(
-        std::max(capacity, cache_->entries.size() + u));
-    col_base_.assign(u, nullptr);
-    exact_base_.assign(u, nullptr);
-    for (size_t m = 0; m < u; ++m) {
-      const size_t slot = slots_[m];
+    cache_->entries.reserve(std::max(capacity, cache_->entries.size() + u));
+    for (size_t m : acc_medoid_) {
+      if (col_base_[m] != nullptr) continue;  // Shared by an earlier row.
       MedoidDistanceCache::Entry* entry = nullptr;
       for (MedoidDistanceCache::Entry& e : cache_->entries)
-        if (e.slot == slot) {
+        if (e.slot == slots_[m]) {
           entry = &e;
           break;
         }
@@ -192,51 +237,28 @@ Status LocalityStatsConsumer::Prepare(const ScanGeometry& geometry) {
             PROCLUS_CHECK(entry != nullptr);
           }
         }
-        entry->slot = slot;
+        entry->slot = slots_[m];
         entry->valid = false;
         entry->dist.resize(geometry.rows);
-        // A screened fill stores exact flags alongside the column; an
-        // unscreened fill restores the all-exact layout (empty vector).
-        if (screening_) {
-          entry->exact.resize(geometry.rows);
-        } else {
-          entry->exact.clear();
-        }
-        fresh_rows_.push_back(m);
+        fill_rows_.push_back(m);
         fresh_entries_.push_back(
             static_cast<size_t>(entry - cache_->entries.data()));
       }
       entry->last_used = cache_->clock;
       col_base_[m] = entry->dist.data();
-      exact_base_[m] = entry->exact.empty() ? nullptr : entry->exact.data();
     }
-    ResetMatrix(&fresh_medoids_, fresh_rows_.size(), geometry.dims);
-    for (size_t f = 0; f < fresh_rows_.size(); ++f) {
-      auto src = medoids_->row(fresh_rows_[f]);
-      for (size_t j = 0; j < geometry.dims; ++j) fresh_medoids_(f, j) = src[j];
-    }
-    if (screening_) {
-      const size_t width = sketch_->width;
-      fresh_sketches_.resize(fresh_rows_.size() * width);
-      fresh_masses_.resize(fresh_rows_.size());
-      fresh_thresholds_.resize(fresh_rows_.size());
-      for (size_t f = 0; f < fresh_rows_.size(); ++f) {
-        const size_t m = fresh_rows_[f];
-        std::copy(union_sketches_.begin() + m * width,
-                  union_sketches_.begin() + (m + 1) * width,
-                  fresh_sketches_.begin() + f * width);
-        fresh_masses_[f] = union_masses_[m];
-        fresh_thresholds_[f] = thresholds_[m];
-      }
-    }
+  }
+  ResetMatrix(&fill_medoids_, fill_rows_.size(), d);
+  for (size_t f = 0; f < fill_rows_.size(); ++f) {
+    auto src = medoids_->row(fill_rows_[f]);
+    std::copy(src.begin(), src.end(), fill_medoids_.row(f).begin());
   }
 
   uint64_t pair_evals = 0;
   for (const std::vector<size_t>& map : variant_rows_)
     pair_evals += static_cast<uint64_t>(map.size()) * (map.size() - 1) / 2;
-  const uint64_t scored = cache_ != nullptr ? fresh_rows_.size() : u;
   distance_evals_ =
-      static_cast<uint64_t>(geometry.rows) * scored + pair_evals;
+      static_cast<uint64_t>(geometry.rows) * fill_rows_.size() + pair_evals;
   return Status::OK();
 }
 
@@ -244,122 +266,55 @@ void LocalityStatsConsumer::ConsumeBlock(size_t block_index, size_t first_row,
                                          std::span<const double> data,
                                          size_t rows) {
   const size_t d = dims_;
-  const size_t u = medoids_->rows();
-  const size_t num_variants = variant_rows_.size();
-  for (size_t v = 0; v < num_variants; ++v) {
-    BlockSums& partial = partials_[v][block_index];
-    partial.sums.assign(variant_rows_[v].size() * d, 0.0);
-    partial.count.assign(variant_rows_[v].size(), 0);
-  }
-  // Distances to the union of all variants' medoids are computed once per
-  // point and shared: one many-reference kernel scores all u medoids
-  // against each gathered sub-tile. Dividing the Manhattan sum by d
-  // afterwards is exactly FullSegmental's operation order, so dist stays
+  const size_t num_acc = acc_medoid_.size();
+  BlockSums& partial = partials_[block_index];
+  partial.sums.assign(num_acc * d, 0.0);
+  partial.count.assign(num_acc, 0);
+  if (num_acc == 0) return;  // Every row came from the memo.
+  // Distances to the needed medoids are computed once per point and
+  // shared: one many-reference kernel scores them all against each
+  // gathered sub-tile. Dividing the Manhattan sum by d afterwards is
+  // exactly FullSegmental's operation order, so every distance stays
   // bit-identical to the per-point scalar loop.
   //
-  // With a cache bound, only medoids whose column missed in Prepare are
-  // scored: the kernel scatters each fresh column straight into its cache
-  // entry at this block's row range (distinct blocks write disjoint
-  // ranges, so concurrent fills are safe), and hit columns are reused
-  // verbatim — bit-identical by construction.
+  // Each fresh column is scattered straight into its full-length buffer
+  // (a cache entry, or the scan-local column of an uncached bind) at this
+  // block's row range; distinct blocks write disjoint ranges, so
+  // concurrent fills are safe, and cached columns are reused verbatim —
+  // bit-identical by construction.
+  //
+  // Ownership contract (consumers.h): this block may write only the row
+  // range it owns inside each fresh column.
+  PROCLUS_DCHECK(first_row + rows <= rows_);
   KernelScratch& scratch = scratch_[block_index];
-  std::vector<const double*>& cols = cols_[block_index];
-  cols.resize(u);
-  const double denom = static_cast<double>(d);
-  if (cache_ == nullptr) {
-    scratch.dist.resize(u * rows);
-    double* dist = scratch.dist.data();
-    if (screening_) {
-      // Screened fill: the kernel normalizes internally and stores a
-      // guaranteed lower bound for pruned rows. No exact flags are kept
-      // — a pruned value exceeds every threshold this scan compares it
-      // against, so the decision loop below reads it unchanged.
-      const SketchSpec spec = sketch_->Spec();
-      SketchProjectBlock(data, rows, d, spec, scratch);
-      scratch.outs.resize(u);
-      for (size_t m = 0; m < u; ++m) scratch.outs[m] = dist + m * rows;
-      ManhattanManyScreenedBatch(
-          data, rows, d, *medoids_, union_sketches_.data(),
-          union_masses_.data(), spec, thresholds_, denom, scratch,
-          std::span<double* const>(scratch.outs), /*exacts=*/{});
-      for (size_t m = 0; m < u; ++m) cols[m] = dist + m * rows;
-    } else {
-      ManhattanManyBatch(data, rows, d, *medoids_, scratch, dist);
-      for (size_t m = 0; m < u; ++m) {
-        double* row = dist + m * rows;
-        for (size_t r = 0; r < rows; ++r) row[r] /= denom;
-        cols[m] = row;
-      }
+  const size_t fill = fill_rows_.size();
+  if (fill > 0) {
+    scratch.outs.resize(fill);
+    for (size_t f = 0; f < fill; ++f)
+      scratch.outs[f] = col_base_[fill_rows_[f]] + first_row;
+    ManhattanManyBatch(data, rows, d, fill_medoids_, scratch,
+                       std::span<double* const>(scratch.outs));
+    const double denom = static_cast<double>(d);
+    for (size_t f = 0; f < fill; ++f) {
+      double* col = scratch.outs[f];
+      for (size_t r = 0; r < rows; ++r) col[r] /= denom;
     }
-  } else {
-    // Ownership contract (consumers.h): this block may write only the
-    // row range it owns inside each fresh cache column.
-    PROCLUS_DCHECK(first_row + rows <= rows_);
-    const size_t fresh = fresh_rows_.size();
-    if (fresh > 0) {
-      scratch.outs.resize(fresh);
-      for (size_t f = 0; f < fresh; ++f)
-        scratch.outs[f] = col_base_[fresh_rows_[f]] + first_row;
-      if (screening_) {
-        // Screened cache fill: pruned rows persist their lower bound
-        // with exact flag 0, so a later scan (whose thresholds differ)
-        // can still decide or locally recompute them (write-free reuse).
-        const SketchSpec spec = sketch_->Spec();
-        SketchProjectBlock(data, rows, d, spec, scratch);
-        scratch.exact_outs.resize(fresh);
-        for (size_t f = 0; f < fresh; ++f)
-          scratch.exact_outs[f] = exact_base_[fresh_rows_[f]] + first_row;
-        ManhattanManyScreenedBatch(
-            data, rows, d, fresh_medoids_, fresh_sketches_.data(),
-            fresh_masses_.data(), spec, fresh_thresholds_, denom, scratch,
-            std::span<double* const>(scratch.outs),
-            std::span<uint8_t* const>(scratch.exact_outs));
-      } else {
-        ManhattanManyBatch(data, rows, d, fresh_medoids_, scratch,
-                           std::span<double* const>(scratch.outs));
-        for (size_t f = 0; f < fresh; ++f) {
-          double* col = scratch.outs[f];
-          for (size_t r = 0; r < rows; ++r) col[r] /= denom;
-        }
-      }
-    }
-    for (size_t m = 0; m < u; ++m) cols[m] = col_base_[m] + first_row;
-    std::vector<const uint8_t*>& excols = exact_cols_[block_index];
-    excols.resize(u);
-    for (size_t m = 0; m < u; ++m)
-      excols[m] = exact_base_[m] == nullptr ? nullptr
-                                            : exact_base_[m] + first_row;
   }
-  const std::vector<const uint8_t*>* excols =
-      cache_ == nullptr ? nullptr : &exact_cols_[block_index];
+  std::vector<const double*>& cols = cols_[block_index];
+  cols.resize(num_acc);
+  for (size_t a = 0; a < num_acc; ++a)
+    cols[a] = col_base_[acc_medoid_[a]] + first_row;
   for (size_t r = 0; r < rows; ++r) {
     std::span<const double> point = data.subspan(r * d, d);
-    for (size_t v = 0; v < num_variants; ++v) {
-      const std::vector<size_t>& map = variant_rows_[v];
-      BlockSums& partial = partials_[v][block_index];
-      for (size_t i = 0; i < map.size(); ++i) {
-        const size_t m = map[i];
-        double dist = cols[m][r];
-        if (excols != nullptr && (*excols)[m] != nullptr &&
-            (*excols)[m][r] == 0) {
-          // Cached lower bound from a screened fill. If it already
-          // exceeds this variant's delta the exact distance would too;
-          // otherwise recompute the distance locally (same operation
-          // order as the batch fill, so the decision is bit-identical
-          // to an unscreened run). The recomputed value is NOT stored
-          // back — reuse is write-free under re-delivery and hedging.
-          if (dist > deltas_[v][i]) continue;
-          dist = FullSegmental(point, medoids_->row(m));
+    for (size_t a = 0; a < num_acc; ++a) {
+      if (cols[a][r] <= acc_delta_[a]) {
+        auto medoid = medoids_->row(acc_medoid_[a]);
+        double* sums = partial.sums.data() + a * d;
+        for (size_t j = 0; j < d; ++j) {
+          double diff = point[j] - medoid[j];
+          sums[j] += diff < 0 ? -diff : diff;
         }
-        if (dist <= deltas_[v][i]) {
-          auto medoid = medoids_->row(m);
-          double* sums = partial.sums.data() + i * d;
-          for (size_t j = 0; j < d; ++j) {
-            double diff = point[j] - medoid[j];
-            sums[j] += diff < 0 ? -diff : diff;
-          }
-          ++partial.count[i];
-        }
+        ++partial.count[a];
       }
     }
   }
@@ -371,32 +326,59 @@ ScanConsumer::KernelStats LocalityStatsConsumer::kernel_stats() const {
 
 Status LocalityStatsConsumer::Merge() {
   const size_t d = dims_;
-  for (size_t v = 0; v < variant_rows_.size(); ++v) {
-    const size_t k = variant_rows_[v].size();
-    ResetMatrix(&stats_[v], k, d);
-    Matrix& X = stats_[v];
-    std::vector<size_t> count(k, 0);
-    for (const BlockSums& partial : partials_[v]) {
-      if (partial.sums.empty()) continue;
-      for (size_t i = 0; i < k; ++i) {
-        for (size_t j = 0; j < d; ++j) X(i, j) += partial.sums[i * d + j];
-        count[i] += partial.count[i];
-      }
-    }
-    for (size_t i = 0; i < k; ++i) {
-      // Every medoid is a data point, so its own locality is non-empty as
-      // long as the medoid coordinates came from this source.
-      if (count[i] == 0) continue;
+  const size_t num_acc = acc_medoid_.size();
+  ResetMatrix(&acc_stats_, num_acc, d);
+  acc_count_.assign(num_acc, 0);
+  for (const BlockSums& partial : partials_) {
+    if (partial.sums.empty()) continue;
+    for (size_t a = 0; a < num_acc; ++a) {
       for (size_t j = 0; j < d; ++j)
-        X(i, j) /= static_cast<double>(count[i]);
+        acc_stats_(a, j) += partial.sums[a * d + j];
+      acc_count_[a] += partial.count[a];
     }
   }
-  // Cache columns become reusable only once the whole scan succeeded:
-  // Merge runs after every block, so each fresh column is fully written.
-  // A failed attempt never reaches this point, leaves valid == false, and
-  // the retry recomputes the column from scratch.
-  if (cache_ != nullptr)
-    for (size_t e : fresh_entries_) cache_->entries[e].valid = true;
+  for (size_t a = 0; a < num_acc; ++a) {
+    // Every medoid is a data point, so its own locality is non-empty as
+    // long as the medoid coordinates came from this source.
+    if (acc_count_[a] == 0) continue;
+    for (size_t j = 0; j < d; ++j)
+      acc_stats_(a, j) /= static_cast<double>(acc_count_[a]);
+  }
+  size_t max_k = 0;
+  for (size_t v = 0; v < variant_rows_.size(); ++v) {
+    max_k = std::max(max_k, targets_[v].size());
+    for (size_t i = 0; i < targets_[v].size(); ++i) {
+      const size_t a = targets_[v][i];
+      if (a == kFromMemo) continue;  // Copied by Prepare.
+      auto src = acc_stats_.row(a);
+      std::copy(src.begin(), src.end(), stats_[v].row(i).begin());
+    }
+  }
+  if (cache_ == nullptr) return Status::OK();
+  // Columns become reusable and rows enter the memo only once the whole
+  // scan succeeded: Merge runs after every block, so each fresh column
+  // and row is complete. A failed attempt never reaches this point,
+  // leaves valid == false and the memo untouched, and the retry
+  // recomputes both from scratch.
+  for (size_t e : fresh_entries_) cache_->entries[e].valid = true;
+  const size_t capacity = std::max<size_t>(64, 12 * max_k);
+  for (size_t a = 0; a < num_acc; ++a) {
+    MedoidDistanceCache::Row* row = nullptr;
+    if (cache_->rows.size() < capacity) {
+      row = &cache_->rows.emplace_back();
+    } else {
+      // Evict the least-recently-used row; hits of this scan were
+      // already copied out, so any row may go.
+      row = &cache_->rows.front();
+      for (MedoidDistanceCache::Row& r : cache_->rows)
+        if (r.last_used < row->last_used) row = &r;
+    }
+    row->slot = slots_[acc_medoid_[a]];
+    row->delta_bits = std::bit_cast<uint64_t>(acc_delta_[a]);
+    row->last_used = cache_->clock;
+    auto src = acc_stats_.row(a);
+    row->stats.assign(src.begin(), src.end());
+  }
   return Status::OK();
 }
 
@@ -415,9 +397,6 @@ Status AssignConsumer::Bind(const Matrix* medoids,
   dim_lists_ = DimLists(*dims);
   segmental_ = segmental_normalization;
   accumulate_ = accumulate_centroids;
-  max_prefix_ = 0;
-  for (const std::vector<uint32_t>& list : dim_lists_)
-    max_prefix_ = std::max(max_prefix_, PrefixScreenDims(list.size()));
   return Status::OK();
 }
 
@@ -439,11 +418,9 @@ void AssignConsumer::ConsumeBlock(size_t block_index, size_t first_row,
                                   size_t rows) {
   const size_t d = dims_;
   const size_t k = medoids_->rows();
-  SegmentalArgminScreenedBatch(data, rows, d, *medoids_, dim_lists_,
-                               segmental_, /*spheres=*/{},
-                               sketch_ != nullptr ? max_prefix_ : 0,
-                               scratch_[block_index],
-                               labels_.data() + first_row);
+  SegmentalArgminBatch(data, rows, d, *medoids_, dim_lists_, segmental_,
+                       /*spheres=*/{}, scratch_[block_index],
+                       labels_.data() + first_row);
   if (!accumulate_) return;
   BlockSums* partial = &partials_[block_index];
   partial->sums.assign(k * d, 0.0);
@@ -504,9 +481,6 @@ Status RefineAssignConsumer::Bind(const Matrix* medoids,
   segmental_ = segmental_normalization;
   detect_outliers_ = detect_outliers;
   accumulate_ = accumulate_centroids;
-  max_prefix_ = 0;
-  for (const std::vector<uint32_t>& list : dim_lists_)
-    max_prefix_ = std::max(max_prefix_, PrefixScreenDims(list.size()));
   return Status::OK();
 }
 
@@ -535,10 +509,8 @@ void RefineAssignConsumer::ConsumeBlock(size_t block_index, size_t first_row,
     partial->count.assign(k, 0);
   }
   KernelScratch& scratch = scratch_[block_index];
-  SegmentalArgminScreenedBatch(data, rows, d, *medoids_, dim_lists_,
-                               segmental_, *spheres_,
-                               sketch_ != nullptr ? max_prefix_ : 0, scratch,
-                               labels_.data() + first_row);
+  SegmentalArgminBatch(data, rows, d, *medoids_, dim_lists_, segmental_,
+                       *spheres_, scratch, labels_.data() + first_row);
   for (size_t r = 0; r < rows; ++r) {
     const bool outlier = detect_outliers_ && scratch.inside[r] == 0;
     if (outlier) {

@@ -33,13 +33,13 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/dimension_set.h"
 #include "common/matrix.h"
 #include "data/engine.h"
 #include "distance/batch.h"
-#include "sketch/plan.h"
 
 namespace proclus {
 
@@ -51,26 +51,31 @@ struct BlockSums {
 };
 
 /// Cross-scan cache of per-point distance columns, keyed by candidate
-/// slot id. Hill-climbing replaces only the bad medoids between
+/// slot id, plus a memo of finished locality statistics rows keyed by
+/// (slot, delta). Hill-climbing replaces only the bad medoids between
 /// iterations, so most of a speculative set's medoids already had their
-/// full-space segmental distances to every point computed by an earlier
-/// locality scan; a cached column makes those medoids free in the next
-/// scan. Values are reused verbatim (never recomputed differently), so a
-/// cached run is bit-identical to an uncached one. Owned by the caller
-/// (the fused climb's scratch) and valid only while the candidate
-/// coordinates and the source it was filled from stay fixed.
+/// locality row accumulated by an earlier scan — usually under the same
+/// delta, since delta only moves when a medoid's nearest other medoid
+/// changes. A memo row makes that medoid free in the next scan; a medoid
+/// whose delta did change still finds its full-space segmental distance
+/// column here. Values are reused verbatim (never recomputed
+/// differently), so a cached run is bit-identical to an uncached one.
+/// Owned by the caller (the fused climb's scratch) and valid only while
+/// the candidate coordinates and the source it was filled from stay
+/// fixed.
 ///
 /// Scatter-fill/commit protocol (lock-free by ownership partitioning;
-/// DESIGN.md §10): the structure itself — entries, clock, hits, misses,
-/// and each entry's slot/valid/last_used — is touched ONLY by the thread
-/// driving the scan, inside Prepare (slot lookup, eviction, column
-/// (re)allocation) and Merge (validity commit), which the executor runs
-/// strictly before and after the parallel region. During the region,
-/// workers write only the *contents* of fresh entries' dist columns, each
-/// block scattering into its own disjoint row range [first_row,
-/// first_row + rows); hit columns are read-only. Validity commits on
-/// Merge and nowhere else, so a scan attempt that fails or is abandoned
-/// leaves its claimed entries invalid and the retry refills them —
+/// DESIGN.md §10): the structure itself — entries, rows, clock, the
+/// counters, and each entry's slot/valid/last_used — is touched ONLY by
+/// the thread driving the scan, inside Prepare (slot and row lookup,
+/// eviction, column (re)allocation) and Merge (validity and row commit),
+/// which the executor runs strictly before and after the parallel
+/// region. During the region, workers write only the *contents* of fresh
+/// entries' dist columns, each block scattering into its own disjoint row
+/// range [first_row, first_row + rows); hit columns are read-only and
+/// the memo is not touched at all. Columns turn valid and rows enter the
+/// memo on Merge and nowhere else, so a scan attempt that fails, is
+/// hedged or is cancelled commits nothing and the retry recomputes —
 /// fault-retry and resume keep bit-identical results.
 struct MedoidDistanceCache {
   struct Entry {
@@ -80,20 +85,28 @@ struct MedoidDistanceCache {
     bool valid = false;
     uint64_t last_used = 0;
     std::vector<double> dist;  ///< One distance per source row.
-    /// Sketch-screened fills (DESIGN.md §14): exact[r] == 1 marks dist[r]
-    /// as the exact segmental distance; 0 marks it as a guaranteed lower
-    /// bound (the screen pruned the exact evaluation because the bound
-    /// already exceeded every locality threshold of the filling scan). An
-    /// EMPTY vector means the whole column is exact (unscreened fill) —
-    /// the pre-sketch layout, still produced when screening is off.
-    /// Written only at fill time under the same ownership protocol as
-    /// `dist`; reusing scans never write it (write-free reuse).
-    std::vector<uint8_t> exact;
+  };
+  /// One finished locality statistics row: the d averages X(i, .) of the
+  /// medoid at `slot` over its locality of radius delta. Unlike a
+  /// distance column, a row depends on how the scan splits rows into
+  /// blocks (partials merge in block order), so the memo holds rows of
+  /// one scan geometry only (row_scope below).
+  struct Row {
+    size_t slot = 0;
+    uint64_t delta_bits = 0;  ///< Bit pattern of delta.
+    uint64_t last_used = 0;
+    std::vector<double> stats;  ///< d doubles.
   };
   std::vector<Entry> entries;  ///< Small; linear lookup by slot.
-  uint64_t clock = 0;          ///< Bumped per scan; drives LRU eviction.
-  uint64_t hits = 0;
+  std::vector<Row> rows;       ///< Bounded LRU; linear lookup by key.
+  /// (source rows, block_rows) of the scans that filled `rows`; a scan of
+  /// any other geometry empties the memo first.
+  std::pair<size_t, size_t> row_scope{0, 0};
+  uint64_t clock = 0;  ///< Bumped per scan; drives LRU eviction.
+  uint64_t hits = 0;   ///< Column lookups served from `entries`.
   uint64_t misses = 0;
+  uint64_t row_hits = 0;  ///< Distinct (slot, delta) served from `rows`.
+  uint64_t row_misses = 0;
 };
 
 /// Locality statistics (iterative phase): X(i, j) = average |p_j - m_ij|
@@ -103,11 +116,12 @@ struct MedoidDistanceCache {
 ///
 /// Supports VARIANTS: several candidate medoid sets evaluated in the same
 /// scan, sharing the per-point distance computations to the union of
-/// their medoids. Each variant's statistics are accumulated and merged
-/// independently, so they are bit-identical to running a separate scan
-/// per variant. This is what lets the fused hill-climb compute the
-/// locality statistics of both speculative next medoid sets inside the
-/// evaluation scan.
+/// their medoids. A statistics row depends only on its medoid and its
+/// delta, so a (medoid, delta) pair two variants share is accumulated
+/// once; every row is accumulated and merged exactly as a separate scan
+/// per variant would, so the results are bit-identical to one. This is
+/// what lets the fused hill-climb compute the locality statistics of
+/// both speculative next medoid sets inside the evaluation scan.
 class LocalityStatsConsumer final : public ScanConsumer {
  public:
   /// Binds the union medoid coordinate matrix (u x d) and one row-index
@@ -121,21 +135,14 @@ class LocalityStatsConsumer final : public ScanConsumer {
 
   /// Cached binding: `slots` names the candidate slot behind each medoid
   /// row (distinct, same length as `medoids` rows) and `cache` persists
-  /// across scans. Distance columns for slots the cache already holds are
-  /// reused; freshly computed columns are committed back on Merge.
-  /// `slots` and `cache` must outlive the scan.
+  /// across scans. Locality rows the memo holds for (slot, delta) are
+  /// copied, the scan accumulates only the rest, and their distance
+  /// columns are reused when cached; freshly computed columns and rows
+  /// are committed back on Merge. `slots` and `cache` must outlive the
+  /// scan.
   Status Bind(const Matrix* medoids,
               std::vector<std::vector<size_t>> variant_rows,
               std::span<const size_t> slots, MedoidDistanceCache* cache);
-
-  /// Enables sketch screening of the per-medoid distance columns (null
-  /// disables it — the ablation default). The plan must outlive the scan;
-  /// screening activates only when plan->ScreenProfitable(dims). The
-  /// statistics are bit-identical either way: a column value is only ever
-  /// compared against the locality thresholds, and a stored lower bound
-  /// replaces the exact distance only when both sides of that comparison
-  /// provably agree.
-  void SetSketch(const SketchPlan* sketch) { sketch_ = sketch; }
 
   Status Prepare(const ScanGeometry& geometry) override;
   void ConsumeBlock(size_t block_index, size_t first_row,
@@ -156,28 +163,29 @@ class LocalityStatsConsumer final : public ScanConsumer {
   const Matrix* medoids_ = nullptr;
   std::vector<std::vector<size_t>> variant_rows_;
   std::vector<std::vector<double>> deltas_;         // [variant][cluster]
-  std::vector<std::vector<BlockSums>> partials_;    // [variant][block]
-  std::vector<KernelScratch> scratch_;              // [block]
-  std::vector<std::vector<const double*>> cols_;    // [block][union row]
-  std::vector<Matrix> stats_;                       // [variant]
+  // Row plan, rebuilt by every Prepare: the distinct (union row, delta)
+  // pairs the scan must accumulate ("acc rows"), and where each variant
+  // row comes from — an acc row, or kFromMemo when Prepare already copied
+  // it out of the cache's row memo.
+  std::vector<size_t> acc_medoid_;             // [acc row] union row
+  std::vector<double> acc_delta_;              // [acc row] radius
+  std::vector<std::vector<size_t>> targets_;   // [variant][cluster]
+  std::vector<BlockSums> partials_;            // [block], acc rows x d
+  std::vector<KernelScratch> scratch_;         // [block]
+  std::vector<std::vector<const double*>> cols_;  // [block][acc row]
+  Matrix acc_stats_;                           // acc rows x d, Merge
+  std::vector<size_t> acc_count_;              // [acc row], Merge
+  std::vector<Matrix> stats_;                  // [variant]
+  // Distance columns: full-length column per union row (null when no acc
+  // row needs it), and the union rows whose column this scan computes.
+  std::vector<double*> col_base_;
+  std::vector<size_t> fill_rows_;
+  Matrix fill_medoids_;         // fill rows' coordinates, packed
+  std::vector<double> own_cols_;  // uncached binds' columns, fill x n
   // Cached-binding state (empty/null for uncached binds).
   MedoidDistanceCache* cache_ = nullptr;
-  std::vector<size_t> slots_;        // candidate slot per medoid row
-  std::vector<double*> col_base_;    // full-length column per medoid row
-  std::vector<size_t> fresh_rows_;   // medoid rows needing fresh columns
-  std::vector<size_t> fresh_entries_;  // cache entry index per fresh row
-  Matrix fresh_medoids_;             // fresh rows' coordinates, packed
-  // Sketch-screening state (null/empty when screening is off this scan).
-  const SketchPlan* sketch_ = nullptr;
-  bool screening_ = false;           // resolved per scan in Prepare
-  std::vector<double> union_sketches_;   // u x width, row-major
-  std::vector<double> union_masses_;     // [u] L1 mass per medoid
-  std::vector<double> thresholds_;       // [u] max locality delta per row
-  std::vector<double> fresh_sketches_;   // fresh rows' sketches, packed
-  std::vector<double> fresh_masses_;
-  std::vector<double> fresh_thresholds_;
-  std::vector<uint8_t*> exact_base_;  // full-length exact flags (or null)
-  std::vector<std::vector<const uint8_t*>> exact_cols_;  // [block][row]
+  std::vector<size_t> slots_;          // candidate slot per medoid row
+  std::vector<size_t> fresh_entries_;  // cache entry per fill row
   size_t dims_ = 0;
   size_t rows_ = 0;  // source rows (= cached column length) this scan
   uint64_t distance_evals_ = 0;
@@ -192,13 +200,6 @@ class AssignConsumer final : public ScanConsumer {
   /// `medoids` (k x d) and `dims` (k sets) must outlive the scan.
   Status Bind(const Matrix* medoids, const std::vector<DimensionSet>* dims,
               bool segmental_normalization, bool accumulate_centroids);
-
-  /// Enables the prefix screen for the per-point argmin (null disables
-  /// it — the ablation default). The prefix screen reuses the exact
-  /// accumulation chain, so it is profitable at every dimensionality the
-  /// policy admits and needs no active projection; labels are
-  /// bit-identical either way.
-  void SetSketch(const SketchPlan* sketch) { sketch_ = sketch; }
 
   Status Prepare(const ScanGeometry& geometry) override;
   void ConsumeBlock(size_t block_index, size_t first_row,
@@ -227,8 +228,6 @@ class AssignConsumer final : public ScanConsumer {
   std::vector<std::vector<uint32_t>> dim_lists_;
   bool segmental_ = true;
   bool accumulate_ = false;
-  const SketchPlan* sketch_ = nullptr;
-  size_t max_prefix_ = 0;  // prefix-screen length cap (0 = screen off)
   std::vector<int> labels_;
   std::vector<BlockSums> partials_;
   std::vector<KernelScratch> scratch_;  // [block]
@@ -248,10 +247,6 @@ class RefineAssignConsumer final : public ScanConsumer {
               const std::vector<double>* spheres,
               bool segmental_normalization, bool detect_outliers,
               bool accumulate_centroids);
-
-  /// Enables the prefix screen (see AssignConsumer::SetSketch); sphere
-  /// membership flags and outlier labels are bit-identical either way.
-  void SetSketch(const SketchPlan* sketch) { sketch_ = sketch; }
 
   Status Prepare(const ScanGeometry& geometry) override;
   void ConsumeBlock(size_t block_index, size_t first_row,
@@ -277,8 +272,6 @@ class RefineAssignConsumer final : public ScanConsumer {
   bool segmental_ = true;
   bool detect_outliers_ = true;
   bool accumulate_ = false;
-  const SketchPlan* sketch_ = nullptr;
-  size_t max_prefix_ = 0;  // prefix-screen length cap (0 = screen off)
   std::vector<int> labels_;
   std::vector<BlockSums> partials_;
   std::vector<KernelScratch> scratch_;  // [block]

@@ -6,13 +6,11 @@ namespace proclus {
 
 Result<Matrix> LocalityStatsPass(const PointSource& source,
                                  const Matrix& medoids,
-                                 const PassOptions& options,
-                                 const SketchPlan* sketch) {
+                                 const PassOptions& options) {
   if (medoids.rows() == 0) return Status::InvalidArgument("no medoids");
   if (medoids.cols() != source.dims())
     return Status::InvalidArgument("medoid dimensionality mismatch");
   LocalityStatsConsumer consumer;
-  consumer.SetSketch(sketch);
   PROCLUS_RETURN_IF_ERROR(consumer.Bind(&medoids));
   PROCLUS_RETURN_IF_ERROR(ScanExecutor(options).Run(source, {&consumer}));
   return consumer.TakeStats();
@@ -34,12 +32,11 @@ Result<Matrix> ClusterStatsPass(const PointSource& source,
 Result<std::vector<int>> AssignPointsPass(
     const PointSource& source, const Matrix& medoids,
     const std::vector<DimensionSet>& dims, bool segmental_normalization,
-    const PassOptions& options, const SketchPlan* sketch) {
+    const PassOptions& options) {
   if (medoids.rows() == 0) return Status::InvalidArgument("no medoids");
   if (dims.size() != medoids.rows())
     return Status::InvalidArgument("dimension set count mismatch");
   AssignConsumer consumer;
-  consumer.SetSketch(sketch);
   PROCLUS_RETURN_IF_ERROR(consumer.Bind(&medoids, &dims,
                                         segmental_normalization,
                                         /*accumulate_centroids=*/false));
@@ -70,13 +67,11 @@ Result<std::vector<int>> RefineAssignPass(
     const PointSource& source, const Matrix& medoids,
     const std::vector<DimensionSet>& dims,
     const std::vector<double>& spheres, bool segmental_normalization,
-    bool detect_outliers, const PassOptions& options,
-    const SketchPlan* sketch) {
+    bool detect_outliers, const PassOptions& options) {
   if (medoids.rows() == 0) return Status::InvalidArgument("no medoids");
   if (dims.size() != medoids.rows() || spheres.size() != medoids.rows())
     return Status::InvalidArgument("per-medoid input count mismatch");
   RefineAssignConsumer consumer;
-  consumer.SetSketch(sketch);
   PROCLUS_RETURN_IF_ERROR(consumer.Bind(&medoids, &dims, &spheres,
                                         segmental_normalization,
                                         detect_outliers,

@@ -24,7 +24,6 @@
 #include "common/status.h"
 #include "data/engine.h"
 #include "data/point_source.h"
-#include "sketch/plan.h"
 
 namespace proclus {
 
@@ -36,13 +35,9 @@ using PassOptions = ScanOptions;
 /// over the points within delta_i of medoid i, where delta_i is the
 /// full-space segmental distance from medoid i to its nearest other
 /// medoid and the medoid rows come from `medoids` (k x d).
-/// `sketch` (optional) enables sketch screening of the per-medoid
-/// distance columns (see SketchPlan); the statistics are bit-identical
-/// with or without it.
 Result<Matrix> LocalityStatsPass(const PointSource& source,
                                  const Matrix& medoids,
-                                 const PassOptions& options = {},
-                                 const SketchPlan* sketch = nullptr);
+                                 const PassOptions& options = {});
 
 /// Cluster statistics (refinement phase): X(i, j) = average |p_j - m_ij|
 /// over the points labeled i (outliers skipped; empty clusters keep
@@ -56,12 +51,10 @@ Result<Matrix> ClusterStatsPass(const PointSource& source,
 /// Manhattan segmental distance on that medoid's dimensions (or the
 /// unnormalized restricted distance when `segmental_normalization` is
 /// false). Ties to the lower index.
-/// `sketch` (optional) enables the prefix screen on the per-point
-/// argmin; labels are bit-identical with or without it.
 Result<std::vector<int>> AssignPointsPass(
     const PointSource& source, const Matrix& medoids,
     const std::vector<DimensionSet>& dims, bool segmental_normalization,
-    const PassOptions& options = {}, const SketchPlan* sketch = nullptr);
+    const PassOptions& options = {});
 
 /// Evaluation (Figure 6): size-weighted average, over non-empty
 /// clusters, of the mean per-dimension distance of cluster points to
@@ -79,8 +72,7 @@ Result<std::vector<int>> RefineAssignPass(
     const PointSource& source, const Matrix& medoids,
     const std::vector<DimensionSet>& dims,
     const std::vector<double>& spheres, bool segmental_normalization,
-    bool detect_outliers, const PassOptions& options = {},
-    const SketchPlan* sketch = nullptr);
+    bool detect_outliers, const PassOptions& options = {});
 
 }  // namespace proclus
 

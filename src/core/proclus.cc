@@ -18,7 +18,6 @@
 #include "core/passes.h"
 #include "distance/metric.h"
 #include "distance/segmental.h"
-#include "sketch/plan.h"
 
 namespace proclus {
 
@@ -188,11 +187,11 @@ struct FusedScratch {
   Matrix medoid_coords;  // Coordinates of the current medoid set.
   Matrix spec_coords;    // Union coordinates of the speculative sets.
   MedoidScratch medoids;
-  // Per-candidate-slot distance columns shared across scans and restarts:
-  // hill climbing replaces ~1 of k medoids per iteration, so most of each
-  // locality scan's per-point distances were already computed by an
-  // earlier scan. Keyed by candidate slot id, which never changes within
-  // a run.
+  // Per-candidate-slot locality rows and distance columns shared across
+  // scans and restarts: hill climbing replaces ~1 of k medoids per
+  // iteration, so most of each locality scan's rows (or at least their
+  // per-point distances) were already computed by an earlier scan. Keyed
+  // by candidate slot id, which never changes within a run.
   MedoidDistanceCache dist_cache;
   std::vector<size_t> next_a;      // Next set if this iteration improves.
   std::vector<size_t> next_b;      // Next set if it does not.
@@ -223,10 +222,7 @@ constexpr size_t kNoVariant = static_cast<size_t>(-1);
 Status FusedClimb(const PointSource& source, const ProclusParams& params,
                   const Matrix& candidate_coords, ClimbState& st, Rng& rng,
                   const ScanExecutor& executor, FusedScratch& s,
-                  RunStats& stats, const ClimbHook& hook,
-                  const SketchPlan* sketch) {
-  s.locality.SetSketch(sketch);
-  s.assign.SetSketch(sketch);
+                  RunStats& stats, const ClimbHook& hook) {
   const size_t k = params.num_clusters;
   const size_t pool = candidate_coords.rows();
   std::vector<size_t>& current = st.current;
@@ -321,16 +317,12 @@ Status FusedClimb(const PointSource& source, const ProclusParams& params,
         variant_rows.push_back(std::move(rows));
         variant_a = 0;
       }
-      if (need_b && need_a && s.next_b == s.next_a) {
-        // In a non-improving iteration current == best, so both branches
-        // see the same bad medoids and draw the same replacements: the
-        // speculative sets coincide. Identical medoid lists produce
-        // identical deltas and identical per-variant sums, so branch B
-        // shares branch A's statistics instead of accumulating the same
-        // locality twice (this is the common case on long plateaus and
-        // was the fused engine's single largest overhead over classic).
-        variant_b = variant_a;
-      } else if (need_b) {
+      // In a non-improving iteration current == best, so both branches
+      // draw the same replacements and the speculative sets coincide —
+      // the common case on long plateaus. The consumer accumulates each
+      // (slot, delta) row once however many variants share it, so
+      // branch B costs no second accumulation.
+      if (need_b) {
         std::vector<size_t> rows(k);
         for (size_t i = 0; i < k; ++i) {
           const size_t slot = s.next_b[i];
@@ -395,7 +387,7 @@ Status ClassicClimb(const PointSource& source, const ProclusParams& params,
                     const Matrix& candidate_coords, ClimbState& st,
                     Rng& rng, const PassOptions& pass_options,
                     Matrix& medoid_coords, MedoidScratch& scratch,
-                    const ClimbHook& hook, const SketchPlan* sketch) {
+                    const ClimbHook& hook) {
   const size_t k = params.num_clusters;
   std::vector<size_t>& current = st.current;
   ClimbResult& out = st.out;
@@ -416,14 +408,13 @@ Status ClassicClimb(const PointSource& source, const ProclusParams& params,
     if (hook) PROCLUS_RETURN_IF_ERROR(hook(st, /*force_save=*/false));
     ++out.iterations;
     SlotsToCoords(candidate_coords, current, &medoid_coords);
-    auto X = LocalityStatsPass(source, medoid_coords, pass_options, sketch);
+    auto X = LocalityStatsPass(source, medoid_coords, pass_options);
     PROCLUS_RETURN_IF_ERROR(X.status());
     auto dims = FindDimensions(*X, params.avg_dims);
     PROCLUS_RETURN_IF_ERROR(dims.status());
     auto labels =
         AssignPointsPass(source, medoid_coords, *dims,
-                         params.segmental_normalization, pass_options,
-                         sketch);
+                         params.segmental_normalization, pass_options);
     PROCLUS_RETURN_IF_ERROR(labels.status());
     auto objective =
         EvaluateClustersPass(source, *labels, *dims, pass_options);
@@ -448,11 +439,13 @@ Status ClassicClimb(const PointSource& source, const ProclusParams& params,
 }
 
 // Configuration fingerprint a checkpoint is bound to: every parameter
-// that influences the numerical result, plus the data shape. num_threads,
-// fuse_scans, and sketch are deliberately EXCLUDED — all three are proven
-// bit-identical (see tests/core_engine_test.cc and
-// tests/sketch_prune_test.cc), so a checkpoint written under one thread
-// count, engine, or screening setting may be resumed under another.
+// that influences the numerical result, plus the data shape. num_threads
+// and fuse_scans are deliberately EXCLUDED — both are proven
+// bit-identical (see tests/core_engine_test.cc), so a checkpoint written
+// under one thread count or engine may be resumed under another. The
+// retired sketch-screen toggle was excluded the same way, so removing it
+// left the digest unchanged: checkpoints written while it existed stay
+// resumable (pinned in tests/checkpoint_resume_test.cc).
 uint64_t ParamsFingerprint(const ProclusParams& p, size_t n, size_t d) {
   Xxh64 h(/*seed=*/0x50434c5350524f43ULL);  // "PCLSPROC"
   auto put_u64 = [&h](uint64_t v) { h.Update(&v, sizeof(v)); };
@@ -588,12 +581,6 @@ Result<ProjectedClustering> RunProclusOnSource(const PointSource& source,
     stats.cancel_checks += 1;
     PROCLUS_RETURN_IF_ERROR(params.cancel.Check());
   }
-  // Sketch plan for the whole run: a pure function of (seed, n, d), drawn
-  // from a private Rng stream so the main `rng` above is untouched —
-  // sketch on/off and checkpoint resume keep every other draw in place.
-  const SketchPlan sketch_plan =
-      params.sketch ? BuildSketchPlan(params.seed, n, d) : SketchPlan{};
-  const SketchPlan* sketch = params.sketch ? &sketch_plan : nullptr;
   Timer total_timer;
   Timer phase_timer;
 
@@ -770,10 +757,10 @@ Result<ProjectedClustering> RunProclusOnSource(const PointSource& source,
     Status climb =
         params.fuse_scans
             ? FusedClimb(source, params, candidate_coords, st, rng,
-                         executor, fused, stats, hook, sketch)
+                         executor, fused, stats, hook)
             : ClassicClimb(source, params, candidate_coords, st, rng,
                            pass_options, classic_coords, classic_scratch,
-                           hook, sketch);
+                           hook);
     PROCLUS_RETURN_IF_ERROR(climb);
     iterations += st.out.iterations;
     improvements += st.out.improvements;
@@ -789,6 +776,8 @@ Result<ProjectedClustering> RunProclusOnSource(const PointSource& source,
   PROCLUS_CHECK(!best_slots.empty());
   stats.locality_cache_hits = fused.dist_cache.hits;
   stats.locality_cache_misses = fused.dist_cache.misses;
+  stats.locality_row_hits = fused.dist_cache.row_hits;
+  stats.locality_row_misses = fused.dist_cache.row_misses;
   stats.iterative_scans =
       stats.scans_issued - scans_before_climb - stats.bootstrap_scans;
   stats.iterative_seconds = phase_timer.ElapsedSeconds();
@@ -848,7 +837,6 @@ Result<ProjectedClustering> RunProclusOnSource(const PointSource& source,
 
   if (params.fuse_scans) {
     RefineAssignConsumer refine;
-    refine.SetSketch(sketch);
     PROCLUS_RETURN_IF_ERROR(refine.Bind(
         &medoid_coords, &result.dimensions, &spheres,
         params.segmental_normalization, params.detect_outliers,
@@ -864,8 +852,7 @@ Result<ProjectedClustering> RunProclusOnSource(const PointSource& source,
   } else {
     auto labels = RefineAssignPass(source, medoid_coords, result.dimensions,
                                    spheres, params.segmental_normalization,
-                                   params.detect_outliers, pass_options,
-                                   sketch);
+                                   params.detect_outliers, pass_options);
     PROCLUS_RETURN_IF_ERROR(labels.status());
     result.labels = std::move(labels).value();
     auto objective = EvaluateClustersPass(source, result.labels,

@@ -129,16 +129,6 @@ struct ProclusParams {
   /// as the measured before/after ablation — see RunStats and
   /// bench/scan_engine.cc.
   bool fuse_scans = true;
-  /// Enable the random-projection sketch / prefix screens (src/sketch/):
-  /// argmin-heavy scans lower-bound candidate distances and skip exact
-  /// evaluations the bound proves irrelevant. Results are bit-identical
-  /// with the screen on or off (DESIGN.md §14); RunStats records
-  /// sketch_rows_{screened,pruned} / sketch_exact_verifications, and
-  /// bench/sketch.cc measures the on-vs-off ablation. Excluded from the
-  /// checkpoint fingerprint (like fuse_scans): the sketch plan draws from
-  /// a private Rng stream, so a resumed run may flip it freely.
-  bool sketch = true;
-
   // --- Resilience (no effect on results, only on survival). ---
   /// Retry schedule for transient I/O failures (IOError/DataLoss): scans
   /// are re-issued whole by the executor after resetting every consumer,

@@ -194,10 +194,6 @@ Status ScanExecutor::Run(const PointSource& source,
       options_.stats->kernel_batches += kernel.batches;
       options_.stats->kernel_rows += kernel.rows_scored;
       options_.stats->tile_reuse_hits += kernel.tile_hits;
-      options_.stats->sketch_rows_screened += kernel.sketch_rows_screened;
-      options_.stats->sketch_rows_pruned += kernel.sketch_rows_pruned;
-      options_.stats->sketch_exact_verifications +=
-          kernel.sketch_exact_verifications;
     }
   }
   return Status::OK();
@@ -403,10 +399,6 @@ Status ShardedScanExecutor::Run(const ShardedSource& source,
       options_.stats->kernel_batches += kernel.batches;
       options_.stats->kernel_rows += kernel.rows_scored;
       options_.stats->tile_reuse_hits += kernel.tile_hits;
-      options_.stats->sketch_rows_screened += kernel.sketch_rows_screened;
-      options_.stats->sketch_rows_pruned += kernel.sketch_rows_pruned;
-      options_.stats->sketch_exact_verifications +=
-          kernel.sketch_exact_verifications;
     }
   }
   return Status::OK();

@@ -129,9 +129,6 @@ class ScanConsumer {
     uint64_t batches = 0;
     uint64_t rows_scored = 0;
     uint64_t tile_hits = 0;
-    uint64_t sketch_rows_screened = 0;
-    uint64_t sketch_rows_pruned = 0;
-    uint64_t sketch_exact_verifications = 0;
 
     /// Adds the counters of one per-block KernelScratch (templated so
     /// this layer needs no dependency on distance/batch.h).
@@ -140,9 +137,6 @@ class ScanConsumer {
       batches += scratch.batches;
       rows_scored += scratch.rows_scored;
       tile_hits += scratch.tile_hits;
-      sketch_rows_screened += scratch.sketch_rows_screened;
-      sketch_rows_pruned += scratch.sketch_rows_pruned;
-      sketch_exact_verifications += scratch.sketch_exact_verifications;
     }
   };
   virtual KernelStats kernel_stats() const { return {}; }

@@ -151,194 +151,6 @@ void ArgminInitOne(const double* __restrict__ dist, size_t n, int index,
   }
 }
 
-// Gathers the listed rows (absolute indices into `src`) of the selected
-// columns into the column-major sub-tile — the screened kernels' variant
-// of GatherSubTile for compacted survivor lists.
-void GatherRowsSubTile(const double* src, size_t dims_total,
-                       const uint32_t* ids, size_t nd,
-                       const uint32_t* rowlist, size_t n,
-                       double* __restrict__ tile) {
-  if (ids == nullptr) {
-    for (size_t t = 0; t < n; ++t) {
-      const double* row = src + static_cast<size_t>(rowlist[t]) * dims_total;
-      for (size_t j = 0; j < nd; ++j) tile[j * kTileLd + t] = row[j];
-    }
-  } else {
-    for (size_t t = 0; t < n; ++t) {
-      const double* row = src + static_cast<size_t>(rowlist[t]) * dims_total;
-      for (size_t j = 0; j < nd; ++j) tile[j * kTileLd + t] = row[ids[j]];
-    }
-  }
-}
-
-// AccumulateOne continuing a previously started accumulation chain:
-// out[r] starts at init[r] (a prefix of the same per-point chain) and
-// folds the remaining dimensions in ascending order, so the final sums
-// are bit-identical to one uninterrupted AccumulateOne over the full
-// dimension list.
-template <typename Fold>
-void AccumulateOneFrom(const double* __restrict__ tile, size_t n, size_t nd,
-                       const double* ref, const uint32_t* ids,
-                       const double* __restrict__ init,
-                       double* __restrict__ out, Fold fold) {
-  for (size_t r = 0; r < n; ++r) out[r] = init[r];
-  for (size_t j = 0; j < nd; ++j) {
-    const double refv = ids == nullptr ? ref[j] : ref[ids[j]];
-    const double* __restrict__ col = tile + j * kTileLd;
-    for (size_t r = 0; r < n; ++r) out[r] = fold(out[r], col[r], refv);
-  }
-}
-
-// ----- Sketch lower bounds (derivations in DESIGN.md §14) -----
-//
-// All three bounds share the shape
-//   safe = raw * rel_slack - abs_coef * (mass_a + mass_b)
-// where raw is the infinite-precision bound evaluated in floating point,
-// rel_slack absorbs the relative rounding of the O(width)-term reduction
-// plus the exact kernel's own downward rounding, and the mass term
-// absorbs the absolute error of the bucket sums themselves (bounded by
-// eps * load * bucket mass — cancellation in a - b makes this error
-// absolute, not relative, which is why slack alone would be unsound).
-
-// L1: per-bucket triangle inequality — |sum sigma_j (a_j - b_j)| <=
-// sum |a_j - b_j| within each bucket, so the bucket-sum L1 distance
-// lower-bounds the exact L1 distance.
-inline double SketchL1Lower(const double* a, const double* b, size_t width,
-                            const SketchSpec& spec, double mass_sum) {
-  double raw = 0.0;
-  for (size_t t = 0; t < width; ++t) {
-    const double d = a[t] - b[t];
-    raw += d < 0 ? -d : d;
-  }
-  return raw * spec.rel_slack - spec.abs_coef * mass_sum;
-}
-
-// Squared L2: per-bucket Cauchy–Schwarz — (sum sigma_j x_j)^2 <=
-// load_t * sum x_j^2 within bucket t, so sum_t (a_t - b_t)^2 / load_t
-// lower-bounds the exact squared L2 distance. The absolute margin scales
-// with the largest bucket difference (the derivative of x^2).
-inline double SketchL2Lower(const double* a, const double* b, size_t width,
-                            const SketchSpec& spec, double mass_sum) {
-  double raw = 0.0;
-  double max_abs = 0.0;
-  for (size_t t = 0; t < width; ++t) {
-    const double d = a[t] - b[t];
-    const double ad = d < 0 ? -d : d;
-    raw += d * d * spec.inv_loads[t];
-    max_abs = ad > max_abs ? ad : max_abs;
-  }
-  const double safe = raw * spec.rel_slack - spec.abs_coef * max_abs * mass_sum;
-  return safe > 0.0 ? safe : 0.0;
-}
-
-// Linf: |a_t - b_t| <= load_t * max_j |a_j - b_j| within bucket t, so
-// max_t |a_t - b_t| / load_t lower-bounds the Chebyshev distance.
-inline double SketchLinfLower(const double* a, const double* b, size_t width,
-                              const SketchSpec& spec, double mass_sum) {
-  double raw = 0.0;
-  for (size_t t = 0; t < width; ++t) {
-    const double d = a[t] - b[t];
-    const double scaled = (d < 0 ? -d : d) * spec.inv_loads[t];
-    raw = scaled > raw ? scaled : raw;
-  }
-  return raw * spec.rel_slack - spec.abs_coef * mass_sum;
-}
-
-// Exact evaluation of one reference against a compacted survivor row
-// list, folding the verified distances into the running argmin. The
-// per-point accumulation order is identical to the unscreened kernels,
-// and a pruned (row, ref) pair could never have won the strict-< argmin,
-// so best/labels stay bit-identical.
-template <typename Fold>
-void VerifySurvivorsArgmin(const double* block, size_t dims_total,
-                           const double* ref, int index, bool root,
-                           const std::vector<uint32_t>& survivors,
-                           KernelScratch& scratch, int* labels, Fold fold) {
-  const size_t nsurv = survivors.size();
-  double* tile = scratch.tile.data();
-  double* dist = scratch.dist.data();
-  double* best = scratch.best.data();
-  for (size_t s0 = 0; s0 < nsurv; s0 += kKernelRowTile) {
-    const size_t n = std::min(kKernelRowTile, nsurv - s0);
-    const uint32_t* rowlist = survivors.data() + s0;
-    GatherRowsSubTile(block, dims_total, nullptr, dims_total, rowlist, n,
-                      tile);
-    AccumulateOne(tile, n, dims_total, ref, nullptr, dist, fold);
-    if (root)
-      for (size_t t = 0; t < n; ++t) dist[t] = std::sqrt(dist[t]);
-    for (size_t t = 0; t < n; ++t) {
-      const size_t r = rowlist[t];
-      const bool better = dist[t] < best[r];
-      best[r] = better ? dist[t] : best[r];
-      labels[r] = better ? index : labels[r];
-    }
-  }
-}
-
-// Exact full-block pass of reference 0 seeding best/labels — the
-// screened full-dimension argmin kernels never screen the first
-// reference (its distance initializes the bound every later screen
-// compares against).
-template <typename Fold>
-void ExactRefInit(std::span<const double> block, size_t rows,
-                  size_t dims_total, const double* ref, bool root,
-                  KernelScratch& scratch, int* labels, Fold fold) {
-  double* tile = scratch.tile.data();
-  double* dist = scratch.dist.data();
-  for (size_t r0 = 0; r0 < rows; r0 += kKernelRowTile) {
-    const size_t n = std::min(kKernelRowTile, rows - r0);
-    GatherSubTile(block.data(), dims_total, nullptr, dims_total, r0, n, tile);
-    AccumulateOne(tile, n, dims_total, ref, nullptr, dist, fold);
-    if (root)
-      for (size_t r = 0; r < n; ++r) dist[r] = std::sqrt(dist[r]);
-    ArgminInitOne(dist, n, 0, scratch.best.data() + r0, labels + r0);
-  }
-}
-
-// Shared body of the screened full-dimensional argmin kernels: exact
-// first reference, then screen-verify every later reference. `lower`
-// maps (row sketch, ref sketch, mass sum) to the safe lower bound in the
-// same units as the compared distances.
-template <typename RefAt, typename Fold, typename Lower>
-void FullDimArgminScreened(std::span<const double> block, size_t rows,
-                           size_t dims_total, size_t k, RefAt ref_at,
-                           const double* sketches, const double* masses,
-                           const SketchSpec& spec, bool root,
-                           KernelScratch& scratch, int* labels, Fold fold,
-                           Lower lower) {
-  scratch.tile.resize(dims_total * kTileLd);
-  scratch.dist.resize(kKernelRowTile);
-  scratch.best.resize(rows);
-  if (k == 0) {
-    std::fill(scratch.best.begin(), scratch.best.end(),
-              std::numeric_limits<double>::infinity());
-    std::fill(labels, labels + rows, 0);
-    return;
-  }
-  ExactRefInit(block, rows, dims_total, ref_at(0), root, scratch, labels,
-               fold);
-  const size_t width = spec.width;
-  const double* row_sketch = scratch.sketch.data();
-  const double* row_mass = scratch.mass.data();
-  for (size_t m = 1; m < k; ++m) {
-    const double* ref_sketch = sketches + m * width;
-    const double ref_mass = masses[m];
-    scratch.survivors.clear();
-    for (size_t r = 0; r < rows; ++r) {
-      const double bound = lower(row_sketch + r * width, ref_sketch, width,
-                                 spec, row_mass[r] + ref_mass);
-      if (!(bound >= scratch.best[r]))
-        scratch.survivors.push_back(static_cast<uint32_t>(r));
-    }
-    scratch.sketch_rows_screened += rows;
-    scratch.sketch_rows_pruned += rows - scratch.survivors.size();
-    scratch.sketch_exact_verifications += scratch.survivors.size();
-    VerifySurvivorsArgmin(block.data(), dims_total, ref_at(m),
-                          static_cast<int>(m), root, scratch.survivors,
-                          scratch, labels, fold);
-  }
-}
-
 // Single-reference distance kernel skeleton: gather each sub-tile, fold
 // the reference over it.
 template <typename Fold>
@@ -626,318 +438,6 @@ void MetricArgminBatch(std::span<const double> block, size_t rows,
     case MetricKind::kChebyshev:
       FullDimArgmin(block, rows, dims_total, medoids, /*root=*/false, scratch,
                     labels, ChebyshevFold{});
-      break;
-  }
-}
-
-void SketchProjectBlock(std::span<const double> block, size_t rows,
-                        size_t dims_total, const SketchSpec& spec,
-                        KernelScratch& scratch) {
-  PROCLUS_DCHECK(block.size() == rows * dims_total);
-  const size_t width = spec.width;
-  scratch.sketch.resize(rows * width);
-  scratch.mass.resize(rows);
-  for (size_t r = 0; r < rows; ++r) {
-    const double* __restrict__ row = block.data() + r * dims_total;
-    double* __restrict__ sk = scratch.sketch.data() + r * width;
-    for (size_t t = 0; t < width; ++t) sk[t] = 0.0;
-    double mass = 0.0;
-    for (size_t j = 0; j < dims_total; ++j) {
-      const double v = row[j];
-      sk[spec.buckets[j]] += spec.signs[j] * v;
-      mass += std::fabs(v);
-    }
-    scratch.mass[r] = mass;
-  }
-}
-
-void ManhattanManyScreenedBatch(std::span<const double> block, size_t rows,
-                                size_t dims_total, const Matrix& points,
-                                const double* sketches, const double* masses,
-                                const SketchSpec& spec,
-                                std::span<const double> thresholds,
-                                double denom, KernelScratch& scratch,
-                                std::span<double* const> outs,
-                                std::span<uint8_t* const> exacts) {
-  const size_t u = points.rows();
-  PROCLUS_DCHECK(points.cols() == dims_total);
-  PROCLUS_DCHECK(outs.size() == u && thresholds.size() == u);
-  PROCLUS_DCHECK(exacts.empty() || exacts.size() == u);
-  PROCLUS_DCHECK(scratch.sketch.size() == rows * spec.width);
-  ++scratch.batches;
-  scratch.rows_scored += rows * u;
-  scratch.tile.resize(dims_total * kTileLd);
-  // Survivor distances stage in scratch.lb, NOT scratch.dist: the
-  // locality consumer passes `outs` pointers into its own scratch.dist
-  // panel, and resizing that vector here would dangle them.
-  scratch.lb.resize(kKernelRowTile);
-  const size_t width = spec.width;
-  const double* row_sketch = scratch.sketch.data();
-  const double* row_mass = scratch.mass.data();
-  double* tile = scratch.tile.data();
-  double* dist = scratch.lb.data();
-  for (size_t m = 0; m < u; ++m) {
-    const double* ref_sketch = sketches + m * width;
-    const double ref_mass = masses[m];
-    const double threshold = thresholds[m];
-    double* out = outs[m];
-    uint8_t* exact = exacts.empty() ? nullptr : exacts[m];
-    scratch.survivors.clear();
-    for (size_t r = 0; r < rows; ++r) {
-      const double bound = SketchL1Lower(row_sketch + r * width, ref_sketch,
-                                         width, spec, row_mass[r] + ref_mass) /
-                           denom;
-      if (bound > threshold) {
-        // The exact distance is >= bound > every delta this scan compares
-        // against, so the bound itself is stored: still a true lower
-        // bound of the distance, and flagged non-exact for reuse.
-        out[r] = bound;
-        if (exact != nullptr) exact[r] = 0;
-      } else {
-        scratch.survivors.push_back(static_cast<uint32_t>(r));
-      }
-    }
-    scratch.sketch_rows_screened += rows;
-    scratch.sketch_rows_pruned += rows - scratch.survivors.size();
-    scratch.sketch_exact_verifications += scratch.survivors.size();
-    const size_t nsurv = scratch.survivors.size();
-    for (size_t s0 = 0; s0 < nsurv; s0 += kKernelRowTile) {
-      const size_t n = std::min(kKernelRowTile, nsurv - s0);
-      const uint32_t* rowlist = scratch.survivors.data() + s0;
-      GatherRowsSubTile(block.data(), dims_total, nullptr, dims_total,
-                        rowlist, n, tile);
-      AccumulateOne(tile, n, dims_total, points.row(m).data(), nullptr, dist,
-                    ManhattanFold{});
-      for (size_t t = 0; t < n; ++t) {
-        const size_t r = rowlist[t];
-        out[r] = dist[t] / denom;
-        if (exact != nullptr) exact[r] = 1;
-      }
-    }
-  }
-}
-
-void SegmentalArgminScreenedBatch(
-    std::span<const double> block, size_t rows, size_t dims_total,
-    const Matrix& medoids, std::span<const std::vector<uint32_t>> dim_lists,
-    bool normalize, std::span<const double> spheres, size_t max_prefix,
-    KernelScratch& scratch, int* labels) {
-  if (max_prefix == 0) {
-    SegmentalArgminBatch(block, rows, dims_total, medoids, dim_lists,
-                         normalize, spheres, scratch, labels);
-    return;
-  }
-  const size_t k = medoids.rows();
-  PROCLUS_DCHECK(dim_lists.size() == k);
-  PROCLUS_DCHECK(spheres.empty() || spheres.size() == k);
-  ++scratch.batches;
-  scratch.rows_scored += rows * k;
-  size_t nd_max = 0;
-  for (const std::vector<uint32_t>& dims : dim_lists)
-    nd_max = std::max(nd_max, dims.size());
-  scratch.tile.resize(nd_max * kTileLd);
-  scratch.dist.resize(kKernelRowTile);
-  scratch.pre.resize(kKernelRowTile);
-  scratch.lb.resize(kKernelRowTile);
-  scratch.best.assign(rows, std::numeric_limits<double>::infinity());
-  if (!spheres.empty()) scratch.inside.assign(rows, 0);
-  std::fill(labels, labels + rows, 0);
-  double* tile = scratch.tile.data();
-  double* dist = scratch.dist.data();
-  double* pre = scratch.pre.data();
-  double* full = scratch.lb.data();
-  for (size_t r0 = 0; r0 < rows; r0 += kKernelRowTile) {
-    const size_t n = std::min(kKernelRowTile, rows - r0);
-    double* best = scratch.best.data() + r0;
-    int* tile_labels = labels + r0;
-    for (size_t i = 0; i < k; ++i) {
-      const std::vector<uint32_t>& dims = dim_lists[i];
-      PROCLUS_DCHECK(!dims.empty());
-      const size_t q =
-          i == 0 ? 0 : std::min({max_prefix, dims.size() / 2});
-      if (q < 2) {
-        // Exact path, identical to SegmentalArgminBatch: medoid 0 always
-        // seeds the argmin, and short lists are not worth splitting.
-        GatherSubTile(block.data(), dims_total, dims.data(), dims.size(), r0,
-                      n, tile);
-        AccumulateOne(tile, n, dims.size(), medoids.row(i).data(),
-                      dims.data(), dist, SegmentalFold{});
-        if (normalize) {
-          const double denom = static_cast<double>(dims.size());
-          for (size_t r = 0; r < n; ++r) dist[r] /= denom;
-        }
-        if (!spheres.empty()) {
-          const double sphere = spheres[i];
-          uint8_t* __restrict__ inside = scratch.inside.data() + r0;
-          for (size_t r = 0; r < n; ++r)
-            inside[r] = static_cast<uint8_t>(inside[r] | (dist[r] <= sphere));
-        }
-        ArgminUpdate(dist, n, static_cast<int>(i), best, tile_labels);
-        continue;
-      }
-      // Prefix screen: accumulate the first q dimensions of the same
-      // ascending chain the exact kernel walks. The partial sum divided
-      // by the same denominator is an exact floating-point lower bound
-      // of the final distance (non-negative adds never shrink the
-      // accumulator; division by a positive constant is monotone), so no
-      // slack term is needed — near-ties prune only when provably safe.
-      const double denom = static_cast<double>(dims.size());
-      GatherSubTile(block.data(), dims_total, dims.data(), q, r0, n, tile);
-      AccumulateOne(tile, n, q, medoids.row(i).data(), dims.data(), dist,
-                    SegmentalFold{});
-      const double sphere =
-          spheres.empty() ? 0.0 : spheres[i];
-      scratch.survivors.clear();
-      for (size_t r = 0; r < n; ++r) {
-        const double bound = normalize ? dist[r] / denom : dist[r];
-        const bool prune =
-            bound >= best[r] && (spheres.empty() || bound > sphere);
-        if (!prune) {
-          pre[scratch.survivors.size()] = dist[r];
-          scratch.survivors.push_back(static_cast<uint32_t>(r0 + r));
-        }
-      }
-      scratch.sketch_rows_screened += n;
-      scratch.sketch_rows_pruned += n - scratch.survivors.size();
-      scratch.sketch_exact_verifications += scratch.survivors.size();
-      const size_t nsurv = scratch.survivors.size();
-      if (nsurv == 0) continue;
-      // Survivors continue the identical accumulation chain over the
-      // remaining dimensions, so their final distances are bit-identical
-      // to the unscreened kernel's.
-      GatherRowsSubTile(block.data(), dims_total, dims.data() + q,
-                        dims.size() - q, scratch.survivors.data(), nsurv,
-                        tile);
-      AccumulateOneFrom(tile, nsurv, dims.size() - q, medoids.row(i).data(),
-                        dims.data() + q, pre, full, SegmentalFold{});
-      if (normalize)
-        for (size_t t = 0; t < nsurv; ++t) full[t] /= denom;
-      uint8_t* inside_all =
-          spheres.empty() ? nullptr : scratch.inside.data();
-      double* best_all = scratch.best.data();
-      for (size_t t = 0; t < nsurv; ++t) {
-        const size_t r = scratch.survivors[t];
-        const double value = full[t];
-        if (inside_all != nullptr)
-          inside_all[r] =
-              static_cast<uint8_t>(inside_all[r] | (value <= sphere));
-        const bool better = value < best_all[r];
-        best_all[r] = better ? value : best_all[r];
-        labels[r] = better ? static_cast<int>(i) : labels[r];
-      }
-    }
-  }
-}
-
-void SquaredEuclideanArgminScreenedBatch(
-    std::span<const double> block, size_t rows, size_t dims_total,
-    std::span<const std::vector<double>> centers, const double* sketches,
-    const double* masses, const SketchSpec& spec, KernelScratch& scratch,
-    int* labels) {
-  const size_t k = centers.size();
-  PROCLUS_DCHECK(scratch.sketch.size() == rows * spec.width);
-  ++scratch.batches;
-  scratch.rows_scored += rows * k;
-  FullDimArgminScreened(
-      block, rows, dims_total, k,
-      [&centers](size_t c) { return centers[c].data(); }, sketches, masses,
-      spec, /*root=*/false, scratch, labels, SquareFold{},
-      [](const double* a, const double* b, size_t width,
-         const SketchSpec& s, double mass_sum) {
-        return SketchL2Lower(a, b, width, s, mass_sum);
-      });
-}
-
-void SquaredEuclideanScreenedBatch(std::span<const double> block, size_t rows,
-                                   size_t dims_total,
-                                   std::span<const double> point,
-                                   const double* point_sketch,
-                                   double point_mass, const SketchSpec& spec,
-                                   std::span<const double> thresholds,
-                                   KernelScratch& scratch, double* out,
-                                   uint8_t* computed) {
-  PROCLUS_DCHECK(point.size() == dims_total);
-  PROCLUS_DCHECK(thresholds.size() == rows);
-  PROCLUS_DCHECK(scratch.sketch.size() == rows * spec.width);
-  ++scratch.batches;
-  scratch.rows_scored += rows;
-  scratch.tile.resize(dims_total * kTileLd);
-  // Survivor distances stage in scratch.lb, NOT scratch.dist: the
-  // k-means++ consumer passes its own scratch.dist as `out`, and
-  // resizing that vector here would dangle the pointer.
-  scratch.lb.resize(kKernelRowTile);
-  const size_t width = spec.width;
-  const double* row_sketch = scratch.sketch.data();
-  const double* row_mass = scratch.mass.data();
-  scratch.survivors.clear();
-  for (size_t r = 0; r < rows; ++r) {
-    const double bound = SketchL2Lower(row_sketch + r * width, point_sketch,
-                                       width, spec, row_mass[r] + point_mass);
-    if (bound >= thresholds[r]) {
-      // dist >= bound >= the running minimum: the fold could never
-      // lower it, so the exact evaluation is skipped.
-      computed[r] = 0;
-    } else {
-      computed[r] = 1;
-      scratch.survivors.push_back(static_cast<uint32_t>(r));
-    }
-  }
-  scratch.sketch_rows_screened += rows;
-  scratch.sketch_rows_pruned += rows - scratch.survivors.size();
-  scratch.sketch_exact_verifications += scratch.survivors.size();
-  const size_t nsurv = scratch.survivors.size();
-  double* tile = scratch.tile.data();
-  double* dist = scratch.lb.data();
-  for (size_t s0 = 0; s0 < nsurv; s0 += kKernelRowTile) {
-    const size_t n = std::min(kKernelRowTile, nsurv - s0);
-    const uint32_t* rowlist = scratch.survivors.data() + s0;
-    GatherRowsSubTile(block.data(), dims_total, nullptr, dims_total, rowlist,
-                      n, tile);
-    AccumulateOne(tile, n, dims_total, point.data(), nullptr, dist,
-                  SquareFold{});
-    for (size_t t = 0; t < n; ++t) out[rowlist[t]] = dist[t];
-  }
-}
-
-void MetricArgminScreenedBatch(std::span<const double> block, size_t rows,
-                               size_t dims_total, MetricKind metric,
-                               const Matrix& medoids, const double* sketches,
-                               const double* masses, const SketchSpec& spec,
-                               KernelScratch& scratch, int* labels) {
-  PROCLUS_DCHECK(scratch.sketch.size() == rows * spec.width);
-  ++scratch.batches;
-  scratch.rows_scored += rows * medoids.rows();
-  const auto ref_at = [&medoids](size_t m) { return medoids.row(m).data(); };
-  switch (metric) {
-    case MetricKind::kManhattan:
-      FullDimArgminScreened(
-          block, rows, dims_total, medoids.rows(), ref_at, sketches, masses,
-          spec, /*root=*/false, scratch, labels, ManhattanFold{},
-          [](const double* a, const double* b, size_t width,
-             const SketchSpec& s, double mass_sum) {
-            return SketchL1Lower(a, b, width, s, mass_sum);
-          });
-      break;
-    case MetricKind::kEuclidean:
-      // The exact kernel compares rooted distances; sqrt is monotone and
-      // correctly rounded, so rooting the squared bound keeps it a true
-      // lower bound of the rooted distance.
-      FullDimArgminScreened(
-          block, rows, dims_total, medoids.rows(), ref_at, sketches, masses,
-          spec, /*root=*/true, scratch, labels, SquareFold{},
-          [](const double* a, const double* b, size_t width,
-             const SketchSpec& s, double mass_sum) {
-            return std::sqrt(SketchL2Lower(a, b, width, s, mass_sum));
-          });
-      break;
-    case MetricKind::kChebyshev:
-      FullDimArgminScreened(
-          block, rows, dims_total, medoids.rows(), ref_at, sketches, masses,
-          spec, /*root=*/false, scratch, labels, ChebyshevFold{},
-          [](const double* a, const double* b, size_t width,
-             const SketchSpec& s, double mass_sum) {
-            return SketchLinfLower(a, b, width, s, mass_sum);
-          });
       break;
   }
 }

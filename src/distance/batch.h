@@ -46,21 +46,6 @@ namespace proclus {
 /// references fold over it.
 inline constexpr size_t kKernelRowTile = 1024;
 
-/// Raw-span view of a signed-bucket sketch plan. Construction policy
-/// (seeding, width, slack sizing) lives in src/sketch; the kernels here
-/// see only spans so the distance layer stays below the sketch layer in
-/// the architecture DAG. A lower bound computed from a SketchSpec is
-///   safe = raw_bound * rel_slack - abs_coef * (mass_a + mass_b)
-/// and is guaranteed <= the exact kernel's value for the same pair.
-struct SketchSpec {
-  const uint32_t* buckets = nullptr;  ///< [dims_total] bucket per dim.
-  const double* signs = nullptr;      ///< [dims_total] +-1 per dim.
-  size_t width = 0;                   ///< Sketch dimensions s.
-  const double* inv_loads = nullptr;  ///< [width] 1 / bucket load.
-  double rel_slack = 1.0;             ///< Relative rounding absorber.
-  double abs_coef = 0.0;              ///< Absolute margin per unit mass.
-};
-
 /// Reusable buffers plus observability counters for the batch kernels.
 /// One instance per (consumer, block); not thread-safe.
 struct KernelScratch {
@@ -71,40 +56,20 @@ struct KernelScratch {
   /// Sub-tile reuses: gathered tiles folded over by an additional
   /// reference instead of being re-gathered.
   uint64_t tile_hits = 0;
-  /// (row, reference) pairs that went through a sketch or prefix screen.
-  uint64_t sketch_rows_screened = 0;
-  /// Screened pairs whose lower bound pruned the exact evaluation.
-  uint64_t sketch_rows_pruned = 0;
-  /// Screened pairs that survived and were verified by the exact kernel.
-  uint64_t sketch_exact_verifications = 0;
 
   void ResetCounters() {
     batches = 0;
     rows_scored = 0;
     tile_hits = 0;
-    sketch_rows_screened = 0;
-    sketch_rows_pruned = 0;
-    sketch_exact_verifications = 0;
   }
 
   // Buffers below are kernel-internal; callers may read `best`/`inside`
-  // after an argmin kernel as documented on the kernel, and
-  // `sketch`/`mass` after SketchProjectBlock.
+  // after an argmin kernel as documented on the kernel.
   std::vector<double> tile;    ///< |dims| x kKernelRowTile padded tile.
   std::vector<double> dist;    ///< Per-row distances (argmin kernels).
   std::vector<double> best;    ///< Per-row winning distance (argmin).
   std::vector<uint8_t> inside; ///< Per-row sphere flags (refine argmin).
   std::vector<double*> outs;   ///< Per-reference output pointers.
-  std::vector<uint8_t*> exact_outs;  ///< Per-reference exact-flag pointers.
-  // Per-block sketch lifecycle: both buffers are recomputed from the
-  // delivered block data on every ConsumeBlock that screens, and never
-  // read across deliveries — a retried or re-delivered block can never
-  // observe a stale sketch by construction.
-  std::vector<double> sketch;  ///< rows x width bucket sums, row-major.
-  std::vector<double> mass;    ///< Per-row L1 mass (|coordinate| sum).
-  std::vector<uint32_t> survivors;  ///< Screen survivor row indices.
-  std::vector<double> lb;      ///< Per-row lower bounds (screen pass).
-  std::vector<double> pre;     ///< Prefix accumulators (prefix screen).
 };
 
 /// Sizes `scratches` to one KernelScratch per block and readies each for
@@ -191,93 +156,6 @@ void MetricArgminBatch(std::span<const double> block, size_t rows,
                        size_t dims_total, MetricKind metric,
                        const Matrix& medoids, KernelScratch& scratch,
                        int* labels);
-
-/// Projects every row of `block` through the signed-bucket plan:
-/// scratch.sketch[r * width + t] accumulates the signed bucket sums in
-/// ascending-dimension order and scratch.mass[r] the row's L1 mass. One
-/// O(dims_total) pass per row, amortized over every reference screened
-/// against the block. Deterministic for any thread count (rows are
-/// independent).
-void SketchProjectBlock(std::span<const double> block, size_t rows,
-                        size_t dims_total, const SketchSpec& spec,
-                        KernelScratch& scratch);
-
-/// Screened variant of the scatter-output ManhattanManyBatch used by the
-/// locality scan: for reference m, rows whose safe L1 lower bound
-/// (divided by `denom`, the full-space segmental normalizer) exceeds
-/// thresholds[m] are pruned — outs[m][r] receives the (normalized) lower
-/// bound and exacts[m][r] is 0 — while surviving rows get the exact
-/// normalized distance, bit-identical to ManhattanManyBatch followed by
-/// the caller's per-row division, and exacts[m][r] = 1. `sketches` holds
-/// points.rows() reference sketches of spec.width each and `masses`
-/// their L1 masses. Requires SketchProjectBlock on this scratch first.
-/// `exacts` may be empty when the caller does not persist the columns.
-void ManhattanManyScreenedBatch(std::span<const double> block, size_t rows,
-                                size_t dims_total, const Matrix& points,
-                                const double* sketches, const double* masses,
-                                const SketchSpec& spec,
-                                std::span<const double> thresholds,
-                                double denom, KernelScratch& scratch,
-                                std::span<double* const> outs,
-                                std::span<uint8_t* const> exacts);
-
-/// Screened variant of SegmentalArgminBatch: before evaluating medoid
-/// i >= 1 exactly, the kernel accumulates only the first
-/// min(max_prefix, |dims|/2) dimensions of the medoid's ascending
-/// dimension list. That partial sum (normalized like the full distance)
-/// is an exact floating-point lower bound of the full distance — the
-/// full accumulation continues the same chain with non-negative adds —
-/// so rows where it already reaches scratch.best (and exceeds the
-/// medoid's sphere, when spheres are given) are pruned with no slack
-/// term at all. Survivors continue the identical accumulation chain over
-/// the remaining dimensions, so labels, scratch.best, and scratch.inside
-/// are bit-identical to SegmentalArgminBatch. max_prefix == 0 disables
-/// the screen (the call degenerates to the exact kernel).
-void SegmentalArgminScreenedBatch(
-    std::span<const double> block, size_t rows, size_t dims_total,
-    const Matrix& medoids, std::span<const std::vector<uint32_t>> dim_lists,
-    bool normalize, std::span<const double> spheres, size_t max_prefix,
-    KernelScratch& scratch, int* labels);
-
-/// Screened variant of SquaredEuclideanArgminBatch: center c >= 1 is
-/// evaluated only on rows whose safe sketch lower bound on the squared
-/// distance (per-bucket Cauchy–Schwarz) is below scratch.best. labels
-/// and scratch.best are bit-identical to the unscreened kernel.
-/// `sketches`/`masses` hold centers.size() reference sketches/masses.
-/// Requires SketchProjectBlock on this scratch first.
-void SquaredEuclideanArgminScreenedBatch(
-    std::span<const double> block, size_t rows, size_t dims_total,
-    std::span<const std::vector<double>> centers, const double* sketches,
-    const double* masses, const SketchSpec& spec, KernelScratch& scratch,
-    int* labels);
-
-/// Screened variant of SquaredEuclideanBatch against per-row thresholds
-/// (the k-means++ running-minimum fold): rows whose safe squared-L2
-/// lower bound reaches thresholds[r] are pruned — out[r] is left
-/// untouched and computed[r] = 0 — because their exact distance could
-/// never lower the running minimum. Survivors get the exact squared
-/// distance (bit-identical to SquaredEuclideanBatch) and
-/// computed[r] = 1. Requires SketchProjectBlock on this scratch first.
-void SquaredEuclideanScreenedBatch(std::span<const double> block, size_t rows,
-                                   size_t dims_total,
-                                   std::span<const double> point,
-                                   const double* point_sketch,
-                                   double point_mass, const SketchSpec& spec,
-                                   std::span<const double> thresholds,
-                                   KernelScratch& scratch, double* out,
-                                   uint8_t* computed);
-
-/// Screened variant of MetricArgminBatch: medoid m >= 1 is evaluated
-/// only on rows whose safe sketch lower bound under `metric` (L1: signed
-/// bucket triangle inequality; L2: rooted Cauchy–Schwarz bound; Linf:
-/// load-scaled bucket bound) is below scratch.best. labels and
-/// scratch.best are bit-identical to the unscreened kernel.
-/// Requires SketchProjectBlock on this scratch first.
-void MetricArgminScreenedBatch(std::span<const double> block, size_t rows,
-                               size_t dims_total, MetricKind metric,
-                               const Matrix& medoids, const double* sketches,
-                               const double* masses, const SketchSpec& spec,
-                               KernelScratch& scratch, int* labels);
 
 /// Accumulates per-label absolute deviations: for every row r with
 /// labels[r] == i >= 0 (negative labels — outliers — are skipped),

@@ -1,13 +1,17 @@
 // TSan-targeted stress tests for MedoidDistanceCache's concurrent
 // scatter-fill (core/consumers.h): during a cached locality scan every
 // worker writes the *contents* of fresh cache columns at its block's row
-// range while the entry metadata (slot/valid/last_used, hits/misses) is
-// touched only by the driving thread in Prepare/Merge. These tests push
-// the pathological geometries at that protocol — one-row blocks maximize
-// the number of concurrent writers per column, a ragged last block
-// exercises the final partial range — and hold the cache to the engine's
-// determinism contract: bit-identical statistics for every worker count,
-// cached or not, with the second scan served from the committed columns.
+// range while the entry metadata (slot/valid/last_used), the row memo and
+// the counters are touched only by the driving thread in Prepare/Merge.
+// These tests push the pathological geometries at that protocol — one-row
+// blocks maximize the number of concurrent writers per column, a ragged
+// last block exercises the final partial range — and hold the cache to
+// the engine's determinism contract: bit-identical statistics for every
+// worker count, cached or not. Each run binds the same slots three
+// times: under two three-medoid sets (every column and row computed),
+// as one five-medoid set (changed deltas: rows recomputed from the
+// committed columns), and as the first layout again (served by the row
+// memo).
 //
 // Lives in the `parallel`-labeled binary so the tsan CTest preset runs it.
 
@@ -27,10 +31,15 @@ namespace {
 
 constexpr size_t kWorkerCounts[] = {1, 2, 7, 16};
 
+using Layout = std::vector<std::vector<size_t>>;
+
+// Variant layouts of the three scans of every run (see the file comment).
+const Layout kLayouts[] = {{{0, 1, 2}, {0, 3, 4}}, {{0, 1, 2, 3, 4}},
+                           {{0, 1, 2}, {0, 3, 4}}};
+
 struct CacheFixture {
   SyntheticData data;
   Matrix union_coords;
-  std::vector<std::vector<size_t>> variants;
   std::vector<size_t> slots;
 };
 
@@ -51,50 +60,82 @@ CacheFixture MakeCacheFixture() {
   MemorySource source(fixture.data.dataset);
   std::vector<size_t> union_indices{7, 311, 600, 901, 1100};
   fixture.union_coords = std::move(source.Fetch(union_indices)).value();
-  fixture.variants = {{0, 1, 2}, {0, 3, 4}};
   fixture.slots = {2, 5, 8, 13, 19};
   return fixture;
 }
 
-// Runs `scans` cached locality scans with the given worker count and
-// block size, returning the consumer (for stats) with `cache` filled.
-void RunCachedScans(const CacheFixture& fixture, size_t workers,
-                    size_t block_rows, int scans,
-                    MedoidDistanceCache* cache,
-                    LocalityStatsConsumer* consumer) {
+// Uncached sequential statistics of every layout at `block_rows`.
+std::vector<std::vector<Matrix>> UncachedReference(
+    const CacheFixture& fixture, size_t block_rows) {
+  MemorySource source(fixture.data.dataset);
+  ScanExecutor sequential(ScanOptions{1, block_rows, nullptr});
+  std::vector<std::vector<Matrix>> reference;
+  for (const Layout& layout : kLayouts) {
+    LocalityStatsConsumer uncached;
+    EXPECT_TRUE(uncached.Bind(&fixture.union_coords, layout).ok());
+    EXPECT_TRUE(sequential.Run(source, {&uncached}).ok());
+    reference.emplace_back();
+    for (size_t v = 0; v < layout.size(); ++v)
+      reference.back().push_back(uncached.stats(v));
+  }
+  return reference;
+}
+
+// Cache counters after one scan.
+struct Counts {
+  uint64_t hits = 0, misses = 0, row_hits = 0, row_misses = 0;
+};
+
+// Runs the first `scans` layouts cached with the given worker count and
+// block size, checks each scan against `reference` (when given), and
+// returns the counters after each scan with `cache` filled.
+std::vector<Counts> RunCachedScans(
+    const CacheFixture& fixture, size_t workers, size_t block_rows,
+    size_t scans, const std::vector<std::vector<Matrix>>* reference,
+    MedoidDistanceCache* cache) {
   MemorySource source(fixture.data.dataset);
   ScanExecutor executor(ScanOptions{workers, block_rows, nullptr});
-  for (int scan = 0; scan < scans; ++scan) {
-    ASSERT_TRUE(consumer
-                    ->Bind(&fixture.union_coords, fixture.variants,
-                           std::span<const size_t>(fixture.slots), cache)
+  LocalityStatsConsumer consumer;
+  std::vector<Counts> counts;
+  for (size_t scan = 0; scan < scans; ++scan) {
+    EXPECT_TRUE(consumer
+                    .Bind(&fixture.union_coords, kLayouts[scan],
+                          std::span<const size_t>(fixture.slots), cache)
                     .ok());
-    ASSERT_TRUE(executor.Run(source, {consumer}).ok());
+    EXPECT_TRUE(executor.Run(source, {&consumer}).ok());
+    if (reference != nullptr) {
+      for (size_t v = 0; v < kLayouts[scan].size(); ++v)
+        EXPECT_EQ(consumer.stats(v), (*reference)[scan][v])
+            << workers << " workers, scan " << scan << ", variant " << v;
+    }
+    counts.push_back(
+        {cache->hits, cache->misses, cache->row_hits, cache->row_misses});
   }
+  return counts;
 }
 
 TEST(CacheStressTest, OneRowBlocksBitIdenticalAcrossWorkerCounts) {
   CacheFixture fixture = MakeCacheFixture();
-
-  // Uncached sequential reference.
-  MemorySource source(fixture.data.dataset);
-  ScanExecutor sequential(ScanOptions{1, 1, nullptr});
-  LocalityStatsConsumer uncached;
-  ASSERT_TRUE(uncached.Bind(&fixture.union_coords, fixture.variants).ok());
-  ASSERT_TRUE(sequential.Run(source, {&uncached}).ok());
+  const std::vector<std::vector<Matrix>> reference =
+      UncachedReference(fixture, /*block_rows=*/1);
 
   for (size_t workers : kWorkerCounts) {
     MedoidDistanceCache cache;
-    LocalityStatsConsumer consumer;
-    RunCachedScans(fixture, workers, /*block_rows=*/1, /*scans=*/2, &cache,
-                   &consumer);
-    // Scan 1 misses every slot; scan 2 is served entirely from the
-    // columns scan 1 committed on Merge.
-    EXPECT_EQ(cache.misses, fixture.slots.size()) << workers << " workers";
-    EXPECT_EQ(cache.hits, fixture.slots.size()) << workers << " workers";
-    for (size_t v = 0; v < fixture.variants.size(); ++v)
-      EXPECT_EQ(consumer.stats(v), uncached.stats(v))
-          << workers << " workers, variant " << v;
+    const std::vector<Counts> counts = RunCachedScans(
+        fixture, workers, /*block_rows=*/1, /*scans=*/3, &reference, &cache);
+    // Scan 1 fills every slot's column once; scan 2's changed deltas
+    // read them back (one column lookup per recomputed row, each a hit);
+    // scan 3 is served entirely by the row memo.
+    EXPECT_EQ(counts[0].misses, fixture.slots.size()) << workers;
+    EXPECT_EQ(counts[0].hits, 0u) << workers;
+    EXPECT_GT(counts[1].hits, 0u) << workers;
+    EXPECT_EQ(counts[1].misses, counts[0].misses) << workers;
+    EXPECT_EQ(counts[1].hits, counts[1].row_misses - counts[0].row_misses)
+        << workers;
+    EXPECT_EQ(counts[2].row_misses, counts[1].row_misses) << workers;
+    EXPECT_EQ(counts[2].hits, counts[1].hits) << workers;
+    EXPECT_EQ(counts[2].row_hits - counts[1].row_hits, counts[0].row_misses)
+        << workers;
   }
 }
 
@@ -104,22 +145,15 @@ TEST(CacheStressTest, RaggedLastBlockBitIdenticalAcrossWorkerCounts) {
   // final scatter range is as small as a ragged block can be.
   constexpr size_t kBlockRows = 96;
   static_assert(1153 % kBlockRows != 0);
-
-  MemorySource source(fixture.data.dataset);
-  ScanExecutor sequential(ScanOptions{1, kBlockRows, nullptr});
-  LocalityStatsConsumer uncached;
-  ASSERT_TRUE(uncached.Bind(&fixture.union_coords, fixture.variants).ok());
-  ASSERT_TRUE(sequential.Run(source, {&uncached}).ok());
+  const std::vector<std::vector<Matrix>> reference =
+      UncachedReference(fixture, kBlockRows);
 
   for (size_t workers : kWorkerCounts) {
     MedoidDistanceCache cache;
-    LocalityStatsConsumer consumer;
-    RunCachedScans(fixture, workers, kBlockRows, /*scans=*/2, &cache,
-                   &consumer);
-    EXPECT_GT(cache.hits, 0u) << workers << " workers";
-    for (size_t v = 0; v < fixture.variants.size(); ++v)
-      EXPECT_EQ(consumer.stats(v), uncached.stats(v))
-          << workers << " workers, variant " << v;
+    const std::vector<Counts> counts = RunCachedScans(
+        fixture, workers, kBlockRows, /*scans=*/3, &reference, &cache);
+    EXPECT_GT(counts[1].hits, 0u) << workers << " workers";
+    EXPECT_GT(counts[2].row_hits, 0u) << workers << " workers";
   }
 }
 
@@ -131,14 +165,12 @@ TEST(CacheStressTest, BlockSizesAgreeOnCachedColumns) {
   // with one-row blocks at 16 workers and another sequentially with one
   // big block, then compare every distance column element-wise.
   MedoidDistanceCache scattered;
-  LocalityStatsConsumer scattered_consumer;
   RunCachedScans(fixture, /*workers=*/16, /*block_rows=*/1, /*scans=*/1,
-                 &scattered, &scattered_consumer);
+                 /*reference=*/nullptr, &scattered);
 
   MedoidDistanceCache whole;
-  LocalityStatsConsumer whole_consumer;
   RunCachedScans(fixture, /*workers=*/1, /*block_rows=*/4096, /*scans=*/1,
-                 &whole, &whole_consumer);
+                 /*reference=*/nullptr, &whole);
 
   ASSERT_EQ(scattered.entries.size(), whole.entries.size());
   for (size_t slot : fixture.slots) {

@@ -6,7 +6,8 @@
 //    never partially consumed; a missing file is NotFound ("start
 //    fresh"); file writes are atomic.
 //  * A checkpoint is bound to its run configuration: resuming under
-//    different parameters is an error, not silent nonsense.
+//    different parameters is an error, not silent nonsense, and the
+//    configuration digest is pinned so older checkpoints stay resumable.
 //  * The headline guarantee: a run killed mid-climb and resumed from its
 //    checkpoint produces a result bit-identical to the uninterrupted
 //    run — across the fused/classic engines, memory/disk sources, and
@@ -291,6 +292,27 @@ TEST(CheckpointResumeTest, MismatchedConfigurationIsRejected) {
   EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(resumed.status().message().find("different run configuration"),
             std::string::npos);
+}
+
+TEST(CheckpointResumeTest, FingerprintIsPinnedForOlderCheckpoints) {
+  // The configuration fingerprint is part of the checkpoint format: a
+  // checkpoint written by an earlier build resumes only if this build
+  // computes the same digest for the same configuration. The value was
+  // recorded by the build that still had the ProclusParams::sketch
+  // toggle, which the fingerprint never covered, so checkpoints written
+  // before its removal stay resumable.
+  Fixture fixture = MakeFixture("pinned_fp");
+  const std::string ck_path = TestTempPath("pinned_fp.pckp");
+  std::remove(ck_path.c_str());
+  ProclusParams params = BaseParams();
+  params.max_iterations = 3;
+  params.checkpoint.path = ck_path;
+  params.checkpoint.every_iterations = 1;
+  params.checkpoint.resume = false;
+  ASSERT_TRUE(RunProclus(fixture.data.dataset, params).ok());
+  auto ck = LoadCheckpointFile(ck_path);
+  ASSERT_TRUE(ck.ok()) << ck.status().ToString();
+  EXPECT_EQ(ck->fingerprint, 0xf03c3b414a3c9e23ULL);
 }
 
 TEST(CheckpointResumeTest, CorruptCheckpointFileIsAnError) {

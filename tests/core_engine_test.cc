@@ -11,6 +11,9 @@
 //  * N consumers sharing one physical scan produce bit-identical outputs
 //    to the same consumers run over separate scans, while the scan and
 //    byte counters record the saved passes.
+//  * The locality row memo and distance-column cache reproduce uncached
+//    scans bit for bit under medoid churn, commit nothing from a failed
+//    or cancelled scan, and never serve a row across block sizes.
 
 #include "data/engine.h"
 
@@ -18,13 +21,16 @@
 
 #include "test_temp.h"
 
-#include <array>
+#include <algorithm>
 #include <cstring>
+#include <limits>
 #include <span>
 
 #include "core/consumers.h"
 #include "core/proclus.h"
+#include "common/cancel.h"
 #include "data/binary_io.h"
+#include "data/fault_source.h"
 #include "gen/synthetic.h"
 
 namespace proclus {
@@ -249,24 +255,56 @@ TEST(ScanExecutorTest, FusedScanMatchesSeparateScans) {
   EXPECT_EQ(assign_a.cluster_sizes(), assign_b.cluster_sizes());
 }
 
+// Candidate pool the slot ids index into, as in the fused hill climb.
+Matrix MakePool(const PointSource& source) {
+  std::vector<size_t> pool_rows(24);
+  for (size_t i = 0; i < pool_rows.size(); ++i) pool_rows[i] = i * 193;
+  return std::move(source.Fetch(pool_rows)).value();
+}
+
+// Union coordinates and variant rows of a list of slot sets, built the
+// way the fused climb builds its speculative union.
+struct Binding {
+  Matrix coords;
+  std::vector<size_t> slots;
+  std::vector<std::vector<size_t>> variants;
+};
+
+Binding BindSlotSets(const Matrix& pool,
+                     const std::vector<std::vector<size_t>>& sets) {
+  Binding b;
+  for (const std::vector<size_t>& set : sets) {
+    std::vector<size_t> rows;
+    for (size_t slot : set) {
+      size_t pos = 0;
+      while (pos < b.slots.size() && b.slots[pos] != slot) ++pos;
+      if (pos == b.slots.size()) b.slots.push_back(slot);
+      rows.push_back(pos);
+    }
+    b.variants.push_back(std::move(rows));
+  }
+  b.coords = Matrix(b.slots.size(), pool.cols());
+  for (size_t i = 0; i < b.slots.size(); ++i)
+    for (size_t j = 0; j < pool.cols(); ++j)
+      b.coords(i, j) = pool(b.slots[i], j);
+  return b;
+}
+
 TEST(ScanExecutorTest, LocalityDistanceCacheMatchesUncached) {
   ConsumerFixture fixture = MakeConsumerFixture();
   MemorySource source(fixture.base.data.dataset);
+  const Matrix pool = MakePool(source);
 
-  // Candidate pool the slot ids index into, as in the fused hill climb.
-  std::vector<size_t> pool_rows(24);
-  for (size_t i = 0; i < pool_rows.size(); ++i) pool_rows[i] = i * 193;
-  Matrix pool = std::move(source.Fetch(pool_rows)).value();
-  const size_t d = pool.cols();
-
-  // A medoid-churn schedule like hill climbing's: repeats (full hits),
-  // single-slot turnover (partial hits), then a sweep past the cache
+  // A medoid-churn schedule like hill climbing's: repeats (served by the
+  // row memo), single-slot turnover (kept slots whose delta changed
+  // reuse their distance columns), then a sweep past the column cache's
   // capacity for u = 3 (max(16, 2*3+4) = 16 entries) so LRU eviction and
   // re-computation of evicted columns are exercised too.
-  const std::vector<std::array<size_t, 3>> schedule = {
+  const std::vector<std::vector<size_t>> schedule = {
       {0, 1, 2},    {0, 1, 2},    {1, 2, 3},    {3, 4, 5},
       {6, 7, 8},    {9, 10, 11},  {12, 13, 14}, {15, 16, 17},
-      {18, 19, 20}, {21, 22, 23}, {0, 1, 2},    {21, 22, 23}};
+      {18, 19, 20}, {21, 22, 23}, {0, 1, 2},    {21, 22, 23},
+      {1, 2, 3}};
 
   MedoidDistanceCache cache;
   RunStats cached_stats;
@@ -276,31 +314,234 @@ TEST(ScanExecutorTest, LocalityDistanceCacheMatchesUncached) {
   LocalityStatsConsumer cached;
   LocalityStatsConsumer plain;
 
-  for (const std::array<size_t, 3>& slots : schedule) {
-    Matrix medoids(slots.size(), d);
-    for (size_t i = 0; i < slots.size(); ++i)
-      for (size_t j = 0; j < d; ++j) medoids(i, j) = pool(slots[i], j);
-    std::vector<std::vector<size_t>> variant{{0, 1, 2}};
+  for (const std::vector<size_t>& slots : schedule) {
+    const Binding b = BindSlotSets(pool, {slots});
     ASSERT_TRUE(cached
-                    .Bind(&medoids, variant,
-                          std::span<const size_t>(slots), &cache)
+                    .Bind(&b.coords, b.variants,
+                          std::span<const size_t>(b.slots), &cache)
                     .ok());
-    ASSERT_TRUE(plain.Bind(&medoids, variant).ok());
+    ASSERT_TRUE(plain.Bind(&b.coords, b.variants).ok());
     ASSERT_TRUE(cached_exec.Run(source, {&cached}).ok());
     ASSERT_TRUE(plain_exec.Run(source, {&plain}).ok());
-    // Reused columns are cached values read back verbatim, so the cached
-    // consumer's statistics are bit-identical, not merely close.
+    // Memo rows and reused columns are cached values read back verbatim,
+    // so the cached consumer's statistics are bit-identical, not merely
+    // close.
     EXPECT_EQ(cached.stats(), plain.stats());
   }
 
+  // Some medoids kept their delta (memo hits), some kept their slot but
+  // changed delta (column hits), and the rest were computed.
+  EXPECT_GT(cache.row_hits, 0u);
   EXPECT_GT(cache.hits, 0u);
   EXPECT_GT(cache.misses, 0u);
-  // Every hit skipped one n-row distance column.
+  // One variant of distinct slots: every medoid is one row lookup, and
+  // every memo miss looks up exactly one column.
+  EXPECT_EQ(cache.row_hits + cache.row_misses, 3 * schedule.size());
+  EXPECT_EQ(cache.hits + cache.misses, cache.row_misses);
+  // Only column misses cost an n-row distance column.
   EXPECT_EQ(plain_stats.distance_evals - cached_stats.distance_evals,
-            cache.hits * 5000u);
-  // The eviction sweep pushed past capacity, so the final {0,1,2} scan
-  // recomputed columns that were cached earlier.
+            (3 * schedule.size() - cache.misses) * 5000u);
+  // The eviction sweep pushed past the column capacity, but the memo
+  // still served the final {0, 1, 2} scan.
   EXPECT_LE(cache.entries.size(), 16u);
+}
+
+TEST(LocalityRowMemoTest, MatchesUncachedAcrossSpeculativeChurn) {
+  ConsumerFixture fixture = MakeConsumerFixture();
+  MemorySource source(fixture.base.data.dataset);
+  const Matrix pool = MakePool(source);
+
+  // Two speculative sets per scan, as the fused climb binds them. The
+  // first scan's sets coincide, so each of their rows is accumulated
+  // once; later scans repeat slots under equal deltas (memo hits) and
+  // under changed deltas (column hits).
+  const std::vector<std::vector<std::vector<size_t>>> schedule = {
+      {{0, 1, 2}, {0, 1, 2}}, {{0, 1, 3}, {0, 1, 2}}, {{1, 2, 3}, {0, 2, 4}},
+      {{0, 1, 2}, {5, 6, 7}}, {{5, 6, 7}, {0, 1, 3}}, {{2, 3, 4}, {1, 2, 3}},
+      {{0, 5, 9}, {0, 1, 2}}};
+
+  MedoidDistanceCache cache;
+  RunStats cached_stats;
+  ScanExecutor cached_exec(ScanOptions{3, 700, &cached_stats});
+  ScanExecutor plain_exec(ScanOptions{1, 700, nullptr});
+  LocalityStatsConsumer cached;
+  for (size_t scan = 0; scan < schedule.size(); ++scan) {
+    const Binding b = BindSlotSets(pool, schedule[scan]);
+    LocalityStatsConsumer plain;
+    ASSERT_TRUE(plain.Bind(&b.coords, b.variants).ok());
+    ASSERT_TRUE(plain_exec.Run(source, {&plain}).ok());
+    ASSERT_TRUE(cached
+                    .Bind(&b.coords, b.variants,
+                          std::span<const size_t>(b.slots), &cache)
+                    .ok());
+    ASSERT_TRUE(cached_exec.Run(source, {&cached}).ok());
+    ASSERT_EQ(cached.num_variants(), 2u);
+    for (size_t v = 0; v < 2; ++v)
+      EXPECT_EQ(cached.stats(v), plain.stats(v))
+          << "scan " << scan << ", variant " << v;
+    if (scan == 0) {
+      // Coinciding variants share every (slot, delta): three rows and
+      // three distance columns, not six.
+      EXPECT_EQ(cache.row_misses, 3u);
+      EXPECT_EQ(cache.misses, 3u);
+      EXPECT_EQ(cached_stats.distance_evals, 3u * 5000 + 2 * 3);
+    }
+  }
+  EXPECT_GT(cache.row_hits, 0u);
+  EXPECT_GT(cache.hits, 0u);
+}
+
+// Cancels `token` when block `at_block` is delivered.
+class CancelAtBlock final : public ScanConsumer {
+ public:
+  CancelAtBlock(CancelToken* token, size_t at_block)
+      : token_(token), at_block_(at_block) {}
+  Status Prepare(const ScanGeometry&) override { return Status::OK(); }
+  void ConsumeBlock(size_t block_index, size_t, std::span<const double>,
+                    size_t) override {
+    if (block_index == at_block_) token_->Cancel();
+  }
+  Status Merge() override { return Status::OK(); }
+  void Reset() override {}
+
+ private:
+  CancelToken* token_;
+  size_t at_block_;
+};
+
+TEST(LocalityRowMemoTest, FailedAndCancelledScansCommitNothing) {
+  ConsumerFixture fixture = MakeConsumerFixture();
+  MemorySource source(fixture.base.data.dataset);
+  const Binding b = BindSlotSets(MakePool(source), {{0, 1, 2}, {0, 3, 4}});
+  LocalityStatsConsumer plain;
+  ASSERT_TRUE(plain.Bind(&b.coords, b.variants).ok());
+  ASSERT_TRUE(ScanExecutor(ScanOptions{1, 512, nullptr})
+                  .Run(source, {&plain})
+                  .ok());
+
+  MedoidDistanceCache cache;
+  LocalityStatsConsumer cached;
+  auto bind = [&] {
+    ASSERT_TRUE(cached
+                    .Bind(&b.coords, b.variants,
+                          std::span<const size_t>(b.slots), &cache)
+                    .ok());
+  };
+  auto expect_nothing_committed = [&] {
+    EXPECT_TRUE(cache.rows.empty());
+    for (const MedoidDistanceCache::Entry& entry : cache.entries)
+      EXPECT_FALSE(entry.valid) << "slot " << entry.slot;
+  };
+
+  // An injected short read delivers half a block, then fails the scan;
+  // with retries disabled the error surfaces after blocks were consumed.
+  FaultPlan plan;
+  plan.short_read_rate = 1.0;
+  FaultInjectingPointSource faulty(source, plan);
+  RunStats fault_stats;
+  ScanOptions no_retry{1, 512, &fault_stats};
+  no_retry.retry.max_attempts = 1;
+  bind();
+  EXPECT_FALSE(ScanExecutor(no_retry).Run(faulty, {&cached}).ok());
+  EXPECT_GT(fault_stats.wasted_rows, 0u);
+  expect_nothing_committed();
+
+  // A cancel that lands mid-scan (at block 3 of 10) commits nothing.
+  CancelToken token;
+  CancelAtBlock canceller(&token, 3);
+  ScanOptions cancellable{1, 512, nullptr};
+  cancellable.cancel.token = &token;
+  bind();
+  const Status cancelled =
+      ScanExecutor(cancellable).Run(source, {&cached, &canceller});
+  EXPECT_EQ(cancelled.code(), StatusCode::kCancelled);
+  expect_nothing_committed();
+
+  // The retry recomputes everything, bit-identically, and commits.
+  ScanExecutor healthy(ScanOptions{2, 512, nullptr});
+  bind();
+  ASSERT_TRUE(healthy.Run(source, {&cached}).ok());
+  for (size_t v = 0; v < 2; ++v) EXPECT_EQ(cached.stats(v), plain.stats(v));
+  EXPECT_EQ(cache.row_hits, 0u);
+  EXPECT_FALSE(cache.rows.empty());
+  const uint64_t committed = cache.rows.size();
+
+  // Now the memo serves every row.
+  bind();
+  ASSERT_TRUE(healthy.Run(source, {&cached}).ok());
+  for (size_t v = 0; v < 2; ++v) EXPECT_EQ(cached.stats(v), plain.stats(v));
+  EXPECT_EQ(cache.row_hits, committed);
+}
+
+TEST(LocalityRowMemoTest, NeverServesRowsAcrossBlockSizes) {
+  ConsumerFixture fixture = MakeConsumerFixture();
+  MemorySource source(fixture.base.data.dataset);
+  const Binding b = BindSlotSets(MakePool(source), {{0, 1, 2}});
+  // A row depends on the block split (partials merge in block order), a
+  // distance column does not: block sizes alternate, every committed row
+  // is poisoned before the next scan, and a served row would show up as
+  // a NaN mismatch against the uncached reference.
+  const size_t kBlockRows[] = {512, 96, 512};
+  MedoidDistanceCache cache;
+  LocalityStatsConsumer cached;
+  for (size_t scan = 0; scan < 3; ++scan) {
+    const size_t block_rows = kBlockRows[scan];
+    LocalityStatsConsumer plain;
+    ASSERT_TRUE(plain.Bind(&b.coords, b.variants).ok());
+    ASSERT_TRUE(ScanExecutor(ScanOptions{1, block_rows, nullptr})
+                    .Run(source, {&plain})
+                    .ok());
+    for (MedoidDistanceCache::Row& row : cache.rows)
+      std::fill(row.stats.begin(), row.stats.end(),
+                std::numeric_limits<double>::quiet_NaN());
+    ASSERT_TRUE(cached
+                    .Bind(&b.coords, b.variants,
+                          std::span<const size_t>(b.slots), &cache)
+                    .ok());
+    ASSERT_TRUE(ScanExecutor(ScanOptions{4, block_rows, nullptr})
+                    .Run(source, {&cached})
+                    .ok());
+    EXPECT_EQ(cached.stats(), plain.stats()) << "block_rows " << block_rows;
+    EXPECT_EQ(cache.row_hits, 0u) << "block_rows " << block_rows;
+  }
+  // Columns are geometry-free: both later scans reused all three.
+  EXPECT_EQ(cache.misses, 3u);
+  EXPECT_EQ(cache.hits, 6u);
+}
+
+TEST(EngineStatsTest, FusedFitOnTwentyDimsCountsTileReuse) {
+  // The locality fills score several medoids against each gathered
+  // sub-tile, so a fused fit must report tile reuse.
+  GeneratorParams gen;
+  gen.num_points = 3000;
+  gen.space_dims = 20;
+  gen.num_clusters = 3;
+  gen.cluster_dim_counts = {4, 4, 4};
+  gen.seed = 17;
+  auto data = GenerateSynthetic(gen);
+  ASSERT_TRUE(data.ok());
+  ProclusParams params;
+  params.num_clusters = 3;
+  params.avg_dims = 4.0;
+  params.seed = 2;
+  params.num_restarts = 1;
+  auto result = RunProclus(data->dataset, params);
+  ASSERT_TRUE(result.ok());
+  EXPECT_GT(result->stats.kernel_batches, 0u);
+  EXPECT_GT(result->stats.tile_reuse_hits, 0u);
+}
+
+TEST(EngineStatsTest, FusedFitReportsLocalityRowMemo) {
+  Fixture fixture = MakeFixture();
+  auto result = RunProclus(fixture.data.dataset,
+                           GoldenParams(kGoldens[0].algo_seed, true));
+  ASSERT_TRUE(result.ok());
+  const RunStats& stats = result->stats;
+  EXPECT_GT(stats.locality_row_hits, 0u);
+  EXPECT_GT(stats.locality_row_misses, 0u);
+  // Only memo misses look up a distance column, at most one per slot.
+  EXPECT_LE(stats.locality_cache_hits + stats.locality_cache_misses,
+            stats.locality_row_misses);
 }
 
 TEST(ScanExecutorTest, ValidatesOptionsAndConsumerList) {

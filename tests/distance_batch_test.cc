@@ -8,6 +8,7 @@
 #include "distance/batch.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -243,6 +244,198 @@ TEST(DistanceBatchTest, MetricArgminMatchesScalarForAllMetrics) {
             << "metric=" << static_cast<int>(metric) << " r=" << r;
         ASSERT_EQ(scratch.best[r], best)
             << "metric=" << static_cast<int>(metric) << " r=" << r;
+      }
+    }
+  }
+}
+
+// Scalar strict-< argmin over full-dimensional references: the loop the
+// batched argmin kernels must reproduce, lower index winning every tie.
+template <typename DistFn>
+void ScalarArgmin(std::span<const double> point, size_t k, DistFn dist,
+                  int* label, double* best) {
+  *best = std::numeric_limits<double>::infinity();
+  *label = 0;
+  for (size_t m = 0; m < k; ++m) {
+    const double value = dist(point, m);
+    if (value < *best) {
+      *best = value;
+      *label = static_cast<int>(m);
+    }
+  }
+}
+
+TEST(DistanceBatchTest, ArgminTiesAndNearTiesMatchScalar) {
+  // A duplicated medoid ties exactly on every row and a one-ulp nudge
+  // creates rounding-scale near-ties; the batched kernels must resolve
+  // both through the scalar strict-< path, so labels AND winning
+  // distances match bit for bit, for every metric and the Lloyd twin.
+  Rng rng(7010);
+  const size_t d = 64;
+  const size_t k = 5;
+  for (size_t rows : {size_t{1}, size_t{257}, kKernelRowTile + 33}) {
+    std::vector<double> block = RandomBlock(rng, rows, d);
+    Matrix medoids = RandomMatrix(rng, k, d);
+    for (size_t j = 0; j < d; ++j) medoids(2, j) = medoids(1, j);
+    for (size_t j = 0; j < d; ++j) medoids(4, j) = medoids(3, j);
+    medoids(4, 17) =
+        std::nextafter(medoids(4, 17), std::numeric_limits<double>::max());
+
+    for (MetricKind metric : {MetricKind::kManhattan, MetricKind::kEuclidean,
+                              MetricKind::kChebyshev}) {
+      std::vector<int> labels(rows);
+      KernelScratch scratch;
+      MetricArgminBatch(block, rows, d, metric, medoids, scratch,
+                        labels.data());
+      for (size_t r = 0; r < rows; ++r) {
+        int label = 0;
+        double best = 0.0;
+        ScalarArgmin(
+            std::span<const double>(block.data() + r * d, d), k,
+            [&](std::span<const double> p, size_t m) {
+              return Distance(metric, p, medoids.row(m));
+            },
+            &label, &best);
+        ASSERT_EQ(labels[r], label)
+            << "metric=" << static_cast<int>(metric) << " r=" << r;
+        ASSERT_EQ(scratch.best[r], best)
+            << "metric=" << static_cast<int>(metric) << " r=" << r;
+      }
+    }
+
+    std::vector<std::vector<double>> centers(k);
+    for (size_t c = 0; c < k; ++c)
+      centers[c].assign(medoids.row(c).begin(), medoids.row(c).end());
+    std::vector<int> labels(rows);
+    KernelScratch scratch;
+    SquaredEuclideanArgminBatch(block, rows, d, centers, scratch,
+                                labels.data());
+    for (size_t r = 0; r < rows; ++r) {
+      int label = 0;
+      double best = 0.0;
+      ScalarArgmin(
+          std::span<const double>(block.data() + r * d, d), k,
+          [&](std::span<const double> p, size_t c) {
+            return SquaredEuclideanDistance(p, centers[c]);
+          },
+          &label, &best);
+      ASSERT_EQ(labels[r], label) << "rows=" << rows << " r=" << r;
+      ASSERT_EQ(scratch.best[r], best) << "rows=" << rows << " r=" << r;
+    }
+  }
+}
+
+TEST(DistanceBatchTest, SegmentalArgminTiedListsMatchScalar) {
+  // Dimension lists of different lengths, and an exact tie: medoid 3
+  // mirrors medoid 2 on an identical list. Normalized and restricted
+  // distances, with and without spheres.
+  Rng rng(7011);
+  const size_t d = 40;
+  const size_t k = 4;
+  for (size_t rows : {size_t{1}, size_t{513}, kKernelRowTile + 9}) {
+    std::vector<double> block = RandomBlock(rng, rows, d);
+    Matrix medoids = RandomMatrix(rng, k, d);
+    std::vector<std::vector<uint32_t>> dim_lists(k);
+    for (size_t i = 0; i < k; ++i) dim_lists[i] = RandomDims(rng, d, 3 + 5 * i);
+    for (size_t j = 0; j < d; ++j) medoids(3, j) = medoids(2, j);
+    dim_lists[3] = dim_lists[2];
+    std::vector<double> spheres(k);
+    for (double& sphere : spheres) sphere = rng.Uniform(0, 30);
+
+    for (bool normalize : {true, false}) {
+      for (bool with_spheres : {true, false}) {
+        std::span<const double> sph =
+            with_spheres ? std::span<const double>(spheres)
+                         : std::span<const double>();
+        std::vector<int> labels(rows);
+        KernelScratch scratch;
+        SegmentalArgminBatch(block, rows, d, medoids, dim_lists, normalize,
+                             sph, scratch, labels.data());
+        for (size_t r = 0; r < rows; ++r) {
+          std::span<const double> point(block.data() + r * d, d);
+          bool inside = false;
+          int label = 0;
+          double best = 0.0;
+          ScalarArgmin(
+              point, k,
+              [&](std::span<const double> p, size_t i) {
+                const double dist =
+                    normalize
+                        ? ManhattanSegmentalDistance(p, medoids.row(i),
+                                                     dim_lists[i])
+                        : RestrictedManhattanDistance(p, medoids.row(i),
+                                                      dim_lists[i]);
+                inside = inside || dist <= spheres[i];
+                return dist;
+              },
+              &label, &best);
+          ASSERT_EQ(labels[r], label)
+              << "rows=" << rows << " normalize=" << normalize
+              << " spheres=" << with_spheres << " r=" << r;
+          ASSERT_EQ(scratch.best[r], best) << "r=" << r;
+          if (with_spheres) {
+            ASSERT_EQ(scratch.inside[r] != 0, inside) << "r=" << r;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DistanceBatchTest, ManhattanManyNearDuplicateReferenceMatchesScalar) {
+  // The locality scan divides each column by d after the kernel; that
+  // must equal the scalar full-space segmental distance even for a
+  // reference one 1e-12 nudge away from a row (a distance dominated by
+  // rounding noise against coordinates of magnitude ~50).
+  Rng rng(7012);
+  const size_t rows = 300;
+  const size_t d = 64;
+  const size_t u = 4;
+  std::vector<double> block = RandomBlock(rng, rows, d);
+  Matrix points = RandomMatrix(rng, u, d);
+  for (size_t j = 0; j < d; ++j) points(3, j) = block[j];
+  points(3, 0) += 1e-12;
+  std::vector<double> out(u * rows);
+  KernelScratch scratch;
+  ManhattanManyBatch(block, rows, d, points, scratch, out.data());
+  const double denom = static_cast<double>(d);
+  for (size_t m = 0; m < u; ++m) {
+    for (size_t r = 0; r < rows; ++r) {
+      std::span<const double> row(block.data() + r * d, d);
+      ASSERT_EQ(out[m * rows + r] / denom,
+                ManhattanDistance(row, points.row(m)) / denom)
+          << "m=" << m << " r=" << r;
+    }
+  }
+}
+
+TEST(DistanceBatchTest, WideMetricArgminSweepMatchesScalar) {
+  // Randomized (seed, d, rows, k) shapes at the wide dimensionalities the
+  // full-dimensional baselines run at.
+  for (uint64_t seed : {21ull, 22ull, 23ull, 24ull, 25ull}) {
+    Rng rng(seed * 1000 + 7);
+    for (size_t d : {size_t{32}, size_t{64}, size_t{130}}) {
+      const size_t rows =
+          1 + static_cast<size_t>(rng.UniformInt(2 * kKernelRowTile));
+      const size_t k = 2 + static_cast<size_t>(rng.UniformInt(6));
+      std::vector<double> block = RandomBlock(rng, rows, d);
+      Matrix medoids = RandomMatrix(rng, k, d);
+      std::vector<int> labels(rows);
+      KernelScratch scratch;
+      MetricArgminBatch(block, rows, d, MetricKind::kManhattan, medoids,
+                        scratch, labels.data());
+      for (size_t r = 0; r < rows; ++r) {
+        int label = 0;
+        double best = 0.0;
+        ScalarArgmin(
+            std::span<const double>(block.data() + r * d, d), k,
+            [&](std::span<const double> p, size_t m) {
+              return ManhattanDistance(p, medoids.row(m));
+            },
+            &label, &best);
+        ASSERT_EQ(labels[r], label)
+            << "seed=" << seed << " d=" << d << " r=" << r;
+        ASSERT_EQ(scratch.best[r], best) << "r=" << r;
       }
     }
   }

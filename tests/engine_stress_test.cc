@@ -127,9 +127,13 @@ TEST(EngineStressTest, CachedLocalityBitIdenticalAcrossThreadCounts) {
   MemorySource source(fixture.data.dataset);
 
   // Cached bind: fresh columns are filled by concurrent blocks at
-  // disjoint row ranges of shared cache entries. Two scans per executor
-  // so the second reuses every column the first one committed.
-  std::vector<std::vector<size_t>> variants = {{0, 1, 2, 3}, {0, 4, 2, 3}};
+  // disjoint row ranges of shared cache entries. Three scans per
+  // executor over the same slots: the second binds them as one set, so
+  // rows whose delta changed reuse the columns the first scan committed,
+  // and the third repeats the first and is served by the row memo.
+  const std::vector<std::vector<std::vector<size_t>>> layouts = {
+      {{0, 1, 2, 3}, {0, 4, 2, 3}}, {{0, 1, 2, 3, 4}},
+      {{0, 1, 2, 3}, {0, 4, 2, 3}}};
   MemorySource fetch_source(fixture.data.dataset);
   std::vector<size_t> union_indices{11, 5000, 11000, 17000, 2000};
   Matrix union_coords =
@@ -138,29 +142,33 @@ TEST(EngineStressTest, CachedLocalityBitIdenticalAcrossThreadCounts) {
 
   MedoidDistanceCache base_cache;
   ScanExecutor sequential(ScanOptions{1, 512, nullptr});
-  LocalityStatsConsumer base;
-  for (int scan = 0; scan < 2; ++scan) {
-    ASSERT_TRUE(base.Bind(&union_coords, variants,
+  std::vector<LocalityStatsConsumer> base(layouts.size());
+  for (size_t scan = 0; scan < layouts.size(); ++scan) {
+    ASSERT_TRUE(base[scan]
+                    .Bind(&union_coords, layouts[scan],
                           std::span<const size_t>(slots), &base_cache)
                     .ok());
-    ASSERT_TRUE(sequential.Run(source, {&base}).ok());
+    ASSERT_TRUE(sequential.Run(source, {&base[scan]}).ok());
   }
   ASSERT_GT(base_cache.hits, 0u);
+  ASSERT_GT(base_cache.row_hits, 0u);
 
   for (size_t threads : kThreadCounts) {
     MedoidDistanceCache cache;
     ScanExecutor executor(ScanOptions{threads, 512, nullptr});
     LocalityStatsConsumer consumer;
-    for (int scan = 0; scan < 2; ++scan) {
-      ASSERT_TRUE(consumer.Bind(&union_coords, variants,
-                                std::span<const size_t>(slots), &cache)
+    for (size_t scan = 0; scan < layouts.size(); ++scan) {
+      ASSERT_TRUE(consumer
+                      .Bind(&union_coords, layouts[scan],
+                            std::span<const size_t>(slots), &cache)
                       .ok());
       ASSERT_TRUE(executor.Run(source, {&consumer}).ok());
+      for (size_t v = 0; v < layouts[scan].size(); ++v)
+        EXPECT_EQ(consumer.stats(v), base[scan].stats(v))
+            << threads << " threads, scan " << scan << ", variant " << v;
     }
     EXPECT_EQ(cache.hits, base_cache.hits) << threads << " threads";
-    for (size_t v = 0; v < 2; ++v)
-      EXPECT_EQ(consumer.stats(v), base.stats(v))
-          << threads << " threads, variant " << v;
+    EXPECT_EQ(cache.row_hits, base_cache.row_hits) << threads << " threads";
   }
 }
 

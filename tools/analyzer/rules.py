@@ -441,15 +441,14 @@ LAYERS = {
     "data": 1,
     "distance": 2,
     "gen": 2,
-    "sketch": 3,
-    "core": 4,
-    "clique": 4,
-    "baselines": 4,
-    "eval": 5,
-    "extensions": 5,
+    "core": 3,
+    "clique": 3,
+    "baselines": 3,
+    "eval": 4,
+    "extensions": 4,
 }
-DAG_TEXT = ("common -> data -> distance/gen -> sketch -> "
-            "core/clique/baselines -> eval/extensions")
+DAG_TEXT = ("common -> data -> distance/gen -> core/clique/baselines -> "
+            "eval/extensions")
 
 
 class LayerDag(Rule):

@@ -11,6 +11,7 @@
 #endif
 
 #include "common/timer.h"
+#include "distance/batch.h"
 #include "eval/matching.h"
 
 namespace proclus::bench {
@@ -167,6 +168,7 @@ bool JsonOutput() { return json_output; }
 void SetJsonOutput(bool enabled) { json_output = enabled; }
 
 void PrintRunStats(const std::string& prefix, const RunStats& stats) {
+  PrintKV(prefix + " kernel isa", KernelIsa());
   PrintKV(prefix + " scans", static_cast<double>(stats.scans_issued));
   PrintKV(prefix + " rows visited",
           static_cast<double>(stats.rows_visited));
@@ -245,16 +247,17 @@ void PrintTable(const std::string& name, const TableWriter& table) {
 void FinishJson(const std::string& binary) {
   if (!json_output) return;
   // Host metadata, so a committed baseline records what machine shaped
-  // its timings (counters are machine-independent; seconds are not).
+  // its timings and which kernel clone ran (counters are
+  // machine-independent; seconds are not).
   long page_size = 0;
 #if defined(_SC_PAGESIZE)
   page_size = sysconf(_SC_PAGESIZE);
 #endif
   std::printf("{\"binary\": \"%s\", \"host\": "
-              "{\"hardware_concurrency\": %u, \"page_size_bytes\": %ld}, "
-              "\"sections\": [",
+              "{\"hardware_concurrency\": %u, \"kernel_isa\": \"%s\", "
+              "\"page_size_bytes\": %ld}, \"sections\": [",
               JsonEscape(binary).c_str(),
-              std::thread::hardware_concurrency(), page_size);
+              std::thread::hardware_concurrency(), KernelIsa(), page_size);
   for (size_t s = 0; s < json_sections.size(); ++s) {
     const JsonSection& section = json_sections[s];
     std::printf("%s\n  {\"title\": \"%s\", \"values\": [",

@@ -89,7 +89,8 @@ bool JsonOutput();
 /// Enables/disables JSON capture (ParseOptions calls this for --json).
 void SetJsonOutput(bool enabled);
 
-/// Prints the data-movement counters of a run under `prefix`.
+/// Prints the kernel clone in use (KernelIsa) and the data-movement
+/// counters of a run under `prefix`.
 void PrintRunStats(const std::string& prefix, const RunStats& stats);
 
 /// Prints a rendered table; in JSON mode the header row is captured under
@@ -97,7 +98,8 @@ void PrintRunStats(const std::string& prefix, const RunStats& stats);
 void PrintTable(const std::string& name, const TableWriter& table);
 
 /// In JSON mode, writes the captured document
-///   {"binary": <name>, "sections": [{"title": ..., "values": [[k, v]...]}]}
+///   {"binary": <name>, "host": {hardware_concurrency, kernel_isa,
+///    page_size_bytes}, "sections": [{"title": ..., "values": [[k, v]...]}]}
 /// to stdout and clears the capture buffer; otherwise a no-op. Call once
 /// at the end of main.
 void FinishJson(const std::string& binary);

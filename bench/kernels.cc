@@ -13,11 +13,14 @@
 //   sqeuclidean - full-dimensional squared Euclidean argmin (the Lloyd
 //                 assignment step)
 //
-// Every batched output is checked bit-identical to its scalar reference
-// on every run. --smoke additionally asserts the batched path is at
-// least as fast as the scalar path for each configuration and exits
-// nonzero otherwise — wired into ctest (label bench_smoke) so a
-// vectorization regression cannot land silently.
+// Each cell is timed over --reps=N passes (at least 5) and reports the
+// throughput of the fastest, median and slowest pass; --json records
+// the kernel clone that ran (host.kernel_isa, distance/batch.h
+// KernelIsa). Every batched output is checked bit-identical to its
+// scalar reference on every run. --smoke additionally asserts the
+// batched path is at least as fast as the scalar path for each
+// configuration and exits nonzero otherwise — wired into ctest (label
+// bench_smoke) so a vectorization regression cannot land silently.
 
 #include <algorithm>
 #include <cstdio>
@@ -71,16 +74,24 @@ Input MakeInput(size_t n, size_t d, uint64_t seed) {
   return input;
 }
 
-// Calls `pass` `reps` times and returns the fastest wall time.
+// Wall times of `reps` calls of one pass: the fastest, the median and
+// the slowest.
+struct Spread {
+  double best = 0.0;
+  double median = 0.0;
+  double worst = 0.0;
+};
+
 template <typename Fn>
-double BestOf(size_t reps, Fn pass) {
-  double best = std::numeric_limits<double>::infinity();
-  for (size_t rep = 0; rep < reps; ++rep) {
+Spread TimeReps(size_t reps, Fn pass) {
+  std::vector<double> seconds(reps);
+  for (double& s : seconds) {
     Timer timer;
     pass();
-    best = std::min(best, timer.ElapsedSeconds());
+    s = timer.ElapsedSeconds();
   }
-  return best;
+  std::sort(seconds.begin(), seconds.end());
+  return {seconds.front(), seconds[reps / 2], seconds.back()};
 }
 
 // Visits the input in scan-sized blocks, like ScanExecutor does.
@@ -95,8 +106,8 @@ void VisitBlocks(const Input& input, Fn fn) {
 }
 
 struct KernelResult {
-  double scalar_seconds = 0.0;
-  double batch_seconds = 0.0;
+  Spread scalar_seconds;
+  Spread batch_seconds;
   bool identical = false;
 };
 
@@ -106,7 +117,7 @@ KernelResult BenchSegmental(const Input& input, size_t reps) {
   std::vector<double> best_scalar(input.n), best_batch(input.n);
   KernelScratch scratch;
   KernelResult result;
-  result.scalar_seconds = BestOf(reps, [&] {
+  result.scalar_seconds = TimeReps(reps, [&] {
     VisitBlocks(input, [&](size_t first, std::span<const double> block,
                             size_t rows) {
       for (size_t r = 0; r < rows; ++r) {
@@ -126,7 +137,7 @@ KernelResult BenchSegmental(const Input& input, size_t reps) {
       }
     });
   });
-  result.batch_seconds = BestOf(reps, [&] {
+  result.batch_seconds = TimeReps(reps, [&] {
     VisitBlocks(input, [&](size_t first, std::span<const double> block,
                             size_t rows) {
       SegmentalArgminBatch(block, rows, d, input.medoids, input.dim_lists,
@@ -147,7 +158,7 @@ KernelResult BenchManhattan(const Input& input, size_t reps) {
   std::vector<double> out_batch(kMedoids * input.n);
   KernelScratch scratch;
   KernelResult result;
-  result.scalar_seconds = BestOf(reps, [&] {
+  result.scalar_seconds = TimeReps(reps, [&] {
     VisitBlocks(input, [&](size_t first, std::span<const double> block,
                             size_t rows) {
       for (size_t r = 0; r < rows; ++r) {
@@ -162,7 +173,7 @@ KernelResult BenchManhattan(const Input& input, size_t reps) {
   // call per block writing an [medoid x row] panel, then a copy into the
   // row-major comparison layout (charged to the batched time).
   std::vector<double> panel(kMedoids * kDefaultBlockRows);
-  result.batch_seconds = BestOf(reps, [&] {
+  result.batch_seconds = TimeReps(reps, [&] {
     VisitBlocks(input, [&](size_t first, std::span<const double> block,
                             size_t rows) {
       ManhattanManyBatch(block, rows, d, input.medoids, scratch,
@@ -187,7 +198,7 @@ KernelResult BenchSquaredEuclidean(const Input& input, size_t reps) {
   std::vector<double> best_scalar(input.n), best_batch(input.n);
   KernelScratch scratch;
   KernelResult result;
-  result.scalar_seconds = BestOf(reps, [&] {
+  result.scalar_seconds = TimeReps(reps, [&] {
     VisitBlocks(input, [&](size_t first, std::span<const double> block,
                             size_t rows) {
       for (size_t r = 0; r < rows; ++r) {
@@ -206,7 +217,7 @@ KernelResult BenchSquaredEuclidean(const Input& input, size_t reps) {
       }
     });
   });
-  result.batch_seconds = BestOf(reps, [&] {
+  result.batch_seconds = TimeReps(reps, [&] {
     VisitBlocks(input, [&](size_t first, std::span<const double> block,
                             size_t rows) {
       SquaredEuclideanArgminBatch(block, rows, d, centers, scratch,
@@ -229,7 +240,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
 
   const size_t n = options.Points(100000);
-  const size_t reps = options.repetitions < 3 ? 3 : options.repetitions;
+  const size_t reps = std::max<size_t>(5, options.repetitions);
   bool ok = true;
 
   struct Config {
@@ -252,21 +263,28 @@ int main(int argc, char** argv) {
         static_cast<double>(n) * static_cast<double>(kMedoids);
     const std::string name =
         std::string(config.kernel) + " d=" + std::to_string(config.d);
+    const Spread& scalar = result.scalar_seconds;
+    const Spread& batch = result.batch_seconds;
     PrintHeader(name);
     PrintKV("rows", static_cast<double>(n));
-    PrintKV("scalar Mpairs/s", pairs / result.scalar_seconds / 1e6);
-    PrintKV("batched Mpairs/s", pairs / result.batch_seconds / 1e6);
-    PrintKV("speedup", result.scalar_seconds / result.batch_seconds);
+    PrintKV("reps", static_cast<double>(reps));
+    // Throughput of the fastest rep, then the median and slowest reps.
+    PrintKV("scalar Mpairs/s", pairs / scalar.best / 1e6);
+    PrintKV("scalar Mpairs/s median", pairs / scalar.median / 1e6);
+    PrintKV("scalar Mpairs/s min", pairs / scalar.worst / 1e6);
+    PrintKV("batched Mpairs/s", pairs / batch.best / 1e6);
+    PrintKV("batched Mpairs/s median", pairs / batch.median / 1e6);
+    PrintKV("batched Mpairs/s min", pairs / batch.worst / 1e6);
+    PrintKV("speedup", scalar.best / batch.best);
     PrintKV("bit identical", result.identical ? "yes" : "no");
     if (!result.identical) {
       std::fprintf(stderr, "FAIL %s: batched != scalar\n", name.c_str());
       ok = false;
     }
-    if (smoke && result.batch_seconds > result.scalar_seconds) {
+    if (smoke && batch.best > scalar.best) {
       std::fprintf(stderr,
                    "FAIL %s: batched slower than scalar (%.4fs vs %.4fs)\n",
-                   name.c_str(), result.batch_seconds,
-                   result.scalar_seconds);
+                   name.c_str(), batch.best, scalar.best);
       ok = false;
     }
   }

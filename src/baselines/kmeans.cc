@@ -114,15 +114,10 @@ class LloydConsumer final : public ScanConsumer {
     SquaredEuclideanArgminBatch(data, rows, d, *centroids_, scratch,
                                 labels_.data() + first_row);
     double inertia = 0.0;
-    for (size_t r = 0; r < rows; ++r) {
-      std::span<const double> point = data.subspan(r * d, d);
-      const size_t c = static_cast<size_t>(labels_[first_row + r]);
-      inertia += scratch.best[r];
-      double* sums = partial.sums.data() + c * d;
-      for (size_t j = 0; j < d; ++j) sums[j] += point[j];
-      ++partial.count[c];
-    }
+    for (size_t r = 0; r < rows; ++r) inertia += scratch.best[r];
     inertia_partials_[block_index] = inertia;
+    LabeledSumBatch(data, rows, d, labels_.data() + first_row, k,
+                    partial.sums.data(), partial.count.data());
   }
 
   Status Merge() override {

@@ -292,32 +292,17 @@ void LocalityStatsConsumer::ConsumeBlock(size_t block_index, size_t first_row,
     scratch.outs.resize(fill);
     for (size_t f = 0; f < fill; ++f)
       scratch.outs[f] = col_base_[fill_rows_[f]] + first_row;
-    ManhattanManyBatch(data, rows, d, fill_medoids_, scratch,
-                       std::span<double* const>(scratch.outs));
-    const double denom = static_cast<double>(d);
-    for (size_t f = 0; f < fill; ++f) {
-      double* col = scratch.outs[f];
-      for (size_t r = 0; r < rows; ++r) col[r] /= denom;
-    }
+    const std::span<double* const> outs(scratch.outs);
+    ManhattanManyBatch(data, rows, d, fill_medoids_, scratch, outs);
+    DivideColumnsBatch(outs, rows, static_cast<double>(d));
   }
   std::vector<const double*>& cols = cols_[block_index];
   cols.resize(num_acc);
   for (size_t a = 0; a < num_acc; ++a)
     cols[a] = col_base_[acc_medoid_[a]] + first_row;
-  for (size_t r = 0; r < rows; ++r) {
-    std::span<const double> point = data.subspan(r * d, d);
-    for (size_t a = 0; a < num_acc; ++a) {
-      if (cols[a][r] <= acc_delta_[a]) {
-        auto medoid = medoids_->row(acc_medoid_[a]);
-        double* sums = partial.sums.data() + a * d;
-        for (size_t j = 0; j < d; ++j) {
-          double diff = point[j] - medoid[j];
-          sums[j] += diff < 0 ? -diff : diff;
-        }
-        ++partial.count[a];
-      }
-    }
-  }
+  LocalityAbsDeviationBatch(data, rows, d, *medoids_, acc_medoid_, cols,
+                            acc_delta_, partial.sums.data(),
+                            partial.count.data());
 }
 
 ScanConsumer::KernelStats LocalityStatsConsumer::kernel_stats() const {
@@ -422,16 +407,11 @@ void AssignConsumer::ConsumeBlock(size_t block_index, size_t first_row,
                        /*spheres=*/{}, scratch_[block_index],
                        labels_.data() + first_row);
   if (!accumulate_) return;
-  BlockSums* partial = &partials_[block_index];
-  partial->sums.assign(k * d, 0.0);
-  partial->count.assign(k, 0);
-  for (size_t r = 0; r < rows; ++r) {
-    std::span<const double> point = data.subspan(r * d, d);
-    const size_t i = static_cast<size_t>(labels_[first_row + r]);
-    double* sums = partial->sums.data() + i * d;
-    for (size_t j = 0; j < d; ++j) sums[j] += point[j];
-    ++partial->count[i];
-  }
+  BlockSums& partial = partials_[block_index];
+  partial.sums.assign(k * d, 0.0);
+  partial.count.assign(k, 0);
+  LabeledSumBatch(data, rows, d, labels_.data() + first_row, k,
+                  partial.sums.data(), partial.count.data());
 }
 
 ScanConsumer::KernelStats AssignConsumer::kernel_stats() const {
@@ -502,29 +482,20 @@ void RefineAssignConsumer::ConsumeBlock(size_t block_index, size_t first_row,
                                         size_t rows) {
   const size_t d = dims_;
   const size_t k = medoids_->rows();
-  BlockSums* partial = nullptr;
-  if (accumulate_) {
-    partial = &partials_[block_index];
-    partial->sums.assign(k * d, 0.0);
-    partial->count.assign(k, 0);
-  }
   KernelScratch& scratch = scratch_[block_index];
+  int* labels = labels_.data() + first_row;
   SegmentalArgminBatch(data, rows, d, *medoids_, dim_lists_, segmental_,
-                       *spheres_, scratch, labels_.data() + first_row);
-  for (size_t r = 0; r < rows; ++r) {
-    const bool outlier = detect_outliers_ && scratch.inside[r] == 0;
-    if (outlier) {
-      labels_[first_row + r] = kOutlierLabel;
-      continue;
-    }
-    if (partial != nullptr) {
-      std::span<const double> point = data.subspan(r * d, d);
-      const size_t i = static_cast<size_t>(labels_[first_row + r]);
-      double* sums = partial->sums.data() + i * d;
-      for (size_t j = 0; j < d; ++j) sums[j] += point[j];
-      ++partial->count[i];
-    }
+                       *spheres_, scratch, labels);
+  if (detect_outliers_) {
+    for (size_t r = 0; r < rows; ++r)
+      if (scratch.inside[r] == 0) labels[r] = kOutlierLabel;
   }
+  if (!accumulate_) return;
+  BlockSums& partial = partials_[block_index];
+  partial.sums.assign(k * d, 0.0);
+  partial.count.assign(k, 0);
+  LabeledSumBatch(data, rows, d, labels, k, partial.sums.data(),
+                  partial.count.data());
 }
 
 ScanConsumer::KernelStats RefineAssignConsumer::kernel_stats() const {
@@ -640,18 +611,8 @@ void CentroidConsumer::ConsumeBlock(size_t block_index, size_t first_row,
   BlockSums& partial = partials_[block_index];
   partial.sums.assign(k * d, 0.0);
   partial.count.assign(k, 0);
-  for (size_t r = 0; r < rows; ++r) {
-    int label = (*labels_)[first_row + r];
-    if (label == kOutlierLabel) continue;
-    size_t i = static_cast<size_t>(label);
-    // invariant: labels come from AssignConsumer, which only emits
-    // kOutlierLabel or medoid indices in [0, k).
-    PROCLUS_CHECK(i < k);
-    std::span<const double> point = data.subspan(r * d, d);
-    double* sums = partial.sums.data() + i * d;
-    for (size_t j = 0; j < d; ++j) sums[j] += point[j];
-    ++partial.count[i];
-  }
+  LabeledSumBatch(data, rows, d, labels_->data() + first_row, k,
+                  partial.sums.data(), partial.count.data());
 }
 
 Status CentroidConsumer::Merge() {

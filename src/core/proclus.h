@@ -101,9 +101,11 @@ struct ProclusParams {
   MetricKind init_metric = MetricKind::kManhattan;
   /// Seed for all randomness in the run.
   uint64_t seed = 1;
-  /// Worker threads for the data passes over in-memory sources. Results
-  /// are bit-identical for every value (block-ordered deterministic
-  /// reduction); disk-backed sources always scan sequentially.
+  /// Worker threads for the data passes. Results are bit-identical for
+  /// every value (block-ordered deterministic reduction). In-memory
+  /// sources split each scan's blocks across the workers; a ShardedSource
+  /// scans min(num_threads, shards) shards at once, disk shards included.
+  /// Any other source, such as a lone DiskSource, scans sequentially.
   size_t num_threads = 1;
   /// Rows per scan block / disk read.
   size_t block_rows = 8192;

@@ -6,6 +6,56 @@
 
 #include "common/check.h"
 
+// Contraction must be off wherever the kernels are compiled: the v3 and
+// v4 clones have FMA, and GCC's default for C++ (-ffp-contract=fast)
+// would fuse `acc + diff * diff` into one rounding instead of two,
+// changing result bits. src/CMakeLists.txt passes the flag and this
+// define together, so a build that drops one fails here rather than in
+// the tests of an FMA host.
+#if !defined(PROCLUS_FP_CONTRACT_OFF)
+#error "distance/batch.cc needs -ffp-contract=off (see src/CMakeLists.txt)"
+#endif
+
+// PROCLUS_KERNEL compiles a kernel three times — x86-64-v4 (AVX-512),
+// x86-64-v3 (AVX2) and the baseline — and an ifunc resolver binds the
+// widest clone the CPU supports at load time. The loops vectorize across
+// points only, so every clone adds the same terms in the same order.
+// Calls from one clone to another kernel stay within the same ISA, and
+// PROCLUS_KERNEL_HELPER forces every helper into each clone that calls
+// it: a helper left out of line would exist for the baseline ISA only.
+//
+// It expands to nothing (the baseline loops only) where clones cannot
+// work or are unverified:
+//   * under ThreadSanitizer: GCC 12's ifunc resolvers run before the TSan
+//     runtime is up and crash the program before main; TSan then checks
+//     the baseline build of the same source;
+//   * off x86-64 ELF, which has no ifunc;
+//   * without target_clones, and under Clang, whose arch= level clones
+//     this project does not build or test.
+#if defined(__SANITIZE_THREAD__)
+#define PROCLUS_KERNEL_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define PROCLUS_KERNEL_TSAN 1
+#endif
+#endif
+
+#if defined(__x86_64__) && defined(__ELF__) && defined(__GNUC__) && \
+    !defined(__clang__) && !defined(PROCLUS_KERNEL_TSAN) && \
+    defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define PROCLUS_KERNEL_CLONES 1
+#endif
+#endif
+
+#if defined(PROCLUS_KERNEL_CLONES)
+#define PROCLUS_KERNEL \
+  __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#else
+#define PROCLUS_KERNEL
+#endif
+#define PROCLUS_KERNEL_HELPER [[gnu::always_inline]] inline
+
 namespace proclus {
 
 namespace {
@@ -21,6 +71,7 @@ constexpr size_t kTileLd = kKernelRowTile + 8;
 // Gathers rows [r0, r0 + n) of the selected columns (all dims_total
 // columns when ids == nullptr) into the column-major sub-tile:
 // tile[j * kTileLd + r] = src[(r0 + r) * dims_total + ids[j]].
+PROCLUS_KERNEL_HELPER
 void GatherSubTile(const double* src, size_t dims_total, const uint32_t* ids,
                    size_t nd, size_t r0, size_t n, double* __restrict__ tile) {
   const double* base = src + r0 * dims_total;
@@ -75,6 +126,7 @@ struct ChebyshevFold {
 // loop's order per point — while the r-loop bodies stay independent and
 // contiguous, so they vectorize.
 template <typename Fold>
+PROCLUS_KERNEL_HELPER
 void AccumulateOne(const double* __restrict__ tile, size_t n, size_t nd,
                    const double* ref, const uint32_t* ids,
                    double* __restrict__ out, Fold fold) {
@@ -92,6 +144,7 @@ void AccumulateOne(const double* __restrict__ tile, size_t n, size_t nd,
 // past the (ILP-saturated) scalar loop. Per reference the fold order is
 // unchanged, so results match AccumulateOne bit-for-bit.
 template <typename Fold>
+PROCLUS_KERNEL_HELPER
 void AccumulatePair(const double* __restrict__ tile, size_t n, size_t nd,
                     const double* ref0, const double* ref1,
                     const uint32_t* ids, double* __restrict__ out0,
@@ -118,6 +171,7 @@ void AccumulatePair(const double* __restrict__ tile, size_t n, size_t nd,
 // data-dependent (close to random while the argmin is unsettled), so a
 // branch would mispredict constantly, and selects let the loop vectorize
 // into min + blend.
+PROCLUS_KERNEL_HELPER
 void ArgminUpdate(const double* __restrict__ dist, size_t n, int index,
                   double* __restrict__ best, int* __restrict__ labels) {
   for (size_t r = 0; r < n; ++r) {
@@ -132,6 +186,7 @@ void ArgminUpdate(const double* __restrict__ dist, size_t n, int index,
 // them into plain stores drops the sentinel-fill pass and the first
 // compare pass without changing any outcome (strict < keeps the tie on
 // index0, like the scalar loop).
+PROCLUS_KERNEL_HELPER
 void ArgminInitPair(const double* __restrict__ dist0,
                     const double* __restrict__ dist1, size_t n, int index0,
                     int index1, double* __restrict__ best,
@@ -143,6 +198,7 @@ void ArgminInitPair(const double* __restrict__ dist0,
   }
 }
 
+PROCLUS_KERNEL_HELPER
 void ArgminInitOne(const double* __restrict__ dist, size_t n, int index,
                    double* __restrict__ best, int* __restrict__ labels) {
   for (size_t r = 0; r < n; ++r) {
@@ -154,6 +210,7 @@ void ArgminInitOne(const double* __restrict__ dist, size_t n, int index,
 // Single-reference distance kernel skeleton: gather each sub-tile, fold
 // the reference over it.
 template <typename Fold>
+PROCLUS_KERNEL_HELPER
 void OneRefKernel(std::span<const double> block, size_t rows,
                   size_t dims_total, const double* ref, const uint32_t* ids,
                   size_t nd, KernelScratch& scratch, double* out, Fold fold) {
@@ -172,6 +229,7 @@ void OneRefKernel(std::span<const double> block, size_t rows,
 // before the comparison (the Euclidean dispatch compares rooted
 // distances).
 template <typename Fold>
+PROCLUS_KERNEL_HELPER
 void FullDimArgmin(std::span<const double> block, size_t rows,
                    size_t dims_total, const Matrix& refs, bool root,
                    KernelScratch& scratch, int* labels, Fold fold) {
@@ -234,6 +292,7 @@ void FullDimArgmin(std::span<const double> block, size_t rows,
 
 }  // namespace
 
+PROCLUS_KERNEL
 void SegmentalDistanceBatch(std::span<const double> block, size_t rows,
                             size_t dims_total, std::span<const double> medoid,
                             std::span<const uint32_t> dims, bool normalize,
@@ -250,6 +309,7 @@ void SegmentalDistanceBatch(std::span<const double> block, size_t rows,
   }
 }
 
+PROCLUS_KERNEL
 void ManhattanBatch(std::span<const double> block, size_t rows,
                     size_t dims_total, std::span<const double> point,
                     KernelScratch& scratch, double* out) {
@@ -260,6 +320,7 @@ void ManhattanBatch(std::span<const double> block, size_t rows,
                scratch, out, ManhattanFold{});
 }
 
+PROCLUS_KERNEL
 void ManhattanManyBatch(std::span<const double> block, size_t rows,
                         size_t dims_total, const Matrix& points,
                         KernelScratch& scratch,
@@ -286,6 +347,7 @@ void ManhattanManyBatch(std::span<const double> block, size_t rows,
   }
 }
 
+PROCLUS_KERNEL
 void ManhattanManyBatch(std::span<const double> block, size_t rows,
                         size_t dims_total, const Matrix& points,
                         KernelScratch& scratch, double* out) {
@@ -296,6 +358,7 @@ void ManhattanManyBatch(std::span<const double> block, size_t rows,
                      std::span<double* const>(scratch.outs));
 }
 
+PROCLUS_KERNEL
 void SquaredEuclideanBatch(std::span<const double> block, size_t rows,
                            size_t dims_total, std::span<const double> point,
                            KernelScratch& scratch, double* out) {
@@ -306,6 +369,7 @@ void SquaredEuclideanBatch(std::span<const double> block, size_t rows,
                scratch, out, SquareFold{});
 }
 
+PROCLUS_KERNEL
 void ChebyshevBatch(std::span<const double> block, size_t rows,
                     size_t dims_total, std::span<const double> point,
                     KernelScratch& scratch, double* out) {
@@ -316,6 +380,7 @@ void ChebyshevBatch(std::span<const double> block, size_t rows,
                scratch, out, ChebyshevFold{});
 }
 
+PROCLUS_KERNEL
 void SegmentalArgminBatch(std::span<const double> block, size_t rows,
                           size_t dims_total, const Matrix& medoids,
                           std::span<const std::vector<uint32_t>> dim_lists,
@@ -365,6 +430,7 @@ void SegmentalArgminBatch(std::span<const double> block, size_t rows,
   }
 }
 
+PROCLUS_KERNEL
 void SquaredEuclideanArgminBatch(std::span<const double> block, size_t rows,
                                  size_t dims_total,
                                  std::span<const std::vector<double>> centers,
@@ -418,6 +484,7 @@ void SquaredEuclideanArgminBatch(std::span<const double> block, size_t rows,
   }
 }
 
+PROCLUS_KERNEL
 void MetricArgminBatch(std::span<const double> block, size_t rows,
                        size_t dims_total, MetricKind metric,
                        const Matrix& medoids, KernelScratch& scratch,
@@ -442,6 +509,7 @@ void MetricArgminBatch(std::span<const double> block, size_t rows,
   }
 }
 
+PROCLUS_KERNEL
 void LabeledAbsDeviationBatch(std::span<const double> block, size_t rows,
                               size_t dims_total, const int* labels,
                               const Matrix& refs, KernelScratch& scratch,
@@ -465,6 +533,67 @@ void LabeledAbsDeviationBatch(std::span<const double> block, size_t rows,
     }
     if (count != nullptr) ++count[i];
   }
+}
+
+PROCLUS_KERNEL
+void LocalityAbsDeviationBatch(std::span<const double> block, size_t rows,
+                               size_t dims_total, const Matrix& refs,
+                               std::span<const size_t> ref_rows,
+                               std::span<const double* const> dists,
+                               std::span<const double> radii, double* sums,
+                               size_t* count) {
+  const size_t u = ref_rows.size();
+  PROCLUS_DCHECK(dists.size() == u && radii.size() == u);
+  PROCLUS_DCHECK(refs.cols() == dims_total);
+  for (size_t r = 0; r < rows; ++r) {
+    const double* __restrict__ point = block.data() + r * dims_total;
+    for (size_t a = 0; a < u; ++a) {
+      if (dists[a][r] <= radii[a]) {
+        const double* __restrict__ ref = refs.row(ref_rows[a]).data();
+        double* __restrict__ acc = sums + a * dims_total;
+        for (size_t j = 0; j < dims_total; ++j) {
+          double diff = point[j] - ref[j];
+          acc[j] += diff < 0 ? -diff : diff;
+        }
+        ++count[a];
+      }
+    }
+  }
+}
+
+PROCLUS_KERNEL
+void DivideColumnsBatch(std::span<double* const> cols, size_t rows,
+                        double denom) {
+  for (double* col : cols)
+    for (size_t r = 0; r < rows; ++r) col[r] /= denom;
+}
+
+PROCLUS_KERNEL
+void LabeledSumBatch(std::span<const double> block, size_t rows,
+                     size_t dims_total, const int* labels, size_t num_labels,
+                     double* sums, size_t* count) {
+  for (size_t r = 0; r < rows; ++r) {
+    const int label = labels[r];
+    if (label < 0) continue;  // Outliers belong to no cluster.
+    const size_t i = static_cast<size_t>(label);
+    // invariant: labels come from an assignment scan, which only emits
+    // negative outlier labels or cluster indices in [0, num_labels).
+    PROCLUS_CHECK(i < num_labels);
+    const double* __restrict__ point = block.data() + r * dims_total;
+    double* __restrict__ acc = sums + i * dims_total;
+    for (size_t j = 0; j < dims_total; ++j) acc[j] += point[j];
+    ++count[i];
+  }
+}
+
+const char* KernelIsa() {
+#if defined(PROCLUS_KERNEL_CLONES)
+  // The resolver's order: the first level the CPU supports wins.
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("x86-64-v4")) return "x86-64-v4";
+  if (__builtin_cpu_supports("x86-64-v3")) return "x86-64-v3";
+#endif
+  return "baseline";
 }
 
 }  // namespace proclus

@@ -27,6 +27,11 @@
 // Callers own a KernelScratch per (consumer, block) — ConsumeBlock runs
 // concurrently for distinct blocks, so scratch must be keyed exactly like
 // the block partials.
+//
+// ISA dispatch: every kernel here is compiled for x86-64-v4, x86-64-v3
+// and the baseline ISA, and the loader binds the widest clone the CPU
+// supports (KernelIsa() names it; DESIGN.md §9). Contraction is off for
+// the whole library, so each clone rounds exactly like the baseline one.
 
 #ifndef PROCLUS_DISTANCE_BATCH_H_
 #define PROCLUS_DISTANCE_BATCH_H_
@@ -157,6 +162,36 @@ void MetricArgminBatch(std::span<const double> block, size_t rows,
                        const Matrix& medoids, KernelScratch& scratch,
                        int* labels);
 
+/// Locality deviations (the X statistics of Figure 4): for every
+/// reference a and every row r with dists[a][r] <= radii[a], sums[a *
+/// dims_total + j] += |row[j] - refs(ref_rows[a], j)| for all j, and
+/// ++count[a]. `dists[a]` points at this block's first row; `sums` holds
+/// ref_rows.size() x dims_total zeros-or-partials. Rows are visited in
+/// ascending order, as in the scalar per-point loop, so each accumulator
+/// sees the same additions in the same order: bit-identical results.
+void LocalityAbsDeviationBatch(std::span<const double> block, size_t rows,
+                               size_t dims_total, const Matrix& refs,
+                               std::span<const size_t> ref_rows,
+                               std::span<const double* const> dists,
+                               std::span<const double> radii, double* sums,
+                               size_t* count);
+
+/// cols[c][r] /= denom in place for every column c and row r < rows: the
+/// full-space segmental normalization (Manhattan sum / d) of
+/// ManhattanManyBatch's scatter output, one IEEE division per value as in
+/// the scalar loop.
+void DivideColumnsBatch(std::span<double* const> cols, size_t rows,
+                        double denom);
+
+/// Accumulates per-label coordinate sums (centroids before the divide):
+/// for every row r with labels[r] == i >= 0 (negative labels — outliers —
+/// are skipped), sums[i * dims_total + j] += row[j] for all j and
+/// ++count[i]. Every label must be < num_labels. Ascending row order, so
+/// bit-identical to the scalar centroid loops.
+void LabeledSumBatch(std::span<const double> block, size_t rows,
+                     size_t dims_total, const int* labels, size_t num_labels,
+                     double* sums, size_t* count);
+
 /// Accumulates per-label absolute deviations: for every row r with
 /// labels[r] == i >= 0 (negative labels — outliers — are skipped),
 /// sums[i * dims_total + j] += |row[j] - refs(i, j)| for all j, and
@@ -168,6 +203,11 @@ void LabeledAbsDeviationBatch(std::span<const double> block, size_t rows,
                               size_t dims_total, const int* labels,
                               const Matrix& refs, KernelScratch& scratch,
                               double* sums, size_t* count);
+
+/// The kernel clone the loader bound on this CPU: "x86-64-v4",
+/// "x86-64-v3" or "baseline". Always "baseline" in builds without clones
+/// (ThreadSanitizer, non-GCC compilers, targets other than x86-64 ELF).
+const char* KernelIsa();
 
 }  // namespace proclus
 

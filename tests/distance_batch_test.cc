@@ -8,10 +8,12 @@
 #include "distance/batch.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -183,6 +185,13 @@ TEST(DistanceBatchTest, SegmentalArgminMatchesScalarIncludingTies) {
   }
 }
 
+// This test and ArgminTiesAndNearTiesMatchScalar are the runtime check
+// that floating-point contraction stays off in the kernels: on a CPU with
+// FMA (x86-64-v3 and up), kernel clones built without -ffp-contract=off
+// fuse `acc + diff * diff` and both fail, as do the squared-Euclidean
+// cases of FullDimensionalKernelsMatchScalarBitForBit and
+// MetricArgminMatchesScalarForAllMetrics. The PROCLUS kernels multiply
+// nothing, so the fit goldens cannot catch it.
 TEST(DistanceBatchTest, SquaredEuclideanArgminMatchesScalar) {
   Rng rng(7005);
   for (size_t rows : kRowCounts) {
@@ -265,6 +274,8 @@ void ScalarArgmin(std::span<const double> point, size_t k, DistFn dist,
   }
 }
 
+// With SquaredEuclideanArgminMatchesScalar, the runtime check that
+// contraction stays off (see the comment there).
 TEST(DistanceBatchTest, ArgminTiesAndNearTiesMatchScalar) {
   // A duplicated medoid ties exactly on every row and a one-ulp nudge
   // creates rounding-scale near-ties; the batched kernels must resolve
@@ -529,6 +540,189 @@ TEST(DistanceBatchTest, CountersTrackRowsAndTileReuse) {
   // One sub-tile (rows < kKernelRowTile) folded over by u references ->
   // u - 1 reuses.
   EXPECT_EQ(scratch.tile_hits, u - 1);
+}
+
+// ---- Kernels that replaced per-row loops of the scan consumers ----
+//
+// Each Scalar* function below is the loop core/consumers.cc ran inside
+// ConsumeBlock before the loop became a batch kernel, copied verbatim
+// apart from names. The kernels must match them bit for bit, so results
+// are compared as bit patterns: a +0.0 where the loop kept -0.0 fails.
+
+// Ragged row counts: one row, the vector remainders around the sub-tile
+// size, and one row past the default scan block.
+const size_t kRaggedRows[] = {1, 1023, 1025, 8193};
+
+std::vector<uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<uint64_t> bits(values.size());
+  for (size_t i = 0; i < values.size(); ++i)
+    bits[i] = std::bit_cast<uint64_t>(values[i]);
+  return bits;
+}
+
+// LocalityStatsConsumer::ConsumeBlock's accumulation loop.
+void ScalarLocalityLoop(std::span<const double> data, size_t rows, size_t d,
+                        const Matrix& medoids,
+                        const std::vector<size_t>& acc_medoid,
+                        const std::vector<const double*>& cols,
+                        const std::vector<double>& acc_delta,
+                        double* partial_sums, size_t* partial_count) {
+  const size_t num_acc = acc_medoid.size();
+  for (size_t r = 0; r < rows; ++r) {
+    std::span<const double> point = data.subspan(r * d, d);
+    for (size_t a = 0; a < num_acc; ++a) {
+      if (cols[a][r] <= acc_delta[a]) {
+        auto medoid = medoids.row(acc_medoid[a]);
+        double* sums = partial_sums + a * d;
+        for (size_t j = 0; j < d; ++j) {
+          double diff = point[j] - medoid[j];
+          sums[j] += diff < 0 ? -diff : diff;
+        }
+        ++partial_count[a];
+      }
+    }
+  }
+}
+
+// CentroidConsumer::ConsumeBlock's centroid loop (AssignConsumer's and
+// RefineAssignConsumer's were the same loop over their own labels).
+void ScalarLabeledSumLoop(std::span<const double> data, size_t rows,
+                          size_t d, const int* labels, double* partial_sums,
+                          size_t* partial_count) {
+  for (size_t r = 0; r < rows; ++r) {
+    int label = labels[r];
+    if (label == -1) continue;  // kOutlierLabel
+    size_t i = static_cast<size_t>(label);
+    std::span<const double> point = data.subspan(r * d, d);
+    double* sums = partial_sums + i * d;
+    for (size_t j = 0; j < d; ++j) sums[j] += point[j];
+    ++partial_count[i];
+  }
+}
+
+TEST(DistanceBatchTest, LocalityAbsDeviationMatchesConsumerLoop) {
+  Rng rng(7011);
+  for (size_t rows : kRaggedRows) {
+    for (size_t d : {size_t{3}, size_t{20}, size_t{37}}) {
+      std::vector<double> block = RandomBlock(rng, rows, d);
+      Matrix medoids = RandomMatrix(rng, 4, d);
+      // Signed zeros: medoid 0 holds +0.0 and -0.0 in its first two
+      // dimensions and row 0 copies the medoid with those signs swapped,
+      // so the loop adds -0.0 and +0.0 terms.
+      medoids(0, 0) = 0.0;
+      medoids(0, 1) = -0.0;
+      for (size_t j = 0; j < d; ++j) block[j] = medoids(0, j);
+      block[0] = -0.0;
+      block[1] = 0.0;
+      // Acc rows as the consumer's row plan builds them: medoid 2 twice
+      // under two radii, and medoid 1 with a radius no row is within.
+      const std::vector<size_t> acc_medoid = {0, 2, 2, 1, 3};
+      const std::vector<double> acc_delta = {40.0, 25.0, 60.0, -1.0, 50.0};
+      const size_t num_acc = acc_medoid.size();
+      std::vector<std::vector<double>> dist(num_acc,
+                                            std::vector<double>(rows));
+      for (std::vector<double>& col : dist)
+        for (double& v : col) v = rng.Uniform(0, 100);
+      // Rows exactly at the radius are inside (the `<=`).
+      for (size_t a = 0; a < num_acc; ++a) {
+        if (acc_delta[a] < 0) continue;
+        for (size_t r = a; r < rows; r += 7) dist[a][r] = acc_delta[a];
+      }
+      dist[0][0] = 0.0;  // Row 0 lies in medoid 0's locality.
+      std::vector<const double*> cols(num_acc);
+      for (size_t a = 0; a < num_acc; ++a) cols[a] = dist[a].data();
+
+      // Partials start at -0.0, where a lost zero sign would show.
+      std::vector<double> sums(num_acc * d, -0.0);
+      std::vector<size_t> count(num_acc, 0);
+      LocalityAbsDeviationBatch(block, rows, d, medoids, acc_medoid, cols,
+                                acc_delta, sums.data(), count.data());
+      std::vector<double> expected_sums(num_acc * d, -0.0);
+      std::vector<size_t> expected_count(num_acc, 0);
+      ScalarLocalityLoop(block, rows, d, medoids, acc_medoid, cols,
+                         acc_delta, expected_sums.data(),
+                         expected_count.data());
+      ASSERT_EQ(Bits(sums), Bits(expected_sums))
+          << "rows=" << rows << " d=" << d;
+      ASSERT_EQ(count, expected_count) << "rows=" << rows << " d=" << d;
+      EXPECT_EQ(count[3], 0u);
+      EXPECT_GE(count[0], 1u);
+    }
+  }
+}
+
+TEST(DistanceBatchTest, LocalityAbsDeviationWithNoAccRowsWritesNothing) {
+  // Every locality row came from the memo: nothing to accumulate.
+  Rng rng(7012);
+  const size_t rows = 1025;
+  const size_t d = 20;
+  std::vector<double> block = RandomBlock(rng, rows, d);
+  Matrix medoids = RandomMatrix(rng, 3, d);
+  LocalityAbsDeviationBatch(block, rows, d, medoids, {}, {}, {},
+                            /*sums=*/nullptr, /*count=*/nullptr);
+}
+
+TEST(DistanceBatchTest, DivideColumnsMatchesConsumerLoop) {
+  Rng rng(7013);
+  for (size_t rows : kRaggedRows) {
+    for (double denom : {3.0, 20.0, 200.0}) {
+      std::vector<std::vector<double>> got(3, std::vector<double>(rows));
+      for (std::vector<double>& col : got)
+        for (double& v : col) v = rng.Uniform(0, 1000);
+      got[0][0] = 0.0;
+      got[1][rows - 1] = -0.0;
+      std::vector<std::vector<double>> want = got;
+      std::vector<double*> outs = {got[0].data(), got[1].data(),
+                                   got[2].data()};
+      DivideColumnsBatch(outs, rows, denom);
+      // LocalityStatsConsumer::ConsumeBlock's normalization loop.
+      for (size_t f = 0; f < want.size(); ++f) {
+        double* col = want[f].data();
+        for (size_t r = 0; r < rows; ++r) col[r] /= denom;
+      }
+      for (size_t f = 0; f < want.size(); ++f)
+        ASSERT_EQ(Bits(got[f]), Bits(want[f]))
+            << "rows=" << rows << " denom=" << denom << " col=" << f;
+    }
+  }
+}
+
+TEST(DistanceBatchTest, LabeledSumMatchesConsumerLoopAndSkipsOutliers) {
+  Rng rng(7014);
+  for (size_t rows : kRaggedRows) {
+    for (size_t d : {size_t{2}, size_t{20}, size_t{37}}) {
+      const size_t k = 4;
+      std::vector<double> block = RandomBlock(rng, rows, d);
+      block[0] = -0.0;
+      // Cluster 3 gets no rows; -1 marks outliers.
+      std::vector<int> labels(rows);
+      for (int& label : labels)
+        label = static_cast<int>(rng.UniformInt(k)) - 1;
+      labels[0] = 0;
+      std::vector<double> sums(k * d, -0.0);
+      std::vector<size_t> count(k, 0);
+      LabeledSumBatch(block, rows, d, labels.data(), k, sums.data(),
+                      count.data());
+      std::vector<double> expected_sums(k * d, -0.0);
+      std::vector<size_t> expected_count(k, 0);
+      ScalarLabeledSumLoop(block, rows, d, labels.data(),
+                           expected_sums.data(), expected_count.data());
+      ASSERT_EQ(Bits(sums), Bits(expected_sums))
+          << "rows=" << rows << " d=" << d;
+      ASSERT_EQ(count, expected_count) << "rows=" << rows << " d=" << d;
+      EXPECT_EQ(count[3], 0u);
+    }
+  }
+}
+
+TEST(DistanceBatchTest, KernelIsaNamesAKnownClone) {
+  const std::string isa = KernelIsa();
+  EXPECT_TRUE(isa == "x86-64-v4" || isa == "x86-64-v3" || isa == "baseline")
+      << isa;
+#if defined(__SANITIZE_THREAD__)
+  // ThreadSanitizer builds carry no clones.
+  EXPECT_EQ(isa, "baseline");
+#endif
 }
 
 }  // namespace

@@ -94,6 +94,14 @@ Enforces invariants that no generic tool knows about:
                       (common/cancel.h), which park on the token's condvar
                       and honor the deadline; cancel.h itself is the one
                       place the primitive sleeps live.
+  raw-isa-attribute   target_clones, __attribute__((target(...))) and
+                      [[gnu::target(...)]] anywhere outside
+                      src/distance/batch.{h,cc}. The choice of instruction
+                      set stays behind that one module's PROCLUS_KERNEL
+                      macro, which also carries the guards a clone needs
+                      (contraction off, no clones under ThreadSanitizer
+                      or off x86-64 ELF; DESIGN.md §9). Move a loop that
+                      needs a wider ISA into a batch kernel instead.
 
 Any line may opt out of one rule with a trailing `// lint:allow(<rule>)`
 comment; use sparingly and justify in a neighboring comment.
@@ -212,6 +220,19 @@ RAW_SLEEP_ALLOWLIST = (os.path.join("src", "common", "cancel.h"),)
 
 RAW_SLEEP_RE = re.compile(
     r"(?:std\s*::\s*)?this_thread\s*::\s*sleep_(?:for|until)\s*\(")
+
+# --- raw-isa-attribute -------------------------------------------------------
+
+# Per-function ISA selection lives in the kernel layer only: batch.cc's
+# PROCLUS_KERNEL pairs the clones with the contraction and sanitizer
+# guards that keep every clone bit-identical and loadable.
+RAW_ISA_ALLOWLIST = (os.path.join("src", "distance", "batch.h"),
+                     os.path.join("src", "distance", "batch.cc"))
+
+RAW_ISA_RE = re.compile(
+    r"\btarget_clones\b"
+    r"|__attribute__\s*\(\s*\(\s*target\s*\("
+    r"|\[\[\s*gnu\s*::\s*target\b")
 
 # --- atomic-order / atomic-rmw ----------------------------------------------
 
@@ -433,6 +454,20 @@ def check_raw_sleep(rel_path, original_lines, code, findings):
             "truncated by a Deadline, breaking the one-block cancellation "
             "latency bound; use InterruptibleSleep or HangUntilCancelled "
             "from common/cancel.h"))
+
+
+def check_raw_isa_attribute(rel_path, original_lines, code, findings):
+    if rel_path in RAW_ISA_ALLOWLIST:
+        return
+    for m in RAW_ISA_RE.finditer(code):
+        ln = line_of(code, m.start())
+        if allowed(original_lines, ln, "raw-isa-attribute"):
+            continue
+        findings.append(Finding(
+            rel_path, ln, "raw-isa-attribute",
+            "per-function ISA attributes belong to src/distance/batch.cc "
+            "alone, whose PROCLUS_KERNEL carries the contraction and "
+            "sanitizer guards; move the loop into a batch kernel"))
 
 
 def check_status_fn_checks(rel_path, original_lines, code, findings):
@@ -817,6 +852,7 @@ def lint_file(root, rel_path, findings):
     check_unordered_iteration(rel_path, original_lines, code, findings)
     check_raw_sync(rel_path, original_lines, code, findings)
     check_raw_sleep(rel_path, original_lines, code, findings)
+    check_raw_isa_attribute(rel_path, original_lines, code, findings)
     check_atomic_order(rel_path, original_lines, code, findings)
     check_atomic_rmw(rel_path, original_lines, code, findings)
     check_sync_annotation(rel_path, original_lines, code, findings)
@@ -1237,6 +1273,39 @@ SELF_TEST_FIXTURES = [
      "  // lint:allow(raw-sleep)\n"
      "}\n"
      "}\n",
+     []),
+    # raw-isa-attribute: every spelling of a per-function ISA choice.
+    ("src/core/fast_assign.cc",
+     "namespace proclus {\n"
+     "__attribute__((target(\"avx2\"))) void Assign() {}\n"
+     "__attribute__ ((target_clones(\"avx2\", \"default\")))\n"
+     "void Refine() {}\n"
+     "}\n",
+     ["raw-isa-attribute", "raw-isa-attribute"]),
+    # Benches and tests too, including the C++11 attribute spelling.
+    ("bench/wide_kernels.cc",
+     "[[gnu::target(\"avx512f\")]] void Wide() {}\n",
+     ["raw-isa-attribute"]),
+    ("tests/isa_test.cc",
+     "[[gnu::target_clones(\"arch=x86-64-v3\", \"default\")]]\n"
+     "void Fold() {}\n",
+     ["raw-isa-attribute"]),
+    # The kernel module is the one dispatch point.
+    ("src/distance/batch.cc",
+     "#define PROCLUS_KERNEL \\\n"
+     "  __attribute__((target_clones(\"arch=x86-64-v4\", \"default\")))\n"
+     "PROCLUS_KERNEL void Kernel() {}\n",
+     []),
+    # Prose about target_clones in a comment is not an attribute.
+    ("src/core/notes.cc",
+     "// Kernels use target_clones via batch.cc; see DESIGN.md.\n"
+     "void Note() {}\n",
+     []),
+    # Explicit suppression with justification.
+    ("examples/isa_demo.cc",
+     "// Demonstrates a hand-picked ISA; never linked into the library.\n"
+     "__attribute__((target(\"avx2\"))) void Demo() {}"
+     "  // lint:allow(raw-isa-attribute)\n",
      []),
     # atomic-order: an undocumented atomic declaration.
     ("src/core/atomic_nodoc.cc",

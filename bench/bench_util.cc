@@ -1,5 +1,6 @@
 #include "bench_util.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -166,6 +167,17 @@ void PrintHeader(const std::string& title) {
 bool JsonOutput() { return json_output; }
 
 void SetJsonOutput(bool enabled) { json_output = enabled; }
+
+void PrintSpread(const std::string& key, std::vector<double> seconds) {
+  std::sort(seconds.begin(), seconds.end());
+  const size_t n = seconds.size();
+  const double median = n % 2 == 1
+                            ? seconds[n / 2]
+                            : 0.5 * (seconds[n / 2 - 1] + seconds[n / 2]);
+  PrintKV(key + " median", median);
+  PrintKV(key + " min", seconds.front());
+  PrintKV(key + " max", seconds.back());
+}
 
 void PrintRunStats(const std::string& prefix, const RunStats& stats) {
   PrintKV(prefix + " kernel isa", KernelIsa());

@@ -89,6 +89,10 @@ bool JsonOutput();
 /// Enables/disables JSON capture (ParseOptions calls this for --json).
 void SetJsonOutput(bool enabled);
 
+/// Prints "<key> median", "<key> min" and "<key> max" of repeated
+/// timings (`seconds` must be non-empty).
+void PrintSpread(const std::string& key, std::vector<double> seconds);
+
 /// Prints the kernel clone in use (KernelIsa) and the data-movement
 /// counters of a run under `prefix`.
 void PrintRunStats(const std::string& prefix, const RunStats& stats);

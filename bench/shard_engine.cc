@@ -1,12 +1,12 @@
-// Shard-engine harness: measures what the sharded scan path and the
-// DiskSource prefetch buy, and proves both bit-identical on every run.
+// Shard-engine harness: measures the sharded scan path and the DiskSource
+// read loop, and proves both bit-identical on every run.
 //
-// Part 1 — prefetch A/B at the N=50k acceptance point of
-// BENCH_scan_engine.json: PROCLUS over memory, disk with the inline read
-// loop (set_prefetch(false)), and disk with the double-buffered prefetch.
-// At this scale the snapshot is page-cache hot after the first scan, so
-// the read side is pure CPU (memcpy + checksum) and the prefetch can only
-// help when a second core is available to run the producer.
+// Part 1 — disk vs memory at the N=50k acceptance point of
+// BENCH_scan_engine.json: the PROCLUS fit over memory and over a disk
+// snapshot, --reps times each (median, min, max). At this scale the
+// snapshot is page-cache hot after the first scan, so the read side is
+// pure CPU (memcpy + checksum) that the double-buffered read loop
+// overlaps with the fit's kernels on a second core.
 //
 // Part 2 — shard scaling: whole-set scans over a >= 10^7-row snapshot for
 // shard count x {memory, disk}, each sharded run using `shards` worker
@@ -16,11 +16,11 @@
 // and first-touch page-cache misses don't land inside a timed region.
 // Every configuration must reproduce the unsharded consumer bits exactly.
 //
-// Part 3 — cold-cache prefetch A/B: one whole-set scan of the Part 2
+// Part 3 — cold-cache disk scan: one whole-set scan of the Part 2
 // snapshot with the page cache evicted (posix_fadvise DONTNEED) before
-// each run. Here the reads are real device I/O, which the prefetch
-// producer overlaps with consumer compute even on a single core — this
-// is the regime the double buffer is for.
+// each of --reps runs. Here the reads are real device I/O, which the
+// read loop's producer thread overlaps with consumer compute — the
+// regime the double buffer is for.
 //
 // --smoke asserts the bit-identity of every configuration plus a
 // flake-resistant scaling bound (the best sharded disk run may not be
@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
   const char* pool_env = std::getenv("PROCLUS_POOL_THREADS");
 
   // -------------------------------------------------------------------
-  // Part 1: prefetch A/B at the scan_engine acceptance point.
+  // Part 1: disk vs memory fits at the scan_engine acceptance point.
   // -------------------------------------------------------------------
   GeneratorParams gen = Case1Params(options);
   gen.num_points = options.Points(50000);
@@ -174,30 +174,39 @@ int main(int argc, char** argv) {
   }
   MemorySource memory(data->dataset);
 
-  PrintHeader("Prefetch: disk vs memory at N=50k");
+  PrintHeader("Disk vs memory at N=50k");
   PrintKV("N", static_cast<double>(gen.num_points));
   PrintKV("d", static_cast<double>(gen.space_dims));
   PrintKV("k", static_cast<double>(gen.num_clusters));
   PrintKV("pool threads (env)", pool_env != nullptr ? pool_env : "unset");
   PrintKV("hardware_concurrency",
           static_cast<double>(std::thread::hardware_concurrency()));
+  const size_t reps = options.repetitions;
+  PrintKV("repetitions", static_cast<double>(reps));
 
-  EngineRun mem_run = RunOnce(memory, params);
-  disk->set_prefetch(false);
-  EngineRun disk_inline = RunOnce(*disk, params);
-  disk->set_prefetch(true);
-  EngineRun disk_prefetch = RunOnce(*disk, params);
-
-  PrintKV("memory seconds", mem_run.seconds);
-  PrintKV("disk inline seconds", disk_inline.seconds);
-  PrintKV("disk prefetch seconds", disk_prefetch.seconds);
-  PrintKV("disk gap inline (s)", disk_inline.seconds - mem_run.seconds);
-  PrintKV("disk gap prefetch (s)",
-          disk_prefetch.seconds - mem_run.seconds);
-  PrintRunStats("disk prefetch", disk_prefetch.clustering.stats);
-  if (!SameClustering(mem_run.clustering, disk_inline.clustering) ||
-      !SameClustering(mem_run.clustering, disk_prefetch.clustering)) {
-    std::fprintf(stderr, "FAIL: prefetch changed the clustering bits\n");
+  std::vector<double> memory_fit_seconds;
+  std::vector<double> disk_fit_seconds;
+  EngineRun mem_run;
+  EngineRun disk_run;
+  for (size_t rep = 0; rep < reps; ++rep) {
+    EngineRun mem_rep = RunOnce(memory, params);
+    EngineRun disk_rep = RunOnce(*disk, params);
+    memory_fit_seconds.push_back(mem_rep.seconds);
+    disk_fit_seconds.push_back(disk_rep.seconds);
+    if (rep == 0) {
+      mem_run = std::move(mem_rep);
+      disk_run = std::move(disk_rep);
+    } else if (!SameClustering(mem_run.clustering, mem_rep.clustering) ||
+               !SameClustering(mem_run.clustering, disk_rep.clustering)) {
+      std::fprintf(stderr, "FAIL: repeated fits disagree\n");
+      ok = false;
+    }
+  }
+  PrintSpread("memory seconds", memory_fit_seconds);
+  PrintSpread("disk seconds", disk_fit_seconds);
+  PrintRunStats("disk", disk_run.clustering.stats);
+  if (!SameClustering(mem_run.clustering, disk_run.clustering)) {
+    std::fprintf(stderr, "FAIL: the disk read changed the clustering bits\n");
     ok = false;
   }
 
@@ -236,7 +245,6 @@ int main(int argc, char** argv) {
   PrintKV("dims", static_cast<double>(sweep_gen.space_dims));
   PrintKV("bytes",
           static_cast<double>(rows * sweep_gen.space_dims * sizeof(double)));
-  const size_t reps = options.repetitions;
   PrintKV("scan repetitions", static_cast<double>(reps));
 
   // Build every shard layout up front: the split writes are fsync'd and
@@ -349,27 +357,23 @@ int main(int argc, char** argv) {
   }
 
   // -------------------------------------------------------------------
-  // Part 3: cold-cache prefetch A/B over the Part 2 snapshot.
+  // Part 3: cold-cache disk scans of the Part 2 snapshot.
   // -------------------------------------------------------------------
-  PrintHeader("Cold-cache prefetch A/B");
+  PrintHeader("Cold-cache disk scan");
   auto cold = DiskSource::Open(sweep_path);
   if (!cold.ok()) std::exit(1);
-  cold->set_prefetch(false);
-  EvictFromPageCache(sweep_path);
-  ScanRun cold_inline =
-      TimeScans(*cold, *medoids, 1, 1, /*warmups=*/0, reference);
-  cold->set_prefetch(true);
-  EvictFromPageCache(sweep_path);
-  ScanRun cold_prefetch =
-      TimeScans(*cold, *medoids, 1, 1, /*warmups=*/0, reference);
-  PrintKV("cold inline seconds", cold_inline.seconds);
-  PrintKV("cold prefetch seconds", cold_prefetch.seconds);
-  PrintKV("cold prefetch speedup",
-          cold_inline.seconds / cold_prefetch.seconds);
-  if (!cold_inline.identical || !cold_prefetch.identical) {
-    std::fprintf(stderr, "FAIL: cold-cache scans changed the bits\n");
-    ok = false;
+  std::vector<double> cold_seconds;
+  for (size_t rep = 0; rep < reps; ++rep) {
+    EvictFromPageCache(sweep_path);
+    ScanRun cold_scan =
+        TimeScans(*cold, *medoids, 1, 1, /*warmups=*/0, reference);
+    cold_seconds.push_back(cold_scan.seconds);
+    if (!cold_scan.identical) {
+      std::fprintf(stderr, "FAIL: a cold-cache scan changed the bits\n");
+      ok = false;
+    }
   }
+  PrintSpread("cold scan seconds", cold_seconds);
 
   PrintKV("all configurations bit-identical", ok ? "yes" : "NO");
   FinishJson("shard_engine");

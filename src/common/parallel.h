@@ -28,9 +28,11 @@ namespace proclus {
 inline constexpr size_t kDefaultBlockRows = 8192;
 
 /// Number of blocks covering `total` items in blocks of `block_size`.
+/// Exact for every block size: rounding up with `total + block_size - 1`
+/// would wrap for block sizes near SIZE_MAX and report zero blocks.
 inline size_t BlockCount(size_t total, size_t block_size) {
   PROCLUS_DCHECK(block_size > 0);
-  return (total + block_size - 1) / block_size;
+  return total / block_size + (total % block_size != 0);
 }
 
 /// Runs `process(block_index, first_item, item_count)` for every block of

@@ -84,12 +84,13 @@ struct RunStats {
   /// Scans issued by the initialization phase (0 for PROCLUS: the phase
   /// only fetches the sample by position).
   uint64_t init_scans = 0;
-  /// One locality-statistics bootstrap scan per hill-climbing restart
-  /// (fused engine only; the classic loop folds it into the iteration).
+  /// One locality-statistics bootstrap scan per hill-climbing restart:
+  /// later iterations get their locality statistics from the previous
+  /// iteration's evaluation scan.
   uint64_t bootstrap_scans = 0;
   /// Scans issued by steady-state hill-climbing iterations. The per-
-  /// iteration scan budget is iterative_scans / iterations: 2 for the
-  /// fused engine, 4 for the classic pass-per-aggregate loop.
+  /// iteration scan budget is iterative_scans / iterations: 2, where the
+  /// paper's passes read the data 4 times.
   uint64_t iterative_scans = 0;
   /// Scans issued by the refinement phase.
   uint64_t refine_scans = 0;

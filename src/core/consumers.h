@@ -311,7 +311,7 @@ class ClusterStatsConsumer final : public ScanConsumer {
   size_t dims_ = 0;
 };
 
-/// Standalone centroid accumulation (first scan of the classic
+/// Standalone centroid accumulation (first scan of
 /// EvaluateClustersPass): per-cluster coordinate means over non-outlier
 /// points.
 class CentroidConsumer final : public ScanConsumer {

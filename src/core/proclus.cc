@@ -43,6 +43,8 @@ Status ProclusParams::Validate(size_t num_points, size_t dims) const {
     return Status::InvalidArgument("min_deviation must be in (0, 1]");
   if (max_iterations == 0)
     return Status::InvalidArgument("max_iterations must be >= 1");
+  if (max_no_improve == 0)
+    return Status::InvalidArgument("max_no_improve must be >= 1");
   if (num_restarts == 0)
     return Status::InvalidArgument("num_restarts must be >= 1");
   if (block_rows == 0)
@@ -207,18 +209,20 @@ constexpr size_t kNoVariant = static_cast<size_t>(-1);
 //   Scan 2  deviation evaluation + locality statistics of the NEXT
 //           medoid set
 //
-// The classic loop needs a third and fourth scan because the locality
-// statistics of the next iteration's medoids and the centroids of the
-// current labels each took a dedicated pass. Fusing the locality scan
-// works because the medoid replacement depends only on the assignment:
-// before the evaluation scan runs, both possible next medoid sets — the
-// one chosen if this iteration improves the objective and the one chosen
-// if it does not — are already known, so the scan computes locality
-// statistics for both (sharing per-point distances over the union of
-// their medoids) and the loop keeps whichever branch materializes.
+// The paper's loop (Figure 2) reads the data four times per iteration:
+// the locality statistics of the next iteration's medoids and the
+// centroids of the current labels each take a dedicated pass. Fusing the
+// locality scan works because the medoid replacement depends only on the
+// assignment: before the evaluation scan runs, both possible next medoid
+// sets — the one chosen if this iteration improves the objective and the
+// one chosen if it does not — are already known, so the scan computes
+// locality statistics for both (sharing per-point distances over the
+// union of their medoids) and the loop keeps whichever branch
+// materializes.
 // The two replacement draws use identical Rng sequences (see
 // ReplaceBadMedoids), so the random stream — and therefore every result —
-// stays bit-identical to the classic engine.
+// stays bit-identical to the paper's one-draw-per-iteration loop, as
+// transcribed by the test oracle (tests/reference_proclus.h).
 Status FusedClimb(const PointSource& source, const ProclusParams& params,
                   const Matrix& candidate_coords, ClimbState& st, Rng& rng,
                   const ScanExecutor& executor, FusedScratch& s,
@@ -379,73 +383,15 @@ Status FusedClimb(const PointSource& source, const ProclusParams& params,
   return Status::OK();
 }
 
-// One hill-climbing restart on the classic pass-per-aggregate engine:
-// four physical scans per iteration (locality, assignment, centroids,
-// deviations). Kept as the measured before/after ablation for the fused
-// engine; results are bit-identical.
-Status ClassicClimb(const PointSource& source, const ProclusParams& params,
-                    const Matrix& candidate_coords, ClimbState& st,
-                    Rng& rng, const PassOptions& pass_options,
-                    Matrix& medoid_coords, MedoidScratch& scratch,
-                    const ClimbHook& hook) {
-  const size_t k = params.num_clusters;
-  std::vector<size_t>& current = st.current;
-  ClimbResult& out = st.out;
-  std::vector<size_t>& bad = st.bad;
-  size_t& since_improvement = st.since_improvement;
-
-  while (out.iterations < params.max_iterations &&
-         since_improvement < params.max_no_improve) {
-    if (params.cancel.active()) {
-      if (pass_options.stats != nullptr) pass_options.stats->cancel_checks += 1;
-      Status cancelled = params.cancel.Check();
-      if (!cancelled.ok()) {
-        // Cancel-to-checkpoint, as in FusedClimb.
-        if (hook) PROCLUS_RETURN_IF_ERROR(hook(st, /*force_save=*/true));
-        return cancelled;
-      }
-    }
-    if (hook) PROCLUS_RETURN_IF_ERROR(hook(st, /*force_save=*/false));
-    ++out.iterations;
-    SlotsToCoords(candidate_coords, current, &medoid_coords);
-    auto X = LocalityStatsPass(source, medoid_coords, pass_options);
-    PROCLUS_RETURN_IF_ERROR(X.status());
-    auto dims = FindDimensions(*X, params.avg_dims);
-    PROCLUS_RETURN_IF_ERROR(dims.status());
-    auto labels =
-        AssignPointsPass(source, medoid_coords, *dims,
-                         params.segmental_normalization, pass_options);
-    PROCLUS_RETURN_IF_ERROR(labels.status());
-    auto objective =
-        EvaluateClustersPass(source, *labels, *dims, pass_options);
-    PROCLUS_RETURN_IF_ERROR(objective.status());
-
-    if (*objective < out.objective) {
-      out.objective = *objective;
-      out.slots = current;
-      out.dims = std::move(dims).value();
-      out.labels = std::move(labels).value();
-      bad = internal::FindBadMedoids(out.labels, k, params.min_deviation);
-      ++out.improvements;
-      since_improvement = 0;
-    } else {
-      ++since_improvement;
-    }
-    current = out.slots;
-    ReplaceBadMedoids(candidate_coords.rows(), bad, &current, rng, scratch);
-    if (current == out.slots) break;  // Candidate pool exhausted.
-  }
-  return Status::OK();
-}
-
 // Configuration fingerprint a checkpoint is bound to: every parameter
 // that influences the numerical result, plus the data shape. num_threads
-// and fuse_scans are deliberately EXCLUDED — both are proven
-// bit-identical (see tests/core_engine_test.cc), so a checkpoint written
-// under one thread count or engine may be resumed under another. The
-// retired sketch-screen toggle was excluded the same way, so removing it
-// left the digest unchanged: checkpoints written while it existed stay
-// resumable (pinned in tests/checkpoint_resume_test.cc).
+// is deliberately EXCLUDED — results are proven bit-identical across
+// thread counts (see tests/core_engine_test.cc), so a checkpoint written
+// under one thread count may be resumed under another. The retired
+// classic-engine and sketch-screen toggles were excluded the same way,
+// so removing them left the digest unchanged: checkpoints written while
+// they existed stay resumable (pinned in
+// tests/checkpoint_resume_test.cc).
 uint64_t ParamsFingerprint(const ProclusParams& p, size_t n, size_t d) {
   Xxh64 h(/*seed=*/0x50434c5350524f43ULL);  // "PCLSPROC"
   auto put_u64 = [&h](uint64_t v) { h.Update(&v, sizeof(v)); };
@@ -662,8 +608,6 @@ Result<ProjectedClustering> RunProclusOnSource(const PointSource& source,
   const uint64_t scans_before_climb = stats.scans_issued;
   ScanExecutor executor(pass_options);
   FusedScratch fused;
-  MedoidScratch classic_scratch;
-  Matrix classic_coords;
 
   double best_objective = std::numeric_limits<double>::infinity();
   std::vector<size_t> best_slots;
@@ -754,14 +698,8 @@ Result<ProjectedClustering> RunProclusOnSource(const PointSource& source,
     } else {
       st.current = rng.SampleWithoutReplacement(candidates.size(), k);
     }
-    Status climb =
-        params.fuse_scans
-            ? FusedClimb(source, params, candidate_coords, st, rng,
-                         executor, fused, stats, hook)
-            : ClassicClimb(source, params, candidate_coords, st, rng,
-                           pass_options, classic_coords, classic_scratch,
-                           hook);
-    PROCLUS_RETURN_IF_ERROR(climb);
+    PROCLUS_RETURN_IF_ERROR(FusedClimb(source, params, candidate_coords, st,
+                                       rng, executor, fused, stats, hook));
     iterations += st.out.iterations;
     improvements += st.out.improvements;
     if (st.out.objective < best_objective) {
@@ -803,9 +741,8 @@ Result<ProjectedClustering> RunProclusOnSource(const PointSource& source,
   // ----- Phase 3: Refinement -----
   // Recompute dimensions from the best clusters (not localities), then
   // reassign once more, detecting outliers by spheres of influence. The
-  // fused engine folds the centroid accumulation into the reassignment
-  // scan (3 scans total); the classic engine runs the two evaluation
-  // scans separately (4 scans).
+  // centroid accumulation rides the reassignment scan, so refinement
+  // reads the data three times where the paper's passes read it four.
   phase_timer.Reset();
   const uint64_t scans_before_refine = stats.scans_issued;
   auto X = ClusterStatsPass(source, medoid_coords, best_labels,
@@ -835,31 +772,19 @@ Result<ProjectedClustering> RunProclusOnSource(const PointSource& source,
   result.spheres = spheres;
   result.dimensions = std::move(refined_dims).value();
 
-  if (params.fuse_scans) {
-    RefineAssignConsumer refine;
-    PROCLUS_RETURN_IF_ERROR(refine.Bind(
-        &medoid_coords, &result.dimensions, &spheres,
-        params.segmental_normalization, params.detect_outliers,
-        /*accumulate_centroids=*/true));
-    PROCLUS_RETURN_IF_ERROR(executor.Run(source, {&refine}));
-    DeviationConsumer deviation;
-    PROCLUS_RETURN_IF_ERROR(
-        deviation.Bind(&refine.labels(), &refine.centroids(),
-                       &refine.cluster_sizes(), &result.dimensions));
-    PROCLUS_RETURN_IF_ERROR(executor.Run(source, {&deviation}));
-    result.objective = deviation.objective();
-    result.labels = refine.TakeLabels();
-  } else {
-    auto labels = RefineAssignPass(source, medoid_coords, result.dimensions,
-                                   spheres, params.segmental_normalization,
-                                   params.detect_outliers, pass_options);
-    PROCLUS_RETURN_IF_ERROR(labels.status());
-    result.labels = std::move(labels).value();
-    auto objective = EvaluateClustersPass(source, result.labels,
-                                          result.dimensions, pass_options);
-    PROCLUS_RETURN_IF_ERROR(objective.status());
-    result.objective = *objective;
-  }
+  RefineAssignConsumer refine;
+  PROCLUS_RETURN_IF_ERROR(refine.Bind(
+      &medoid_coords, &result.dimensions, &spheres,
+      params.segmental_normalization, params.detect_outliers,
+      /*accumulate_centroids=*/true));
+  PROCLUS_RETURN_IF_ERROR(executor.Run(source, {&refine}));
+  DeviationConsumer deviation;
+  PROCLUS_RETURN_IF_ERROR(
+      deviation.Bind(&refine.labels(), &refine.centroids(),
+                     &refine.cluster_sizes(), &result.dimensions));
+  PROCLUS_RETURN_IF_ERROR(executor.Run(source, {&deviation}));
+  result.objective = deviation.objective();
+  result.labels = refine.TakeLabels();
   stats.refine_scans = stats.scans_issued - scans_before_refine;
   stats.refine_seconds = phase_timer.ElapsedSeconds();
   stats.total_seconds = total_timer.ElapsedSeconds();

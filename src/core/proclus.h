@@ -122,15 +122,6 @@ struct ProclusParams {
   /// candidates are a plain random sample of size B*k — the ablation
   /// showing why the greedy step matters.
   bool two_step_init = true;
-  /// Run the fused scan engine: assignment + centroid accumulation share
-  /// one scan, and the evaluation scan doubles as the locality scan of
-  /// the speculatively-replaced next medoid set, so each hill-climbing
-  /// iteration reads the data twice (plus one locality bootstrap per
-  /// restart) instead of four times. Results are bit-identical to the
-  /// classic pass-per-aggregate loop (fuse_scans = false), which is kept
-  /// as the measured before/after ablation — see RunStats and
-  /// bench/scan_engine.cc.
-  bool fuse_scans = true;
   // --- Resilience (no effect on results, only on survival). ---
   /// Retry schedule for transient I/O failures (IOError/DataLoss): scans
   /// are re-issued whole by the executor after resetting every consumer,
@@ -170,7 +161,10 @@ Result<ProjectedClustering> RunProclus(const Dataset& dataset,
 /// DiskSource whose data never fits in memory. Each phase performs the
 /// sequential scans the paper's database setting calls for; random
 /// access is limited to the A*k sampled points and the medoid
-/// candidates. Produces the same result as RunProclus for a
+/// candidates. The hill climb fuses the paper's four passes per
+/// iteration into two physical scans (plus one locality bootstrap per
+/// restart) and the refinement into three (see RunStats and
+/// bench/scan_engine.cc). Produces the same result as RunProclus for a
 /// MemorySource over the same data.
 Result<ProjectedClustering> RunProclusOnSource(const PointSource& source,
                                                const ProclusParams& params);

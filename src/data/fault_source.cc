@@ -4,6 +4,7 @@
 #include <string>
 
 #include "common/cancel.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 
 namespace proclus {
@@ -109,8 +110,7 @@ Status FaultInjectingPointSource::ScanBlocks(const ScanSpec& spec,
 
   const size_t n = inner_->size();
   const size_t cols = inner_->dims();
-  const size_t num_blocks =
-      n == 0 ? 0 : (n + block_rows - 1) / block_rows;
+  const size_t num_blocks = BlockCount(n, block_rows);
   const size_t fail_block =
       num_blocks == 0 ? 0 : static_cast<size_t>(d.position % num_blocks);
   // The inner scan is driven to completion but blocks at and after the

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/hash.h"
+#include "common/parallel.h"
 #include "common/sync.h"
 
 namespace proclus {
@@ -65,8 +66,7 @@ std::string ShortReadDetail(const std::string& path, uint64_t offset,
 // Streaming verifier over a snapshot's checksum blocks, independent of
 // the scan tile geometry (the two block sizes need not align). Feed()
 // consumes rows in scan order and reports the first mismatched checksum
-// block as DataLoss. Shared by the inline and prefetch scan paths so both
-// verify identically.
+// block as DataLoss.
 class ChecksumStream {
  public:
   ChecksumStream(const std::vector<uint64_t>& checksums,
@@ -204,71 +204,26 @@ Result<DiskSource> DiskSource::Open(const std::string& path) {
                     std::move(checksums));
 }
 
-bool DiskSource::DefaultPrefetch() {
-  return std::thread::hardware_concurrency() > 1;
-}
-
 Status DiskSource::ScanBlocks(const ScanSpec& spec,
                               const BlockVisitor& visit) const {
-  // Overlap needs at least two tiles; single-tile (and empty) scans take
-  // the inline path, as does an explicit set_prefetch(false).
-  if (!prefetch_ || rows_ <= spec.block_rows)
-    return ScanInline(spec, visit);
-  return ScanPrefetch(spec, visit);
-}
-
-Status DiskSource::ScanInline(const ScanSpec& spec,
-                              const BlockVisitor& visit) const {
   const size_t block_rows = spec.block_rows;
   std::ifstream in(path_, std::ios::binary);
   if (!in) return Status::IOError("cannot reopen '" + path_ + "'");
   in.seekg(static_cast<std::streamoff>(data_offset_));
   const size_t row_bytes = cols_ * sizeof(double);
-  std::vector<double> buffer(block_rows * cols_);
-  // Streaming integrity: checksum blocks are hashed as their bytes pass
-  // through, independent of the scan block size. A completed checksum
-  // block is verified before its last rows are delivered; rows of a
-  // still-open checksum block can have been delivered before a mismatch
-  // is detected, which is why a failed scan must be discarded wholesale
-  // (ScanConsumer::Reset contract).
-  ChecksumStream verifier(checksums_, checksum_block_rows_, rows_, row_bytes,
-                          data_offset_, path_);
-  for (size_t first = 0; first < rows_; first += block_rows) {
-    PROCLUS_RETURN_IF_ERROR(spec.cancel.Check());
-    size_t rows = std::min(block_rows, rows_ - first);
-    in.read(reinterpret_cast<char*>(buffer.data()),
-            static_cast<std::streamsize>(rows * row_bytes));
-    if (!in)
-      return Status::IOError(
-          "scan read failed in " +
-          ShortReadDetail(path_, data_offset_ + first * row_bytes,
-                          rows * row_bytes, in.gcount()));
-    PROCLUS_RETURN_IF_ERROR(verifier.Feed(
-        reinterpret_cast<const char*>(buffer.data()), rows));
-    visit(first, std::span<const double>(buffer.data(), rows * cols_),
-          rows);
-  }
-  RecordScan(rows_, rows_ * cols_ * sizeof(double));
-  return Status::OK();
-}
-
-Status DiskSource::ScanPrefetch(const ScanSpec& spec,
-                                const BlockVisitor& visit) const {
-  const size_t block_rows = spec.block_rows;
-  std::ifstream in(path_, std::ios::binary);
-  if (!in) return Status::IOError("cannot reopen '" + path_ + "'");
-  in.seekg(static_cast<std::streamoff>(data_offset_));
-  const size_t row_bytes = cols_ * sizeof(double);
-  const size_t num_tiles = (rows_ + block_rows - 1) / block_rows;
+  const size_t num_tiles = BlockCount(rows_, block_rows);
 
   // Double buffer: tile t lives in slot t % 2. The producer thread reads
   // and checksums tile t+1 while the calling thread delivers tile t; the
   // counters below hand slot ownership back and forth, so neither side
-  // ever touches a buffer the other is using. Delivery order, block
-  // contents, and failure semantics are identical to ScanInline — a tile
-  // is delivered only after it was fully read and its completed checksum
+  // ever touches a buffer the other is using. Tiles are delivered in
+  // order, each only after it was fully read and its completed checksum
   // blocks verified, and a producer failure surfaces after every tile
-  // read before it was delivered.
+  // read before it was delivered. Checksum blocks are hashed as their
+  // bytes pass, independent of the tile size, so rows of a still-open
+  // checksum block can be delivered before a mismatch is detected — which
+  // is why a failed scan must be discarded wholesale (ScanConsumer::Reset
+  // contract).
   //
   // Cancellation: both sides poll spec.cancel between tiles. The producer
   // reports an observed stop through the failure slot (so a consumer
@@ -296,9 +251,12 @@ Status DiskSource::ScanPrefetch(const ScanSpec& spec,
     Status status PROCLUS_GUARDED_BY(mu);
   };
   Shared shared;
+  // Sized by the rows that exist, not by block_rows, which may exceed the
+  // data; a single-tile scan never touches the second slot.
+  const size_t tile_values = std::min(block_rows, rows_) * cols_;
   std::vector<double> slots[2];
-  slots[0].resize(block_rows * cols_);
-  slots[1].resize(block_rows * cols_);
+  slots[0].resize(tile_values);
+  if (num_tiles > 1) slots[1].resize(tile_values);
 
   std::thread producer([&]() {
     ChecksumStream verifier(checksums_, checksum_block_rows_, rows_,

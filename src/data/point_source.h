@@ -214,17 +214,13 @@ class MemorySource final : public PointSource {
 /// delivered to visitors, so the re-issue belongs to the caller that owns
 /// the consumer state (ScanExecutor::Run).
 ///
-/// Prefetch: by default (on hosts with more than one hardware thread)
-/// Scan double-buffers — a producer thread reads and checksums tile i+1
-/// while the visitor consumes tile i, overlapping disk I/O with kernel
-/// compute. Block contents, delivery order, and failure semantics are
-/// identical to the inline path (a checksum block completed inside tile i
-/// is still verified before tile i is delivered); only wall time changes.
-/// `set_prefetch(false)` restores the single-threaded read loop (also
-/// used automatically for single-tile scans). On a single-core host the
-/// producer thread cannot overlap page-cache reads with compute and the
-/// handoff is pure overhead, so the default there is off — set_prefetch
-/// still forces either path explicitly.
+/// Prefetch: every Scan double-buffers — a producer thread reads and
+/// checksums tile i+1 while the visitor consumes tile i, overlapping disk
+/// I/O with kernel compute. A tile is delivered only once it was fully
+/// read and every checksum block completed inside it verified. The two
+/// tile buffers hold min(block_rows, rows) rows each, so an oversized
+/// block size costs no more memory than the data; a single-tile scan
+/// allocates one.
 class DiskSource final : public PointSource {
  public:
   /// Opens and validates the snapshot at `path`.
@@ -240,11 +236,6 @@ class DiskSource final : public PointSource {
 
   /// True when the snapshot carries a checksum table (version >= 2).
   bool verifies_checksums() const { return !checksums_.empty(); }
-
-  /// Whether Scan overlaps tile reads with visitor compute (default on
-  /// when the host has more than one hardware thread).
-  bool prefetch() const { return prefetch_; }
-  void set_prefetch(bool enabled) { prefetch_ = enabled; }
 
  protected:
   Status ScanBlocks(const ScanSpec& spec,
@@ -264,22 +255,11 @@ class DiskSource final : public PointSource {
   size_t rows_;
   size_t cols_;
   size_t data_offset_;
-  // Sequential fallback for Scan when prefetch is disabled or the scan
-  // has fewer than two tiles.
-  Status ScanInline(const ScanSpec& spec, const BlockVisitor& visit) const;
-  // Double-buffered Scan: producer thread reads + checksums tiles into
-  // two slots, the calling thread delivers them in order.
-  Status ScanPrefetch(const ScanSpec& spec, const BlockVisitor& visit) const;
-
-  // True when the host has a second hardware thread to run the producer.
-  static bool DefaultPrefetch();
-
   // v2 only: rows per checksum block and one XXH64 digest per block
   // (empty for v1 snapshots).
   size_t checksum_block_rows_;
   std::vector<uint64_t> checksums_;
   RetryPolicy retry_;
-  bool prefetch_ = DefaultPrefetch();
 };
 
 }  // namespace proclus

@@ -164,7 +164,9 @@ Status ShardedSource::ScanBlocks(const ScanSpec& spec,
               left -= cap;
               continue;
             }
-            if (staging.empty()) staging.resize(block_rows * cols_);
+            // Sized by the rows that exist: block_rows may exceed them.
+            if (staging.empty())
+              staging.resize(std::min(block_rows, rows_) * cols_);
             const size_t take = std::min(cap - pending, left);
             std::memcpy(staging.data() + pending * cols_, src,
                         take * cols_ * sizeof(double));

@@ -255,22 +255,16 @@ TEST(ScanCancelTest, MidScanCancelStopsWithinOneBlock) {
   MemorySource memory(ds);
   const std::string path = TestTempPath("midscan_cancel.bin");
   ASSERT_TRUE(WriteBinaryFile(ds, path).ok());
-  auto disk_inline = DiskSource::Open(path);
-  ASSERT_TRUE(disk_inline.ok());
-  disk_inline->set_prefetch(false);
-  auto disk_prefetch = DiskSource::Open(path);
-  ASSERT_TRUE(disk_prefetch.ok());
-  disk_prefetch->set_prefetch(true);
+  auto disk = DiskSource::Open(path);
+  ASSERT_TRUE(disk.ok());
   auto sharded = ShardedSource::FromDataset(ds, 4, 128);
   ASSERT_TRUE(sharded.ok());
 
-  const PointSource* sources[] = {&memory, &*disk_inline, &*disk_prefetch,
-                                  &*sharded};
-  const char* names[] = {"memory", "disk/inline", "disk/prefetch",
-                         "sharded/glued"};
+  const PointSource* sources[] = {&memory, &*disk, &*sharded};
+  const char* names[] = {"memory", "disk", "sharded/glued"};
   constexpr size_t kBlockRows = 128;  // 2048 rows -> 16 blocks per scan.
   constexpr size_t kCancelAfter = 5;
-  for (size_t s = 0; s < 4; ++s) {
+  for (size_t s = 0; s < 3; ++s) {
     SCOPED_TRACE(names[s]);
     CancelToken token;
     CancelAfterBlocksSource cancelling(*sources[s], &token, kCancelAfter);

@@ -10,9 +10,9 @@
 //    configuration digest is pinned so older checkpoints stay resumable.
 //  * The headline guarantee: a run killed mid-climb and resumed from its
 //    checkpoint produces a result bit-identical to the uninterrupted
-//    run — across the fused/classic engines, memory/disk sources, and
-//    thread counts (the checkpoint format is engine- and
-//    thread-agnostic).
+//    run — across memory/disk/sharded sources and thread counts (the
+//    checkpoint format is agnostic of the scan engine and the thread
+//    count).
 
 #include "core/model_io.h"
 
@@ -32,6 +32,7 @@
 #include "data/binary_io.h"
 #include "data/engine.h"
 #include "data/fault_source.h"
+#include "data/sharded_source.h"
 #include "gen/synthetic.h"
 
 namespace proclus {
@@ -366,41 +367,39 @@ TEST(CheckpointResumeTest, ResumedRunMatchesUninterrupted) {
   const char* source_names[] = {"memory", "disk"};
 
   for (size_t s = 0; s < 2; ++s) {
-    for (bool fuse : {true, false}) {
-      SCOPED_TRACE(std::string(source_names[s]) +
-                   (fuse ? "/fused" : "/classic"));
-      ProclusParams params = BaseParams();
-      params.fuse_scans = fuse;
+    SCOPED_TRACE(source_names[s]);
+    const ProclusParams params = BaseParams();
+    auto baseline = RunProclusOnSource(*sources[s], params);
+    ASSERT_TRUE(baseline.ok());
 
-      auto baseline = RunProclusOnSource(*sources[s], params);
-      ASSERT_TRUE(baseline.ok());
+    const std::string ck_path =
+        TestTempPath("resume_" + std::to_string(s) + ".pckp");
+    std::remove(ck_path.c_str());
+    RunUntilKilled(*sources[s], params, ck_path, 31);
 
-      const std::string ck_path = TestTempPath(
-          "resume_" + std::to_string(s) +
-          (fuse ? "_fused" : "_classic") + ".pckp");
-      std::remove(ck_path.c_str());
-      RunUntilKilled(*sources[s], params, ck_path, 31);
-
-      // Resume on the healthy source: the tail replays bit-identically.
-      ProclusParams resume_params = params;
-      resume_params.checkpoint.path = ck_path;
-      resume_params.checkpoint.every_iterations = 5;
-      auto resumed = RunProclusOnSource(*sources[s], resume_params);
-      ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-      ExpectSameResult(*resumed, *baseline);
-    }
+    // Resume on the healthy source: the tail replays bit-identically.
+    ProclusParams resume_params = params;
+    resume_params.checkpoint.path = ck_path;
+    resume_params.checkpoint.every_iterations = 5;
+    auto resumed = RunProclusOnSource(*sources[s], resume_params);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    ExpectSameResult(*resumed, *baseline);
   }
 }
 
 TEST(CheckpointResumeTest, ResumeIsThreadAndEngineAgnostic) {
   Fixture fixture = MakeFixture("agnostic_ck");
   MemorySource memory(fixture.data.dataset);
+  auto disk = DiskSource::Open(fixture.disk_path);
+  ASSERT_TRUE(disk.ok());
+  auto sharded = ShardedSource::FromDataset(fixture.data.dataset, 4, 256);
+  ASSERT_TRUE(sharded.ok());
 
-  ProclusParams params = BaseParams();  // threads=1, fused.
+  ProclusParams params = BaseParams();  // threads=1, in memory.
   auto baseline = RunProclusOnSource(memory, params);
   ASSERT_TRUE(baseline.ok());
 
-  // Interrupt a single-threaded fused run.
+  // Interrupt a single-threaded in-memory run.
   const std::string ck_path = TestTempPath("agnostic.pckp");
   std::remove(ck_path.c_str());
   RunUntilKilled(memory, params, ck_path, 31);
@@ -412,32 +411,36 @@ TEST(CheckpointResumeTest, ResumeIsThreadAndEngineAgnostic) {
     ASSERT_FALSE(ck_bytes.empty());
   }
 
-  // Resume under other thread counts and the classic engine; the
-  // checkpoint records neither (both are bit-identity-preserving
-  // execution details), so each resume must reproduce the baseline.
+  // Resume under other thread counts and on the other scan engines (the
+  // disk read loop, the per-shard executor); the checkpoint records
+  // neither (both are bit-identity-preserving execution details), so
+  // each resume must reproduce the baseline.
   struct Variant {
     size_t threads;
-    bool fuse;
+    const PointSource* source;
+    const char* name;
   };
-  const Variant variants[] = {{2, true}, {7, true}, {16, true}, {1, false}};
+  const Variant variants[] = {{2, &memory, "memory"},
+                              {7, &memory, "memory"},
+                              {16, &memory, "memory"},
+                              {1, &*disk, "disk"},
+                              {3, &*sharded, "sharded"}};
   for (const Variant& variant : variants) {
-    SCOPED_TRACE(std::to_string(variant.threads) +
-                 (variant.fuse ? " threads/fused" : " threads/classic"));
+    const std::string tag =
+        std::to_string(variant.threads) + "t_" + variant.name;
+    SCOPED_TRACE(tag);
     // Each resume consumes (and then overwrites) its own copy of the
     // interrupted checkpoint.
-    const std::string copy_path =
-        ck_path + "." + std::to_string(variant.threads) +
-        (variant.fuse ? "f" : "c");
+    const std::string copy_path = ck_path + "." + tag;
     {
       std::ofstream out(copy_path, std::ios::binary | std::ios::trunc);
       out << ck_bytes;
     }
     ProclusParams resume_params = BaseParams();
     resume_params.num_threads = variant.threads;
-    resume_params.fuse_scans = variant.fuse;
     resume_params.checkpoint.path = copy_path;
     resume_params.checkpoint.every_iterations = 5;
-    auto resumed = RunProclusOnSource(memory, resume_params);
+    auto resumed = RunProclusOnSource(*variant.source, resume_params);
     ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
     ExpectSameResult(*resumed, *baseline);
   }

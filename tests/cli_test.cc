@@ -1,6 +1,8 @@
 // End-to-end test of the proclus_cli tool: generate -> fit -> classify
 // -> evaluate through the real binary (path injected by CMake).
 
+#include <sys/wait.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -100,6 +102,54 @@ TEST_F(CliTest, FullWorkflow) {
     ++lines;
   }
   EXPECT_EQ(lines, 3001u);  // Header + 3000 labels.
+}
+
+// Exit code of a finished RunCli command (std::system returns a wait
+// status).
+int ExitCode(int status) {
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST_F(CliTest, MalformedNumericFlagsExitOneNamingTheFlag) {
+  const std::string data = dir_ + "/num_data.csv";
+  ASSERT_EQ(RunCli("generate --out " + Quoted(data) +
+                   " --n 300 --d 6 --k 2 --cluster-dims 3 --seed 5 "
+                   ">/dev/null"),
+            0);
+  struct Case {
+    std::string args;
+    std::string flag;
+  };
+  const Case cases[] = {
+      // Negative counts once reached a vector size as 2^64 - 1 and
+      // aborted with std::length_error.
+      {"generate --out " + Quoted(dir_ + "/x.csv") + " --n -1", "--n"},
+      {"generate --out " + Quoted(dir_ + "/x.csv") + " --d -1", "--d"},
+      // Non-numeric values once parsed as 0: --threads silently ran
+      // single-threaded, --k failed on num_clusters instead of the flag.
+      {"fit --input " + Quoted(data) + " --k 2 --l 3 --threads two",
+       "--threads"},
+      {"fit --input " + Quoted(data) + " --k five --l 3", "--k"},
+      // Trailing garbage.
+      {"fit --input " + Quoted(data) + " --k 2 --l 3x", "--l"},
+      {"fit --input " + Quoted(data) + " --k 2 --l 3 --seed 7abc", "--seed"},
+      {"generate --out " + Quoted(dir_ + "/x.csv") + " --outliers 0.1.2",
+       "--outliers"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.args);
+    std::string output;
+    EXPECT_EQ(ExitCode(RunCli(c.args, &output)), 1) << output;
+    EXPECT_NE(output.find("error: "), std::string::npos) << output;
+    EXPECT_NE(output.find(c.flag + " expects"), std::string::npos) << output;
+  }
+  // Well-formed values still run.
+  std::string output;
+  EXPECT_EQ(ExitCode(RunCli("fit --input " + Quoted(data) +
+                                " --k 2 --l 3 --threads 2 --seed 7",
+                            &output)),
+            0)
+      << output;
 }
 
 TEST_F(CliTest, MissingRequiredFlagsFail) {

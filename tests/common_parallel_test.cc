@@ -1,6 +1,7 @@
 #include "common/parallel.h"
 
 #include <atomic>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -15,6 +16,21 @@ TEST(BlockCountTest, Rounding) {
   EXPECT_EQ(BlockCount(10, 10), 1u);
   EXPECT_EQ(BlockCount(11, 10), 2u);
   EXPECT_EQ(BlockCount(100, 10), 10u);
+}
+
+TEST(BlockCountTest, HugeBlockSizesDoNotWrap) {
+  // Rounding up as (total + block_size - 1) / block_size wraps to zero
+  // blocks once block_size > SIZE_MAX - total + 1.
+  constexpr size_t kMax = std::numeric_limits<size_t>::max();
+  EXPECT_EQ(BlockCount(3000, kMax), 1u);
+  EXPECT_EQ(BlockCount(3000, kMax - 1), 1u);
+  EXPECT_EQ(BlockCount(3000, size_t{1} << 40), 1u);
+  EXPECT_EQ(BlockCount(0, kMax), 0u);
+  EXPECT_EQ(BlockCount(1, kMax), 1u);
+  EXPECT_EQ(BlockCount(kMax, kMax), 1u);
+  EXPECT_EQ(BlockCount(kMax, kMax - 1), 2u);
+  EXPECT_EQ(BlockCount(kMax, 1), kMax);
+  EXPECT_EQ(BlockCount(kMax, 2), kMax / 2 + 1);
 }
 
 TEST(ParallelBlocksTest, CoversAllItemsExactlyOnce) {

@@ -1,13 +1,15 @@
 // Engine-equivalence tests for the fused scan executor.
 //
-//  * The fused hill climb (ProclusParams::fuse_scans, the default) and the
-//    classic pass-per-aggregate loop reproduce the recorded pre-refactor
-//    goldens bit-for-bit: objective bits, a hash of the labels, medoid
-//    indices, iteration/improvement counts, and outliers.
-//  * Fused == classic across MemorySource/DiskSource and thread counts.
-//  * The RunStats scan budget holds exactly: the fused engine spends one
-//    bootstrap scan per restart plus 2 scans per iteration (the classic
-//    loop spends 4) and 3 refinement scans (classic: 4).
+//  * The fused hill climb and the paper-transcribed reference
+//    (reference_proclus.h) each reproduce the recorded goldens
+//    bit-for-bit: objective bits, a hash of the labels, medoid indices,
+//    iteration/improvement counts, and outliers.
+//  * Production == reference across MemorySource/DiskSource and thread
+//    counts, dimension sets included.
+//  * The RunStats scan budget holds exactly: one bootstrap scan per
+//    restart plus 2 scans per iteration and 3 refinement scans (the
+//    paper's baseline reads the data 4 times per iteration and 4 times
+//    to refine).
 //  * N consumers sharing one physical scan produce bit-identical outputs
 //    to the same consumers run over separate scans, while the scan and
 //    byte counters record the saved passes.
@@ -32,6 +34,7 @@
 #include "data/binary_io.h"
 #include "data/fault_source.h"
 #include "gen/synthetic.h"
+#include "reference_proclus.h"
 
 namespace proclus {
 namespace {
@@ -47,8 +50,8 @@ struct Golden {
 };
 
 // Recorded from the pre-refactor pass-per-aggregate implementation on the
-// fixture below (n=5000, d=10, k=3, data seed 3). Both engines must keep
-// reproducing these bit-for-bit.
+// fixture below (n=5000, d=10, k=3, data seed 3). The production fit and
+// the reference must both keep reproducing these bit-for-bit.
 const Golden kGoldens[] = {
     {5, 0x400a6cd18d2f7a94ULL, 0x92d5dcf93bcdf92aULL, 128, 14,
      {1924, 769, 4122}, 18},
@@ -97,14 +100,13 @@ Fixture MakeFixture() {
   return fixture;
 }
 
-ProclusParams GoldenParams(uint64_t algo_seed, bool fuse) {
+ProclusParams GoldenParams(uint64_t algo_seed) {
   ProclusParams params;
   params.num_clusters = 3;
   params.avg_dims = 3.0;
   params.seed = algo_seed;
   params.num_restarts = 2;
   params.block_rows = 512;
-  params.fuse_scans = fuse;
   return params;
 }
 
@@ -121,7 +123,7 @@ TEST(EngineGoldenTest, FusedReproducesSeedGoldens) {
   Fixture fixture = MakeFixture();
   for (const Golden& golden : kGoldens) {
     auto result = RunProclus(fixture.data.dataset,
-                             GoldenParams(golden.algo_seed, true));
+                             GoldenParams(golden.algo_seed));
     ASSERT_TRUE(result.ok());
     ExpectGolden(*result, golden);
     // Fused scan budget: one bootstrap scan per restart, 2 scans per
@@ -140,37 +142,29 @@ TEST(EngineGoldenTest, FusedReproducesSeedGoldens) {
   }
 }
 
-TEST(EngineGoldenTest, ClassicReproducesSeedGoldens) {
+TEST(EngineGoldenTest, ReferenceReproducesSeedGoldens) {
   Fixture fixture = MakeFixture();
   for (const Golden& golden : kGoldens) {
-    auto result = RunProclus(fixture.data.dataset,
-                             GoldenParams(golden.algo_seed, false));
+    auto result = reference::Proclus(fixture.data.dataset,
+                                     GoldenParams(golden.algo_seed));
     ASSERT_TRUE(result.ok());
     ExpectGolden(*result, golden);
-    // Classic budget: 4 scans per iteration (locality, assign, and the
-    // two-scan evaluation), 4 refinement scans, no bootstrap.
-    const RunStats& stats = result->stats;
-    EXPECT_EQ(stats.bootstrap_scans, 0u);
-    EXPECT_EQ(stats.iterative_scans, 4 * golden.iterations);
-    EXPECT_EQ(stats.refine_scans, 4u);
-    EXPECT_EQ(stats.scans_issued,
-              stats.iterative_scans + stats.refine_scans);
   }
 }
 
-TEST(EngineGoldenTest, FusedMatchesClassicAcrossSourcesAndThreads) {
+TEST(EngineGoldenTest, FusedMatchesReferenceAcrossSourcesAndThreads) {
   Fixture fixture = MakeFixture();
   auto disk = DiskSource::Open(fixture.disk_path);
   ASSERT_TRUE(disk.ok());
 
-  auto base = RunProclus(fixture.data.dataset, GoldenParams(5, false));
+  auto base = reference::Proclus(fixture.data.dataset, GoldenParams(5));
   ASSERT_TRUE(base.ok());
 
   MemorySource memory(fixture.data.dataset);
   const PointSource* sources[] = {&memory, &*disk};
   for (const PointSource* source : sources) {
     for (size_t threads : {1, 2, 7, 16}) {
-      ProclusParams params = GoldenParams(5, true);
+      ProclusParams params = GoldenParams(5);
       params.num_threads = threads;
       auto fused = RunProclusOnSource(*source, params);
       ASSERT_TRUE(fused.ok());
@@ -180,8 +174,8 @@ TEST(EngineGoldenTest, FusedMatchesClassicAcrossSourcesAndThreads) {
                 ObjectiveBits(base->objective));
       EXPECT_EQ(fused->iterations, base->iterations);
       EXPECT_EQ(fused->improvements, base->improvements);
-      for (size_t i = 0; i < 3; ++i)
-        EXPECT_EQ(fused->dimensions[i], base->dimensions[i]);
+      EXPECT_EQ(fused->dimensions, base->dimensions);
+      EXPECT_EQ(fused->spheres, base->spheres);
     }
   }
 }
@@ -190,7 +184,7 @@ TEST(EngineGoldenTest, FusedSpendsAtMostTwoScansPerIteration) {
   Fixture fixture = MakeFixture();
   for (uint64_t seed : {5ULL, 9ULL, 17ULL}) {
     auto result =
-        RunProclus(fixture.data.dataset, GoldenParams(seed, true));
+        RunProclus(fixture.data.dataset, GoldenParams(seed));
     ASSERT_TRUE(result.ok());
     ASSERT_GT(result->iterations, 0u);
     EXPECT_LE(result->stats.iterative_scans, 2 * result->iterations);
@@ -534,7 +528,7 @@ TEST(EngineStatsTest, FusedFitOnTwentyDimsCountsTileReuse) {
 TEST(EngineStatsTest, FusedFitReportsLocalityRowMemo) {
   Fixture fixture = MakeFixture();
   auto result = RunProclus(fixture.data.dataset,
-                           GoldenParams(kGoldens[0].algo_seed, true));
+                           GoldenParams(kGoldens[0].algo_seed));
   ASSERT_TRUE(result.ok());
   const RunStats& stats = result->stats;
   EXPECT_GT(stats.locality_row_hits, 0u);

@@ -83,6 +83,31 @@ TEST(GreedyTest, DeterministicForSeed) {
             GreedyPick(ds, candidates, 5, MetricKind::kManhattan, rng2));
 }
 
+TEST(GreedyTest, HandComputedPickOrder) {
+  // 1-d points 0, 1, 3, 7, 15 under Manhattan distance. Once the first
+  // pick is made, each next pick is the point farthest from its nearest
+  // chosen point, worked out by hand for every possible first pick. The
+  // seeds draw each first pick (Rng(seed).UniformInt(5), pinned by
+  // RngTest.KnownAnswerStream's transcription).
+  Dataset ds(Matrix(5, 1, {0, 1, 3, 7, 15}));
+  std::vector<size_t> candidates{0, 1, 2, 3, 4};
+  struct Case {
+    uint64_t seed;
+    std::vector<size_t> order;
+  };
+  const Case cases[] = {{2, {0, 4, 3, 2, 1}},
+                        {4, {1, 4, 3, 2, 0}},
+                        {23, {2, 4, 3, 0, 1}},
+                        {0, {3, 4, 0, 2, 1}},
+                        {8, {4, 0, 3, 2, 1}}};
+  for (const Case& c : cases) {
+    Rng rng(c.seed);
+    EXPECT_EQ(GreedyPick(ds, candidates, 5, MetricKind::kManhattan, rng),
+              c.order)
+        << "seed " << c.seed;
+  }
+}
+
 TEST(GreedyTest, SecondPickIsFarthestFromFirst) {
   // 1-d line: points at 0, 1, 2, 10. Whatever the first pick, the second
   // pick maximizes distance to it.

@@ -286,5 +286,16 @@ TEST(ProclusValidationTest, ZeroRestartsRejected) {
   EXPECT_FALSE(RunProclus(ds, params).ok());
 }
 
+// A zero no-improvement budget once passed validation, ran no climb
+// iteration at all and aborted on the missing best medoid set.
+TEST(ProclusValidationTest, ZeroNoImproveBudgetRejected) {
+  Dataset ds(Matrix(100, 10));
+  ProclusParams params;
+  params.max_no_improve = 0;
+  auto result = RunProclus(ds, params);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace proclus

@@ -19,13 +19,13 @@
 
 #include "data/sharded_source.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -512,27 +512,71 @@ TEST(ShardedExecutorTest, ProclusOverShardedDiskMatchesSingleSource) {
 }
 
 // ---------------------------------------------------------------------
-// DiskSource prefetch: same bits, same errors as the inline path.
+// DiskSource prefetch: the double-buffered producer loop is the only read
+// loop, for multi-tile, single-tile and empty scans alike.
 // ---------------------------------------------------------------------
 
-TEST(DiskPrefetchTest, PrefetchAndInlineScansAreBitIdentical) {
+TEST(DiskPrefetchTest, EveryBlockSizeDeliversTheDataset) {
   Dataset ds = RandomDataset(1111, 5, 31);
   std::string path = TestTempPath("prefetch_identity.bin");
   ASSERT_TRUE(WriteBinaryFile(ds, path).ok());
   auto source = DiskSource::Open(path);
   ASSERT_TRUE(source.ok());
-  // The default is adaptive: on only where a second hardware thread can
-  // run the producer without stealing CPU from the consumer.
-  EXPECT_EQ(source->prefetch(), std::thread::hardware_concurrency() > 1);
+  // Multi-tile scans, a scan whose one tile is exactly the data, and one
+  // whose block size exceeds it.
   for (size_t block_rows : {64, 256, 1111, 4096}) {
     SCOPED_TRACE("block_rows=" + std::to_string(block_rows));
-    source->set_prefetch(true);
-    Matrix prefetched = CollectScan(*source, block_rows);
-    source->set_prefetch(false);
-    Matrix inline_read = CollectScan(*source, block_rows);
-    EXPECT_EQ(prefetched, ds.matrix());
-    EXPECT_EQ(inline_read, ds.matrix());
+    EXPECT_EQ(CollectScan(*source, block_rows), ds.matrix());
   }
+}
+
+TEST(DiskPrefetchTest, SingleTileScanDeliversOneBlock) {
+  Dataset ds = RandomDataset(300, 4, 41);
+  std::string path = TestTempPath("prefetch_single.bin");
+  ASSERT_TRUE(WriteBinaryFile(ds, path).ok());
+  auto source = DiskSource::Open(path);
+  ASSERT_TRUE(source.ok());
+  for (size_t block_rows : {size_t{300}, size_t{1} << 40, SIZE_MAX}) {
+    SCOPED_TRACE("block_rows=" + std::to_string(block_rows));
+    std::vector<std::pair<size_t, size_t>> blocks;
+    Matrix rows(300, 4);
+    ASSERT_TRUE(source
+                    ->Scan(block_rows,
+                           [&](size_t first, std::span<const double> data,
+                               size_t count) {
+                             blocks.emplace_back(first, count);
+                             std::copy(data.begin(), data.end(),
+                                       rows.row(first).begin());
+                           })
+                    .ok());
+    EXPECT_EQ(blocks, (std::vector<std::pair<size_t, size_t>>{{0, 300}}));
+    EXPECT_EQ(rows, ds.matrix());
+  }
+  const IoCounters io = source->io();
+  EXPECT_EQ(io.scans, 3u);
+  EXPECT_EQ(io.rows_scanned, 3u * 300);
+  EXPECT_EQ(io.bytes_read, 3u * 300 * 4 * sizeof(double));
+  EXPECT_EQ(io.rows_fetched, 0u);
+}
+
+TEST(DiskPrefetchTest, EmptySnapshotScanDeliversNothing) {
+  std::string path = TestTempPath("prefetch_empty.bin");
+  ASSERT_TRUE(WriteBinaryFile(Dataset(Matrix(0, 3)), path).ok());
+  auto source = DiskSource::Open(path);
+  ASSERT_TRUE(source.ok());
+  ASSERT_EQ(source->size(), 0u);
+  size_t blocks = 0;
+  for (size_t block_rows : {size_t{1}, size_t{512}, SIZE_MAX}) {
+    ASSERT_TRUE(source
+                    ->Scan(block_rows, [&](size_t, std::span<const double>,
+                                           size_t) { ++blocks; })
+                    .ok());
+  }
+  EXPECT_EQ(blocks, 0u);
+  const IoCounters io = source->io();
+  EXPECT_EQ(io.scans, 3u);
+  EXPECT_EQ(io.rows_scanned, 0u);
+  EXPECT_EQ(io.bytes_read, 0u);
 }
 
 // Shrinks the file at `path` to `keep` bytes.
@@ -552,7 +596,6 @@ TEST(DiskPrefetchTest, ProducerIoFailureSurfacesWithFullDetail) {
   ASSERT_TRUE(WriteBinaryFile(ds, path).ok());
   auto source = DiskSource::Open(path);
   ASSERT_TRUE(source.ok());
-  source->set_prefetch(true);
   // Truncate AFTER opening so the failure hits the producer thread
   // mid-scan, in a tile past the first (prefetch slots already cycling).
   const size_t row_bytes = 4 * sizeof(double);
@@ -585,22 +628,18 @@ TEST(DiskPrefetchTest, ChecksumMismatchDetectedBeforeDelivery) {
     f.seekp(static_cast<std::streamoff>(offset));
     f.put(static_cast<char>(byte ^ 0x5a));
   }
-  for (bool prefetch : {true, false}) {
-    SCOPED_TRACE(prefetch ? "prefetch" : "inline");
-    source->set_prefetch(prefetch);
-    std::vector<size_t> delivered;
-    Status status = source->Scan(
-        256, [&](size_t first, std::span<const double>, size_t) {
-          delivered.push_back(first);
-        });
-    EXPECT_EQ(status.code(), StatusCode::kDataLoss);
-    ExpectMessageContains(status, "checksum mismatch");
-    ExpectMessageContains(status, "block 3");
-    // Tiles whose checksum blocks verified were delivered; the damaged
-    // tile never was — identically on both paths (256-row scan tiles
-    // align with the 256-row checksum blocks here).
-    EXPECT_EQ(delivered, (std::vector<size_t>{0, 256, 512}));
-  }
+  std::vector<size_t> delivered;
+  Status status = source->Scan(
+      256, [&](size_t first, std::span<const double>, size_t) {
+        delivered.push_back(first);
+      });
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  ExpectMessageContains(status, "checksum mismatch");
+  ExpectMessageContains(status, "block 3");
+  // Tiles whose checksum blocks verified were delivered; the damaged tile
+  // never was (256-row scan tiles align with the 256-row checksum blocks
+  // here).
+  EXPECT_EQ(delivered, (std::vector<size_t>{0, 256, 512}));
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -12,10 +15,13 @@
 #include "core/find_dimensions.h"
 #include "core/proclus.h"
 #include "core/tune.h"
+#include "data/binary_io.h"
 #include "data/normalize.h"
+#include "data/sharded_source.h"
 #include "eval/matching.h"
 #include "eval/report.h"
 #include "gen/synthetic.h"
+#include "test_temp.h"
 
 namespace proclus {
 namespace {
@@ -75,6 +81,98 @@ TEST(EdgeCaseTest, ProclusSingleCluster) {
   // One cluster, no other medoid -> infinite sphere -> no outliers.
   EXPECT_EQ(result->NumOutliers(), 0u);
   for (int label : result->labels) EXPECT_EQ(label, 0);
+}
+
+// block_rows only shapes the scan geometry, and one block covers the
+// data once block_rows >= n: every larger value must fit exactly like
+// block_rows = n.
+struct OneBlockFit {
+  SyntheticData data;
+  ProclusParams params;
+  ProjectedClustering fit;  // At block_rows = n.
+};
+
+OneBlockFit FitInOneBlock() {
+  GeneratorParams gen;
+  gen.num_points = 3000;
+  gen.space_dims = 10;
+  gen.num_clusters = 3;
+  gen.cluster_dim_counts = {3, 3, 3};
+  gen.seed = 8;
+  auto data = GenerateSynthetic(gen);
+  EXPECT_TRUE(data.ok());
+  OneBlockFit out{std::move(data).value(), {}, {}};
+  out.params.num_clusters = 3;
+  out.params.avg_dims = 3.0;
+  out.params.seed = 4;
+  out.params.num_restarts = 1;
+  out.params.max_no_improve = 10;
+  out.params.block_rows = 3000;
+  auto fit = RunProclus(out.data.dataset, out.params);
+  EXPECT_TRUE(fit.ok());
+  out.fit = std::move(fit).value();
+  return out;
+}
+
+void ExpectSameFit(const ProjectedClustering& got,
+                   const ProjectedClustering& want) {
+  uint64_t got_bits = 0, want_bits = 0;
+  std::memcpy(&got_bits, &got.objective, sizeof(got_bits));
+  std::memcpy(&want_bits, &want.objective, sizeof(want_bits));
+  EXPECT_EQ(got_bits, want_bits);
+  EXPECT_EQ(got.labels, want.labels);
+  EXPECT_EQ(got.medoids, want.medoids);
+  EXPECT_EQ(got.dimensions, want.dimensions);
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.improvements, want.improvements);
+}
+
+// BlockCount once rounded up as (n + block_rows - 1) / block_rows, which
+// wraps to zero blocks near SIZE_MAX: the fit read past its partials
+// and crashed.
+TEST(EdgeCaseTest, ProclusMaxBlockRowsEqualsOneBlock) {
+  OneBlockFit base = FitInOneBlock();
+  for (size_t block_rows : {SIZE_MAX, SIZE_MAX - 1, size_t{3001}}) {
+    SCOPED_TRACE("block_rows " + std::to_string(block_rows));
+    ProclusParams params = base.params;
+    params.block_rows = block_rows;
+    auto fit = RunProclus(base.data.dataset, params);
+    ASSERT_TRUE(fit.ok()) << fit.status().ToString();
+    ExpectSameFit(*fit, base.fit);
+  }
+}
+
+// The disk read buffers and the glued shard scan's staging buffer were
+// once sized block_rows x d whatever the data: 2^40 threw an uncaught
+// bad_alloc.
+TEST(EdgeCaseTest, ProclusHugeBlockRowsOnDiskEqualMemory) {
+  OneBlockFit base = FitInOneBlock();
+  const std::string path = TestTempPath("huge_blocks.bin");
+  ASSERT_TRUE(WriteBinaryFile(base.data.dataset, path).ok());
+  auto disk = DiskSource::Open(path);
+  ASSERT_TRUE(disk.ok());
+  // Unaligned shards scan through the glued Scan and its staging buffer.
+  ShardSplitOptions split;
+  split.num_shards = 3;
+  split.align_rows = 7;
+  auto manifest = SplitIntoShards(path, TestTempPath("huge_blocks"), split);
+  ASSERT_TRUE(manifest.ok());
+  auto sharded = ShardedSource::OpenManifest(*manifest);
+  ASSERT_TRUE(sharded.ok());
+
+  const PointSource* sources[] = {&*disk, &*sharded};
+  const char* names[] = {"disk", "glued shards"};
+  for (size_t block_rows : {size_t{1} << 40, SIZE_MAX}) {
+    for (size_t s = 0; s < 2; ++s) {
+      SCOPED_TRACE(std::string(names[s]) + ", block_rows " +
+                   std::to_string(block_rows));
+      ProclusParams params = base.params;
+      params.block_rows = block_rows;
+      auto fit = RunProclusOnSource(*sources[s], params);
+      ASSERT_TRUE(fit.ok()) << fit.status().ToString();
+      ExpectSameFit(*fit, base.fit);
+    }
+  }
 }
 
 TEST(EdgeCaseTest, ProclusFullDimensionality) {

@@ -103,6 +103,18 @@ Enforces invariants that no generic tool knows about:
                       or off x86-64 ELF; DESIGN.md §9). Move a loop that
                       needs a wider ISA into a batch kernel instead.
 
+  reference-independence
+                      tests/reference_proclus.{h,cc}, the paper-transcribed
+                      PROCLUS the production fit is checked against bit for
+                      bit, may not include core/consumers.h, core/passes.h,
+                      core/assign.h, data/engine.h or distance/batch.h, nor
+                      name the engine's entry points (ScanExecutor, any
+                      *Consumer, *Pass or *Batch, MedoidDistanceCache,
+                      PointSource, MemorySource, DiskSource, RunProclus*,
+                      AssignPoints, EvaluateClusters, internal::). An
+                      oracle that shared code with the engine could not
+                      catch a bug in that code.
+
 Any line may opt out of one rule with a trailing `// lint:allow(<rule>)`
 comment; use sparingly and justify in a neighboring comment.
 
@@ -256,6 +268,20 @@ TSA_ANNOTATION_RE = re.compile(
     r"PROCLUS_(?:GUARDED_BY|PT_GUARDED_BY|REQUIRES|ACQUIRE|RELEASE"
     r"|TRY_ACQUIRE|EXCLUDES|ACQUIRED_BEFORE|ACQUIRED_AFTER"
     r"|ASSERT_CAPABILITY|RETURN_CAPABILITY)\s*\(([^)]*)\)")
+
+# --- reference-independence -------------------------------------------------
+
+# The test oracle and what it must not share with the engine it checks.
+REFERENCE_FILES = (os.path.join("tests", "reference_proclus.h"),
+                   os.path.join("tests", "reference_proclus.cc"))
+REFERENCE_BANNED_INCLUDES = ("core/consumers.h", "core/passes.h",
+                             "core/assign.h", "data/engine.h",
+                             "distance/batch.h")
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*[<"]([^>"]+)[>"]')
+REFERENCE_BANNED_NAME_RE = re.compile(
+    r"\b(?:ScanExecutor|\w*Consumer|\w*Pass|\w*Batch|MedoidDistanceCache"
+    r"|PointSource|MemorySource|DiskSource|RunProclus\w*|AssignPoints\w*"
+    r"|EvaluateClusters\w*)\b|\binternal\s*::")
 
 # --- unordered-iteration ----------------------------------------------------
 
@@ -468,6 +494,37 @@ def check_raw_isa_attribute(rel_path, original_lines, code, findings):
             "per-function ISA attributes belong to src/distance/batch.cc "
             "alone, whose PROCLUS_KERNEL carries the contraction and "
             "sanitizer guards; move the loop into a batch kernel"))
+
+
+def check_reference_independence(rel_path, original_lines, code, findings):
+    if rel_path not in REFERENCE_FILES:
+        return
+    code_lines = code.split("\n")
+    for ln, original in enumerate(original_lines, start=1):
+        # Include paths live in string-like tokens the stripped code
+        # blanks, so read them from the original line — but only where
+        # the stripped line still holds the directive (not in a comment).
+        if ln > len(code_lines) or "include" not in code_lines[ln - 1]:
+            continue
+        m = INCLUDE_RE.match(original)
+        if not m or allowed(original_lines, ln, "reference-independence"):
+            continue
+        path = m.group(1)
+        if any(path == banned or path.endswith("/" + banned)
+               for banned in REFERENCE_BANNED_INCLUDES):
+            findings.append(Finding(
+                rel_path, ln, "reference-independence",
+                f"the reference PROCLUS may not include {path}: the oracle "
+                "must share no code with the scan engine it checks"))
+    for m in REFERENCE_BANNED_NAME_RE.finditer(code):
+        ln = line_of(code, m.start())
+        if allowed(original_lines, ln, "reference-independence"):
+            continue
+        findings.append(Finding(
+            rel_path, ln, "reference-independence",
+            f"the reference PROCLUS may not use the engine entry point "
+            f"'{m.group(0)}'; transcribe the computation from the paper "
+            "instead"))
 
 
 def check_status_fn_checks(rel_path, original_lines, code, findings):
@@ -853,6 +910,7 @@ def lint_file(root, rel_path, findings):
     check_raw_sync(rel_path, original_lines, code, findings)
     check_raw_sleep(rel_path, original_lines, code, findings)
     check_raw_isa_attribute(rel_path, original_lines, code, findings)
+    check_reference_independence(rel_path, original_lines, code, findings)
     check_atomic_order(rel_path, original_lines, code, findings)
     check_atomic_rmw(rel_path, original_lines, code, findings)
     check_sync_annotation(rel_path, original_lines, code, findings)
@@ -1387,6 +1445,43 @@ SELF_TEST_FIXTURES = [
      "  Mutex mu_;  // lint:allow(sync-annotation)\n"
      "};\n"
      "}\n",
+     []),
+    # reference-independence: the oracle including engine headers ...
+    ("tests/reference_proclus.cc",
+     "#include \"reference_proclus.h\"\n"
+     "#include \"common/rng.h\"\n"
+     "#include \"core/consumers.h\"\n"
+     "#  include <data/engine.h>\n"
+     "#include \"../src/distance/batch.h\"\n",
+     ["reference-independence"] * 3),
+    # ... or naming engine entry points.
+    ("tests/reference_proclus.h",
+     "namespace proclus::reference {\n"
+     "void A(const PointSource& source, ScanExecutor& executor);\n"
+     "void B() { LocalityStatsConsumer c; AssignPointsPass(); }\n"
+     "auto C() { return RunProclusOnSource(); }\n"
+     "auto D() { return internal::FindBadMedoids(); }\n"
+     "void E(double* out) { ManhattanManyBatch(out); }\n"
+     "}\n",
+     ["reference-independence"] * 7),
+    # The library pieces the oracle may reuse, engine names in comments
+    # and strings, and lines that merely look like includes are fine.
+    ("tests/reference_proclus.cc",
+     "#include \"reference_proclus.h\"\n"
+     "#include \"common/rng.h\"\n"
+     "#include \"core/find_dimensions.h\"\n"
+     "#include \"core/greedy.h\"\n"
+     "// Unlike ScanExecutor, this reads the matrix directly;\n"
+     "// #include \"core/consumers.h\" would break that.\n"
+     "const char* kWhy = \"no DiskSource here\";\n"
+     "double Evaluate(const Dataset& data, size_t block_rows);\n"
+     "void Assign(std::vector<int>* labels);\n",
+     []),
+    # Other tests may use the engine freely.
+    ("tests/core_engine_test.cc",
+     "#include \"core/consumers.h\"\n"
+     "#include \"data/engine.h\"\n"
+     "void F(const PointSource& s) { ScanExecutor e; }\n",
      []),
 ]
 

@@ -12,6 +12,10 @@
 //
 // Label files are single-column CSVs of integers (-1 = outlier).
 
+#include <cerrno>
+#include <cctype>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -63,16 +67,48 @@ class Flags {
     auto it = values_.find(name);
     return it == values_.end() ? fallback : it->second;
   }
-  double GetDouble(const std::string& name, double fallback) const {
-    return Has(name) ? std::atof(Get(name).c_str()) : fallback;
+  // Numeric flags parse strictly. An absent flag yields `fallback`; a
+  // negative, non-numeric or partly numeric value also yields `fallback`
+  // and records an InvalidArgument naming the flag, which error() reports
+  // so the command can refuse to run.
+  uint64_t GetCount(const std::string& name, uint64_t fallback) const {
+    if (!Has(name)) return fallback;
+    const std::string text = Get(name);
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long value =
+        std::strtoull(text.c_str(), &end, 10);
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || errno == ERANGE)
+      return Reject(name, text, "a non-negative integer", fallback);
+    return value;
   }
-  long GetInt(const std::string& name, long fallback) const {
-    return Has(name) ? std::atol(Get(name).c_str()) : fallback;
+  double GetNumber(const std::string& name, double fallback) const {
+    if (!Has(name)) return fallback;
+    const std::string text = Get(name);
+    char* end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    if (text.empty() || *end != '\0' || !std::isfinite(value) ||
+        std::signbit(value))
+      return Reject(name, text, "a non-negative number", fallback);
+    return value;
   }
+  /// The first malformed numeric flag, or OK.
+  const Status& error() const { return error_; }
 
  private:
+  template <typename T>
+  T Reject(const std::string& name, const std::string& text,
+           const char* expected, T fallback) const {
+    if (error_.ok())
+      error_ = Status::InvalidArgument("--" + name + " expects " + expected +
+                                       ", got '" + text + "'");
+    return fallback;
+  }
+
   std::map<std::string, std::string> values_;
   bool ok_ = true;
+  mutable Status error_;
 };
 
 int Fail(const Status& status) {
@@ -110,19 +146,19 @@ int CmdGenerate(const Flags& flags) {
     return 2;
   }
   GeneratorParams params;
-  params.num_points = static_cast<size_t>(flags.GetInt("n", 10000));
-  params.space_dims = static_cast<size_t>(flags.GetInt("d", 20));
-  params.num_clusters = static_cast<size_t>(flags.GetInt("k", 5));
-  params.outlier_fraction = flags.GetDouble("outliers", 0.05);
-  params.rotation_max_degrees = flags.GetDouble("rotation", 0.0);
-  params.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  if (flags.Has("cluster-dims")) {
-    params.cluster_dim_counts.assign(
-        params.num_clusters,
-        static_cast<size_t>(flags.GetInt("cluster-dims", 5)));
-  } else {
-    params.poisson_mean = flags.GetDouble("poisson", 5.0);
-  }
+  params.num_points = flags.GetCount("n", 10000);
+  params.space_dims = flags.GetCount("d", 20);
+  params.num_clusters = flags.GetCount("k", 5);
+  params.outlier_fraction = flags.GetNumber("outliers", 0.05);
+  params.rotation_max_degrees = flags.GetNumber("rotation", 0.0);
+  params.seed = flags.GetCount("seed", 42);
+  const size_t cluster_dims = flags.GetCount("cluster-dims", 5);
+  const double poisson_mean = flags.GetNumber("poisson", 5.0);
+  if (!flags.error().ok()) return Fail(flags.error());
+  if (flags.Has("cluster-dims"))
+    params.cluster_dim_counts.assign(params.num_clusters, cluster_dims);
+  else
+    params.poisson_mean = poisson_mean;
   auto data = GenerateSynthetic(params);
   if (!data.ok()) return Fail(data.status());
   if (Status status = WriteCsvFile(data->dataset, out_path); !status.ok())
@@ -148,6 +184,12 @@ int CmdFit(const Flags& flags) {
     std::fprintf(stderr, "fit: --input, --k and --l are required\n");
     return 2;
   }
+  ProclusParams params;
+  params.num_clusters = flags.GetCount("k", 5);
+  params.avg_dims = flags.GetNumber("l", 4.0);
+  params.seed = flags.GetCount("seed", 1);
+  params.num_threads = flags.GetCount("threads", 1);
+  if (!flags.error().ok()) return Fail(flags.error());
   auto dataset = ReadCsvFile(input);
   if (!dataset.ok()) return Fail(dataset.status());
   Dataset working = *dataset;
@@ -156,11 +198,6 @@ int CmdFit(const Flags& flags) {
     if (!transform.ok()) return Fail(transform.status());
     transform->Apply(&working);
   }
-  ProclusParams params;
-  params.num_clusters = static_cast<size_t>(flags.GetInt("k", 5));
-  params.avg_dims = flags.GetDouble("l", 4.0);
-  params.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  params.num_threads = static_cast<size_t>(flags.GetInt("threads", 1));
   auto model = RunProclus(working, params);
   if (!model.ok()) return Fail(model.status());
 

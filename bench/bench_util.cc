@@ -197,6 +197,10 @@ void PrintRunStats(const std::string& prefix, const RunStats& stats) {
           static_cast<double>(stats.locality_cache_hits));
   PrintKV(prefix + " locality cache misses",
           static_cast<double>(stats.locality_cache_misses));
+  PrintKV(prefix + " assign column hits",
+          static_cast<double>(stats.assign_column_hits));
+  PrintKV(prefix + " assign column misses",
+          static_cast<double>(stats.assign_column_misses));
   PrintKV(prefix + " locality row hits",
           static_cast<double>(stats.locality_row_hits));
   PrintKV(prefix + " locality row misses",

@@ -67,26 +67,37 @@ void Xxh64::Update(const void* data, size_t len) {
     return;
   }
 
+  // The lanes live in locals across the stripe loop: `p` is an unsigned
+  // char pointer, which may alias acc_, so updating the members directly
+  // would store all four lanes back on every 32-byte stripe.
+  uint64_t v0 = acc_[0];
+  uint64_t v1 = acc_[1];
+  uint64_t v2 = acc_[2];
+  uint64_t v3 = acc_[3];
   if (buf_len_ > 0) {
     const size_t fill = 32 - buf_len_;
     std::memcpy(buf_ + buf_len_, p, fill);
-    acc_[0] = Round(acc_[0], Read64(buf_));
-    acc_[1] = Round(acc_[1], Read64(buf_ + 8));
-    acc_[2] = Round(acc_[2], Read64(buf_ + 16));
-    acc_[3] = Round(acc_[3], Read64(buf_ + 24));
+    v0 = Round(v0, Read64(buf_));
+    v1 = Round(v1, Read64(buf_ + 8));
+    v2 = Round(v2, Read64(buf_ + 16));
+    v3 = Round(v3, Read64(buf_ + 24));
     p += fill;
     len -= fill;
     buf_len_ = 0;
   }
 
   while (len >= 32) {
-    acc_[0] = Round(acc_[0], Read64(p));
-    acc_[1] = Round(acc_[1], Read64(p + 8));
-    acc_[2] = Round(acc_[2], Read64(p + 16));
-    acc_[3] = Round(acc_[3], Read64(p + 24));
+    v0 = Round(v0, Read64(p));
+    v1 = Round(v1, Read64(p + 8));
+    v2 = Round(v2, Read64(p + 16));
+    v3 = Round(v3, Read64(p + 24));
     p += 32;
     len -= 32;
   }
+  acc_[0] = v0;
+  acc_[1] = v1;
+  acc_[2] = v2;
+  acc_[3] = v3;
 
   if (len > 0) std::memcpy(buf_, p, len);
   buf_len_ = len;

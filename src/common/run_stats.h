@@ -48,6 +48,12 @@ struct RunStats {
   uint64_t locality_cache_hits = 0;
   /// Locality-scan medoid distance columns that had to be computed.
   uint64_t locality_cache_misses = 0;
+  /// Assignment-scan (medoid slot, dimension set) distance columns served
+  /// from the same cross-scan cache (fused engine only): k lookups per
+  /// assignment scan. Each hit skips one n-row segmental distance column.
+  uint64_t assign_column_hits = 0;
+  /// Assignment-scan distance columns that had to be scored.
+  uint64_t assign_column_misses = 0;
   /// Locality statistics rows (one medoid's d averages for one delta)
   /// served from the cross-scan row memo (fused engine only). Each hit
   /// skips that row's whole n-row accumulation.
@@ -142,6 +148,8 @@ struct RunStats {
     tile_reuse_hits += other.tile_reuse_hits;
     locality_cache_hits += other.locality_cache_hits;
     locality_cache_misses += other.locality_cache_misses;
+    assign_column_hits += other.assign_column_hits;
+    assign_column_misses += other.assign_column_misses;
     locality_row_hits += other.locality_row_hits;
     locality_row_misses += other.locality_row_misses;
     retries += other.retries;

@@ -4,33 +4,10 @@
 
 namespace proclus {
 
-namespace {
-
-Status ValidateModel(const ProjectedClustering& model, size_t dims) {
-  const size_t k = model.num_clusters();
-  if (k == 0) return Status::InvalidArgument("model has no clusters");
-  if (model.medoid_coords.rows() != k)
-    return Status::InvalidArgument(
-        "model is missing medoid coordinates (fit with this library "
-        "version, or fill medoid_coords)");
-  if (model.medoid_coords.cols() != dims)
-    return Status::InvalidArgument("model dimensionality " +
-                                   std::to_string(model.medoid_coords.cols()) +
-                                   " != data dimensionality " +
-                                   std::to_string(dims));
-  if (model.dimensions.size() != k)
-    return Status::InvalidArgument("model dimension sets inconsistent");
-  if (!model.spheres.empty() && model.spheres.size() != k)
-    return Status::InvalidArgument("model spheres inconsistent");
-  return Status::OK();
-}
-
-}  // namespace
-
 Result<std::vector<int>> ClassifyPoints(const ProjectedClustering& model,
                                         const PointSource& source,
                                         const ClassifyOptions& options) {
-  PROCLUS_RETURN_IF_ERROR(ValidateModel(model, source.dims()));
+  PROCLUS_RETURN_IF_ERROR(ValidateModelShape(model, source.dims()));
   const size_t k = model.num_clusters();
   const bool detect =
       options.detect_outliers && model.spheres.size() == k;

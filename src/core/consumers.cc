@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <type_traits>
 
 #include "common/check.h"
 #include "distance/batch.h"
@@ -52,7 +53,142 @@ void ResetMatrix(Matrix* m, size_t rows, size_t cols) {
   }
 }
 
+// Reduces per-block (sums, count) partials of rows x d in ascending block
+// order, then divides every row with a non-zero count by that count: the
+// block-ordered means every aggregate consumer merges.
+void MergeMeans(const std::vector<BlockSums>& partials, size_t rows,
+                size_t d, Matrix* means, std::vector<size_t>* counts) {
+  ResetMatrix(means, rows, d);
+  counts->assign(rows, 0);
+  for (const BlockSums& partial : partials) {
+    if (partial.sums.empty()) continue;
+    for (size_t i = 0; i < rows; ++i) {
+      for (size_t j = 0; j < d; ++j)
+        (*means)(i, j) += partial.sums[i * d + j];
+      (*counts)[i] += partial.count[i];
+    }
+  }
+  for (size_t i = 0; i < rows; ++i) {
+    if ((*counts)[i] == 0) continue;
+    for (size_t j = 0; j < d; ++j)
+      (*means)(i, j) /= static_cast<double>((*counts)[i]);
+  }
+}
+
+// A cached bind names one distinct candidate slot per medoid row.
+Status CheckSlots(std::span<const size_t> slots, size_t medoid_rows) {
+  if (slots.size() != medoid_rows)
+    return Status::InvalidArgument("one slot id per medoid row required");
+  for (size_t i = 0; i < slots.size(); ++i)
+    for (size_t j = i + 1; j < slots.size(); ++j)
+      if (slots[i] == slots[j])
+        return Status::InvalidArgument("duplicate slot in cached bind");
+  return Status::OK();
+}
+
 }  // namespace
+
+// ---------- MedoidDistanceCache ----------
+
+// A consumer keeps raw pointers into the columns of its earlier claims
+// while later claims grow `entries`; a nothrow move keeps every column
+// buffer in place when the vector relocates.
+static_assert(std::is_nothrow_move_constructible_v<MedoidDistanceCache::Entry>);
+
+Status MedoidDistanceCache::BeginClaims(const ScanGeometry& geometry,
+                                        size_t bound_rows) {
+  // One tick per scan attempt, and one cached consumer per attempt: a
+  // second one could evict an entry the first claimed or reads.
+  // Validity and rows are only committed by Merge, so an attempt that
+  // fails and retries (with a new attempt number) simply looks
+  // everything up again.
+  if (geometry.attempt == attempt)
+    return Status::InvalidArgument(
+        "a second cached consumer on one store in one scan");
+  attempt = geometry.attempt;
+  ++clock;
+  capacity = std::max<size_t>(16, 2 * bound_rows + 4);
+  column_rows = geometry.rows;
+  return Status::OK();
+}
+
+MedoidDistanceCache::Claim MedoidDistanceCache::ClaimColumn(
+    size_t slot, const DimensionSet& dims, bool normalized) {
+  Entry* entry = nullptr;
+  for (Entry& e : entries)
+    if (e.slot == slot && e.normalized == normalized && e.dims == dims) {
+      entry = &e;
+      break;
+    }
+  const bool hit =
+      entry != nullptr && entry->valid && entry->dist.size() == column_rows;
+  if (!hit) {
+    if (entry == nullptr) {
+      if (entries.size() < capacity) {
+        entry = &entries.emplace_back();
+      } else {
+        // Evict the least-recently-used entry not touched this attempt.
+        for (Entry& e : entries)
+          if (e.last_used != clock &&
+              (entry == nullptr || e.last_used < entry->last_used))
+            entry = &e;
+        // invariant: capacity >= 2u + 4 for the u bound rows and each
+        // bound row claims at most one entry per attempt, so at most u
+        // entries carry the current tick and an evictable one exists.
+        PROCLUS_CHECK(entry != nullptr);
+      }
+      entry->slot = slot;
+      entry->dims = dims;
+      entry->normalized = normalized;
+    }
+    entry->valid = false;
+    entry->dist.resize(column_rows);
+  }
+  entry->last_used = clock;
+  return {entry->dist.data(), static_cast<size_t>(entry - entries.data()),
+          !hit};
+}
+
+void MedoidDistanceCache::CommitColumns(std::span<const size_t> fresh_entries) {
+  for (size_t e : fresh_entries) entries[e].valid = true;
+}
+
+void MedoidDistanceCache::ScopeRows(const ScanGeometry& geometry) {
+  const std::pair<size_t, size_t> scope{geometry.rows, geometry.block_rows};
+  if (row_scope != scope) {
+    rows.clear();
+    row_scope = scope;
+  }
+}
+
+const MedoidDistanceCache::Row* MedoidDistanceCache::FindRow(
+    size_t slot, uint64_t delta_bits) {
+  for (Row& row : rows)
+    if (row.slot == slot && row.delta_bits == delta_bits) {
+      if (row.last_used != clock) ++row_hits;
+      row.last_used = clock;
+      return &row;
+    }
+  return nullptr;
+}
+
+void MedoidDistanceCache::InsertRow(size_t slot, uint64_t delta_bits,
+                                    std::span<const double> stats,
+                                    size_t capacity) {
+  Row* row = nullptr;
+  if (rows.size() < capacity) {
+    row = &rows.emplace_back();
+  } else {
+    // Hits of this scan were already copied out, so any row may go.
+    row = &rows.front();
+    for (Row& r : rows)
+      if (r.last_used < row->last_used) row = &r;
+  }
+  row->slot = slot;
+  row->delta_bits = delta_bits;
+  row->last_used = clock;
+  row->stats.assign(stats.begin(), stats.end());
+}
 
 // ---------- LocalityStatsConsumer ----------
 
@@ -105,12 +241,7 @@ Status LocalityStatsConsumer::Bind(
     std::span<const size_t> slots, MedoidDistanceCache* cache) {
   PROCLUS_RETURN_IF_ERROR(Bind(medoids, std::move(variant_rows)));
   if (cache == nullptr) return Status::OK();
-  if (slots.size() != medoids_->rows())
-    return Status::InvalidArgument("one slot id per medoid row required");
-  for (size_t i = 0; i < slots.size(); ++i)
-    for (size_t j = i + 1; j < slots.size(); ++j)
-      if (slots[i] == slots[j])
-        return Status::InvalidArgument("duplicate slot in cached bind");
+  PROCLUS_RETURN_IF_ERROR(CheckSlots(slots, medoids_->rows()));
   cache_ = cache;
   slots_.assign(slots.begin(), slots.end());
   return Status::OK();
@@ -132,16 +263,9 @@ Status LocalityStatsConsumer::Prepare(const ScanGeometry& geometry) {
   targets_.resize(num_variants);
 
   if (cache_ != nullptr) {
-    // One clock tick per scan attempt. Entries and rows touched during
-    // this attempt carry the current tick; validity and new rows are only
-    // committed by Merge, so an attempt that fails and retries simply
-    // looks everything up again.
-    ++cache_->clock;
-    const std::pair<size_t, size_t> scope{geometry.rows, geometry.block_rows};
-    if (cache_->row_scope != scope) {
-      cache_->rows.clear();
-      cache_->row_scope = scope;
-    }
+    PROCLUS_RETURN_IF_ERROR(cache_->BeginClaims(geometry, u));
+    cache_->ScopeRows(geometry);
+    if (full_dims_.capacity() != d) full_dims_ = DimensionSet::All(d);
   }
 
   // Row plan: each variant row is served by an earlier acc row with the
@@ -166,17 +290,9 @@ Status LocalityStatsConsumer::Prepare(const ScanGeometry& geometry) {
         continue;
       }
       if (cache_ != nullptr) {
-        MedoidDistanceCache::Row* hit = nullptr;
-        for (MedoidDistanceCache::Row& row : cache_->rows)
-          if (row.slot == slots_[m] && row.delta_bits == bits) {
-            hit = &row;
-            break;
-          }
-        if (hit != nullptr) {
+        if (const MedoidDistanceCache::Row* hit =
+                cache_->FindRow(slots_[m], bits)) {
           PROCLUS_DCHECK(hit->stats.size() == d);
-          // Counted once per distinct key per scan attempt.
-          if (hit->last_used != cache_->clock) ++cache_->row_hits;
-          hit->last_used = cache_->clock;
           std::copy(hit->stats.begin(), hit->stats.end(),
                     stats_[v].row(i).begin());
           continue;
@@ -204,48 +320,18 @@ Status LocalityStatsConsumer::Prepare(const ScanGeometry& geometry) {
     for (size_t f = 0; f < fill_rows_.size(); ++f)
       col_base_[fill_rows_[f]] = own_cols_.data() + f * geometry.rows;
   } else {
-    // Reserve before taking any pointers: push_back must never relocate
-    // entries mid-Prepare, and the eviction cap must always leave an
-    // unprotected entry to reuse.
-    const size_t capacity = std::max<size_t>(16, 2 * u + 4);
-    cache_->entries.reserve(std::max(capacity, cache_->entries.size() + u));
     for (size_t m : acc_medoid_) {
       if (col_base_[m] != nullptr) continue;  // Shared by an earlier row.
-      MedoidDistanceCache::Entry* entry = nullptr;
-      for (MedoidDistanceCache::Entry& e : cache_->entries)
-        if (e.slot == slots_[m]) {
-          entry = &e;
-          break;
-        }
-      const bool hit = entry != nullptr && entry->valid &&
-                       entry->dist.size() == geometry.rows;
-      if (hit) {
-        ++cache_->hits;
-      } else {
+      const MedoidDistanceCache::Claim claim =
+          cache_->ClaimColumn(slots_[m], full_dims_, /*normalized=*/true);
+      if (claim.fresh) {
         ++cache_->misses;
-        if (entry == nullptr) {
-          if (cache_->entries.size() < capacity) {
-            entry = &cache_->entries.emplace_back();
-          } else {
-            // Evict the least-recently-used entry not touched this scan.
-            for (MedoidDistanceCache::Entry& e : cache_->entries)
-              if (e.last_used != cache_->clock &&
-                  (entry == nullptr || e.last_used < entry->last_used))
-                entry = &e;
-            // invariant: capacity >= 2u + 4 and at most u entries carry
-            // the current tick, so an evictable entry always exists.
-            PROCLUS_CHECK(entry != nullptr);
-          }
-        }
-        entry->slot = slots_[m];
-        entry->valid = false;
-        entry->dist.resize(geometry.rows);
         fill_rows_.push_back(m);
-        fresh_entries_.push_back(
-            static_cast<size_t>(entry - cache_->entries.data()));
+        fresh_entries_.push_back(claim.entry);
+      } else {
+        ++cache_->hits;
       }
-      entry->last_used = cache_->clock;
-      col_base_[m] = entry->dist.data();
+      col_base_[m] = claim.column;
     }
   }
   ResetMatrix(&fill_medoids_, fill_rows_.size(), d);
@@ -310,25 +396,10 @@ ScanConsumer::KernelStats LocalityStatsConsumer::kernel_stats() const {
 }
 
 Status LocalityStatsConsumer::Merge() {
-  const size_t d = dims_;
   const size_t num_acc = acc_medoid_.size();
-  ResetMatrix(&acc_stats_, num_acc, d);
-  acc_count_.assign(num_acc, 0);
-  for (const BlockSums& partial : partials_) {
-    if (partial.sums.empty()) continue;
-    for (size_t a = 0; a < num_acc; ++a) {
-      for (size_t j = 0; j < d; ++j)
-        acc_stats_(a, j) += partial.sums[a * d + j];
-      acc_count_[a] += partial.count[a];
-    }
-  }
-  for (size_t a = 0; a < num_acc; ++a) {
-    // Every medoid is a data point, so its own locality is non-empty as
-    // long as the medoid coordinates came from this source.
-    if (acc_count_[a] == 0) continue;
-    for (size_t j = 0; j < d; ++j)
-      acc_stats_(a, j) /= static_cast<double>(acc_count_[a]);
-  }
+  // Every medoid is a data point, so its own locality is non-empty as
+  // long as the medoid coordinates came from this source.
+  MergeMeans(partials_, num_acc, dims_, &acc_stats_, &acc_count_);
   size_t max_k = 0;
   for (size_t v = 0; v < variant_rows_.size(); ++v) {
     max_k = std::max(max_k, targets_[v].size());
@@ -345,25 +416,12 @@ Status LocalityStatsConsumer::Merge() {
   // and row is complete. A failed attempt never reaches this point,
   // leaves valid == false and the memo untouched, and the retry
   // recomputes both from scratch.
-  for (size_t e : fresh_entries_) cache_->entries[e].valid = true;
+  cache_->CommitColumns(fresh_entries_);
   const size_t capacity = std::max<size_t>(64, 12 * max_k);
-  for (size_t a = 0; a < num_acc; ++a) {
-    MedoidDistanceCache::Row* row = nullptr;
-    if (cache_->rows.size() < capacity) {
-      row = &cache_->rows.emplace_back();
-    } else {
-      // Evict the least-recently-used row; hits of this scan were
-      // already copied out, so any row may go.
-      row = &cache_->rows.front();
-      for (MedoidDistanceCache::Row& r : cache_->rows)
-        if (r.last_used < row->last_used) row = &r;
-    }
-    row->slot = slots_[acc_medoid_[a]];
-    row->delta_bits = std::bit_cast<uint64_t>(acc_delta_[a]);
-    row->last_used = cache_->clock;
-    auto src = acc_stats_.row(a);
-    row->stats.assign(src.begin(), src.end());
-  }
+  for (size_t a = 0; a < num_acc; ++a)
+    cache_->InsertRow(slots_[acc_medoid_[a]],
+                      std::bit_cast<uint64_t>(acc_delta_[a]),
+                      acc_stats_.row(a), capacity);
   return Status::OK();
 }
 
@@ -380,8 +438,41 @@ Status AssignConsumer::Bind(const Matrix* medoids,
   medoids_ = medoids;
   dims_sets_ = dims;
   dim_lists_ = DimLists(*dims);
+  spheres_ = nullptr;
   segmental_ = segmental_normalization;
   accumulate_ = accumulate_centroids;
+  cache_ = nullptr;
+  slots_.clear();
+  return Status::OK();
+}
+
+Status AssignConsumer::BindRefine(const Matrix* medoids,
+                                  const std::vector<DimensionSet>* dims,
+                                  const std::vector<double>* spheres,
+                                  bool segmental_normalization,
+                                  bool detect_outliers,
+                                  bool accumulate_centroids) {
+  if (medoids != nullptr &&
+      (spheres == nullptr || spheres->size() != medoids->rows()))
+    return Status::InvalidArgument("per-medoid input count mismatch");
+  PROCLUS_RETURN_IF_ERROR(Bind(medoids, dims, segmental_normalization,
+                               accumulate_centroids));
+  if (detect_outliers) spheres_ = spheres;
+  return Status::OK();
+}
+
+Status AssignConsumer::Bind(const Matrix* medoids,
+                            const std::vector<DimensionSet>* dims,
+                            bool segmental_normalization,
+                            bool accumulate_centroids,
+                            std::span<const size_t> slots,
+                            MedoidDistanceCache* cache) {
+  PROCLUS_RETURN_IF_ERROR(Bind(medoids, dims, segmental_normalization,
+                               accumulate_centroids));
+  if (cache == nullptr) return Status::OK();
+  PROCLUS_RETURN_IF_ERROR(CheckSlots(slots, medoids_->rows()));
+  cache_ = cache;
+  slots_.assign(slots.begin(), slots.end());
   return Status::OK();
 }
 
@@ -390,11 +481,33 @@ Status AssignConsumer::Prepare(const ScanGeometry& geometry) {
   if (medoids_->cols() != geometry.dims)
     return Status::InvalidArgument("medoid dimensionality mismatch");
   dims_ = geometry.dims;
+  const size_t k = medoids_->rows();
   labels_.resize(geometry.rows);
   if (accumulate_) partials_.resize(geometry.num_blocks);
   PrepareKernelScratch(scratch_, geometry.num_blocks);
-  distance_evals_ =
-      static_cast<uint64_t>(geometry.rows) * medoids_->rows();
+  size_t scored = k;
+  if (cache_ != nullptr) {
+    // Look every medoid's column up; the scan scores only the misses.
+    PROCLUS_RETURN_IF_ERROR(cache_->BeginClaims(geometry, k));
+    col_base_.resize(k);
+    fill_.clear();
+    fresh_entries_.clear();
+    for (size_t i = 0; i < k; ++i) {
+      const MedoidDistanceCache::Claim claim =
+          cache_->ClaimColumn(slots_[i], (*dims_sets_)[i], segmental_);
+      if (claim.fresh) {
+        ++cache_->assign_misses;
+        fill_.push_back(i);
+        fresh_entries_.push_back(claim.entry);
+      } else {
+        ++cache_->assign_hits;
+      }
+      col_base_[i] = claim.column;
+    }
+    cols_.resize(geometry.num_blocks);
+    scored = fill_.size();
+  }
+  distance_evals_ = static_cast<uint64_t>(geometry.rows) * scored;
   return Status::OK();
 }
 
@@ -403,92 +516,34 @@ void AssignConsumer::ConsumeBlock(size_t block_index, size_t first_row,
                                   size_t rows) {
   const size_t d = dims_;
   const size_t k = medoids_->rows();
-  SegmentalArgminBatch(data, rows, d, *medoids_, dim_lists_, segmental_,
-                       /*spheres=*/{}, scratch_[block_index],
-                       labels_.data() + first_row);
-  if (!accumulate_) return;
-  BlockSums& partial = partials_[block_index];
-  partial.sums.assign(k * d, 0.0);
-  partial.count.assign(k, 0);
-  LabeledSumBatch(data, rows, d, labels_.data() + first_row, k,
-                  partial.sums.data(), partial.count.data());
-}
-
-ScanConsumer::KernelStats AssignConsumer::kernel_stats() const {
-  return SumKernelStats(scratch_);
-}
-
-Status AssignConsumer::Merge() {
-  if (!accumulate_) return Status::OK();
-  const size_t d = dims_;
-  const size_t k = medoids_->rows();
-  ResetMatrix(&centroids_, k, d);
-  counts_.assign(k, 0);
-  for (const BlockSums& partial : partials_) {
-    if (partial.sums.empty()) continue;
-    for (size_t i = 0; i < k; ++i) {
-      for (size_t j = 0; j < d; ++j)
-        centroids_(i, j) += partial.sums[i * d + j];
-      counts_[i] += partial.count[i];
-    }
-  }
-  for (size_t i = 0; i < k; ++i) {
-    if (counts_[i] == 0) continue;
-    for (size_t j = 0; j < d; ++j)
-      centroids_(i, j) /= static_cast<double>(counts_[i]);
-  }
-  return Status::OK();
-}
-
-// ---------- RefineAssignConsumer ----------
-
-Status RefineAssignConsumer::Bind(const Matrix* medoids,
-                                  const std::vector<DimensionSet>* dims,
-                                  const std::vector<double>* spheres,
-                                  bool segmental_normalization,
-                                  bool detect_outliers,
-                                  bool accumulate_centroids) {
-  if (medoids == nullptr || medoids->rows() == 0)
-    return Status::InvalidArgument("no medoids");
-  if (dims == nullptr || spheres == nullptr ||
-      dims->size() != medoids->rows() ||
-      spheres->size() != medoids->rows())
-    return Status::InvalidArgument("per-medoid input count mismatch");
-  medoids_ = medoids;
-  dims_sets_ = dims;
-  spheres_ = spheres;
-  dim_lists_ = DimLists(*dims);
-  segmental_ = segmental_normalization;
-  detect_outliers_ = detect_outliers;
-  accumulate_ = accumulate_centroids;
-  return Status::OK();
-}
-
-Status RefineAssignConsumer::Prepare(const ScanGeometry& geometry) {
-  if (medoids_ == nullptr) return Status::InvalidArgument("Bind not called");
-  if (medoids_->cols() != geometry.dims)
-    return Status::InvalidArgument("medoid dimensionality mismatch");
-  dims_ = geometry.dims;
-  labels_.resize(geometry.rows);
-  if (accumulate_) partials_.resize(geometry.num_blocks);
-  PrepareKernelScratch(scratch_, geometry.num_blocks);
-  distance_evals_ =
-      static_cast<uint64_t>(geometry.rows) * medoids_->rows();
-  return Status::OK();
-}
-
-void RefineAssignConsumer::ConsumeBlock(size_t block_index, size_t first_row,
-                                        std::span<const double> data,
-                                        size_t rows) {
-  const size_t d = dims_;
-  const size_t k = medoids_->rows();
   KernelScratch& scratch = scratch_[block_index];
   int* labels = labels_.data() + first_row;
-  SegmentalArgminBatch(data, rows, d, *medoids_, dim_lists_, segmental_,
-                       *spheres_, scratch, labels);
-  if (detect_outliers_) {
-    for (size_t r = 0; r < rows; ++r)
-      if (scratch.inside[r] == 0) labels[r] = kOutlierLabel;
+  if (cache_ == nullptr) {
+    const std::span<const double> spheres =
+        spheres_ == nullptr ? std::span<const double>() : *spheres_;
+    SegmentalArgminBatch(data, rows, d, *medoids_, dim_lists_, segmental_,
+                         spheres, scratch, labels);
+    if (spheres_ != nullptr) {
+      for (size_t r = 0; r < rows; ++r)
+        if (scratch.inside[r] == 0) labels[r] = kOutlierLabel;
+    }
+  } else {
+    // Ownership contract (consumers.h): this block writes only the row
+    // range it owns inside each fresh column, then reads its range of
+    // all k columns. The distances are SegmentalArgminBatch's own, so
+    // the argmin over them picks the same labels.
+    PROCLUS_DCHECK(first_row + rows <= labels_.size());
+    if (!fill_.empty()) {
+      scratch.outs.resize(fill_.size());
+      for (size_t f = 0; f < fill_.size(); ++f)
+        scratch.outs[f] = col_base_[fill_[f]] + first_row;
+      SegmentalDistanceBatch(data, rows, d, *medoids_, fill_, dim_lists_,
+                             segmental_, scratch, scratch.outs);
+    }
+    std::vector<const double*>& cols = cols_[block_index];
+    cols.resize(k);
+    for (size_t i = 0; i < k; ++i) cols[i] = col_base_[i] + first_row;
+    ColumnArgminBatch(cols, rows, scratch, labels);
   }
   if (!accumulate_) return;
   BlockSums& partial = partials_[block_index];
@@ -498,29 +553,16 @@ void RefineAssignConsumer::ConsumeBlock(size_t block_index, size_t first_row,
                   partial.count.data());
 }
 
-ScanConsumer::KernelStats RefineAssignConsumer::kernel_stats() const {
+ScanConsumer::KernelStats AssignConsumer::kernel_stats() const {
   return SumKernelStats(scratch_);
 }
 
-Status RefineAssignConsumer::Merge() {
+Status AssignConsumer::Merge() {
+  // Every block filled its range of the fresh columns; see the commit
+  // protocol in consumers.h.
+  if (cache_ != nullptr) cache_->CommitColumns(fresh_entries_);
   if (!accumulate_) return Status::OK();
-  const size_t d = dims_;
-  const size_t k = medoids_->rows();
-  ResetMatrix(&centroids_, k, d);
-  counts_.assign(k, 0);
-  for (const BlockSums& partial : partials_) {
-    if (partial.sums.empty()) continue;
-    for (size_t i = 0; i < k; ++i) {
-      for (size_t j = 0; j < d; ++j)
-        centroids_(i, j) += partial.sums[i * d + j];
-      counts_[i] += partial.count[i];
-    }
-  }
-  for (size_t i = 0; i < k; ++i) {
-    if (counts_[i] == 0) continue;
-    for (size_t j = 0; j < d; ++j)
-      centroids_(i, j) /= static_cast<double>(counts_[i]);
-  }
+  MergeMeans(partials_, medoids_->rows(), dims_, &centroids_, &counts_);
   return Status::OK();
 }
 
@@ -564,23 +606,8 @@ ScanConsumer::KernelStats ClusterStatsConsumer::kernel_stats() const {
 }
 
 Status ClusterStatsConsumer::Merge() {
-  const size_t d = dims_;
-  const size_t k = medoids_->rows();
-  ResetMatrix(&stats_, k, d);
-  std::vector<size_t> count(k, 0);
-  for (const BlockSums& partial : partials_) {
-    if (partial.sums.empty()) continue;
-    for (size_t i = 0; i < k; ++i) {
-      for (size_t j = 0; j < d; ++j)
-        stats_(i, j) += partial.sums[i * d + j];
-      count[i] += partial.count[i];
-    }
-  }
-  for (size_t i = 0; i < k; ++i) {
-    if (count[i] == 0) continue;
-    for (size_t j = 0; j < d; ++j)
-      stats_(i, j) /= static_cast<double>(count[i]);
-  }
+  std::vector<size_t> count;
+  MergeMeans(partials_, medoids_->rows(), dims_, &stats_, &count);
   return Status::OK();
 }
 
@@ -616,23 +643,7 @@ void CentroidConsumer::ConsumeBlock(size_t block_index, size_t first_row,
 }
 
 Status CentroidConsumer::Merge() {
-  const size_t d = dims_;
-  const size_t k = num_clusters_;
-  ResetMatrix(&centroids_, k, d);
-  counts_.assign(k, 0);
-  for (const BlockSums& partial : partials_) {
-    if (partial.sums.empty()) continue;
-    for (size_t i = 0; i < k; ++i) {
-      for (size_t j = 0; j < d; ++j)
-        centroids_(i, j) += partial.sums[i * d + j];
-      counts_[i] += partial.count[i];
-    }
-  }
-  for (size_t i = 0; i < k; ++i) {
-    if (counts_[i] == 0) continue;
-    for (size_t j = 0; j < d; ++j)
-      centroids_(i, j) /= static_cast<double>(counts_[i]);
-  }
+  MergeMeans(partials_, num_clusters_, dims_, &centroids_, &counts_);
   return Status::OK();
 }
 

@@ -50,36 +50,53 @@ struct BlockSums {
   std::vector<size_t> count;  // k
 };
 
-/// Cross-scan cache of per-point distance columns, keyed by candidate
-/// slot id, plus a memo of finished locality statistics rows keyed by
-/// (slot, delta). Hill-climbing replaces only the bad medoids between
-/// iterations, so most of a speculative set's medoids already had their
-/// locality row accumulated by an earlier scan — usually under the same
-/// delta, since delta only moves when a medoid's nearest other medoid
-/// changes. A memo row makes that medoid free in the next scan; a medoid
-/// whose delta did change still finds its full-space segmental distance
-/// column here. Values are reused verbatim (never recomputed
-/// differently), so a cached run is bit-identical to an uncached one.
-/// Owned by the caller (the fused climb's scratch) and valid only while
-/// the candidate coordinates and the source it was filled from stay
+/// Cross-scan store of per-point distance columns, plus a memo of
+/// finished locality statistics rows. Hill climbing replaces only the bad
+/// medoids between iterations (usually one of k), so most of the distance
+/// work of one scan was already done by an earlier one. The store reuses
+/// it three ways:
+///  * locality rows: a finished row X(i, .) keyed by (slot, delta bits)
+///    makes that medoid free in the next locality scan (delta only moves
+///    when a medoid's nearest other medoid changes);
+///  * locality columns: a medoid whose delta did change still finds its
+///    full-space segmental distance column, keyed (slot, all d
+///    dimensions, normalized);
+///  * assignment columns: the cached AssignConsumer finds each medoid's
+///    (slot, D_i, normalization) column and scores only the missing ones.
+/// One column key serves both consumers: a full-dimensional normalized
+/// assignment column is the locality column of the same slot (both
+/// kernels add the same terms in the same order and divide by d). Values
+/// are reused verbatim, so a cached run is bit-identical to an uncached
+/// one. Owned by the caller (the fused climb's scratch) and valid only
+/// while the candidate coordinates and the source it was filled from stay
 /// fixed.
 ///
 /// Scatter-fill/commit protocol (lock-free by ownership partitioning;
 /// DESIGN.md §10): the structure itself — entries, rows, clock, the
-/// counters, and each entry's slot/valid/last_used — is touched ONLY by
-/// the thread driving the scan, inside Prepare (slot and row lookup,
-/// eviction, column (re)allocation) and Merge (validity and row commit),
-/// which the executor runs strictly before and after the parallel
-/// region. During the region, workers write only the *contents* of fresh
-/// entries' dist columns, each block scattering into its own disjoint row
-/// range [first_row, first_row + rows); hit columns are read-only and
-/// the memo is not touched at all. Columns turn valid and rows enter the
-/// memo on Merge and nowhere else, so a scan attempt that fails, is
-/// hedged or is cancelled commits nothing and the retry recomputes —
-/// fault-retry and resume keep bit-identical results.
+/// counters, and each entry's key/valid/last_used — is touched ONLY by
+/// the thread driving the scan, inside consumers' Prepare (BeginClaims,
+/// ClaimColumn, FindRow) and Merge (CommitColumns, InsertRow), which the
+/// executor runs strictly before and after the parallel region. During
+/// the region, workers write only the *contents* of fresh columns, each
+/// block scattering into its own disjoint row range [first_row,
+/// first_row + rows); hit columns are read-only and the memo is not
+/// touched at all. Columns turn valid and rows enter the memo on Merge
+/// and nowhere else, so a scan attempt that fails, is hedged or is
+/// cancelled commits nothing and the retry recomputes — fault-retry and
+/// resume keep bit-identical results.
+///
+/// Eviction invariant: one cached consumer per scan attempt
+/// (ScanGeometry::attempt; a second is rejected with InvalidArgument),
+/// the LRU clock ticks once per attempt, and an entry carrying the
+/// current tick is never evicted. The entry budget is max(16, 2u + 4)
+/// for the consumer's u medoid rows and each row claims at most one
+/// entry, so an evictable entry always exists and no claim evicts a
+/// column the same scan claimed or reads.
 struct MedoidDistanceCache {
   struct Entry {
     size_t slot = 0;
+    DimensionSet dims;        ///< Dimensions the distance sums over.
+    bool normalized = true;   ///< Sum divided by |dims|.
     /// Committed by a successful scan's Merge; entries claimed by a scan
     /// that failed or was abandoned simply stay invalid and are refilled.
     bool valid = false;
@@ -97,14 +114,50 @@ struct MedoidDistanceCache {
     uint64_t last_used = 0;
     std::vector<double> stats;  ///< d doubles.
   };
-  std::vector<Entry> entries;  ///< Small; linear lookup by slot.
+  /// A column handed out by ClaimColumn.
+  struct Claim {
+    double* column = nullptr;  ///< One distance per source row.
+    size_t entry = 0;          ///< Index into `entries`.
+    bool fresh = false;        ///< The claiming scan must fill it.
+  };
+
+  /// Opens a cached consumer's claims, from its Prepare: advances the
+  /// clock and budgets max(16, 2 * bound_rows + 4) entries. Fails when a
+  /// consumer already claimed in `geometry`'s scan attempt.
+  Status BeginClaims(const ScanGeometry& geometry, size_t bound_rows);
+  /// The column of (slot, dims, normalized) for the open attempt: a
+  /// committed one (fresh == false; read-only during the scan), or a
+  /// claimed entry the scan must fill (fresh == true), evicting the
+  /// least-recently-used entry not touched by this attempt when the
+  /// budget is spent. Call after BeginClaims, on the driving thread.
+  Claim ClaimColumn(size_t slot, const DimensionSet& dims, bool normalized);
+  /// Merge-time commit: the fresh entries of a completed scan turn valid.
+  void CommitColumns(std::span<const size_t> fresh_entries);
+
+  /// Empties the row memo unless it holds rows of `geometry`'s (rows,
+  /// block_rows).
+  void ScopeRows(const ScanGeometry& geometry);
+  /// The memo row of (slot, delta_bits), or null. A hit is counted once
+  /// per distinct key per scan attempt.
+  const Row* FindRow(size_t slot, uint64_t delta_bits);
+  /// Merge-time insert of a finished row, evicting the least-recently-used
+  /// row once the memo holds `capacity` rows.
+  void InsertRow(size_t slot, uint64_t delta_bits,
+                 std::span<const double> stats, size_t capacity);
+
+  std::vector<Entry> entries;  ///< Small; linear lookup by key.
   std::vector<Row> rows;       ///< Bounded LRU; linear lookup by key.
   /// (source rows, block_rows) of the scans that filled `rows`; a scan of
   /// any other geometry empties the memo first.
   std::pair<size_t, size_t> row_scope{0, 0};
-  uint64_t clock = 0;  ///< Bumped per scan; drives LRU eviction.
-  uint64_t hits = 0;   ///< Column lookups served from `entries`.
-  uint64_t misses = 0;
+  uint64_t clock = 0;  ///< Bumped per scan attempt; drives LRU eviction.
+  uint64_t attempt = 0;     ///< ScanGeometry::attempt of the open claims.
+  size_t capacity = 0;      ///< Entry budget of the open claims.
+  size_t column_rows = 0;   ///< Column length of the open claims.
+  uint64_t hits = 0;    ///< Locality column lookups served from `entries`.
+  uint64_t misses = 0;  ///< Locality columns the scans computed.
+  uint64_t assign_hits = 0;    ///< Assignment column lookups served.
+  uint64_t assign_misses = 0;  ///< Assignment columns the scans scored.
   uint64_t row_hits = 0;  ///< Distinct (slot, delta) served from `rows`.
   uint64_t row_misses = 0;
 };
@@ -136,10 +189,9 @@ class LocalityStatsConsumer final : public ScanConsumer {
   /// Cached binding: `slots` names the candidate slot behind each medoid
   /// row (distinct, same length as `medoids` rows) and `cache` persists
   /// across scans. Locality rows the memo holds for (slot, delta) are
-  /// copied, the scan accumulates only the rest, and their distance
-  /// columns are reused when cached; freshly computed columns and rows
-  /// are committed back on Merge. `slots` and `cache` must outlive the
-  /// scan.
+  /// copied, the scan accumulates only the rest, and their full-space
+  /// distance columns are reused when cached; freshly computed columns
+  /// and rows are committed back on Merge. `cache` must outlive the scan.
   Status Bind(const Matrix* medoids,
               std::vector<std::vector<size_t>> variant_rows,
               std::span<const size_t> slots, MedoidDistanceCache* cache);
@@ -186,6 +238,7 @@ class LocalityStatsConsumer final : public ScanConsumer {
   MedoidDistanceCache* cache_ = nullptr;
   std::vector<size_t> slots_;          // candidate slot per medoid row
   std::vector<size_t> fresh_entries_;  // cache entry per fill row
+  DimensionSet full_dims_;             // the locality columns' key
   size_t dims_ = 0;
   size_t rows_ = 0;  // source rows (= cached column length) this scan
   uint64_t distance_evals_ = 0;
@@ -200,6 +253,27 @@ class AssignConsumer final : public ScanConsumer {
   /// `medoids` (k x d) and `dims` (k sets) must outlive the scan.
   Status Bind(const Matrix* medoids, const std::vector<DimensionSet>* dims,
               bool segmental_normalization, bool accumulate_centroids);
+
+  /// Refinement assignment: as above, but with detect_outliers a point
+  /// farther from every medoid than that medoid's sphere of influence
+  /// (`spheres`, one per medoid) is labeled kOutlierLabel, and the
+  /// centroids skip outliers. `spheres` must outlive the scan.
+  Status BindRefine(const Matrix* medoids,
+                    const std::vector<DimensionSet>* dims,
+                    const std::vector<double>* spheres,
+                    bool segmental_normalization, bool detect_outliers,
+                    bool accumulate_centroids);
+
+  /// Cached binding: `slots` names the candidate slot behind each medoid
+  /// row (distinct, same length as `medoids` rows) and `cache` persists
+  /// across scans. Each medoid's (slot, dims, normalization) distance
+  /// column is read back when the cache holds it; the scan scores only
+  /// the missing columns, labels every row by the argmin over the k
+  /// columns, and commits the new columns on Merge. Labels are
+  /// bit-identical to the uncached bind. `cache` must outlive the scan.
+  Status Bind(const Matrix* medoids, const std::vector<DimensionSet>* dims,
+              bool segmental_normalization, bool accumulate_centroids,
+              std::span<const size_t> slots, MedoidDistanceCache* cache);
 
   Status Prepare(const ScanGeometry& geometry) override;
   void ConsumeBlock(size_t block_index, size_t first_row,
@@ -226,6 +300,7 @@ class AssignConsumer final : public ScanConsumer {
   const Matrix* medoids_ = nullptr;
   const std::vector<DimensionSet>* dims_sets_ = nullptr;
   std::vector<std::vector<uint32_t>> dim_lists_;
+  const std::vector<double>* spheres_ = nullptr;  // null unless detecting
   bool segmental_ = true;
   bool accumulate_ = false;
   std::vector<int> labels_;
@@ -235,50 +310,15 @@ class AssignConsumer final : public ScanConsumer {
   std::vector<size_t> counts_;
   size_t dims_ = 0;
   uint64_t distance_evals_ = 0;
-};
-
-/// Refinement assignment: like AssignConsumer but a point farther from
-/// every medoid than that medoid's sphere of influence is labeled
-/// kOutlierLabel (when detect_outliers). Optionally fuses centroid
-/// accumulation over the non-outlier points.
-class RefineAssignConsumer final : public ScanConsumer {
- public:
-  Status Bind(const Matrix* medoids, const std::vector<DimensionSet>* dims,
-              const std::vector<double>* spheres,
-              bool segmental_normalization, bool detect_outliers,
-              bool accumulate_centroids);
-
-  Status Prepare(const ScanGeometry& geometry) override;
-  void ConsumeBlock(size_t block_index, size_t first_row,
-                    std::span<const double> data, size_t rows) override;
-  Status Merge() override;
-  // Explicit no-op: Prepare() overwrites every partial Merge() reads
-  // (see the rollback note at the top of this header).
-  void Reset() override {}
-  uint64_t distance_evals() const override { return distance_evals_; }
-  KernelStats kernel_stats() const override;
-
-  const std::vector<int>& labels() const { return labels_; }
-  /// Moves the labels out (one-shot use; surrenders buffer reuse).
-  std::vector<int> TakeLabels() { return std::move(labels_); }
-  const Matrix& centroids() const { return centroids_; }
-  const std::vector<size_t>& cluster_sizes() const { return counts_; }
-
- private:
-  const Matrix* medoids_ = nullptr;
-  const std::vector<DimensionSet>* dims_sets_ = nullptr;
-  const std::vector<double>* spheres_ = nullptr;
-  std::vector<std::vector<uint32_t>> dim_lists_;
-  bool segmental_ = true;
-  bool detect_outliers_ = true;
-  bool accumulate_ = false;
-  std::vector<int> labels_;
-  std::vector<BlockSums> partials_;
-  std::vector<KernelScratch> scratch_;  // [block]
-  Matrix centroids_;
-  std::vector<size_t> counts_;
-  size_t dims_ = 0;
-  uint64_t distance_evals_ = 0;
+  // Cached-binding state (empty/null for uncached binds): the column of
+  // each medoid, the medoids whose column this scan scores and their
+  // cache entries, and each block's column pointers at its first row.
+  MedoidDistanceCache* cache_ = nullptr;
+  std::vector<size_t> slots_;
+  std::vector<double*> col_base_;
+  std::vector<size_t> fill_;
+  std::vector<size_t> fresh_entries_;
+  std::vector<std::vector<const double*>> cols_;  // [block][medoid]
 };
 
 /// Cluster statistics (refinement phase): X(i, j) = average |p_j - m_ij|

@@ -10,6 +10,7 @@
 #include "common/dimension_set.h"
 #include "common/matrix.h"
 #include "common/run_stats.h"
+#include "common/status.h"
 #include "data/dataset.h"
 #include "gen/ground_truth.h"
 
@@ -69,6 +70,12 @@ struct ProjectedClustering {
     return n;
   }
 };
+
+/// The shape a model needs before it can label points: k > 0 clusters,
+/// k medoid coordinate rows of `dims` columns, k dimension sets, and no
+/// spheres or one per cluster. InvalidArgument names the first mismatch.
+/// Shared by ClassifyPoints and ValidateClustering (core/proclus.h).
+Status ValidateModelShape(const ProjectedClustering& model, size_t dims);
 
 }  // namespace proclus
 

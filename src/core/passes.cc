@@ -71,11 +71,11 @@ Result<std::vector<int>> RefineAssignPass(
   if (medoids.rows() == 0) return Status::InvalidArgument("no medoids");
   if (dims.size() != medoids.rows() || spheres.size() != medoids.rows())
     return Status::InvalidArgument("per-medoid input count mismatch");
-  RefineAssignConsumer consumer;
-  PROCLUS_RETURN_IF_ERROR(consumer.Bind(&medoids, &dims, &spheres,
-                                        segmental_normalization,
-                                        detect_outliers,
-                                        /*accumulate_centroids=*/false));
+  AssignConsumer consumer;
+  PROCLUS_RETURN_IF_ERROR(consumer.BindRefine(&medoids, &dims, &spheres,
+                                              segmental_normalization,
+                                              detect_outliers,
+                                              /*accumulate_centroids=*/false));
   PROCLUS_RETURN_IF_ERROR(ScanExecutor(options).Run(source, {&consumer}));
   return consumer.TakeLabels();
 }

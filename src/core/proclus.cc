@@ -6,6 +6,7 @@
 #include <limits>
 #include <numeric>
 #include <span>
+#include <string>
 #include <utility>
 
 #include "common/hash.h"
@@ -189,11 +190,11 @@ struct FusedScratch {
   Matrix medoid_coords;  // Coordinates of the current medoid set.
   Matrix spec_coords;    // Union coordinates of the speculative sets.
   MedoidScratch medoids;
-  // Per-candidate-slot locality rows and distance columns shared across
-  // scans and restarts: hill climbing replaces ~1 of k medoids per
-  // iteration, so most of each locality scan's rows (or at least their
-  // per-point distances) were already computed by an earlier scan. Keyed
-  // by candidate slot id, which never changes within a run.
+  // Locality rows and distance columns shared across scans and restarts:
+  // hill climbing replaces ~1 of k medoids per iteration, so most of each
+  // scan's locality rows and assignment distances (or at least their
+  // per-point full-space distances) were already computed by an earlier
+  // scan. Keyed by candidate slot id, which never changes within a run.
   MedoidDistanceCache dist_cache;
   std::vector<size_t> next_a;      // Next set if this iteration improves.
   std::vector<size_t> next_b;      // Next set if it does not.
@@ -270,10 +271,13 @@ Status FusedClimb(const PointSource& source, const ProclusParams& params,
     auto dims = FindDimensions(X, params.avg_dims);
     PROCLUS_RETURN_IF_ERROR(dims.status());
 
-    // Scan 1: assignment fused with centroid accumulation.
-    PROCLUS_RETURN_IF_ERROR(s.assign.Bind(&s.medoid_coords, &*dims,
-                                          params.segmental_normalization,
-                                          /*accumulate_centroids=*/true));
+    // Scan 1: assignment fused with centroid accumulation. Only the
+    // (slot, D_i) distance columns no earlier scan left in the cache are
+    // scored.
+    PROCLUS_RETURN_IF_ERROR(s.assign.Bind(
+        &s.medoid_coords, &*dims, params.segmental_normalization,
+        /*accumulate_centroids=*/true, std::span<const size_t>(current),
+        &s.dist_cache));
     PROCLUS_RETURN_IF_ERROR(executor.Run(source, {&s.assign}));
     ++stats.iterative_scans;
 
@@ -510,6 +514,46 @@ std::vector<DimensionSet> DimsFromLists(
 
 }  // namespace
 
+Status ValidateClustering(const ProjectedClustering& model,
+                          const ProclusParams& params, size_t n) {
+  auto bad = [](const std::string& what) {
+    return Status::InvalidArgument("invalid clustering: " + what);
+  };
+  const size_t k = params.num_clusters;
+  if (model.num_clusters() != k)
+    return bad(std::to_string(model.num_clusters()) + " medoids for k = " +
+               std::to_string(k));
+  const size_t d = model.medoid_coords.cols();
+  PROCLUS_RETURN_IF_ERROR(ValidateModelShape(model, d));
+  size_t total_dims = 0;
+  for (const DimensionSet& dims : model.dimensions) {
+    if (dims.capacity() != d) return bad("dimension set over another space");
+    if (dims.size() < 2) return bad("a medoid has fewer than 2 dimensions");
+    total_dims += dims.size();
+  }
+  const size_t want_dims = static_cast<size_t>(
+      std::llround(params.avg_dims * static_cast<double>(k)));
+  if (total_dims != want_dims)
+    return bad(std::to_string(total_dims) + " dimensions in total, not " +
+               std::to_string(want_dims));
+  for (size_t i = 0; i < k; ++i) {
+    if (model.medoids[i] >= n) return bad("medoid index out of range");
+    for (size_t j = 0; j < i; ++j)
+      if (model.medoids[i] == model.medoids[j])
+        return bad("duplicate medoid");
+  }
+  if (model.labels.size() != n)
+    return bad(std::to_string(model.labels.size()) + " labels for " +
+               std::to_string(n) + " points");
+  for (int label : model.labels)
+    if (label < kOutlierLabel || label >= static_cast<int>(k))
+      return bad("label " + std::to_string(label) + " out of range");
+  if (!std::isfinite(model.objective)) return bad("objective is not finite");
+  if (model.stats.rows_visited != n * model.stats.scans_issued)
+    return bad("rows visited is not n times the scans issued");
+  return Status::OK();
+}
+
 Result<ProjectedClustering> RunProclusOnSource(const PointSource& source,
                                                const ProclusParams& params) {
   PROCLUS_RETURN_IF_ERROR(params.Validate(source.size(), source.dims()));
@@ -716,6 +760,8 @@ Result<ProjectedClustering> RunProclusOnSource(const PointSource& source,
   stats.locality_cache_misses = fused.dist_cache.misses;
   stats.locality_row_hits = fused.dist_cache.row_hits;
   stats.locality_row_misses = fused.dist_cache.row_misses;
+  stats.assign_column_hits = fused.dist_cache.assign_hits;
+  stats.assign_column_misses = fused.dist_cache.assign_misses;
   stats.iterative_scans =
       stats.scans_issued - scans_before_climb - stats.bootstrap_scans;
   stats.iterative_seconds = phase_timer.ElapsedSeconds();
@@ -735,6 +781,8 @@ Result<ProjectedClustering> RunProclusOnSource(const PointSource& source,
     result.objective = best_objective;
     stats.total_seconds = total_timer.ElapsedSeconds();
     result.stats = stats;
+    // invariant: every fit satisfies the paper's output invariants.
+    PROCLUS_DCHECK(ValidateClustering(result, params, n).ok());
     return result;
   }
 
@@ -772,8 +820,8 @@ Result<ProjectedClustering> RunProclusOnSource(const PointSource& source,
   result.spheres = spheres;
   result.dimensions = std::move(refined_dims).value();
 
-  RefineAssignConsumer refine;
-  PROCLUS_RETURN_IF_ERROR(refine.Bind(
+  AssignConsumer refine;
+  PROCLUS_RETURN_IF_ERROR(refine.BindRefine(
       &medoid_coords, &result.dimensions, &spheres,
       params.segmental_normalization, params.detect_outliers,
       /*accumulate_centroids=*/true));
@@ -789,6 +837,8 @@ Result<ProjectedClustering> RunProclusOnSource(const PointSource& source,
   stats.refine_seconds = phase_timer.ElapsedSeconds();
   stats.total_seconds = total_timer.ElapsedSeconds();
   result.stats = stats;
+  // invariant: every fit satisfies the paper's output invariants.
+  PROCLUS_DCHECK(ValidateClustering(result, params, n).ok());
   return result;
 }
 

@@ -169,6 +169,16 @@ Result<ProjectedClustering> RunProclus(const Dataset& dataset,
 Result<ProjectedClustering> RunProclusOnSource(const PointSource& source,
                                                const ProclusParams& params);
 
+/// Checks the output invariants of a PROCLUS fit over `n` points with
+/// `params`: the model shape (ValidateModelShape), k distinct medoids
+/// each < n, >= 2 dimensions per medoid summing to round(k * l), n labels
+/// in [-1, k), a finite objective, and the scan identity
+/// stats.rows_visited == n * stats.scans_issued (every scan is a full
+/// scan). InvalidArgument names the first violation. Every fit runs it
+/// under PROCLUS_DCHECK.
+Status ValidateClustering(const ProjectedClustering& model,
+                          const ProclusParams& params, size_t n);
+
 namespace internal {
 
 /// Per-medoid locality statistics: X(i, j) = average |p_j - m_ij| over the

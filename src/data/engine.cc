@@ -21,6 +21,13 @@ bool IsCancelCode(const Status& status) {
          status.code() == StatusCode::kDeadlineExceeded;
 }
 
+// Next ScanGeometry::attempt; never 0.
+uint64_t NextScanAttempt() {
+  // order: relaxed — a unique ticket; nothing is published through it.
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 }  // namespace
 
 Status ScanExecutor::Run(const PointSource& source,
@@ -51,6 +58,7 @@ Status ScanExecutor::Run(const PointSource& source,
   geometry.dims = source.dims();
   geometry.block_rows = options_.block_rows;
   geometry.num_blocks = BlockCount(geometry.rows, geometry.block_rows);
+  geometry.attempt = NextScanAttempt();
   for (ScanConsumer* consumer : consumers)
     PROCLUS_RETURN_IF_ERROR(consumer->Prepare(geometry));
 
@@ -102,6 +110,7 @@ Status ScanExecutor::Run(const PointSource& source,
       }
       if (!retryable) return status;
       for (ScanConsumer* consumer : consumers) consumer->Reset();
+      geometry.attempt = NextScanAttempt();
       for (ScanConsumer* consumer : consumers)
         PROCLUS_RETURN_IF_ERROR(consumer->Prepare(geometry));
       PROCLUS_RETURN_IF_ERROR(
@@ -223,6 +232,7 @@ Status ShardedScanExecutor::Run(const ShardedSource& source,
   geometry.dims = source.dims();
   geometry.block_rows = options_.block_rows;
   geometry.num_blocks = BlockCount(geometry.rows, geometry.block_rows);
+  geometry.attempt = NextScanAttempt();
   for (ScanConsumer* consumer : consumers)
     PROCLUS_RETURN_IF_ERROR(consumer->Prepare(geometry));
 

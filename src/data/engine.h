@@ -74,6 +74,12 @@ struct ScanGeometry {
   size_t block_rows = 0;
   /// Number of blocks covering the source.
   size_t num_blocks = 0;
+  /// Serial number of the scan attempt, unique within the process and
+  /// never 0: every consumer of one attempt sees the same value, and a
+  /// re-issued attempt (rollback retry) sees a new one. Lets state that
+  /// outlives a scan (core/consumers.h's MedoidDistanceCache) tell one
+  /// attempt from the next.
+  uint64_t attempt = 0;
 };
 
 /// One logical computation over a scan: allocates per-block partial state

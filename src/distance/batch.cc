@@ -294,18 +294,34 @@ void FullDimArgmin(std::span<const double> block, size_t rows,
 
 PROCLUS_KERNEL
 void SegmentalDistanceBatch(std::span<const double> block, size_t rows,
-                            size_t dims_total, std::span<const double> medoid,
-                            std::span<const uint32_t> dims, bool normalize,
-                            KernelScratch& scratch, double* out) {
-  PROCLUS_DCHECK(!dims.empty());
+                            size_t dims_total, const Matrix& refs,
+                            std::span<const size_t> ref_rows,
+                            std::span<const std::vector<uint32_t>> dim_lists,
+                            bool normalize, KernelScratch& scratch,
+                            std::span<double* const> outs) {
   PROCLUS_DCHECK(block.size() == rows * dims_total);
+  PROCLUS_DCHECK(outs.size() == ref_rows.size());
   ++scratch.batches;
-  scratch.rows_scored += rows;
-  OneRefKernel(block, rows, dims_total, medoid.data(), dims.data(),
-               dims.size(), scratch, out, SegmentalFold{});
-  if (normalize) {
-    const double denom = static_cast<double>(dims.size());
-    for (size_t r = 0; r < rows; ++r) out[r] /= denom;
+  scratch.rows_scored += rows * ref_rows.size();
+  size_t nd_max = 0;
+  for (size_t m : ref_rows) nd_max = std::max(nd_max, dim_lists[m].size());
+  scratch.tile.resize(nd_max * kTileLd);
+  double* tile = scratch.tile.data();
+  for (size_t r0 = 0; r0 < rows; r0 += kKernelRowTile) {
+    const size_t n = std::min(kKernelRowTile, rows - r0);
+    for (size_t f = 0; f < ref_rows.size(); ++f) {
+      const std::vector<uint32_t>& dims = dim_lists[ref_rows[f]];
+      PROCLUS_DCHECK(!dims.empty());
+      GatherSubTile(block.data(), dims_total, dims.data(), dims.size(), r0, n,
+                    tile);
+      double* out = outs[f] + r0;
+      AccumulateOne(tile, n, dims.size(), refs.row(ref_rows[f]).data(),
+                    dims.data(), out, SegmentalFold{});
+      if (normalize) {
+        const double denom = static_cast<double>(dims.size());
+        for (size_t r = 0; r < n; ++r) out[r] /= denom;
+      }
+    }
   }
 }
 
@@ -427,6 +443,21 @@ void SegmentalArgminBatch(std::span<const double> block, size_t rows,
       }
       ArgminUpdate(dist, n, static_cast<int>(i), best, tile_labels);
     }
+  }
+}
+
+PROCLUS_KERNEL
+void ColumnArgminBatch(std::span<const double* const> cols, size_t rows,
+                       KernelScratch& scratch, int* labels) {
+  scratch.best.assign(rows, std::numeric_limits<double>::infinity());
+  std::fill(labels, labels + rows, 0);
+  // Sub-tiles keep best/labels cache-resident while every column folds
+  // over them, as in SegmentalArgminBatch.
+  for (size_t r0 = 0; r0 < rows; r0 += kKernelRowTile) {
+    const size_t n = std::min(kKernelRowTile, rows - r0);
+    for (size_t i = 0; i < cols.size(); ++i)
+      ArgminUpdate(cols[i] + r0, n, static_cast<int>(i),
+                   scratch.best.data() + r0, labels + r0);
   }
 }
 

@@ -86,15 +86,22 @@ inline void PrepareKernelScratch(std::vector<KernelScratch>& scratches,
   for (KernelScratch& scratch : scratches) scratch.ResetCounters();
 }
 
-/// out[r] = ManhattanSegmentalDistance(row r, medoid, dims) when
+/// For each listed reference m = ref_rows[f]: outs[f][r] =
+/// ManhattanSegmentalDistance(row r, refs.row(m), dim_lists[m]) when
 /// `normalize`, RestrictedManhattanDistance otherwise; bit-identical to
 /// the scalar loops in distance/segmental.h. `block` holds rows x
-/// dims_total doubles row-major; `dims` must be non-empty with every
-/// index < dims_total == medoid.size().
+/// dims_total doubles row-major; every dim_lists[m] must be non-empty
+/// with each index < dims_total == refs.cols(). Scatter output, so the
+/// columns can be independently owned buffers (the cached assignment's
+/// distance columns). Each reference gathers its own dimensions, but a
+/// sub-tile's rows stay cache-resident across all of them, as in
+/// SegmentalArgminBatch.
 void SegmentalDistanceBatch(std::span<const double> block, size_t rows,
-                            size_t dims_total, std::span<const double> medoid,
-                            std::span<const uint32_t> dims, bool normalize,
-                            KernelScratch& scratch, double* out);
+                            size_t dims_total, const Matrix& refs,
+                            std::span<const size_t> ref_rows,
+                            std::span<const std::vector<uint32_t>> dim_lists,
+                            bool normalize, KernelScratch& scratch,
+                            std::span<double* const> outs);
 
 /// out[r] = ManhattanDistance(row r, point) over all dims_total
 /// dimensions; bit-identical to the scalar kernel.
@@ -142,6 +149,16 @@ void SegmentalArgminBatch(std::span<const double> block, size_t rows,
                           std::span<const std::vector<uint32_t>> dim_lists,
                           bool normalize, std::span<const double> spheres,
                           KernelScratch& scratch, int* labels);
+
+/// Nearest column per row: labels[r] gets the i minimizing cols[i][r]
+/// with SegmentalArgminBatch's exact rule — start at +infinity with label
+/// 0, strict `<`, columns visited in ascending index order — so over
+/// columns that SegmentalDistanceBatch scored it yields the same labels
+/// and winning distances bit for bit. `cols[i]` points at the block's
+/// first row. After the call scratch.best[r] holds the winning distance.
+/// It scores no pairs, so it adds nothing to the scratch counters.
+void ColumnArgminBatch(std::span<const double* const> cols, size_t rows,
+                       KernelScratch& scratch, int* labels);
 
 /// Nearest center per row by squared Euclidean distance over all
 /// dimensions (the Lloyd assignment step): labels[r] gets the argmin,

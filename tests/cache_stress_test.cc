@@ -13,18 +13,28 @@
 // committed columns), and as the first layout again (served by the row
 // memo).
 //
+// The assignment columns of the same store get the same treatment: a
+// churn schedule of cached assignment scans over memory, disk and
+// 4-shard sources at two block sizes and every worker count must label,
+// and accumulate centroids, exactly like the uncached bind.
+//
 // Lives in the `parallel`-labeled binary so the tsan CTest preset runs it.
 
 #include "core/consumers.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/matrix.h"
+#include "data/binary_io.h"
 #include "data/engine.h"
+#include "data/sharded_source.h"
 #include "gen/synthetic.h"
+#include "test_temp.h"
 
 namespace proclus {
 namespace {
@@ -183,6 +193,83 @@ TEST(CacheStressTest, BlockSizesAgreeOnCachedColumns) {
     ASSERT_NE(scattered_col, nullptr) << "slot " << slot;
     ASSERT_NE(whole_col, nullptr) << "slot " << slot;
     EXPECT_EQ(*scattered_col, *whole_col) << "slot " << slot;
+  }
+}
+
+// One cached assignment scan of the churn below: slots and, per medoid,
+// its dimensions.
+struct AssignStep {
+  std::vector<size_t> slots;
+  std::vector<std::vector<uint32_t>> dims;
+  bool normalize = true;
+};
+
+// Medoids drawn from the fixture's five union rows plus four more pool
+// rows: repeats, turnover, a moving dimension set, the normalization
+// flipped, full-dimensional sets and enough distinct keys to evict.
+std::vector<AssignStep> StressChurn() {
+  const std::vector<uint32_t> all = {0, 1, 2, 3, 4, 5, 6, 7};
+  return {{{0, 1, 2}, {{0, 1, 2}, {3, 4}, {5, 6, 7}}, true},
+          {{0, 1, 2}, {{0, 1, 2}, {3, 4}, {5, 6, 7}}, true},
+          {{0, 3, 2}, {{0, 1, 2}, {3, 4, 5}, {5, 6, 7}}, true},
+          {{0, 3, 2}, {{0, 1, 2}, {3, 4, 5}, {5, 6, 7}}, false},
+          {{4, 5, 6}, {all, all, {1, 2}}, true},
+          {{7, 8, 1}, {{2, 6}, {0, 7}, {1, 3, 5}}, true},
+          {{0, 3, 2}, {{0, 1, 2}, {3, 4, 5}, {5, 6, 7}}, true},
+          {{4, 5, 6}, {all, all, {1, 2}}, true}};
+}
+
+TEST(CacheStressTest, AssignColumnsBitIdenticalAcrossWorkersSourcesBlocks) {
+  CacheFixture fixture = MakeCacheFixture();
+  const Dataset& data = fixture.data.dataset;
+  MemorySource memory(data);
+  const std::vector<size_t> pool_rows = {7, 311, 600, 901, 1100,
+                                         42, 512, 777, 1152};
+  const Matrix pool = std::move(memory.Fetch(pool_rows)).value();
+  const std::vector<AssignStep> steps = StressChurn();
+
+  const std::string path = TestTempPath("assign_stress.bin");
+  ASSERT_TRUE(WriteBinaryFile(data, path).ok());
+  auto disk = DiskSource::Open(path);
+  ASSERT_TRUE(disk.ok());
+
+  for (size_t block_rows : {size_t{5}, size_t{96}}) {
+    auto shards = ShardedSource::FromDataset(data, 4, block_rows);
+    ASSERT_TRUE(shards.ok());
+    const PointSource* sources[] = {&memory, &*disk, &*shards};
+    for (const PointSource* source : sources) {
+      for (size_t workers : kWorkerCounts) {
+        MedoidDistanceCache cache;
+        ScanExecutor executor(ScanOptions{workers, block_rows, nullptr});
+        ScanExecutor sequential(ScanOptions{1, block_rows, nullptr});
+        AssignConsumer cached;
+        for (size_t s = 0; s < steps.size(); ++s) {
+          Matrix coords(3, pool.cols());
+          std::vector<DimensionSet> dims;
+          for (size_t i = 0; i < 3; ++i) {
+            for (size_t j = 0; j < pool.cols(); ++j)
+              coords(i, j) = pool(steps[s].slots[i], j);
+            dims.emplace_back(pool.cols(), steps[s].dims[i]);
+          }
+          ASSERT_TRUE(cached
+                          .Bind(&coords, &dims, steps[s].normalize, true,
+                                std::span<const size_t>(steps[s].slots),
+                                &cache)
+                          .ok());
+          ASSERT_TRUE(executor.Run(*source, {&cached}).ok());
+          AssignConsumer plain;
+          ASSERT_TRUE(plain.Bind(&coords, &dims, steps[s].normalize, true)
+                          .ok());
+          ASSERT_TRUE(sequential.Run(memory, {&plain}).ok());
+          EXPECT_EQ(cached.labels(), plain.labels())
+              << workers << " workers, block_rows " << block_rows
+              << ", step " << s;
+          EXPECT_EQ(cached.centroids(), plain.centroids());
+          EXPECT_EQ(cached.cluster_sizes(), plain.cluster_sizes());
+        }
+        EXPECT_GT(cache.assign_hits, 0u) << workers << " workers";
+      }
+    }
   }
 }
 

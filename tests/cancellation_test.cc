@@ -35,6 +35,7 @@
 #include "baselines/kmeans.h"
 #include "baselines/kmedoids.h"
 #include "common/rng.h"
+#include "core/consumers.h"
 #include "core/model_io.h"
 #include "core/proclus.h"
 #include "data/binary_io.h"
@@ -467,6 +468,62 @@ TEST(StallHedgingTest, HungShardIsReclaimedByTheWatchdog) {
   EXPECT_EQ(stats.hedged_scans, 1u);
   EXPECT_EQ(stats.failed_scans, 0u);
   EXPECT_GE(set.decorators[0]->fault_counters().hangs, 1u);
+}
+
+TEST(StallHedgingTest, HedgedAndRetriedShardsCommitUndisturbedColumns) {
+  // Cached assignment columns filled through a hedged shard re-scan
+  // (shard 1 stalls) and a per-shard retry (shard 2 fails once) are
+  // committed with exactly the bits of an undisturbed scan: re-delivered
+  // blocks rewrite their own row ranges with the same values.
+  Dataset ds = RandomDataset(4096, 6, 37);
+  MemorySource whole(ds);
+  auto medoids = whole.Fetch(std::vector<size_t>{3, 1500, 4000});
+  ASSERT_TRUE(medoids.ok());
+  const std::vector<DimensionSet> dims = {DimensionSet(6, {0, 2}),
+                                          DimensionSet(6, {1, 3, 5}),
+                                          DimensionSet(6, {0, 1, 2, 3, 4, 5})};
+  const std::vector<size_t> slots = {11, 12, 13};
+  auto fill = [&](const PointSource& source, const ScanOptions& options,
+                  MedoidDistanceCache* cache, AssignConsumer* consumer) {
+    ASSERT_TRUE(consumer
+                    ->Bind(&*medoids, &dims, true, true,
+                           std::span<const size_t>(slots), cache)
+                    .ok());
+    ASSERT_TRUE(ScanExecutor(options).Run(source, {consumer}).ok());
+  };
+  ScanOptions clean;
+  clean.block_rows = 256;
+  MedoidDistanceCache undisturbed;
+  AssignConsumer baseline;
+  fill(whole, clean, &undisturbed, &baseline);
+
+  std::vector<FaultPlan> plans(3);
+  plans[1].stall_rate = 1.0;
+  plans[1].stall = microseconds(80000);
+  plans[2].fail_rate = 1.0;
+  plans[2].max_consecutive = 1;
+  FaultyShardSet set = MakeFaultyShards(ds, {1024, 1024, 2048}, plans);
+  RunStats stats;
+  ScanOptions options;
+  options.num_threads = 3;
+  options.block_rows = 256;
+  options.stats = &stats;
+  options.shard_soft_deadline = microseconds(8000);
+  options.max_hedges_per_shard = 1;
+  MedoidDistanceCache disturbed;
+  AssignConsumer consumer;
+  fill(*set.sharded, options, &disturbed, &consumer);
+  EXPECT_EQ(stats.hedged_scans, 1u);
+  EXPECT_GT(stats.retries, 0u);
+
+  EXPECT_EQ(consumer.labels(), baseline.labels());
+  EXPECT_EQ(consumer.centroids(), baseline.centroids());
+  ASSERT_EQ(disturbed.entries.size(), undisturbed.entries.size());
+  for (size_t e = 0; e < disturbed.entries.size(); ++e) {
+    EXPECT_TRUE(disturbed.entries[e].valid);
+    EXPECT_EQ(disturbed.entries[e].dist, undisturbed.entries[e].dist)
+        << "slot " << disturbed.entries[e].slot;
+  }
 }
 
 TEST(StallHedgingTest, ProclusOverStalledShardsMatchesCleanRun) {

@@ -15,7 +15,9 @@
 //    byte counters record the saved passes.
 //  * The locality row memo and distance-column cache reproduce uncached
 //    scans bit for bit under medoid churn, commit nothing from a failed
-//    or cancelled scan, and never serve a row across block sizes.
+//    or cancelled scan, and never serve a row across block sizes. The
+//    assignment columns of the same store do the same, and a scan that
+//    binds two cached consumers to one store is rejected.
 
 #include "data/engine.h"
 
@@ -501,6 +503,261 @@ TEST(LocalityRowMemoTest, NeverServesRowsAcrossBlockSizes) {
   // Columns are geometry-free: both later scans reused all three.
   EXPECT_EQ(cache.misses, 3u);
   EXPECT_EQ(cache.hits, 6u);
+}
+
+// ---------------------------------------------------------------------
+// Assignment distance columns in the shared column store.
+// ---------------------------------------------------------------------
+
+// One assignment scan of a churn schedule: the medoid slots, each
+// medoid's dimension list and the normalization.
+struct AssignStep {
+  std::vector<size_t> slots;
+  std::vector<std::vector<uint32_t>> dims;
+  bool normalize = true;
+};
+
+// Hill-climbing-like churn over k = 3 slots of MakePool's 24: repeats,
+// one-slot turnover, a dimension set that moves, the normalization
+// flipped (never the same key), full-dimensional sets (the locality
+// key), and a sweep past the store's 16 entries so eviction runs.
+std::vector<AssignStep> AssignChurn() {
+  const std::vector<std::vector<uint32_t>> base = {{0, 3, 5}, {1, 2},
+                                                   {4, 7, 8, 9}};
+  std::vector<std::vector<uint32_t>> moved = base;
+  moved[1] = {1, 2, 6};
+  std::vector<uint32_t> all(10);
+  for (uint32_t j = 0; j < 10; ++j) all[j] = j;
+  std::vector<AssignStep> steps = {
+      {{0, 1, 2}, base, true},  {{0, 1, 2}, base, true},
+      {{0, 1, 3}, base, true},  {{0, 1, 3}, moved, true},
+      {{0, 1, 3}, moved, false}, {{0, 1, 3}, moved, true},
+      {{0, 1, 2}, {all, all, all}, true}};
+  for (size_t first = 3; first + 2 < 24; first += 3)
+    steps.push_back({{first, first + 1, first + 2}, base, true});
+  steps.push_back({{0, 1, 2}, base, true});
+  steps.push_back({{0, 1, 2}, {all, all, all}, false});
+  return steps;
+}
+
+// Binds `step` over `pool`: coordinates and dimension sets.
+void StepInputs(const Matrix& pool, const AssignStep& step, Matrix* coords,
+                std::vector<DimensionSet>* dims) {
+  *coords = Matrix(step.slots.size(), pool.cols());
+  dims->clear();
+  for (size_t i = 0; i < step.slots.size(); ++i) {
+    for (size_t j = 0; j < pool.cols(); ++j)
+      (*coords)(i, j) = pool(step.slots[i], j);
+    dims->emplace_back(pool.cols(), step.dims[i]);
+  }
+}
+
+TEST(AssignColumnCacheTest, MatchesUncachedAcrossChurn) {
+  ConsumerFixture fixture = MakeConsumerFixture();
+  MemorySource source(fixture.base.data.dataset);
+  const Matrix pool = MakePool(source);
+  const std::vector<AssignStep> steps = AssignChurn();
+
+  MedoidDistanceCache cache;
+  RunStats cached_stats;
+  RunStats plain_stats;
+  ScanExecutor cached_exec(ScanOptions{4, 512, &cached_stats});
+  ScanExecutor plain_exec(ScanOptions{4, 512, &plain_stats});
+  AssignConsumer cached;
+  AssignConsumer plain;
+  for (size_t s = 0; s < steps.size(); ++s) {
+    Matrix coords;
+    std::vector<DimensionSet> dims;
+    StepInputs(pool, steps[s], &coords, &dims);
+    ASSERT_TRUE(cached
+                    .Bind(&coords, &dims, steps[s].normalize, true,
+                          std::span<const size_t>(steps[s].slots), &cache)
+                    .ok());
+    ASSERT_TRUE(plain.Bind(&coords, &dims, steps[s].normalize, true).ok());
+    ASSERT_TRUE(cached_exec.Run(source, {&cached}).ok());
+    ASSERT_TRUE(plain_exec.Run(source, {&plain}).ok());
+    EXPECT_EQ(cached.labels(), plain.labels()) << "step " << s;
+    EXPECT_EQ(cached.centroids(), plain.centroids()) << "step " << s;
+    EXPECT_EQ(cached.cluster_sizes(), plain.cluster_sizes()) << "step " << s;
+    if (s == 1) {
+      EXPECT_EQ(cache.assign_misses, 3u);
+      EXPECT_EQ(cache.assign_hits, 3u);
+    }
+  }
+  // Every scan looks each medoid up once; only misses cost a column.
+  EXPECT_EQ(cache.assign_hits + cache.assign_misses, 3 * steps.size());
+  EXPECT_GT(cache.assign_hits, 3u);
+  EXPECT_EQ(plain_stats.distance_evals - cached_stats.distance_evals,
+            cache.assign_hits * 5000u);
+  EXPECT_EQ(plain_stats.kernel_rows - cached_stats.kernel_rows,
+            cache.assign_hits * 5000u);
+  // The locality counters are the locality consumer's alone.
+  EXPECT_EQ(cache.hits + cache.misses, 0u);
+  EXPECT_LE(cache.entries.size(), 16u);
+}
+
+TEST(AssignColumnCacheTest, FailedAndCancelledScansCommitNothing) {
+  ConsumerFixture fixture = MakeConsumerFixture();
+  MemorySource source(fixture.base.data.dataset);
+  const std::vector<size_t> slots = {4, 9, 17};
+  AssignConsumer plain;
+  ASSERT_TRUE(plain.Bind(&fixture.medoids, &fixture.dims, true, true).ok());
+  ASSERT_TRUE(
+      ScanExecutor(ScanOptions{1, 512, nullptr}).Run(source, {&plain}).ok());
+
+  MedoidDistanceCache cache;
+  AssignConsumer cached;
+  auto bind = [&] {
+    ASSERT_TRUE(cached
+                    .Bind(&fixture.medoids, &fixture.dims, true, true,
+                          std::span<const size_t>(slots), &cache)
+                    .ok());
+  };
+  auto expect_nothing_committed = [&] {
+    ASSERT_EQ(cache.entries.size(), 3u);
+    for (const MedoidDistanceCache::Entry& entry : cache.entries)
+      EXPECT_FALSE(entry.valid) << "slot " << entry.slot;
+  };
+
+  // A short read with retries off fails the scan after blocks were
+  // consumed.
+  FaultPlan plan;
+  plan.short_read_rate = 1.0;
+  FaultInjectingPointSource faulty(source, plan);
+  RunStats fault_stats;
+  ScanOptions no_retry{1, 512, &fault_stats};
+  no_retry.retry.max_attempts = 1;
+  bind();
+  EXPECT_FALSE(ScanExecutor(no_retry).Run(faulty, {&cached}).ok());
+  EXPECT_GT(fault_stats.wasted_rows, 0u);
+  expect_nothing_committed();
+
+  // A cancel at block 3 of 10 commits nothing either.
+  CancelToken token;
+  CancelAtBlock canceller(&token, 3);
+  ScanOptions cancellable{1, 512, nullptr};
+  cancellable.cancel.token = &token;
+  bind();
+  EXPECT_EQ(ScanExecutor(cancellable).Run(source, {&cached, &canceller})
+                .code(),
+            StatusCode::kCancelled);
+  expect_nothing_committed();
+  EXPECT_EQ(cache.assign_hits, 0u);
+
+  // A clean scan recomputes and commits; the next one is served whole.
+  ScanExecutor healthy(ScanOptions{2, 512, nullptr});
+  for (int scan = 0; scan < 2; ++scan) {
+    bind();
+    ASSERT_TRUE(healthy.Run(source, {&cached}).ok());
+    EXPECT_EQ(cached.labels(), plain.labels());
+    EXPECT_EQ(cached.centroids(), plain.centroids());
+  }
+  for (const MedoidDistanceCache::Entry& entry : cache.entries)
+    EXPECT_TRUE(entry.valid) << "slot " << entry.slot;
+  EXPECT_EQ(cache.assign_hits, 3u);
+}
+
+TEST(AssignColumnCacheTest, RetriedScanCommitsUndisturbedColumns) {
+  ConsumerFixture fixture = MakeConsumerFixture();
+  MemorySource source(fixture.base.data.dataset);
+  const std::vector<size_t> slots = {4, 9, 17};
+  auto fill = [&](const PointSource& from, const ScanOptions& options,
+                  MedoidDistanceCache* cache) {
+    AssignConsumer consumer;
+    ASSERT_TRUE(consumer
+                    .Bind(&fixture.medoids, &fixture.dims, false, true,
+                          std::span<const size_t>(slots), cache)
+                    .ok());
+    ASSERT_TRUE(ScanExecutor(options).Run(from, {&consumer}).ok());
+  };
+  MedoidDistanceCache undisturbed;
+  fill(source, ScanOptions{1, 512, nullptr}, &undisturbed);
+
+  // The first scan operation fails after a short read; the executor
+  // rolls back and re-issues, and the re-issued attempt is the one that
+  // commits.
+  FaultPlan plan;
+  plan.short_read_rate = 1.0;
+  plan.max_consecutive = 1;
+  FaultInjectingPointSource faulty(source, plan);
+  RunStats stats;
+  MedoidDistanceCache retried;
+  fill(faulty, ScanOptions{1, 512, &stats}, &retried);
+  EXPECT_GT(stats.retries, 0u);
+  ASSERT_EQ(retried.entries.size(), undisturbed.entries.size());
+  for (size_t e = 0; e < retried.entries.size(); ++e) {
+    EXPECT_TRUE(retried.entries[e].valid);
+    EXPECT_EQ(retried.entries[e].slot, undisturbed.entries[e].slot);
+    EXPECT_EQ(retried.entries[e].dist, undisturbed.entries[e].dist);
+  }
+}
+
+TEST(AssignColumnCacheTest, SecondCachedConsumerInOneScanIsRejected) {
+  // A cached locality consumer and a cached assignment consumer bound to
+  // one store in one scan: the second's claims could evict a column the
+  // first claimed, so the scan fails before reading a block, in either
+  // order, and commits nothing. Each consumer alone then runs as usual.
+  ConsumerFixture fixture = MakeConsumerFixture();
+  MemorySource source(fixture.base.data.dataset);
+  const Matrix pool = MakePool(source);
+  const Binding b = BindSlotSets(pool, {{0, 1, 2}});
+  const std::vector<DimensionSet> dims = {DimensionSet(10, {0, 1, 2}),
+                                          DimensionSet(10, {3, 4}),
+                                          DimensionSet(10, {5, 6, 7})};
+
+  MedoidDistanceCache cache;
+  RunStats stats;
+  ScanExecutor executor(ScanOptions{2, 512, &stats});
+  LocalityStatsConsumer locality;
+  AssignConsumer assign;
+  auto bind = [&] {
+    ASSERT_TRUE(locality
+                    .Bind(&b.coords, b.variants,
+                          std::span<const size_t>(b.slots), &cache)
+                    .ok());
+    ASSERT_TRUE(assign
+                    .Bind(&b.coords, &dims, true, true,
+                          std::span<const size_t>(b.slots), &cache)
+                    .ok());
+  };
+  for (const std::vector<ScanConsumer*>& order :
+       {std::vector<ScanConsumer*>{&locality, &assign},
+        std::vector<ScanConsumer*>{&assign, &locality}}) {
+    bind();
+    EXPECT_EQ(executor.Run(source, order).code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(stats.rows_visited, 0u);
+  for (const MedoidDistanceCache::Entry& entry : cache.entries)
+    EXPECT_FALSE(entry.valid) << "slot " << entry.slot;
+
+  LocalityStatsConsumer plain_locality;
+  AssignConsumer plain_assign;
+  ASSERT_TRUE(plain_locality.Bind(&b.coords, b.variants).ok());
+  ASSERT_TRUE(plain_assign.Bind(&b.coords, &dims, true, true).ok());
+  ASSERT_TRUE(ScanExecutor(ScanOptions{1, 512, nullptr})
+                  .Run(source, {&plain_locality, &plain_assign})
+                  .ok());
+  bind();
+  ASSERT_TRUE(executor.Run(source, {&locality}).ok());
+  ASSERT_TRUE(executor.Run(source, {&assign}).ok());
+  EXPECT_EQ(locality.stats(), plain_locality.stats());
+  EXPECT_EQ(assign.labels(), plain_assign.labels());
+  EXPECT_EQ(assign.centroids(), plain_assign.centroids());
+  for (const MedoidDistanceCache::Entry& entry : cache.entries)
+    EXPECT_TRUE(entry.valid) << "slot " << entry.slot;
+}
+
+TEST(EngineStatsTest, FusedFitReportsAssignColumnMemo) {
+  Fixture fixture = MakeFixture();
+  const ProclusParams params = GoldenParams(kGoldens[0].algo_seed);
+  auto result = RunProclus(fixture.data.dataset, params);
+  ASSERT_TRUE(result.ok());
+  const RunStats& stats = result->stats;
+  EXPECT_GT(stats.assign_column_hits, 0u);
+  // One assignment scan per climb iteration, k lookups each.
+  EXPECT_EQ(stats.assign_column_hits + stats.assign_column_misses,
+            params.num_clusters * result->iterations);
 }
 
 TEST(EngineStatsTest, FusedFitOnTwentyDimsCountsTileReuse) {

@@ -1,7 +1,9 @@
 #include "core/proclus.h"
 
 #include <algorithm>
+#include <limits>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -295,6 +297,136 @@ TEST(ProclusValidationTest, ZeroNoImproveBudgetRejected) {
   auto result = RunProclus(ds, params);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+// ---------------------------------------------------------------------
+// ValidateClustering: a real fit passes, and each output invariant,
+// broken by hand on a copy of that fit, is reported.
+// ---------------------------------------------------------------------
+
+struct ValidatedFit {
+  ProjectedClustering model;
+  ProclusParams params;
+  size_t n = 0;
+};
+
+ValidatedFit FitForValidation() {
+  ValidatedFit fit;
+  SyntheticData data = MakeData(/*n=*/1500, /*d=*/12);
+  fit.params.num_clusters = 3;
+  fit.params.avg_dims = 4.0;
+  fit.params.seed = 3;
+  fit.params.num_restarts = 1;
+  fit.n = data.dataset.size();
+  auto model = RunProclus(data.dataset, fit.params);
+  EXPECT_TRUE(model.ok());
+  fit.model = std::move(model).value();
+  return fit;
+}
+
+// The message of a rejected model; empty when it validates.
+std::string Violation(const ValidatedFit& fit) {
+  const Status status = ValidateClustering(fit.model, fit.params, fit.n);
+  if (status.ok()) return "";
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  return status.ToString();
+}
+
+TEST(ValidateClusteringTest, AcceptsAFit) {
+  ValidatedFit fit = FitForValidation();
+  EXPECT_EQ(Violation(fit), "");
+  fit.params.refine = false;
+  fit.model.spheres.clear();
+  EXPECT_EQ(Violation(fit), "");
+}
+
+TEST(ValidateClusteringTest, RejectsAMedoidWithOneDimension) {
+  ValidatedFit fit = FitForValidation();
+  // Shift all but one of a medoid's dimensions to another medoid, so the
+  // total still holds.
+  DimensionSet& thin = fit.model.dimensions[0];
+  DimensionSet& wide = fit.model.dimensions[1];
+  while (thin.size() > 1) {
+    thin.Remove(thin.ToVector().front());
+    uint32_t free = 0;
+    while (wide.Contains(free)) ++free;
+    wide.Add(free);
+  }
+  EXPECT_NE(Violation(fit).find("fewer than 2 dimensions"), std::string::npos)
+      << Violation(fit);
+}
+
+TEST(ValidateClusteringTest, RejectsAWrongDimensionTotal) {
+  ValidatedFit fit = FitForValidation();
+  for (uint32_t j = 0; j < 12; ++j)
+    if (!fit.model.dimensions[2].Contains(j)) {
+      fit.model.dimensions[2].Add(j);
+      break;
+    }
+  EXPECT_NE(Violation(fit).find("dimensions in total"), std::string::npos)
+      << Violation(fit);
+}
+
+TEST(ValidateClusteringTest, RejectsDuplicateAndOutOfRangeMedoids) {
+  ValidatedFit fit = FitForValidation();
+  fit.model.medoids[2] = fit.model.medoids[0];
+  EXPECT_NE(Violation(fit).find("duplicate medoid"), std::string::npos)
+      << Violation(fit);
+  fit = FitForValidation();
+  fit.model.medoids[1] = fit.n;
+  EXPECT_NE(Violation(fit).find("medoid index out of range"),
+            std::string::npos)
+      << Violation(fit);
+}
+
+TEST(ValidateClusteringTest, RejectsLabelsOfTheWrongCountOrRange) {
+  ValidatedFit fit = FitForValidation();
+  fit.model.labels.pop_back();
+  EXPECT_NE(Violation(fit).find("labels for"), std::string::npos)
+      << Violation(fit);
+  for (int bad_label : {3, -2}) {
+    fit = FitForValidation();
+    fit.model.labels[17] = bad_label;
+    EXPECT_NE(Violation(fit).find("out of range"), std::string::npos)
+        << bad_label << ": " << Violation(fit);
+  }
+}
+
+TEST(ValidateClusteringTest, RejectsANonFiniteObjective) {
+  ValidatedFit fit = FitForValidation();
+  fit.model.objective = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NE(Violation(fit).find("not finite"), std::string::npos)
+      << Violation(fit);
+  fit.model.objective = std::numeric_limits<double>::infinity();
+  EXPECT_NE(Violation(fit).find("not finite"), std::string::npos)
+      << Violation(fit);
+}
+
+TEST(ValidateClusteringTest, RejectsAScanCountMismatch) {
+  ValidatedFit fit = FitForValidation();
+  fit.model.stats.rows_visited += 1;
+  EXPECT_NE(Violation(fit).find("rows visited"), std::string::npos)
+      << Violation(fit);
+}
+
+TEST(ValidateClusteringTest, RejectsAMisshapenModel) {
+  ValidatedFit fit = FitForValidation();
+  fit.params.num_clusters = 4;
+  EXPECT_NE(Violation(fit).find("medoids for k = 4"), std::string::npos)
+      << Violation(fit);
+  fit = FitForValidation();
+  fit.model.dimensions.pop_back();
+  EXPECT_NE(Violation(fit).find("dimension sets inconsistent"),
+            std::string::npos)
+      << Violation(fit);
+  fit = FitForValidation();
+  fit.model.spheres.pop_back();
+  EXPECT_NE(Violation(fit).find("spheres inconsistent"), std::string::npos)
+      << Violation(fit);
+  fit = FitForValidation();
+  fit.model.medoid_coords = Matrix(2, 12);
+  EXPECT_NE(Violation(fit).find("medoid coordinates"), std::string::npos)
+      << Violation(fit);
 }
 
 }  // namespace

@@ -61,27 +61,38 @@ std::vector<uint32_t> RandomDims(Rng& rng, size_t d, size_t count) {
 }
 
 TEST(DistanceBatchTest, SegmentalMatchesScalarBitForBit) {
+  // Three references, each on its own dimension list, scored in a listed
+  // order that skips one: every scattered column must be the scalar
+  // distance of its own reference.
   Rng rng(7001);
   for (size_t rows : kRowCounts) {
     for (size_t d : {size_t{3}, size_t{20}}) {
-      const size_t nd = 1 + static_cast<size_t>(rng.UniformInt(d));
-      std::vector<uint32_t> dims = RandomDims(rng, d, nd);
+      Matrix refs = RandomMatrix(rng, 3, d);
+      std::vector<std::vector<uint32_t>> dims(3);
+      for (std::vector<uint32_t>& list : dims)
+        list = RandomDims(rng, d, 1 + static_cast<size_t>(rng.UniformInt(d)));
       std::vector<double> block = RandomBlock(rng, rows, d);
-      std::vector<double> medoid(d);
-      for (double& v : medoid) v = rng.Uniform(-50, 50);
+      const std::vector<size_t> listed = {2, 0};
       for (bool normalize : {true, false}) {
-        std::vector<double> out(rows);
+        std::vector<std::vector<double>> out(2, std::vector<double>(rows));
+        std::vector<double*> outs = {out[0].data(), out[1].data()};
         KernelScratch scratch;
-        SegmentalDistanceBatch(block, rows, d, medoid, dims, normalize,
-                               scratch, out.data());
-        for (size_t r = 0; r < rows; ++r) {
-          std::span<const double> point(block.data() + r * d, d);
-          const double expected =
-              normalize ? ManhattanSegmentalDistance(point, medoid, dims)
-                        : RestrictedManhattanDistance(point, medoid, dims);
-          ASSERT_EQ(out[r], expected)
-              << "rows=" << rows << " d=" << d << " r=" << r
-              << " normalize=" << normalize;
+        SegmentalDistanceBatch(block, rows, d, refs, listed, dims, normalize,
+                               scratch, outs);
+        EXPECT_EQ(scratch.rows_scored, 2 * rows);
+        for (size_t f = 0; f < listed.size(); ++f) {
+          const size_t m = listed[f];
+          for (size_t r = 0; r < rows; ++r) {
+            std::span<const double> point(block.data() + r * d, d);
+            const double expected =
+                normalize
+                    ? ManhattanSegmentalDistance(point, refs.row(m), dims[m])
+                    : RestrictedManhattanDistance(point, refs.row(m),
+                                                  dims[m]);
+            ASSERT_EQ(out[f][r], expected)
+                << "rows=" << rows << " d=" << d << " ref=" << m
+                << " r=" << r << " normalize=" << normalize;
+          }
         }
       }
     }
@@ -584,8 +595,8 @@ void ScalarLocalityLoop(std::span<const double> data, size_t rows, size_t d,
   }
 }
 
-// CentroidConsumer::ConsumeBlock's centroid loop (AssignConsumer's and
-// RefineAssignConsumer's were the same loop over their own labels).
+// CentroidConsumer::ConsumeBlock's centroid loop (AssignConsumer's, for
+// the assignment and the refinement, was the same loop over its labels).
 void ScalarLabeledSumLoop(std::span<const double> data, size_t rows,
                           size_t d, const int* labels, double* partial_sums,
                           size_t* partial_count) {
@@ -711,6 +722,118 @@ TEST(DistanceBatchTest, LabeledSumMatchesConsumerLoopAndSkipsOutliers) {
           << "rows=" << rows << " d=" << d;
       ASSERT_EQ(count, expected_count) << "rows=" << rows << " d=" << d;
       EXPECT_EQ(count[3], 0u);
+    }
+  }
+}
+
+TEST(DistanceBatchTest, ColumnArgminOverSegmentalColumnsMatchesArgmin) {
+  // The cached assignment scores its missing columns with
+  // SegmentalDistanceBatch and labels rows with ColumnArgminBatch; the
+  // pair must reproduce SegmentalArgminBatch's labels and winning
+  // distances bit for bit, ties (medoid 2 mirrors medoid 1) included.
+  Rng rng(7021);
+  const size_t d = 15;
+  for (size_t rows : kRowCounts) {
+    for (size_t k : {size_t{1}, size_t{2}, size_t{5}}) {
+      std::vector<double> block = RandomBlock(rng, rows, d);
+      Matrix medoids = RandomMatrix(rng, k, d);
+      std::vector<std::vector<uint32_t>> dim_lists(k);
+      for (size_t i = 0; i < k; ++i)
+        dim_lists[i] = RandomDims(rng, d, 2 + 3 * i % (d - 1));
+      if (k > 2) {
+        for (size_t j = 0; j < d; ++j) medoids(2, j) = medoids(1, j);
+        dim_lists[2] = dim_lists[1];
+      }
+      for (bool normalize : {true, false}) {
+        std::vector<int> want(rows);
+        KernelScratch direct;
+        SegmentalArgminBatch(block, rows, d, medoids, dim_lists, normalize,
+                             /*spheres=*/{}, direct, want.data());
+
+        std::vector<std::vector<double>> columns(k, std::vector<double>(rows));
+        std::vector<const double*> cols(k);
+        std::vector<double*> outs(k);
+        std::vector<size_t> all(k);
+        for (size_t i = 0; i < k; ++i) {
+          cols[i] = outs[i] = columns[i].data();
+          all[i] = i;
+        }
+        KernelScratch scratch;
+        SegmentalDistanceBatch(block, rows, d, medoids, all, dim_lists,
+                               normalize, scratch, outs);
+        const uint64_t scored = scratch.rows_scored;
+        std::vector<int> got(rows, -7);
+        ColumnArgminBatch(cols, rows, scratch, got.data());
+        EXPECT_EQ(scratch.rows_scored, scored) << "argmin scores nothing";
+        ASSERT_EQ(got, want) << "rows=" << rows << " k=" << k
+                             << " normalize=" << normalize;
+        ASSERT_EQ(Bits(scratch.best), Bits(direct.best))
+            << "rows=" << rows << " k=" << k;
+      }
+    }
+  }
+}
+
+TEST(DistanceBatchTest, ColumnArgminKeepsTheInfinityStartRule) {
+  // Start at +inf with label 0 and compare with strict `<`: a NaN or +inf
+  // column never wins, and an exact tie keeps the lower index. Checked
+  // against the scalar rule on hand-placed values.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::vector<double>> columns = {
+      {nan, inf, 3.0, 1.0, nan, -0.0},
+      {2.0, inf, 3.0, nan, nan, 0.0},
+      {1.0, 5.0, 2.0, 1.0, nan, -1.0}};
+  const size_t rows = columns[0].size();
+  std::vector<const double*> cols;
+  for (const std::vector<double>& col : columns) cols.push_back(col.data());
+  std::vector<int> labels(rows, -7);
+  KernelScratch scratch;
+  ColumnArgminBatch(cols, rows, scratch, labels.data());
+  for (size_t r = 0; r < rows; ++r) {
+    double best = inf;
+    int label = 0;
+    for (size_t i = 0; i < columns.size(); ++i)
+      if (columns[i][r] < best) {
+        best = columns[i][r];
+        label = static_cast<int>(i);
+      }
+    EXPECT_EQ(labels[r], label) << "r=" << r;
+    EXPECT_EQ(std::bit_cast<uint64_t>(scratch.best[r]),
+              std::bit_cast<uint64_t>(best))
+        << "r=" << r;
+  }
+  EXPECT_EQ(labels, (std::vector<int>{2, 2, 2, 0, 0, 2}));
+}
+
+TEST(DistanceBatchTest, FullSetSegmentalColumnIsTheLocalityColumn) {
+  // A normalized assignment column over all d dimensions and the
+  // locality's full-space column (ManhattanManyBatch, then / d) share one
+  // cache key, so their bits must agree — signed zeros included, where
+  // the segmental fold keeps a -0.0 term and std::fabs does not.
+  Rng rng(7022);
+  for (size_t d : {size_t{3}, size_t{20}}) {
+    for (size_t rows : kRaggedRows) {
+      std::vector<double> block = RandomBlock(rng, rows, d);
+      Matrix medoid = RandomMatrix(rng, 1, d);
+      medoid(0, 0) = 0.0;
+      for (size_t r = 0; r < rows; r += 3) block[r * d] = -0.0;
+      std::vector<uint32_t> all(d);
+      for (size_t j = 0; j < d; ++j) all[j] = static_cast<uint32_t>(j);
+
+      std::vector<double> segmental(rows);
+      KernelScratch scratch;
+      const std::vector<std::vector<uint32_t>> lists = {all};
+      const std::vector<size_t> first = {0};
+      std::vector<double*> outs = {segmental.data()};
+      SegmentalDistanceBatch(block, rows, d, medoid, first, lists,
+                             /*normalize=*/true, scratch, outs);
+      std::vector<double> locality(rows);
+      outs = {locality.data()};
+      ManhattanManyBatch(block, rows, d, medoid, scratch, outs);
+      DivideColumnsBatch(outs, rows, static_cast<double>(d));
+      ASSERT_EQ(Bits(segmental), Bits(locality))
+          << "d=" << d << " rows=" << rows;
     }
   }
 }

@@ -9,15 +9,22 @@
 // spheres, iterations and improvements. The comparison is bit for bit;
 // a mismatch is a bug in one of the two, never a tolerance to widen.
 // Every production model is also checked against the output invariants
-// of the paper: >= 2 dimensions per medoid summing to round(k * l),
-// distinct medoids, labels in [-1, k) and a finite objective.
+// of the paper with ValidateClustering (core/proclus.h): >= 2 dimensions
+// per medoid summing to round(k * l), distinct medoids, labels in
+// [-1, k), a finite objective and n rows visited per scan.
+//
+// A second, named set of configurations reaches the edges of the fused
+// climb's distance-column cache, whose key is (medoid slot, dimension
+// set, normalization): l = d, where every assignment key is the locality
+// key; an unnormalized long climb; k = 1; restarts of 100 iterations,
+// across which the cache carries; and a fit resumed from a checkpoint,
+// whose cache starts empty.
 
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -48,24 +55,8 @@ std::vector<uint64_t> Bits(const std::vector<double>& values) {
 
 void ExpectValidModel(const ProjectedClustering& model,
                       const ProclusParams& params, size_t n) {
-  const size_t k = params.num_clusters;
-  ASSERT_EQ(model.dimensions.size(), k);
-  size_t total_dims = 0;
-  for (const DimensionSet& dims : model.dimensions) {
-    EXPECT_GE(dims.size(), 2u);
-    total_dims += dims.size();
-  }
-  EXPECT_EQ(total_dims, static_cast<size_t>(std::llround(
-                            params.avg_dims * static_cast<double>(k))));
-  EXPECT_EQ(std::set<size_t>(model.medoids.begin(), model.medoids.end())
-                .size(),
-            k);
-  ASSERT_EQ(model.labels.size(), n);
-  for (int label : model.labels) {
-    EXPECT_GE(label, -1);
-    EXPECT_LT(label, static_cast<int>(k));
-  }
-  EXPECT_TRUE(std::isfinite(model.objective));
+  const Status valid = ValidateClustering(model, params, n);
+  EXPECT_TRUE(valid.ok()) << valid.ToString();
 }
 
 void ExpectSameModel(const ProjectedClustering& got,
@@ -207,6 +198,90 @@ TEST(ReferenceSweepTest, ProductionMatchesReferenceBitForBit) {
     ASSERT_TRUE(production.ok()) << production.status().ToString();
     ExpectValidModel(*production, params, n);
     ExpectSameModel(*production, *oracle);
+  }
+}
+
+// One named configuration of the cache-edge sweep.
+struct EdgeConfig {
+  std::string name;
+  size_t n, d, k;
+  double l;
+  size_t layout;  // MakeLayout's selector: memory, disk or 3 shards.
+  void (*tweak)(ProclusParams*);
+};
+
+TEST(ReferenceSweepTest, CacheKeyEdgesMatchReferenceBitForBit) {
+  const EdgeConfig kEdges[] = {
+      {"l = d", 1500, 6, 3, 6.0, 0,
+       [](ProclusParams* p) { p->num_threads = 3; }},
+      {"unnormalized long climb", 1200, 12, 4, 4.0, 1,
+       [](ProclusParams* p) {
+         p->segmental_normalization = false;
+         p->max_no_improve = 80;
+         p->max_iterations = 300;
+       }},
+      {"k = 1", 900, 8, 1, 3.0, 2,
+       [](ProclusParams* p) { p->num_threads = 3; }},
+      {"3 restarts of 100 iterations", 800, 10, 3, 3.5, 0,
+       [](ProclusParams* p) {
+         p->num_restarts = 3;
+         p->max_iterations = 100;
+         p->max_no_improve = 100;
+         p->num_threads = 2;
+       }},
+      {"resumed from a checkpoint", 1000, 9, 3, 3.0, 2,
+       [](ProclusParams* p) {
+         p->num_restarts = 2;
+         p->checkpoint.path = TestTempPath("edge_resume.pckp");
+         p->checkpoint.every_iterations = 7;
+       }},
+  };
+  for (size_t c = 0; c < std::size(kEdges); ++c) {
+    const EdgeConfig& edge = kEdges[c];
+    SCOPED_TRACE(edge.name);
+    GeneratorParams gen;
+    gen.num_points = edge.n;
+    gen.space_dims = edge.d;
+    gen.num_clusters = 3;
+    gen.outlier_fraction = 0.05;
+    gen.seed = 900 + c;
+    auto data = GenerateSynthetic(gen);
+    ASSERT_TRUE(data.ok()) << data.status().ToString();
+
+    ProclusParams params;
+    params.num_clusters = edge.k;
+    params.avg_dims = edge.l;
+    params.seed = 40 + c;
+    params.block_rows = 128;
+    edge.tweak(&params);
+    Layout layout =
+        MakeLayout(3 * c + edge.layout, data->dataset, params.block_rows);
+
+    uint64_t uninterrupted_scans = 0;
+    if (!params.checkpoint.path.empty()) {
+      // The first fit leaves its last periodic checkpoint behind; the
+      // second resumes from it with an empty cache.
+      std::remove(params.checkpoint.path.c_str());
+      auto first = RunProclusOnSource(layout.source(), params);
+      ASSERT_TRUE(first.ok()) << first.status().ToString();
+      uninterrupted_scans = first->stats.scans_issued;
+    }
+    auto production = RunProclusOnSource(layout.source(), params);
+    ASSERT_TRUE(production.ok()) << production.status().ToString();
+    if (uninterrupted_scans > 0) {
+      EXPECT_LT(production->stats.scans_issued, uninterrupted_scans);
+    }
+    auto oracle = reference::Proclus(data->dataset, params);
+    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+    ExpectValidModel(*production, params, edge.n);
+    ExpectSameModel(*production, *oracle);
+    if (params.num_restarts == 3) {
+      EXPECT_EQ(production->iterations, 300u);
+    }
+    if (edge.l == static_cast<double>(edge.d)) {
+      for (const DimensionSet& dims : production->dimensions)
+        EXPECT_EQ(dims.size(), edge.d);
+    }
   }
 }
 

@@ -1,0 +1,165 @@
+#!/usr/bin/env python3
+"""Compares a fresh bench_util --json run against a committed baseline.
+
+  tools/bench_diff.py BENCH_scan_engine.json fresh.json
+  tools/bench_diff.py --self-test
+
+Both files are bench_util documents ({"binary", "host", "sections":
+[{"title", "values": [[key, value], ...]}]}). For every "<key> median"
+value that both files hold under the same section title, prints the old
+value, the new value and new / old. A key whose name says "seconds" is
+worse when higher; a key ending in "/s" (a rate) is worse when lower; any
+other median is printed without a direction. A change for the worse of
+more than THRESHOLD (10%) is flagged as a regression, and the script
+exits 1 if any key regressed, 0 otherwise (2 on unreadable input).
+"""
+
+import argparse
+import json
+import os
+import sys
+import tempfile
+
+SUFFIX = " median"
+THRESHOLD = 0.10
+
+
+def load_medians(path):
+    """{(section title, key): value} for every numeric "<key> median"."""
+    with open(path, encoding="utf-8") as f:
+        document = json.load(f)
+    medians = {}
+    for section in document.get("sections", []):
+        for entry in section.get("values", []):
+            if len(entry) != 2:
+                continue
+            key, value = entry
+            if (isinstance(key, str) and key.endswith(SUFFIX) and
+                    isinstance(value, (int, float))):
+                medians[(section.get("title", ""), key)] = float(value)
+    return medians
+
+
+def direction(key):
+    """+1 when higher is worse, -1 when lower is worse, 0 when unknown."""
+    name = key[:-len(SUFFIX)]
+    if name.endswith("/s"):
+        return -1
+    if "seconds" in name:
+        return 1
+    return 0
+
+
+def compare(old, new):
+    """Rows (title, key, old, new, ratio, regressed) for the shared keys."""
+    rows = []
+    for title, key in sorted(set(old) & set(new)):
+        before, after = old[(title, key)], new[(title, key)]
+        ratio = after / before if before != 0 else float("inf")
+        sign = direction(key)
+        if sign == 0 or before == 0:
+            regressed = False
+        elif sign > 0:
+            regressed = after > before * (1 + THRESHOLD)
+        else:
+            regressed = after < before * (1 - THRESHOLD)
+        rows.append((title, key, before, after, ratio, regressed))
+    return rows
+
+
+def report(rows, out=sys.stdout):
+    for title, key, before, after, ratio, regressed in rows:
+        flag = "  REGRESSION" if regressed else ""
+        out.write("%s / %s: old %.6g  new %.6g  ratio %.3f%s\n" %
+                  (title, key, before, after, ratio, flag))
+    regressions = sum(1 for row in rows if row[5])
+    out.write("%d shared median(s), %d regression(s)\n" %
+              (len(rows), regressions))
+    return regressions
+
+
+def diff(old_path, new_path, out=sys.stdout):
+    rows = compare(load_medians(old_path), load_medians(new_path))
+    return 1 if report(rows, out) else 0
+
+
+def self_test():
+    def document(values, title="t"):
+        return {"binary": "b", "host": {}, "sections": [
+            {"title": title, "values": values}]}
+
+    old = document([["fit seconds median", 1.0], ["fit seconds min", 0.5],
+                    ["scan Mrows/s median", 100.0], ["count median", 7],
+                    ["only old seconds median", 3.0]])
+    cases = [
+        # (new values, expected exit code, expected regressions)
+        ([["fit seconds median", 1.05], ["scan Mrows/s median", 95.0]],
+         0, 0),
+        ([["fit seconds median", 1.2], ["scan Mrows/s median", 100.0]],
+         1, 1),
+        ([["fit seconds median", 0.5], ["scan Mrows/s median", 80.0]],
+         1, 1),
+        ([["fit seconds median", 2.0], ["scan Mrows/s median", 50.0],
+          ["count median", 70]], 1, 2),
+        ([["fit seconds min", 9.0], ["count median", 1]], 0, 0),
+    ]
+    failures = []
+    with tempfile.TemporaryDirectory() as root:
+        old_path = os.path.join(root, "old.json")
+        with open(old_path, "w", encoding="utf-8") as f:
+            json.dump(old, f)
+        for i, (values, want_code, want_regressions) in enumerate(cases):
+            new_path = os.path.join(root, "new%d.json" % i)
+            with open(new_path, "w", encoding="utf-8") as f:
+                json.dump(document(values), f)
+            rows = compare(load_medians(old_path), load_medians(new_path))
+            got = sum(1 for row in rows if row[5])
+            with open(os.devnull, "w", encoding="utf-8") as sink:
+                code = diff(old_path, new_path, sink)
+            if (code, got) != (want_code, want_regressions):
+                failures.append("case %d: exit %d with %d regression(s), "
+                                "expected %d with %d" %
+                                (i, code, got, want_code, want_regressions))
+        # Keys match per section: the same key under another title is not
+        # shared.
+        other = os.path.join(root, "other.json")
+        with open(other, "w", encoding="utf-8") as f:
+            json.dump(document([["fit seconds median", 9.0]], title="u"), f)
+        if compare(load_medians(old_path), load_medians(other)):
+            failures.append("keys of different sections were compared")
+    if direction("memory seconds median") != 1 or \
+            direction("batched Mpairs/s median") != -1 or \
+            direction("count median") != 0:
+        failures.append("direction() misreads a key")
+    if failures:
+        print("bench_diff self-test FAILED:")
+        for failure in failures:
+            print("  " + failure)
+        return 1
+    print("bench_diff self-test: ok")
+    return 0
+
+
+def main():
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    parser.add_argument("baseline", nargs="?",
+                        help="committed BENCH_*.json")
+    parser.add_argument("fresh", nargs="?",
+                        help="fresh bench_util --json output")
+    parser.add_argument("--self-test", action="store_true",
+                        help="run the built-in fixture tests")
+    args = parser.parse_args()
+    if args.self_test:
+        return self_test()
+    if args.baseline is None or args.fresh is None:
+        parser.error("need a baseline and a fresh file")
+    try:
+        return diff(args.baseline, args.fresh)
+    except (OSError, ValueError) as error:
+        sys.stderr.write("bench_diff: %s\n" % error)
+        return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

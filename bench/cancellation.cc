@@ -12,12 +12,17 @@
 // bits: a cancelled run leaves no residue.
 //
 // Leg 2 — stall hedging A/B. Four memory shards scan under injected
-// rare stalls (deterministic per-shard fault seeds), once without a
-// watchdog and once with a soft deadline + hedged re-scans. Every scan
-// of both legs must reproduce the unsharded reference bits (hedging is
-// a latency lever, never a semantic one); --smoke additionally asserts
-// that at least one hedge fired and that the hedged p99 beats the
-// unhedged p99 (margin ~the injected stall vs the soft cap).
+// rare stalls (deterministic per-shard fault seeds; one injector
+// operation is one block read), once without a watchdog and once with a
+// soft per-read deadline + hedged re-reads. Every scan of both legs must
+// reproduce the unsharded reference bits (hedging is a latency lever,
+// never a semantic one); --smoke additionally asserts that at least one
+// hedge fired and that the hedged p99 beats the unhedged p99 (margin ~the
+// injected stall vs the soft cap).
+//
+// --reps=N times the baseline fit N times; every timed quantity is also
+// reported as median, min and max (PrintSpread). --json emits the
+// machine-diffable document BENCH_cancellation.json holds.
 //
 // Wired into ctest under the bench_smoke label (RUN_SERIAL: both legs
 // are timing measurements).
@@ -173,15 +178,18 @@ int main(int argc, char** argv) {
   PrintKV("shards", static_cast<double>(split.num_shards));
   PrintKV("block rows", static_cast<double>(params.block_rows));
 
-  double baseline_seconds = 0.0;
+  std::vector<double> baseline_runs(options.repetitions);
   ProjectedClustering baseline =
-      MustRun(*sharded_disk, params, &baseline_seconds);
+      MustRun(*sharded_disk, params, &baseline_runs[0]);
+  for (size_t rep = 1; rep < baseline_runs.size(); ++rep)
+    MustRun(*sharded_disk, params, &baseline_runs[rep]);
+  const double baseline_seconds = Percentile(baseline_runs, 0.50);
   const double blocks_visited =
       static_cast<double>(baseline.stats.rows_visited) /
       static_cast<double>(params.block_rows);
   const double per_block_seconds =
       baseline_seconds / std::max(1.0, blocks_visited);
-  PrintKV("baseline seconds", baseline_seconds);
+  PrintSpread("baseline seconds", baseline_runs);
   PrintKV("baseline objective", baseline.objective);
   PrintKV("blocks visited", blocks_visited);
   PrintKV("per-block seconds", per_block_seconds);
@@ -228,6 +236,7 @@ int main(int argc, char** argv) {
   PrintKV("completed before cancel", static_cast<double>(completed));
   PrintKV("cancel latency p50 seconds", cancel_p50);
   PrintKV("cancel latency p99 seconds", cancel_p99);
+  if (!latency.empty()) PrintSpread("cancel latency seconds", latency);
 
   // One block's work, with generous slack for scheduler noise: a lost
   // token would blow through this by orders of magnitude.
@@ -303,7 +312,7 @@ int main(int argc, char** argv) {
     bool identical = true;
   };
   // Both legs rebuild the fault decorators from the same seeds, so they
-  // face the same initial stall schedule (hedged re-scans draw extra
+  // face the same initial stall schedule (hedged re-reads draw extra
   // faults, diverging later reps — deterministically, per the seeds).
   auto run_leg = [&](bool hedging) {
     std::vector<std::unique_ptr<PointSource>> slices;
@@ -359,9 +368,11 @@ int main(int argc, char** argv) {
   const double b_p99 = Percentile(hedged.seconds, 0.99);
   PrintKV("no-hedge p50 seconds", a_p50);
   PrintKV("no-hedge p99 seconds", a_p99);
+  PrintSpread("no-hedge seconds", no_hedge.seconds);
   PrintKV("no-hedge bit-identical", no_hedge.identical ? "yes" : "NO");
   PrintKV("hedged p50 seconds", b_p50);
   PrintKV("hedged p99 seconds", b_p99);
+  PrintSpread("hedged seconds", hedged.seconds);
   PrintKV("hedged bit-identical", hedged.identical ? "yes" : "NO");
   PrintKV("hedges fired", static_cast<double>(hedged.hedges));
   PrintKV("hedged p99 speedup", b_p99 > 0 ? a_p99 / b_p99 : 0.0);

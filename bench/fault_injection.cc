@@ -13,9 +13,15 @@
 // exactly that (zero drift on every leg, at least one retry absorbed, and
 // a successful kill+resume) and exits nonzero on any violation; wired
 // into ctest under the bench_smoke label.
+//
+// --reps=N runs every timed leg N times and reports its median, min and
+// max (PrintSpread); the fault and retry counters are those of the first
+// rep. --json emits the machine-diffable document BENCH_fault_injection.json
+// holds.
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -54,6 +60,13 @@ ProjectedClustering MustRun(const PointSource& source,
     std::exit(1);
   }
   return std::move(result).value();
+}
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t n = values.size();
+  return n % 2 == 1 ? values[n / 2]
+                    : 0.5 * (values[n / 2 - 1] + values[n / 2]);
 }
 
 }  // namespace
@@ -104,10 +117,14 @@ int main(int argc, char** argv) {
   PrintKV("retry max attempts",
           static_cast<double>(params.retry.max_attempts));
 
-  double baseline_seconds = 0.0;
-  ProjectedClustering baseline =
-      MustRun(*disk, params, &baseline_seconds);
-  PrintKV("baseline seconds", baseline_seconds);
+  const size_t reps = options.repetitions;
+  PrintKV("repetitions", static_cast<double>(reps));
+  std::vector<double> baseline_runs(reps);
+  ProjectedClustering baseline = MustRun(*disk, params, &baseline_runs[0]);
+  for (size_t rep = 1; rep < reps; ++rep)
+    MustRun(*disk, params, &baseline_runs[rep]);
+  const double baseline_seconds = Median(baseline_runs);
+  PrintSpread("baseline seconds", baseline_runs);
   PrintKV("baseline objective", baseline.objective);
   PrintRunStats("baseline", baseline.stats);
 
@@ -122,18 +139,25 @@ int main(int argc, char** argv) {
     plan.fail_rate = fail_rate;
     plan.corrupt_rate = fail_rate / 5;
     plan.short_read_rate = fail_rate / 5;
-    FaultInjectingPointSource faulty(*disk, plan);
-
     char label[64];
     std::snprintf(label, sizeof(label), "fail=%.2f", fail_rate);
-    double seconds = 0.0;
-    ProjectedClustering run = MustRun(faulty, params, &seconds);
+    // Each rep faces the same schedule from a fresh injector.
+    std::vector<double> runs(reps);
+    FaultInjectingPointSource faulty(*disk, plan);
+    ProjectedClustering run = MustRun(faulty, params, &runs[0]);
     const FaultCounters counters = faulty.fault_counters();
+    bool identical = SameClustering(run, baseline);
+    for (size_t rep = 1; rep < reps; ++rep) {
+      FaultInjectingPointSource again(*disk, plan);
+      identical =
+          SameClustering(MustRun(again, params, &runs[rep]), baseline) &&
+          identical;
+    }
 
     PrintHeader(std::string("Sweep ") + label);
-    PrintKV(std::string(label) + " seconds", seconds);
+    PrintSpread(std::string(label) + " seconds", runs);
     PrintKV(std::string(label) + " slowdown",
-            baseline_seconds > 0 ? seconds / baseline_seconds : 0.0);
+            baseline_seconds > 0 ? Median(runs) / baseline_seconds : 0.0);
     PrintKV(std::string(label) + " operations",
             static_cast<double>(counters.operations));
     PrintKV(std::string(label) + " injected scan faults",
@@ -153,7 +177,6 @@ int main(int argc, char** argv) {
     PrintKV(std::string(label) + " wasted rows",
             static_cast<double>(run.stats.wasted_rows));
 
-    const bool identical = SameClustering(run, baseline);
     PrintKV(std::string(label) + " bit-identical",
             identical ? "yes" : "NO");
     if (!identical) {
@@ -171,30 +194,42 @@ int main(int argc, char** argv) {
   ck_params.checkpoint.path = ck_path;
   ck_params.checkpoint.every_iterations = 8;
 
+  // The crash lands at the 60th scan: one injector operation is one
+  // block read.
   FaultPlan crash_plan;
-  crash_plan.kill_after_ops = 60;
-  FaultInjectingPointSource dying(*disk, crash_plan);
-  auto crashed = RunProclusOnSource(dying, ck_params);
-  const bool crash_happened = !crashed.ok();
+  crash_plan.kill_after_ops =
+      60 * BlockCount(gen.num_points, params.block_rows);
   PrintHeader("Crash + resume");
+  bool crash_happened = true;
+  bool checkpoint_left = true;
+  bool resumes_identical = true;
+  std::vector<double> resume_runs;
+  for (size_t rep = 0; rep < reps && crash_happened && checkpoint_left;
+       ++rep) {
+    std::remove(ck_path.c_str());
+    FaultInjectingPointSource dying(*disk, crash_plan);
+    crash_happened = !RunProclusOnSource(dying, ck_params).ok();
+    checkpoint_left = LoadCheckpointFile(ck_path).ok();
+    if (!crash_happened || !checkpoint_left) break;
+    resume_runs.push_back(0.0);
+    resumes_identical =
+        SameClustering(MustRun(*disk, ck_params, &resume_runs.back()),
+                       baseline) &&
+        resumes_identical;
+  }
   PrintKV("crash killed the run", crash_happened ? "yes" : "NO");
-  const bool checkpoint_left = LoadCheckpointFile(ck_path).ok();
   PrintKV("checkpoint left behind", checkpoint_left ? "yes" : "NO");
   if (!crash_happened || !checkpoint_left) {
     std::fprintf(stderr,
                  "FAIL: crash leg did not leave a resumable checkpoint\n");
     ok = false;
   } else {
-    double resume_seconds = 0.0;
-    ProjectedClustering resumed =
-        MustRun(*disk, ck_params, &resume_seconds);
-    PrintKV("resume seconds", resume_seconds);
+    PrintSpread("resume seconds", resume_runs);
     PrintKV("resume fraction of baseline",
-            baseline_seconds > 0 ? resume_seconds / baseline_seconds
+            baseline_seconds > 0 ? Median(resume_runs) / baseline_seconds
                                  : 0.0);
-    const bool identical = SameClustering(resumed, baseline);
-    PrintKV("resume bit-identical", identical ? "yes" : "NO");
-    if (!identical) {
+    PrintKV("resume bit-identical", resumes_identical ? "yes" : "NO");
+    if (!resumes_identical) {
       std::fprintf(stderr, "FAIL: resumed run drifted from baseline\n");
       ok = false;
     }

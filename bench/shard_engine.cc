@@ -5,8 +5,8 @@
 // BENCH_scan_engine.json: the PROCLUS fit over memory and over a disk
 // snapshot, --reps times each (median, min, max). At this scale the
 // snapshot is page-cache hot after the first scan, so the read side is
-// pure CPU (memcpy + checksum) that the double-buffered read loop
-// overlaps with the fit's kernels on a second core.
+// pure CPU (memcpy + checksum) that the executor's second worker per
+// thread (2T for storage reads) overlaps with the fit's kernels.
 //
 // Part 2 — shard scaling: whole-set scans over a >= 10^7-row snapshot for
 // shard count x {memory, disk}, each sharded run using `shards` worker
@@ -18,9 +18,9 @@
 //
 // Part 3 — cold-cache disk scan: one whole-set scan of the Part 2
 // snapshot with the page cache evicted (posix_fadvise DONTNEED) before
-// each of --reps runs. Here the reads are real device I/O, which the
-// read loop's producer thread overlaps with consumer compute — the
-// regime the double buffer is for.
+// each of --reps runs. Here the reads are real device I/O, which one
+// worker's read overlaps with another worker's consumer compute — the
+// regime the 2T thread budget is for.
 //
 // --smoke asserts the bit-identity of every configuration plus a
 // flake-resistant scaling bound (the best sharded disk run may not be

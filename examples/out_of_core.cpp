@@ -63,9 +63,9 @@ int main() {
   double memory_sec = memory_timer.ElapsedSeconds();
   if (!memory_result.ok()) return 1;
 
-  // Disk-resident run: scans stream through a block buffer (read ahead
-  // by the double-buffered prefetch); only the sampled candidates are
-  // ever fetched by position.
+  // Disk-resident run: each pool worker reads and verifies its scan
+  // blocks into its own buffer; only the sampled candidates are ever
+  // fetched by position.
   auto source = DiskSource::Open(path);
   if (!source.ok()) {
     std::fprintf(stderr, "open failed: %s\n",

@@ -4,18 +4,122 @@
 // errors without large allocations; accepted parses must have a consistent
 // shape and re-serialize to a stable byte string (bitwise idempotent even
 // for NaN payloads).
+//
+// Differential half: the same bytes, written to a per-process temp file,
+// are opened with DiskSource::Open and read through the scan executor.
+// Whatever ReadBinary accepts, the disk read path must accept too and
+// deliver the same rows bit for bit (scans at block sizes 7 and 8192, and
+// Fetch of the first and last row); an input ReadBinary rejects only for a
+// checksum mismatch must make the scan return DataLoss.
+
+#include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/check.h"
 #include "data/binary_io.h"
+#include "data/engine.h"
+#include "data/point_source.h"
+
+namespace {
+
+// Copies every delivered block into a row-major matrix at its rows.
+class CopyConsumer final : public proclus::ScanConsumer {
+ public:
+  proclus::Status Prepare(const proclus::ScanGeometry& geometry) override {
+    values_.assign(geometry.rows * geometry.dims, 0.0);
+    dims_ = geometry.dims;
+    return proclus::Status::OK();
+  }
+  void ConsumeBlock(size_t /*block_index*/, size_t first_row,
+                    std::span<const double> data, size_t rows) override {
+    PROCLUS_CHECK(data.size() == rows * dims_);
+    std::memcpy(values_.data() + first_row * dims_, data.data(),
+                data.size() * sizeof(double));
+  }
+  proclus::Status Merge() override { return proclus::Status::OK(); }
+
+  const std::vector<double>& values() const { return values_; }
+
+ private:
+  std::vector<double> values_;
+  size_t dims_ = 0;
+};
+
+bool SameBits(const double* a, const double* b, size_t count) {
+  return count == 0 || std::memcmp(a, b, count * sizeof(double)) == 0;
+}
+
+proclus::Status ScanAll(const proclus::PointSource& source, size_t block_rows,
+                        CopyConsumer* consumer) {
+  proclus::ScanOptions options;
+  options.num_threads = 2;
+  options.block_rows = block_rows;
+  options.retry.max_attempts = 1;
+  return proclus::ScanExecutor(options).Run(source, {consumer});
+}
+
+// Checks the disk read path against ReadBinary's verdict on `bytes`.
+void CheckDiskReadPath(const std::string& bytes,
+                       const proclus::Result<proclus::Dataset>& parsed) {
+  const bool accepted = parsed.ok();
+  const bool checksum_only =
+      !accepted && parsed.status().code() == proclus::StatusCode::kDataLoss;
+  if (!accepted && !checksum_only) return;
+
+  static const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("proclus_binary_io_fuzz_" + std::to_string(::getpid()) + ".bin"))
+          .string();
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    PROCLUS_CHECK(static_cast<bool>(out));
+  }
+  {
+    auto disk = proclus::DiskSource::Open(path);
+    PROCLUS_CHECK(disk.ok());
+    for (size_t block_rows : {size_t{7}, size_t{8192}}) {
+      CopyConsumer consumer;
+      const proclus::Status status = ScanAll(*disk, block_rows, &consumer);
+      if (checksum_only) {
+        PROCLUS_CHECK(status.code() == proclus::StatusCode::kDataLoss);
+        continue;
+      }
+      PROCLUS_CHECK(status.ok());
+      const proclus::Dataset& ds = *parsed;
+      PROCLUS_CHECK(disk->size() == ds.size() && disk->dims() == ds.dims());
+      PROCLUS_CHECK(SameBits(consumer.values().data(),
+                             ds.matrix().data().data(),
+                             ds.matrix().data().size()));
+    }
+    if (accepted && parsed->size() > 0) {
+      const proclus::Dataset& ds = *parsed;
+      const std::vector<size_t> ends = {0, ds.size() - 1};
+      auto fetched = disk->Fetch(ends);
+      PROCLUS_CHECK(fetched.ok());
+      for (size_t r = 0; r < ends.size(); ++r)
+        PROCLUS_CHECK(SameBits(fetched->row(r).data(),
+                               ds.point(ends[r]).data(), ds.dims()));
+    }
+  }
+  std::remove(path.c_str());
+}
+
+}  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const std::string bytes(reinterpret_cast<const char*>(data), size);
   std::istringstream in(bytes, std::ios::binary);
   auto result = proclus::ReadBinary(in);
+  CheckDiskReadPath(bytes, result);
   if (!result.ok()) return 0;
 
   const proclus::Dataset& ds = *result;

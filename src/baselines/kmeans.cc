@@ -61,11 +61,6 @@ class MinDist2Consumer final : public ScanConsumer {
   }
 
   Status Merge() override { return Status::OK(); }
-  // Explicit no-op: dist2_ holds a running minimum across scans BY
-  // DESIGN (k-means++ tightens it center by center), and each scan's
-  // writes are row-keyed min-updates that a re-issued scan reproduces
-  // (engine.h Reset contract).
-  void Reset() override {}
   uint64_t distance_evals() const override { return distance_evals_; }
   KernelStats kernel_stats() const override {
     KernelStats totals;
@@ -142,11 +137,6 @@ class LloydConsumer final : public ScanConsumer {
     for (const KernelScratch& scratch : scratch_) totals.Accumulate(scratch);
     return totals;
   }
-
-  // Explicit no-op: ConsumeBlock assigns (never accumulates) its
-  // block's partial and its label rows, so Prepare + a full re-scan
-  // leave no trace of a failed attempt (engine.h Reset contract).
-  void Reset() override {}
 
   const std::vector<int>& labels() const { return labels_; }
   std::vector<int> TakeLabels() { return std::move(labels_); }
@@ -225,9 +215,6 @@ class FarthestPointConsumer final : public ScanConsumer {
   }
 
   uint64_t distance_evals() const override { return distance_evals_; }
-  // Explicit no-op: Prepare() re-initializes the per-block best_ slots
-  // that Merge() reduces (engine.h Reset contract).
-  void Reset() override {}
 
   size_t farthest() const { return farthest_; }
 

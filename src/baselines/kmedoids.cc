@@ -105,11 +105,6 @@ class MedoidAssignConsumer final : public ScanConsumer {
     return totals;
   }
 
-  // Explicit no-op: ConsumeBlock assigns its block's cost partial and
-  // label rows (never accumulates), so Prepare + a full re-scan leave
-  // no trace of a failed attempt (engine.h Reset contract).
-  void Reset() override {}
-
   const std::vector<int>& labels() const { return labels_; }
   double cost() const { return cost_; }
 

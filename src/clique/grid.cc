@@ -66,10 +66,6 @@ class BoundsConsumer final : public ScanConsumer {
     return Status::OK();
   }
 
-  // Explicit no-op: Prepare() overwrites every per-block partial that
-  // Merge() reads (engine.h Reset contract).
-  void Reset() override {}
-
   std::vector<double> TakeMins() { return std::move(mins_); }
   const std::vector<double>& maxs() const { return maxs_; }
 
@@ -103,9 +99,6 @@ class QuantizeConsumer final : public ScanConsumer {
   }
 
   Status Merge() override { return Status::OK(); }
-  // Explicit no-op: Prepare() resizes cells_ and every row is assigned
-  // exactly once per scan (engine.h Reset contract).
-  void Reset() override {}
 
   std::vector<uint8_t> TakeCells() { return std::move(cells_); }
 

@@ -64,26 +64,29 @@ struct RunStats {
   uint64_t locality_row_misses = 0;
 
   // ----- Resilience counters (recorded by ScanExecutor / retry helpers) -----
-  /// Operations (scans or fetches) re-issued after a transient failure.
+  /// Operations (block reads or fetches) re-issued after a transient
+  /// failure.
   uint64_t retries = 0;
-  /// Scan attempts that ended in a failure (whether or not retried).
+  /// Block read attempts that ended in a failure (whether or not
+  /// retried).
   uint64_t failed_scans = 0;
-  /// Rows that had been delivered to consumers by scan attempts that later
-  /// failed; the rows were discarded by Reset() and re-delivered.
+  /// Rows read but never merged: the part of a block a short read handed
+  /// over (never consumed), plus the blocks a scan consumed before it
+  /// failed or was cancelled (no Merge ran).
   uint64_t wasted_rows = 0;
 
   // ----- Time-bounded execution counters (DESIGN.md §13) -----
   /// Cooperative cancellation checkpoints passed by executor-driven scans
-  /// (roughly one relaxed token load per delivered block plus one per scan
-  /// entry; only counted while a CancelContext is active).
+  /// (one per block read attempt plus one per scan entry; only counted
+  /// while a CancelContext is active).
   uint64_t cancel_checks = 0;
-  /// Scan attempts aborted by cancellation or deadline expiry.
+  /// Scans aborted by cancellation or deadline expiry.
   uint64_t cancelled_scans = 0;
-  /// Shard scans re-issued by the sharded executor's stall watchdog after
-  /// the shard exceeded its soft per-shard deadline (hedged re-scans).
+  /// Block reads re-issued by the executor's stall watchdog after an
+  /// attempt exceeded the soft per-read deadline (hedged re-reads).
   uint64_t hedged_scans = 0;
   /// Deadline expiries observed by executor-driven operations (soft
-  /// per-shard watchdog deadlines included).
+  /// per-read watchdog deadlines included).
   uint64_t deadline_misses = 0;
 
   // ----- Scan attribution per phase (recorded by the driver) -----
@@ -107,22 +110,22 @@ struct RunStats {
   double refine_seconds = 0.0;
   double total_seconds = 0.0;
 
-  // ----- Per-shard attribution (recorded by ShardedScanExecutor) -----
-  /// One shard's share of the sharded scans: how the aggregate counters
-  /// above split across the shard set. Empty unless the run scanned a
-  /// ShardedSource through the per-shard path.
+  // ----- Per-shard attribution (recorded by ScanExecutor) -----
+  /// One shard's share of the scans of a ShardedSource, filled once per
+  /// block read: reads, rows and bytes from the shard's own counters,
+  /// retries and hedges for the shard holding the block's first row.
+  /// Empty unless the run scanned a ShardedSource.
   struct ShardIo {
-    /// Shard scans completed (one per sharded whole-set scan, plus one
-    /// per re-issued attempt after a transient shard failure).
+    /// Completed reads of this shard (one per block it holds, per scan;
+    /// a block spanning shards is a read of each).
     uint64_t scans = 0;
-    /// Rows this shard delivered (rows discarded by failed attempts are
-    /// counted in wasted_rows, not here).
+    /// Rows this shard delivered in completed reads.
     uint64_t rows = 0;
     /// Bytes physically read from this shard's backing storage.
     uint64_t bytes = 0;
-    /// Scan re-issues this shard needed after transient failures.
+    /// Block read re-issues after transient failures.
     uint64_t retries = 0;
-    /// Hedged re-scans of this shard (soft-deadline watchdog re-issues).
+    /// Hedged block re-reads (soft-deadline watchdog re-issues).
     uint64_t hedges = 0;
 
     void Merge(const ShardIo& other) {

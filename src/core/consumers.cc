@@ -97,11 +97,10 @@ static_assert(std::is_nothrow_move_constructible_v<MedoidDistanceCache::Entry>);
 
 Status MedoidDistanceCache::BeginClaims(const ScanGeometry& geometry,
                                         size_t bound_rows) {
-  // One tick per scan attempt, and one cached consumer per attempt: a
-  // second one could evict an entry the first claimed or reads.
-  // Validity and rows are only committed by Merge, so an attempt that
-  // fails and retries (with a new attempt number) simply looks
-  // everything up again.
+  // One tick per scan, and one cached consumer per scan: a second one
+  // could evict an entry the first claimed or reads. Validity and rows
+  // are only committed by Merge, so after a scan that fails the next one
+  // (with a new number) simply looks everything up again.
   if (geometry.attempt == attempt)
     return Status::InvalidArgument(
         "a second cached consumer on one store in one scan");
@@ -413,9 +412,9 @@ Status LocalityStatsConsumer::Merge() {
   if (cache_ == nullptr) return Status::OK();
   // Columns become reusable and rows enter the memo only once the whole
   // scan succeeded: Merge runs after every block, so each fresh column
-  // and row is complete. A failed attempt never reaches this point,
-  // leaves valid == false and the memo untouched, and the retry
-  // recomputes both from scratch.
+  // and row is complete. A failed scan never reaches this point, leaves
+  // valid == false and the memo untouched, and the next scan recomputes
+  // both from scratch.
   cache_->CommitColumns(fresh_entries_);
   const size_t capacity = std::max<size_t>(64, 12 * max_k);
   for (size_t a = 0; a < num_acc; ++a)

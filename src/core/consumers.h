@@ -18,15 +18,11 @@
 // partials in ascending block order, so its outputs are bit-identical to
 // the pre-refactor passes for identical inputs.
 //
-// Rollback (ScanConsumer::Reset): all consumers here override Reset with
-// an explicit no-op. Each ConsumeBlock fully overwrites its block's
-// partial (sums/labels are assigned, never accumulated across scans) and
-// a successful scan delivers every block exactly once, so re-running
-// Prepare + a full scan after a failed attempt leaves no trace of the
-// discarded blocks. Any future consumer that accumulates into state NOT
-// keyed by block or row must make its Reset discard that state; the
-// analyzer's consumer-lifecycle rule holds every subclass to an explicit
-// override either way.
+// Failure: the executor hands a consumer only whole, verified blocks, each
+// exactly once per scan, and retries a failed read for its block alone, so
+// a consumer never rolls anything back. A scan that fails or is cancelled
+// runs no Merge, and every Prepare re-initializes the partials Merge
+// reads, so the next scan starts clean.
 
 #ifndef PROCLUS_CORE_CONSUMERS_H_
 #define PROCLUS_CORE_CONSUMERS_H_
@@ -81,13 +77,13 @@ struct BlockSums {
 /// block scattering into its own disjoint row range [first_row,
 /// first_row + rows); hit columns are read-only and the memo is not
 /// touched at all. Columns turn valid and rows enter the memo on Merge
-/// and nowhere else, so a scan attempt that fails, is hedged or is
-/// cancelled commits nothing and the retry recomputes — fault-retry and
-/// resume keep bit-identical results.
+/// and nowhere else, so a scan that fails or is cancelled commits nothing
+/// and the next scan recomputes — fault survival and resume keep
+/// bit-identical results.
 ///
-/// Eviction invariant: one cached consumer per scan attempt
+/// Eviction invariant: one cached consumer per scan
 /// (ScanGeometry::attempt; a second is rejected with InvalidArgument),
-/// the LRU clock ticks once per attempt, and an entry carrying the
+/// the LRU clock ticks once per scan, and an entry carrying the
 /// current tick is never evicted. The entry budget is max(16, 2u + 4)
 /// for the consumer's u medoid rows and each row claims at most one
 /// entry, so an evictable entry always exists and no claim evicts a
@@ -200,9 +196,6 @@ class LocalityStatsConsumer final : public ScanConsumer {
   void ConsumeBlock(size_t block_index, size_t first_row,
                     std::span<const double> data, size_t rows) override;
   Status Merge() override;
-  // Explicit no-op: Prepare() overwrites every partial Merge() reads
-  // (see the rollback note at the top of this header).
-  void Reset() override {}
   uint64_t distance_evals() const override { return distance_evals_; }
   KernelStats kernel_stats() const override;
 
@@ -279,9 +272,6 @@ class AssignConsumer final : public ScanConsumer {
   void ConsumeBlock(size_t block_index, size_t first_row,
                     std::span<const double> data, size_t rows) override;
   Status Merge() override;
-  // Explicit no-op: Prepare() overwrites every partial Merge() reads
-  // (see the rollback note at the top of this header).
-  void Reset() override {}
   uint64_t distance_evals() const override { return distance_evals_; }
   KernelStats kernel_stats() const override;
 
@@ -334,9 +324,6 @@ class ClusterStatsConsumer final : public ScanConsumer {
   void ConsumeBlock(size_t block_index, size_t first_row,
                     std::span<const double> data, size_t rows) override;
   Status Merge() override;
-  // Explicit no-op: Prepare() overwrites every partial Merge() reads
-  // (see the rollback note at the top of this header).
-  void Reset() override {}
   KernelStats kernel_stats() const override;
 
   const Matrix& stats() const { return stats_; }
@@ -362,9 +349,6 @@ class CentroidConsumer final : public ScanConsumer {
   void ConsumeBlock(size_t block_index, size_t first_row,
                     std::span<const double> data, size_t rows) override;
   Status Merge() override;
-  // Explicit no-op: Prepare() overwrites every partial Merge() reads
-  // (see the rollback note at the top of this header).
-  void Reset() override {}
 
   const Matrix& centroids() const { return centroids_; }
   const std::vector<size_t>& cluster_sizes() const { return counts_; }
@@ -396,9 +380,6 @@ class DeviationConsumer final : public ScanConsumer {
   void ConsumeBlock(size_t block_index, size_t first_row,
                     std::span<const double> data, size_t rows) override;
   Status Merge() override;
-  // Explicit no-op: Prepare() overwrites every partial Merge() reads
-  // (see the rollback note at the top of this header).
-  void Reset() override {}
   KernelStats kernel_stats() const override;
 
   /// The objective value, valid after Merge.

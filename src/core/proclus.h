@@ -141,12 +141,13 @@ struct ProclusParams {
   /// Excluded from the checkpoint fingerprint: a run may be resumed under
   /// a different deadline.
   CancelContext cancel{};
-  /// Soft per-shard deadline for the sharded scan executor's stall
-  /// watchdog (0 = disabled): a shard scan exceeding it is cancelled and
-  /// hedged — re-issued against that shard only — which masks stalled
-  /// storage without changing bits (see ScanOptions::shard_soft_deadline).
+  /// Soft deadline of one block read attempt, the executor's stall
+  /// watchdog (0 = disabled): a read exceeding it is cancelled and hedged
+  /// — re-issued for that block only — which masks stalled storage
+  /// without changing bits (see ScanOptions::shard_soft_deadline).
   std::chrono::microseconds shard_soft_deadline{0};
-  /// Hedged re-scans allowed per shard before the soft cap is dropped.
+  /// Hedged re-reads allowed per block read before the soft cap is
+  /// dropped.
   size_t max_hedges_per_shard = 1;
 
   /// Validates the parameters against a dataset shape.

@@ -53,19 +53,8 @@ std::streamoff RemainingBytes(std::istream& in) {
   return end - cur;
 }
 
-// Everything a v1/v2 snapshot stores before its payload, validated.
-struct SnapshotHeader {
-  uint32_t version = 0;
-  uint64_t rows = 0;
-  uint64_t cols = 0;
-  // v2 only (0 / empty for v1 snapshots).
-  uint64_t checksum_block_rows = 0;
-  std::vector<uint64_t> checksums;
-};
+}  // namespace
 
-// Parses and validates the header and (for v2) the checksum table,
-// leaving `in` positioned at the first payload byte. Shared by ReadBinary
-// and SplitIntoShards so the overflow and shape checks exist exactly once.
 Status ReadSnapshotHeader(std::istream& in, SnapshotHeader* header) {
   char magic[4];
   in.read(magic, sizeof(magic));
@@ -125,7 +114,6 @@ Status ReadSnapshotHeader(std::istream& in, SnapshotHeader* header) {
   }
   return Status::OK();
 }
-}  // namespace
 
 Status WriteBinary(const Dataset& dataset, std::ostream& out,
                    uint64_t checksum_block_rows) {

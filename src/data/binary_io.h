@@ -68,6 +68,24 @@ Result<Dataset> ReadBinary(std::istream& in);
 /// Reads a dataset from the file at `path`.
 Result<Dataset> ReadBinaryFile(const std::string& path);
 
+/// Everything a v1/v2 snapshot stores before its payload, validated.
+struct SnapshotHeader {
+  uint32_t version = 0;
+  uint64_t rows = 0;
+  uint64_t cols = 0;
+  /// v2 only (0 / empty for v1 snapshots).
+  uint64_t checksum_block_rows = 0;
+  std::vector<uint64_t> checksums;
+};
+
+/// Parses and validates a snapshot header and (for v2) its checksum table,
+/// leaving `in` at the first payload byte. rows * cols * sizeof(double) is
+/// checked against uint64 overflow, and the table is read incrementally,
+/// so a hostile block count cannot force an allocation larger than the
+/// bytes present. The one header parser: ReadBinary, SplitIntoShards and
+/// DiskSource::Open all call it. Every failure is a Corruption status.
+Status ReadSnapshotHeader(std::istream& in, SnapshotHeader* header);
+
 /// Reads the whole file at `path` into a byte string via the checked I/O
 /// layer. Errors carry the path and the expected/actual byte counts. This is
 /// the sanctioned route for text readers (e.g. CSV) so that every file read
@@ -107,11 +125,10 @@ struct ShardSplitOptions {
   /// Number of shards to produce (clamped to the row count).
   size_t num_shards = 1;
   /// Every shard boundary is placed at a multiple of this row count, so
-  /// the per-shard parallel scan path (which requires shard offsets to be
-  /// multiples of the scan's block_rows) engages for any block size
-  /// dividing it. When the snapshot is too small for aligned shards the
-  /// split falls back to an even unaligned partition, which the glued
-  /// sequential scan still reproduces bit-identically.
+  /// no scan block of a size dividing it spans two shards (a spanning
+  /// block is read from both shards and copied into one buffer). When
+  /// the snapshot is too small for aligned shards the split falls back to
+  /// an even unaligned partition, which scans bit-identically too.
   uint64_t align_rows = kDefaultBlockRows;
   /// Integrity granularity of the written shard snapshots.
   uint64_t checksum_block_rows = kDefaultChecksumBlockRows;

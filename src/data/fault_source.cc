@@ -48,7 +48,7 @@ FaultInjectingPointSource::Decision FaultInjectingPointSource::Decide(
 }
 
 FaultInjectingPointSource::Decision FaultInjectingPointSource::Admit(
-    uint64_t op, const CancelContext& ctx) const {
+    uint64_t op, uint64_t read, const CancelContext& ctx) const {
   Decision d = Decide(op);
   if (d.delayed && plan_.delay.count() > 0) {
     counters_.delays.Add(1);
@@ -56,40 +56,47 @@ FaultInjectingPointSource::Decision FaultInjectingPointSource::Admit(
     // caller's next cancellation check aborts the operation.
     (void)InterruptibleSleep(plan_.delay, ctx);
   }
-  if ((d.kind != FaultKind::kNone || d.hung) &&
-      consecutive_.load(std::memory_order_relaxed) >=
-          plan_.max_consecutive) {
-    // A run of max_consecutive injected faults forces the next operation
-    // through, so bounded retry (and bounded hedging) always converges.
-    d.kind = FaultKind::kNone;
-    d.hung = false;
+  if (d.kind != FaultKind::kNone || d.hung) {
+    MutexLock lock(mu_);
+    uint64_t& run = runs_[read];
+    if (run >= plan_.max_consecutive) {
+      // A run of max_consecutive injected faults on this read forces its
+      // next attempt through, so bounded retry (and bounded hedging)
+      // always converges, whatever other reads do meanwhile.
+      d.kind = FaultKind::kNone;
+      d.hung = false;
+    } else {
+      run += 1;
+    }
   }
   return d;
 }
 
-void FaultInjectingPointSource::NoteClean() const {
-  const uint64_t run = consecutive_.exchange(0, std::memory_order_relaxed);
-  if (run > 0) counters_.absorbed.Add(run);
+void FaultInjectingPointSource::NoteClean(uint64_t read) const {
+  MutexLock lock(mu_);
+  const auto it = runs_.find(read);
+  if (it == runs_.end()) return;
+  counters_.absorbed.Add(it->second);
+  runs_.erase(it);
 }
 
 Status FaultInjectingPointSource::ScanBlocks(const ScanSpec& spec,
                                              const BlockVisitor& visit) const {
-  const size_t block_rows = spec.block_rows;
   const uint64_t op = counters_.ops.FetchAdd(1);
   if (plan_.kill_after_ops > 0 && op >= plan_.kill_after_ops) {
     counters_.scan_faults.Add(1);
     return Status::IOError("injected permanent failure (kill) at operation " +
                            std::to_string(op));
   }
-  const Decision d = Admit(op, spec.cancel);
+  const uint64_t read = spec.first_row;
+  const Decision d = Admit(op, read, spec.cancel);
 
-  // Slow-storage injection, served before any read so a soft per-shard
-  // deadline (stall watchdog) fires while the operation is visibly "in
-  // flight". A hang aborts the operation with the context's status; an
-  // outlived stall lets it proceed.
+  // Slow-storage injection, served before any read so a soft deadline
+  // (the executor's stall watchdog) fires while the operation is visibly
+  // "in flight". A hang aborts the operation with the context's status;
+  // an outlived stall lets it proceed.
   if (d.hung) {
     counters_.hangs.Add(1);
-    consecutive_.fetch_add(1, std::memory_order_relaxed);
     return HangUntilCancelled(spec.cancel);
   }
   if (d.stalled && plan_.stall.count() > 0) {
@@ -97,36 +104,33 @@ Status FaultInjectingPointSource::ScanBlocks(const ScanSpec& spec,
     PROCLUS_RETURN_IF_ERROR(InterruptibleSleep(plan_.stall, spec.cancel));
   }
 
-  const IoCounters inner_before = inner_->io();
+  const uint64_t bytes_before = ThreadScanBytesRead();
+  const size_t range_rows = spec.end_row - spec.first_row;
   if (d.kind == FaultKind::kNone) {
     Status status = inner_->Scan(spec, visit);
     if (status.ok()) {
-      NoteClean();
-      RecordScan(inner_->size(),
-                 inner_->io().bytes_read - inner_before.bytes_read);
+      NoteClean(read);
+      RecordScan(range_rows, ThreadScanBytesRead() - bytes_before);
     }
     return status;
   }
 
-  const size_t n = inner_->size();
   const size_t cols = inner_->dims();
-  const size_t num_blocks = BlockCount(n, block_rows);
+  const size_t num_blocks = BlockCount(range_rows, spec.block_rows);
   const size_t fail_block =
       num_blocks == 0 ? 0 : static_cast<size_t>(d.position % num_blocks);
+  const size_t fail_row = spec.first_row + fail_block * spec.block_rows;
   // The inner scan is driven to completion but blocks at and after the
   // fault position are withheld from the caller; the inner source's
   // counters keep the wasted physical reads truthful.
   bool tripped = false;
   Status inner_status = inner_->Scan(
-      spec,
-      [&](size_t first, std::span<const double> data, size_t rows) {
+      spec, [&](size_t first, std::span<const double> data, size_t rows) {
         if (tripped) return;
-        const size_t block = first / block_rows;
-        if (block == fail_block) {
+        if (first == fail_row) {
           if (d.kind == FaultKind::kShortRead) {
             const size_t keep = rows / 2;
-            if (keep > 0)
-              visit(first, data.first(keep * cols), keep);
+            if (keep > 0) visit(first, data.first(keep * cols), keep);
           }
           tripped = true;
           return;
@@ -136,33 +140,22 @@ Status FaultInjectingPointSource::ScanBlocks(const ScanSpec& spec,
   // A genuine inner failure outranks the injected one.
   if (!inner_status.ok()) return inner_status;
 
-  consecutive_.fetch_add(1, std::memory_order_relaxed);
   counters_.scan_faults.Add(1);
-  const uint64_t fail_offset =
-      static_cast<uint64_t>(fail_block) * block_rows * cols *
-      sizeof(double);
+  const std::string where =
+      " at row " + std::to_string(fail_row) + " (payload byte offset " +
+      std::to_string(static_cast<uint64_t>(fail_row) * cols *
+                     sizeof(double)) +
+      ", operation " + std::to_string(op) + ")";
   switch (d.kind) {
     case FaultKind::kCorrupt:
       counters_.corruptions.Add(1);
-      return Status::DataLoss(
-          "injected checksum mismatch in scan block " +
-          std::to_string(fail_block) + " (payload byte offset " +
-          std::to_string(fail_offset) + ", operation " +
-          std::to_string(op) + ")");
+      return Status::DataLoss("injected checksum mismatch" + where);
     case FaultKind::kShortRead:
       counters_.short_reads.Add(1);
-      return Status::IOError(
-          "injected short read in scan block " +
-          std::to_string(fail_block) + " (payload byte offset " +
-          std::to_string(fail_offset) + ", operation " +
-          std::to_string(op) + ")");
+      return Status::IOError("injected short read" + where);
     case FaultKind::kFail:
     default:
-      return Status::IOError(
-          "injected transient failure in scan block " +
-          std::to_string(fail_block) + " (payload byte offset " +
-          std::to_string(fail_offset) + ", operation " +
-          std::to_string(op) + ")");
+      return Status::IOError("injected transient failure" + where);
   }
 }
 
@@ -177,9 +170,8 @@ Result<Matrix> FaultInjectingPointSource::Fetch(
   // Fetch operations carry no cancellation context (Fetch keeps its
   // narrow signature), so delays stay uninterruptible and stall/hang
   // draws are ignored here — slow-storage injection is a Scan-side model.
-  const Decision d = Admit(op, CancelContext{});
+  const Decision d = Admit(op, kFetchRead, CancelContext{});
   if (d.kind != FaultKind::kNone) {
-    consecutive_.fetch_add(1, std::memory_order_relaxed);
     counters_.fetch_faults.Add(1);
     if (d.kind == FaultKind::kCorrupt) {
       counters_.corruptions.Add(1);
@@ -195,7 +187,7 @@ Result<Matrix> FaultInjectingPointSource::Fetch(
   const IoCounters inner_before = inner_->io();
   Result<Matrix> result = inner_->Fetch(indices);
   if (result.ok()) {
-    NoteClean();
+    NoteClean(kFetchRead);
     RecordFetch(indices.size(),
                 inner_->io().bytes_read - inner_before.bytes_read);
   }

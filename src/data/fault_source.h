@@ -4,17 +4,19 @@
 // Production storage fails: reads error transiently, return short, or hand
 // back corrupted bytes; latency spikes. This decorator injects exactly those
 // faults from a reproducible, seeded schedule so the resilience layer
-// (executor retry, consumer Reset, checkpoint/resume) can be *proved*
-// harmless — a run that survives injected faults must be bit-identical to a
-// fault-free run, because the schedule draws from its own SplitMix64 stream
-// keyed by (plan.seed, operation index) and never touches any algorithm Rng.
+// (the executor's per-block retry, hedging, checkpoint/resume) can be
+// *proved* harmless — a run that survives injected faults must be
+// bit-identical to a fault-free run, because the schedule draws from its
+// own SplitMix64 stream keyed by (plan.seed, operation index) and never
+// touches any algorithm Rng.
 //
-// Fault model per operation (one Scan or Fetch call):
+// Fault model per operation (one Scan or Fetch call). The executor reads
+// one block per Scan call, so under it one operation is one block read:
 //  * transient failure  — the operation returns IOError having delivered
 //    only the blocks before a schedule-chosen position;
 //  * short read         — the chosen block is delivered truncated (half its
-//    rows), then the scan returns IOError: exercises the executor's
-//    partial-block rollback;
+//    rows), then the scan returns IOError: exercises the executor's rule
+//    that only a whole block is consumed;
 //  * detected corruption — the operation returns DataLoss at the chosen
 //    block with block/offset detail, modeling in-flight corruption caught
 //    by an integrity check (a re-read may succeed, so it is retryable;
@@ -24,27 +26,29 @@
 //    (interruptible by the scan's CancelContext);
 //  * stall spike        — a Scan operation sleeps plan.stall before
 //    reading, modeling slow (not failing) storage. The sleep is
-//    interruptible, so a soft per-shard deadline (the sharded executor's
-//    stall watchdog) or an external Cancel() reclaims the thread and the
-//    scan returns kDeadlineExceeded/kCancelled;
+//    interruptible, so a soft per-read deadline (the executor's stall
+//    watchdog) or an external Cancel() reclaims the thread and the scan
+//    returns kDeadlineExceeded/kCancelled;
 //  * permanent hang     — a Scan operation blocks forever, cooperatively:
 //    it parks on the scan's CancelContext and returns its status once
 //    cancelled or past deadline. A hang under an inactive context never
 //    returns (pair hang_rate with a token/deadline or a CTest TIMEOUT).
 //
 // `max_consecutive` caps how many faults in a row the schedule may inject
-// (hangs included), so any retry policy with max_attempts > max_consecutive
-// is guaranteed to make progress. `kill_after_ops` turns every operation
-// from that index on into a permanent failure — a deterministic "crash"
-// for checkpoint/resume tests. InMemory() deliberately returns nullptr so
-// the executor's zero-copy parallel path cannot bypass injection.
+// into one read — the Scan calls for one first_row, or the Fetch calls —
+// hangs included, so any retry policy with max_attempts > max_consecutive
+// is guaranteed to make progress, however many reads run concurrently.
+// `kill_after_ops` turns every operation from that index on into a
+// permanent failure — a deterministic "crash" for checkpoint/resume
+// tests. InMemory() returns nullptr: injected operations behave like
+// storage reads, so the executor gives them the storage thread budget.
 
 #ifndef PROCLUS_DATA_FAULT_SOURCE_H_
 #define PROCLUS_DATA_FAULT_SOURCE_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
 
 #include "common/cancel.h"
 #include "common/sync.h"
@@ -63,8 +67,9 @@ struct FaultPlan {
   double corrupt_rate = 0.0;
   /// P(short read: truncated block + IOError) per Scan operation.
   double short_read_rate = 0.0;
-  /// Upper bound on consecutively injected faults; the next operation after
-  /// a run of this length is always allowed to succeed.
+  /// Upper bound on consecutively injected faults into one read (one
+  /// first_row for Scan, every Fetch alike); the next attempt after a run
+  /// of this length is always allowed to succeed.
   size_t max_consecutive = 2;
   /// Sleep injected on a latency-spike operation.
   std::chrono::microseconds delay{0};
@@ -119,7 +124,7 @@ class FaultInjectingPointSource final : public PointSource {
   size_t size() const override { return inner_->size(); }
   size_t dims() const override { return inner_->dims(); }
   Result<Matrix> Fetch(std::span<const size_t> indices) const override;
-  /// Always null: every access must flow through the (faultable) Scan.
+  /// Always null: the decorated source behaves like storage.
   const Dataset* InMemory() const override { return nullptr; }
 
   const FaultPlan& plan() const { return plan_; }
@@ -143,13 +148,17 @@ class FaultInjectingPointSource final : public PointSource {
 
   /// Deterministic schedule lookup for operation `op`.
   Decision Decide(uint64_t op) const;
-  /// Applies max_consecutive / kill_after_ops to the raw decision, serves
-  /// the latency spike (interruptible under `ctx`; an interrupted delay
-  /// just ends early — the caller's next cancellation check unwinds the
-  /// operation), and bumps the operation counter bookkeeping.
-  Decision Admit(uint64_t op, const CancelContext& ctx) const;
-  /// Bookkeeping after a clean (non-injected) operation completed.
-  void NoteClean() const;
+  /// Applies max_consecutive to the raw decision for `read` (a scan's
+  /// first_row, or kFetchRead), extending that read's fault run, and
+  /// serves the latency spike (interruptible under `ctx`; an interrupted
+  /// delay just ends early — the caller's next cancellation check unwinds
+  /// the operation).
+  Decision Admit(uint64_t op, uint64_t read, const CancelContext& ctx) const;
+  /// Ends `read`'s fault run after a clean operation completed.
+  void NoteClean(uint64_t read) const;
+
+  // The fault-run key every Fetch shares.
+  static constexpr uint64_t kFetchRead = ~uint64_t{0};
 
   const PointSource* inner_;
   FaultPlan plan_;
@@ -186,13 +195,10 @@ class FaultInjectingPointSource final : public PointSource {
   };
 
   mutable FaultCounterCells counters_;
-  // order: relaxed — length of the current injected-fault run. Admit/
-  // NoteClean race benignly under concurrent callers: the cap only needs
-  // an eventually-consistent run length to bound consecutive faults, and
-  // with the deterministic single-caller schedules used by tests the
-  // value is exact. Not part of the FaultCounters snapshot (schedule
-  // state, not a statistic).
-  mutable std::atomic<uint64_t> consecutive_{0};
+  // Length of each read's current injected-fault run (schedule state, not
+  // a statistic); reads without a run have no entry.
+  mutable Mutex mu_;
+  mutable std::map<uint64_t, uint64_t> runs_ PROCLUS_GUARDED_BY(mu_);
 };
 
 }  // namespace proclus

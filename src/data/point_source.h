@@ -1,4 +1,4 @@
-// PointSource: sequential-scan + point-fetch access to a point set,
+// PointSource: ranged-scan + point-fetch access to a point set,
 // decoupling the clustering passes from where the data lives.
 //
 // PROCLUS is a database algorithm: every phase is one scan over the data
@@ -7,20 +7,29 @@
 // over an in-memory Dataset or a disk-resident binary snapshot that
 // never fits in RAM.
 //
-//  * Scan(block_rows, visit) — visits consecutive blocks of row-major
-//    coordinates in order. In-memory sources pass zero-copy spans; the
-//    disk source reads through a reusable buffer.
+//  * Scan(spec, visit) — visits the rows [spec.first_row, spec.end_row)
+//    in consecutive blocks, in order. In-memory sources pass zero-copy
+//    spans; the disk source reads and verifies each block into the
+//    calling thread's read buffer before it hands the block over.
 //  * Fetch(indices) — materializes a small set of points (samples,
 //    medoids) by position.
 //
-// Implementations must support concurrent Scan/Fetch calls from multiple
-// threads (the disk source opens a private stream per call).
+// The scan executor (data/engine.h) issues one single-block ranged Scan
+// per block, on the pool worker that owns the block, so implementations
+// must support concurrent Scan/Fetch calls from many threads.
+//
+// Delivery rule: a source delivers a block only after it has read (and,
+// where it keeps checksums, verified) all of it. A failed read delivers
+// nothing of the block it failed on, so the caller can retry that block
+// alone.
 
 #ifndef PROCLUS_DATA_POINT_SOURCE_H_
 #define PROCLUS_DATA_POINT_SOURCE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -38,13 +47,19 @@ namespace proclus {
 class ShardedSource;
 
 /// Parameters of one Scan call. The cancellation context is checked by
-/// every source implementation between blocks (one relaxed load per block
-/// when only a token is set), so Cancel() or deadline expiry aborts a
-/// running scan within one block's worth of work, returning
+/// every source implementation before each block (one relaxed load per
+/// block when only a token is set), so Cancel() or deadline expiry aborts
+/// a running scan within one block's worth of work, returning
 /// kCancelled/kDeadlineExceeded with the blocks after the abort withheld.
 struct ScanSpec {
-  /// Rows per delivered block (must be > 0).
+  /// Rows per delivered block (must be > 0). Blocks are cut from
+  /// first_row: every block except possibly the last has exactly this many
+  /// rows.
   size_t block_rows = 0;
+  /// The rows to visit, [first_row, end_row). end_row is clamped to the
+  /// source's size, so the default range is the whole source.
+  size_t first_row = 0;
+  size_t end_row = std::numeric_limits<size_t>::max();
   /// Cooperative stop signal; inactive by default.
   CancelContext cancel{};
 };
@@ -66,6 +81,13 @@ using BlockVisitor =
     std::function<void(size_t first_row, std::span<const double> data,
                        size_t rows)>;
 
+/// Bytes the calling thread has read from storage for scans, over the
+/// thread's life (DiskSource adds every scan read). The difference taken
+/// around one Scan call on one thread is exactly what that call read,
+/// however many decorators wrap the source and whatever other threads read
+/// at the same time; the executor and the shard set count bytes this way.
+uint64_t ThreadScanBytesRead();
+
 /// Abstract scan/fetch access to N points in d dimensions.
 class PointSource {
  public:
@@ -82,18 +104,25 @@ class PointSource {
   /// Dimensionality d.
   virtual size_t dims() const = 0;
 
-  /// Visits all points in consecutive blocks of at most `spec.block_rows`
-  /// rows, in order of increasing row index. Every block except possibly
-  /// the last has exactly `spec.block_rows` rows. Thread-compatible: may
-  /// be called concurrently from several threads. Checks `spec.cancel`
-  /// once on entry and once per block (see ScanSpec); a cancelled or
-  /// deadline-expired scan stops delivering and returns the context's
-  /// status.
+  /// Visits the rows [spec.first_row, spec.end_row) in consecutive blocks
+  /// of at most `spec.block_rows` rows, in order of increasing row index
+  /// (see ScanSpec and the delivery rule above). Thread-compatible: may be
+  /// called concurrently from several threads. Checks `spec.cancel` once
+  /// on entry and once per block; a cancelled or deadline-expired scan
+  /// stops delivering and returns the context's status. A range starting
+  /// past the last row is OutOfRange.
   Status Scan(const ScanSpec& spec, const BlockVisitor& visit) const {
     if (spec.block_rows == 0)
       return Status::InvalidArgument("block_rows must be > 0");
+    ScanSpec range = spec;
+    range.end_row = std::min(spec.end_row, size());
+    if (range.first_row > range.end_row)
+      return Status::OutOfRange("scan range starts at row " +
+                                std::to_string(range.first_row) +
+                                ", past the last row " +
+                                std::to_string(range.end_row));
     PROCLUS_RETURN_IF_ERROR(spec.cancel.Check());
-    return ScanBlocks(spec, visit);
+    return ScanBlocks(range, visit);
   }
 
   /// Scan without a cancellation context (uninterruptible).
@@ -108,16 +137,15 @@ class PointSource {
   /// indices.
   virtual Result<Matrix> Fetch(std::span<const size_t> indices) const = 0;
 
-  /// Non-null when the full point set is addressable in memory; enables
-  /// the zero-copy parallel pass path.
+  /// Non-null when the full point set is addressable in memory, i.e. its
+  /// blocks are zero-copy views: the executor then runs num_threads
+  /// workers, where storage-backed sources get twice as many (see
+  /// ScanOptions::num_threads).
   virtual const Dataset* InMemory() const { return nullptr; }
 
-  /// Non-null when the source is a shard set (data/sharded_source.h);
-  /// ScanExecutor::Run delegates such sources to the ShardedScanExecutor
-  /// so every caller gets the per-shard parallel/retry path without
-  /// knowing about sharding. Decorators (e.g. the fault injector) keep
-  /// the null default: a wrapped shard set scans through the decorated
-  /// glued Scan() instead, which preserves their interception.
+  /// Non-null when the source is a shard set (data/sharded_source.h); the
+  /// executor reads it for the per-shard counters of RunStats::shard_io.
+  /// Decorators (e.g. the fault injector) keep the null default.
   virtual const ShardedSource* Sharded() const { return nullptr; }
 
   /// Cumulative access counters. Thread-compatible with concurrent
@@ -127,14 +155,17 @@ class PointSource {
 
  protected:
   /// The scan hook implementations override (non-virtual-interface: the
-  /// public Scan validates block_rows and pre-checks cancellation once, so
-  /// every source gets both uniformly). Implementations must check
-  /// `spec.cancel` between blocks and propagate its status; decorators
-  /// forward the whole spec to their inner source.
+  /// public Scan validates block_rows, clamps end_row to size() and
+  /// pre-checks cancellation once, so every source gets all three
+  /// uniformly). Implementations must honour [first_row, end_row), follow
+  /// the delivery rule, check `spec.cancel` before each block and
+  /// propagate its status; decorators forward the whole spec to their
+  /// inner source.
   virtual Status ScanBlocks(const ScanSpec& spec,
                             const BlockVisitor& visit) const = 0;
 
-  /// Implementations call this once per completed Scan.
+  /// Implementations call this once per completed Scan, with the rows it
+  /// delivered and the bytes it read from storage.
   void RecordScan(uint64_t rows, uint64_t bytes) const {
     io_.scans.Add(1);
     io_.rows_scanned.Add(rows);
@@ -148,14 +179,6 @@ class PointSource {
   }
 
  private:
-  // The executor's zero-copy parallel path reads an in-memory source's
-  // data without going through Scan(); it records the logical scan here so
-  // the counters stay truthful for every path. The sharded executor
-  // likewise scans the shards directly, bypassing the shard set's own
-  // glued Scan(), and records the logical whole-set scan on it here.
-  friend class ScanExecutor;
-  friend class ShardedScanExecutor;
-
   // Relaxed-atomic cells behind the IoCounters snapshot. Concurrent
   // Scan/Fetch calls bump them without coordination; Snapshot() is the
   // single read path. Ordering discipline lives inside GuardedCounter
@@ -202,25 +225,26 @@ class MemorySource final : public PointSource {
 /// data/binary_io.h), reading blocks through a bounded buffer so the
 /// full data never needs to fit in memory.
 ///
+/// Reads: the snapshot is opened once and read with positioned reads, so
+/// concurrent scans of different blocks share one descriptor. Each block
+/// is read into the calling thread's read buffer, which is kept for the
+/// thread's life, reused by every later scan on it and never zero-filled:
+/// the executor's pool workers take no allocations or page faults in
+/// steady state. A scan nested inside another scan's visitor on the same
+/// thread reads through a private buffer instead.
+///
 /// Integrity: version-2 snapshots carry a per-block XXH64 checksum table.
-/// Scan verifies every checksum block as its bytes stream past and Fetch
-/// verifies the block containing each requested row; a mismatch yields
-/// DataLoss with the block index and byte offset. Version-1 snapshots
-/// (no checksums) are still readable, unverified.
+/// A scan block is delivered only after every checksum block it overlaps
+/// was read whole and verified; when the scan block's first or last row is
+/// not on a checksum-block boundary, the read widens to the whole checksum
+/// blocks around it. Fetch verifies the checksum block containing each
+/// requested row. A mismatch yields DataLoss with the block index and byte
+/// offset. Version-1 snapshots (no checksums) are still readable,
+/// unverified.
 ///
 /// Resilience: Fetch re-issues transiently failed row reads under
-/// `retry_policy()` (stream reopened between attempts). Scan does NOT
-/// retry internally — a mid-scan failure invalidates everything already
-/// delivered to visitors, so the re-issue belongs to the caller that owns
-/// the consumer state (ScanExecutor::Run).
-///
-/// Prefetch: every Scan double-buffers — a producer thread reads and
-/// checksums tile i+1 while the visitor consumes tile i, overlapping disk
-/// I/O with kernel compute. A tile is delivered only once it was fully
-/// read and every checksum block completed inside it verified. The two
-/// tile buffers hold min(block_rows, rows) rows each, so an oversized
-/// block size costs no more memory than the data; a single-tile scan
-/// allocates one.
+/// `retry_policy()`. Scan does not retry: the executor retries the failed
+/// block alone (ScanExecutor::Run).
 class DiskSource final : public PointSource {
  public:
   /// Opens and validates the snapshot at `path`.
@@ -242,16 +266,39 @@ class DiskSource final : public PointSource {
                     const BlockVisitor& visit) const override;
 
  private:
-  DiskSource(std::string path, size_t rows, size_t cols, size_t data_offset,
+  // The snapshot's open descriptor, shared by copies of the source and
+  // closed with the last of them.
+  struct File;
+  // A grow-only, never zero-filled read buffer (point_source.cc).
+  struct ReadBuffer;
+  // Rows of the snapshot held in a read buffer, [first, end).
+  struct Held {
+    const double* data = nullptr;
+    size_t first = 0;
+    size_t end = 0;
+  };
+
+  DiskSource(std::string path, std::shared_ptr<const File> file,
+             size_t rows, size_t cols, size_t data_offset,
              size_t checksum_block_rows, std::vector<uint64_t> checksums)
       : path_(std::move(path)),
+        file_(std::move(file)),
         rows_(rows),
         cols_(cols),
         data_offset_(data_offset),
         checksum_block_rows_(checksum_block_rows),
         checksums_(std::move(checksums)) {}
 
+  // Reads rows [first, end), widened to whole checksum blocks, into
+  // `buffer` and verifies every checksum block read; on success `held`
+  // names the rows the buffer now holds and `bytes` grows by the bytes
+  // read. On failure `held` is empty. `point` names the fetched row in
+  // error messages (npos for scans).
+  Status ReadVerified(size_t first, size_t end, ReadBuffer* buffer,
+                      Held* held, uint64_t* bytes, size_t point) const;
+
   std::string path_;
+  std::shared_ptr<const File> file_;
   size_t rows_;
   size_t cols_;
   size_t data_offset_;

@@ -1,7 +1,6 @@
 #include "data/sharded_source.h"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "common/check.h"
@@ -19,18 +18,16 @@ MemorySliceSource::MemorySliceSource(const Dataset& dataset, size_t first_row,
 
 Status MemorySliceSource::ScanBlocks(const ScanSpec& spec,
                                      const BlockVisitor& visit) const {
-  const size_t block_rows = spec.block_rows;
   const size_t d = dataset_->dims();
-  const std::vector<double>& data = dataset_->matrix().data();
-  for (size_t first = 0; first < rows_; first += block_rows) {
+  const double* data = dataset_->matrix().data().data() + first_row_ * d;
+  for (size_t first = spec.first_row; first < spec.end_row;) {
     PROCLUS_RETURN_IF_ERROR(spec.cancel.Check());
-    const size_t rows = std::min(block_rows, rows_ - first);
-    visit(first,
-          std::span<const double>(data.data() + (first_row_ + first) * d,
-                                  rows * d),
-          rows);
+    const size_t rows = std::min(spec.block_rows, spec.end_row - first);
+    visit(first, std::span<const double>(data + first * d, rows * d), rows);
+    first += rows;
   }
-  RecordScan(rows_, /*bytes=*/0);  // Blocks are zero-copy views.
+  // Blocks are zero-copy views.
+  RecordScan(spec.end_row - spec.first_row, /*bytes=*/0);
   return Status::OK();
 }
 
@@ -124,6 +121,13 @@ Result<ShardedSource> ShardedSource::FromDataset(const Dataset& dataset,
   return Create(std::move(shards));
 }
 
+size_t ShardedSource::ShardOf(size_t row) const {
+  return static_cast<size_t>(
+             std::upper_bound(offsets_.begin(), offsets_.end(), row) -
+             offsets_.begin()) -
+         1;
+}
+
 bool ShardedSource::AlignedTo(size_t block_rows) const {
   if (block_rows == 0) return false;
   for (size_t s = 1; s < offsets_.size(); ++s)
@@ -133,61 +137,62 @@ bool ShardedSource::AlignedTo(size_t block_rows) const {
 
 Status ShardedSource::ScanBlocks(const ScanSpec& spec,
                                  const BlockVisitor& visit) const {
-  const size_t block_rows = spec.block_rows;
-  // Restitch the shard streams into the single-source block geometry:
-  // rows flow shard by shard into the current global block, which is
-  // delivered once full (or at end of data). A shard delivery that covers
-  // a whole block while the staging buffer is empty passes through
-  // zero-copy; only boundary-straddling blocks are copied.
-  std::vector<double> staging;
-  size_t block_start = 0;  // Global first row of the block being built.
-  size_t pending = 0;      // Rows of that block already staged.
-  uint64_t bytes = 0;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const uint64_t shard_bytes_before = shards_[s]->io().bytes_read;
-    // Forward the whole spec: each shard checks the cancellation context
-    // per block, so a cancelled glued scan unwinds within one block.
-    Status status = shards_[s]->Scan(
-        spec,
-        [&](size_t, std::span<const double> data, size_t rows) {
-          const double* src = data.data();
-          size_t left = rows;
-          while (left > 0) {
-            // block_start stays a multiple of block_rows by induction, so
-            // cap is block_rows everywhere except the global last block.
-            const size_t cap = std::min(block_rows, rows_ - block_start);
-            if (pending == 0 && left >= cap) {
-              visit(block_start, std::span<const double>(src, cap * cols_),
-                    cap);
-              block_start += cap;
-              src += cap * cols_;
-              left -= cap;
-              continue;
-            }
-            // Sized by the rows that exist: block_rows may exceed them.
-            if (staging.empty())
-              staging.resize(std::min(block_rows, rows_) * cols_);
-            const size_t take = std::min(cap - pending, left);
-            std::memcpy(staging.data() + pending * cols_, src,
-                        take * cols_ * sizeof(double));
-            pending += take;
-            src += take * cols_;
-            left -= take;
-            if (pending == cap) {
-              visit(block_start,
-                    std::span<const double>(staging.data(), cap * cols_),
-                    cap);
-              block_start += cap;
-              pending = 0;
-            }
-          }
-        });
-    PROCLUS_RETURN_IF_ERROR(status);
-    bytes += shards_[s]->io().bytes_read - shard_bytes_before;
+  const uint64_t bytes_before = ThreadScanBytesRead();
+  std::vector<double> spanning;  // Sized by the first spanning block.
+  for (size_t first = spec.first_row; first < spec.end_row;) {
+    const size_t s = ShardOf(first);
+    const size_t offset = offsets_[s];
+    const size_t shard_end = offset + shards_[s]->size();
+    // The blocks from `first` that end inside shard s are its own scan.
+    const size_t inside =
+        spec.end_row <= shard_end
+            ? spec.end_row
+            : first + (shard_end - first) / spec.block_rows * spec.block_rows;
+    if (inside > first) {
+      ScanSpec local = spec;
+      local.first_row = first - offset;
+      local.end_row = inside - offset;
+      PROCLUS_RETURN_IF_ERROR(shards_[s]->Scan(
+          local, [&](size_t row, std::span<const double> data, size_t rows) {
+            visit(offset + row, data, rows);
+          }));
+      first = inside;
+      continue;
+    }
+    // One block spanning shards s, s+1, ...: read each piece whole into
+    // one buffer (each piece's Scan checks the cancellation context), and
+    // deliver the block once every piece has arrived.
+    const size_t rows = std::min(spec.block_rows, spec.end_row - first);
+    spanning.resize(std::max(spanning.size(), rows * cols_));
+    for (size_t row = first; row < first + rows;) {
+      const size_t p = ShardOf(row);
+      const size_t piece_end =
+          std::min(first + rows, offsets_[p] + shards_[p]->size());
+      ScanSpec piece = spec;
+      piece.block_rows = piece_end - row;
+      piece.first_row = row - offsets_[p];
+      piece.end_row = piece_end - offsets_[p];
+      size_t arrived = 0;
+      PROCLUS_RETURN_IF_ERROR(shards_[p]->Scan(
+          piece, [&](size_t, std::span<const double> data, size_t count) {
+            std::copy(data.begin(), data.end(),
+                      spanning.begin() +
+                          static_cast<std::ptrdiff_t>((row - first) * cols_));
+            arrived = count;
+          }));
+      if (arrived != piece_end - row)
+        return Status::IOError("shard " + std::to_string(p) + " delivered " +
+                               std::to_string(arrived) + " of rows [" +
+                               std::to_string(piece.first_row) + ", " +
+                               std::to_string(piece.end_row) + ")");
+      row = piece_end;
+    }
+    visit(first, std::span<const double>(spanning.data(), rows * cols_),
+          rows);
+    first += rows;
   }
-  // Every row was delivered: the last block fills exactly at rows_.
-  PROCLUS_DCHECK(block_start == rows_ && pending == 0);
-  RecordScan(rows_, bytes);
+  RecordScan(spec.end_row - spec.first_row,
+             ThreadScanBytesRead() - bytes_before);
   return Status::OK();
 }
 
@@ -202,11 +207,7 @@ Result<Matrix> ShardedSource::Fetch(std::span<const size_t> indices) const {
     if (idx >= rows_)
       return Status::OutOfRange("point index " + std::to_string(idx) +
                                 " out of range");
-    const size_t shard =
-        static_cast<size_t>(
-            std::upper_bound(offsets_.begin(), offsets_.end(), idx) -
-            offsets_.begin()) -
-        1;
+    const size_t shard = ShardOf(idx);
     local[shard].push_back(idx - offsets_[shard]);
     out_rows[shard].push_back(r);
   }

@@ -1,25 +1,19 @@
 // ShardedSource: one logical PointSource over an ordered set of shard
 // sources, each holding a contiguous row range of the full point set.
 //
-// Sharding is the scan layer's unit of coarse parallelism and of failure
-// isolation: the ShardedScanExecutor (data/engine.h) scans shards
-// concurrently on the persistent ThreadPool and retries a transiently
-// failed shard alone, while the deterministic merge stays global — every
-// block keeps its single-source block index, so results are bit-identical
-// to scanning the unsharded snapshot for any shard count and thread count
-// (DESIGN.md §12).
+// A shard set is a row-range router. Its Scan sends the rows of each
+// block to the shard that holds them, so the scan executor (data/engine.h)
+// reads a shard set like any other source: each pool worker reads its own
+// blocks, and the merge stays in global block order, so results are
+// bit-identical to scanning the unsharded snapshot for any shard count,
+// layout and thread count (DESIGN.md §12). A block that spans two shards
+// is read from both into one buffer and delivered once, whole; every
+// other block is the shard's own delivery, passed through without a copy.
+// Fetch() routes each index to the shard owning its row.
 //
-// A ShardedSource is also a plain PointSource: its own Scan() glues the
-// shards back into exactly the single-source block geometry (restitching
-// blocks that straddle a shard boundary through a staging buffer), so
-// every consumer of the PointSource interface works unchanged. Fetch()
-// routes each index to the shard owning its row.
-//
-// Shard boundaries are fixed at construction; the parallel per-shard path
-// engages when every boundary is a multiple of the scan's block_rows
-// (SplitIntoShards aligns boundaries for exactly this reason — see
-// data/binary_io.h), and the glued sequential path covers every other
-// geometry with identical results.
+// Shard boundaries are fixed at construction. SplitIntoShards aligns them
+// to the scan block size (see data/binary_io.h), so no block spans two
+// shards and none is copied; any other layout still scans correctly.
 
 #ifndef PROCLUS_DATA_SHARDED_SOURCE_H_
 #define PROCLUS_DATA_SHARDED_SOURCE_H_
@@ -47,9 +41,7 @@ class MemorySliceSource final : public PointSource {
   size_t size() const override { return rows_; }
   size_t dims() const override { return dataset_->dims(); }
   Result<Matrix> Fetch(std::span<const size_t> indices) const override;
-  // InMemory() stays null: the slice is not the whole dataset, so the
-  // executor's whole-source zero-copy path must not engage (its row
-  // indices would be global, not slice-relative).
+  // InMemory() stays null: the slice is not the whole dataset.
 
  protected:
   Status ScanBlocks(const ScanSpec& spec,
@@ -97,17 +89,17 @@ class ShardedSource final : public PointSource {
   size_t shard_offset(size_t i) const { return offsets_[i]; }
   size_t shard_rows(size_t i) const { return shards_[i]->size(); }
 
+  /// Index of the shard holding global row `row` (< size()).
+  size_t ShardOf(size_t row) const;
+
   /// True when every shard boundary is a multiple of `block_rows`, i.e.
-  /// no scan block of that size straddles a shard boundary and the
-  /// per-shard parallel path reproduces the single-source block geometry.
+  /// no scan block of that size spans two shards, so none is copied.
   bool AlignedTo(size_t block_rows) const;
 
  protected:
-  /// Glued sequential scan: delivers the exact single-source block
-  /// geometry regardless of shard boundaries, restitching straddling
-  /// blocks through a staging buffer and passing aligned shard blocks
-  /// through without a copy. The cancellation context is forwarded to
-  /// every shard scan, which check it per block.
+  /// Routes the range: the blocks inside one shard are that shard's own
+  /// scan (with the spec's cancellation context), and a block that spans
+  /// two shards is read from each into one buffer, then delivered.
   Status ScanBlocks(const ScanSpec& spec,
                     const BlockVisitor& visit) const override;
 

@@ -6,7 +6,7 @@
 //    kCancelled, never a crash, a hang, or a torn result; the consumer
 //    and the global ThreadPool remain fully usable afterwards, and the
 //    next clean run reproduces the reference bits.
-//  * Cancel() racing the DiskSource prefetch producer thread.
+//  * Cancel() racing a DiskSource scan mid-read.
 //  * A deadline (or a cross-thread Cancel()) interrupting the retry
 //    backoff sleep of a permanently failing source.
 //  * Hedged shard re-scans under concurrent shard workers stay
@@ -164,7 +164,7 @@ TEST(CancelStressTest, CancelRacesThePrefetchProducer) {
   const std::string path = TestTempPath("cancel_prefetch.bin");
   ASSERT_TRUE(WriteBinaryFile(ds, path).ok());
   auto disk = DiskSource::Open(path);
-  ASSERT_TRUE(disk.ok());  // Every disk scan runs the producer thread.
+  ASSERT_TRUE(disk.ok());
 
   uint64_t completed = 0;
   for (int round = 0; round < 16; ++round) {
@@ -189,8 +189,8 @@ TEST(CancelStressTest, CancelRacesThePrefetchProducer) {
     } else {
       EXPECT_LE(rows_delivered, 8192u);
     }
-    // The producer thread is joined before Scan returns either way; the
-    // next scan must start from a clean slate.
+    // The thread's read buffer is released before Scan returns either
+    // way; the next scan must start from a clean slate.
     size_t verify_rows = 0;
     ASSERT_TRUE(disk->Scan(512, [&verify_rows](size_t,
                                                std::span<const double>,
@@ -265,9 +265,9 @@ TEST(CancelStressTest, HedgingStaysBitIdenticalUnderConcurrentShards) {
   base.block_rows = 256;
   ASSERT_TRUE(ScanExecutor(base).Run(whole, {&reference}).ok());
 
-  // Two of four shards stall on every scan; shard scans run concurrently
-  // on the pool, so hedged re-deliveries interleave with live primary
-  // deliveries from other shards — the race TSan must find harmless.
+  // Two of four shards stall on every read; block reads run concurrently
+  // on the pool, so hedged re-reads interleave with live first reads of
+  // other blocks — the race TSan must find harmless.
   std::vector<std::unique_ptr<PointSource>> decorated;
   std::vector<std::unique_ptr<PointSource>> slices;
   const size_t shard_rows = 1024;

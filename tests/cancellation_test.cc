@@ -8,10 +8,10 @@
 //    retries): a requested stop is not a storage failure.
 //  * Consumers remain reusable after a cancelled scan: the next clean run
 //    is bit-identical to a never-cancelled reference.
-//  * The sharded executor's stall watchdog: a shard stalled (or hung)
-//    past the soft per-shard deadline is hedged — re-scanned alone — and
-//    the surviving run is bit-identical to the fault-free run, with
-//    hedged_scans / ShardIo::hedges recording the recovery.
+//  * The executor's stall watchdog: a block read stalled (or hung) past
+//    the soft per-read deadline is hedged — re-issued for that block
+//    alone — and the surviving run is bit-identical to the fault-free run,
+//    with hedged_scans / ShardIo::hedges recording the recovery.
 //  * Cancel-to-checkpoint: a PROCLUS fit cancelled mid-run leaves a
 //    checkpoint behind (forced at the loop top, or the last periodic one
 //    when save_on_cancel is off) from which a clean resume reproduces the
@@ -24,6 +24,7 @@
 
 #include "test_temp.h"
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -78,7 +79,7 @@ void ExpectSameResult(const ProjectedClustering& a,
 
 // Minimal consumer: per-block sums merged in block order (the same shape
 // as the consumers of the real passes). Prepare fully re-initializes the
-// partials, satisfying both the rollback and the re-delivery contract.
+// partials.
 class SumConsumer final : public ScanConsumer {
  public:
   Status Prepare(const ScanGeometry& geometry) override {
@@ -111,11 +112,12 @@ class SumConsumer final : public ScanConsumer {
 };
 
 // Decorator that fires `token->Cancel()` right after the Nth block has
-// been delivered (cumulative across scans). Because every source checks
-// the context before delivering each block, the scan in flight stops
-// after exactly N blocks — the test handle for "Cancel() unwinds within
-// one block's work". InMemory() stays null so the executor's zero-copy
-// parallel path cannot bypass the per-block checks.
+// been delivered (cumulative across scans), and records how many blocks
+// had been delivered once the cancel took effect. Because every source
+// checks the context before delivering each block, each other worker of
+// the scan in flight delivers at most the one block it had already
+// checked by then. InMemory() stays null, so the executor treats the
+// decorator like storage and scans it with 2T workers.
 class CancelAfterBlocksSource final : public PointSource {
  public:
   CancelAfterBlocksSource(const PointSource& inner, CancelToken* token,
@@ -128,7 +130,12 @@ class CancelAfterBlocksSource final : public PointSource {
     return inner_->Fetch(indices);
   }
 
-  size_t delivered_blocks() const { return delivered_; }
+  size_t delivered_blocks() const {
+    return delivered_.load(std::memory_order_relaxed);
+  }
+  size_t delivered_when_cancelled() const {
+    return delivered_when_cancelled_.load(std::memory_order_relaxed);
+  }
 
  protected:
   Status ScanBlocks(const ScanSpec& spec,
@@ -136,7 +143,13 @@ class CancelAfterBlocksSource final : public PointSource {
     return inner_->Scan(
         spec, [&](size_t first, std::span<const double> data, size_t rows) {
           visit(first, data, rows);
-          if (++delivered_ == cancel_after_) token_->Cancel();
+          if (delivered_.fetch_add(1, std::memory_order_relaxed) + 1 ==
+              cancel_after_) {
+            token_->Cancel();
+            delivered_when_cancelled_.store(
+                delivered_.load(std::memory_order_relaxed),
+                std::memory_order_relaxed);
+          }
         });
   }
 
@@ -144,21 +157,26 @@ class CancelAfterBlocksSource final : public PointSource {
   const PointSource* inner_;
   CancelToken* token_;
   size_t cancel_after_;
-  // Sequential scans only (InMemory() is null, so the executor never
-  // parallelizes over this source); no synchronization needed.
-  mutable size_t delivered_ = 0;
+  // order: relaxed — counters; the token carries the cancellation, and
+  // the test reads them after the scan's pool handshake.
+  mutable std::atomic<size_t> delivered_{0};
+  mutable std::atomic<size_t> delivered_when_cancelled_{0};
 };
 
 // Decorator that fires `token->Cancel()` after the Nth *completed* scan.
-// In the fused climb the evaluation scan is the last cancel-checked
-// operation of an iteration body, so cancelling at a scan completion is
-// observed by the next loop-top check — the deterministic trigger for the
-// cancel-to-checkpoint force save.
+// The executor reads one block per Scan call and runs its scans one after
+// another, so the (N x reads_per_scan)-th completed call ends the Nth
+// whole scan. In the fused climb the evaluation scan is the last
+// cancel-checked operation of an iteration body, so cancelling at a scan
+// completion is observed by the next loop-top check — the deterministic
+// trigger for the cancel-to-checkpoint force save.
 class CancelAfterScansSource final : public PointSource {
  public:
   CancelAfterScansSource(const PointSource& inner, CancelToken* token,
-                         size_t cancel_after_scans)
-      : inner_(&inner), token_(token), cancel_after_(cancel_after_scans) {}
+                         size_t cancel_after_scans, size_t reads_per_scan)
+      : inner_(&inner),
+        token_(token),
+        cancel_after_(cancel_after_scans * reads_per_scan) {}
 
   size_t size() const override { return inner_->size(); }
   size_t dims() const override { return inner_->dims(); }
@@ -170,7 +188,10 @@ class CancelAfterScansSource final : public PointSource {
   Status ScanBlocks(const ScanSpec& spec,
                     const BlockVisitor& visit) const override {
     Status status = inner_->Scan(spec, visit);
-    if (status.ok() && ++completed_ == cancel_after_) token_->Cancel();
+    if (status.ok() &&
+        completed_.fetch_add(1, std::memory_order_relaxed) + 1 ==
+            cancel_after_)
+      token_->Cancel();
     return status;
   }
 
@@ -178,7 +199,8 @@ class CancelAfterScansSource final : public PointSource {
   const PointSource* inner_;
   CancelToken* token_;
   size_t cancel_after_;
-  mutable size_t completed_ = 0;
+  // order: relaxed — a counter; the token carries the cancellation.
+  mutable std::atomic<size_t> completed_{0};
 };
 
 // A shard set whose shards are fault-injection decorators over memory
@@ -278,11 +300,15 @@ TEST(ScanCancelTest, MidScanCancelStopsWithinOneBlock) {
     SumConsumer consumer;
     Status status = ScanExecutor(options).Run(cancelling, {&consumer});
     EXPECT_EQ(status.code(), StatusCode::kCancelled);
-    // Every source checks the context before each block, so the scan
-    // stopped after exactly the block whose delivery fired the token.
-    EXPECT_EQ(cancelling.delivered_blocks(), kCancelAfter);
+    // Every source checks the context before each block, so once the
+    // cancel has taken effect each of the scan's two workers (2T at
+    // num_threads = 1) stops within one block: the other worker delivers
+    // at most the one block it had already checked.
+    EXPECT_GE(cancelling.delivered_when_cancelled(), kCancelAfter);
+    EXPECT_LE(cancelling.delivered_blocks(),
+              cancelling.delivered_when_cancelled() + 1);
     EXPECT_EQ(stats.cancelled_scans, 1u);
-    EXPECT_EQ(stats.wasted_rows, kCancelAfter * kBlockRows);
+    EXPECT_EQ(stats.wasted_rows, cancelling.delivered_blocks() * kBlockRows);
     EXPECT_GT(stats.cancel_checks, 1u);
     // A requested stop is not a fault: nothing failed, nothing retried.
     EXPECT_EQ(stats.failed_scans, 0u);
@@ -332,7 +358,11 @@ TEST(ScanCancelTest, DeadlineExpiringMidStallIsRecorded) {
   EXPECT_EQ(stats.cancelled_scans, 1u);
   EXPECT_EQ(stats.deadline_misses, 1u);
   EXPECT_EQ(stats.failed_scans, 0u);
-  EXPECT_EQ(stalling.fault_counters().stalls, 1u);
+  // One injector operation is one block read: each of the two workers
+  // (2T at num_threads = 1) stalls in its first read, then the deadline
+  // ends the scan.
+  EXPECT_GE(stalling.fault_counters().stalls, 1u);
+  EXPECT_LE(stalling.fault_counters().stalls, 2u);
 }
 
 TEST(ScanCancelTest, HangReclaimedByRunDeadline) {
@@ -396,12 +426,12 @@ TEST(StallHedgingTest, StalledShardIsHedgedBitIdentically) {
   clean.block_rows = 256;
   ASSERT_TRUE(ScanExecutor(clean).Run(whole, {&reference}).ok());
 
-  // Shard 1 stalls on every scan operation; the others are clean. The
-  // stall (80ms) far exceeds the soft per-shard deadline (8ms), so the
-  // first attempt always trips the watchdog; the hedged final attempt
-  // runs without the cap and completes after serving the stall. The cap
-  // is generous enough that the clean in-memory shards never trip it,
-  // keeping the per-shard hedge counts exact.
+  // Shard 1 stalls on every read; the others are clean. The stall (80ms)
+  // far exceeds the soft per-read deadline (8ms), so the first attempt of
+  // each of shard 1's four block reads trips the watchdog; the hedged
+  // final attempt runs without the cap and completes after serving the
+  // stall. The cap is generous enough that the clean in-memory shards
+  // never trip it, keeping the per-shard hedge counts exact.
   std::vector<FaultPlan> plans(3);
   plans[1].stall_rate = 1.0;
   plans[1].stall = microseconds(80000);
@@ -423,16 +453,17 @@ TEST(StallHedgingTest, StalledShardIsHedgedBitIdentically) {
             ObjectiveBits(reference.total()));
   EXPECT_EQ(consumer.rows(), 4096u);
 
-  // The watchdog demonstrably fired, and only on the stalled shard; the
-  // hedge is not a fault (nothing failed, nothing retried, run OK).
-  EXPECT_EQ(stats.hedged_scans, 1u);
-  EXPECT_EQ(stats.deadline_misses, 1u);
+  // The watchdog demonstrably fired, once per block read of the stalled
+  // shard and nowhere else; the hedge is not a fault (nothing failed,
+  // nothing retried, run OK).
+  EXPECT_EQ(stats.hedged_scans, 4u);
+  EXPECT_EQ(stats.deadline_misses, 4u);
   EXPECT_EQ(stats.failed_scans, 0u);
   EXPECT_EQ(stats.cancelled_scans, 0u);
   EXPECT_EQ(stats.retries, 0u);
   ASSERT_EQ(stats.shard_io.size(), 3u);
   EXPECT_EQ(stats.shard_io[0].hedges, 0u);
-  EXPECT_EQ(stats.shard_io[1].hedges, 1u);
+  EXPECT_EQ(stats.shard_io[1].hedges, 4u);
   EXPECT_EQ(stats.shard_io[2].hedges, 0u);
   EXPECT_GE(set.decorators[1]->fault_counters().stalls, 2u);
 }
@@ -445,9 +476,10 @@ TEST(StallHedgingTest, HungShardIsReclaimedByTheWatchdog) {
   clean.block_rows = 256;
   ASSERT_TRUE(ScanExecutor(clean).Run(whole, {&reference}).ok());
 
-  // Shard 0 hangs permanently on its first scan operation; hangs count
-  // toward max_consecutive, so the hedged attempt is forced clean — the
-  // watchdog turns an unbounded hang into one soft-deadline miss.
+  // Shard 0 hangs permanently on the first attempt of each of its four
+  // block reads; hangs count toward that read's max_consecutive, so each
+  // hedged attempt is forced clean — the watchdog turns every unbounded
+  // hang into one soft-deadline miss.
   std::vector<FaultPlan> plans(2);
   plans[0].hang_rate = 1.0;
   plans[0].max_consecutive = 1;
@@ -465,16 +497,16 @@ TEST(StallHedgingTest, HungShardIsReclaimedByTheWatchdog) {
   EXPECT_EQ(ObjectiveBits(consumer.total()),
             ObjectiveBits(reference.total()));
   EXPECT_EQ(consumer.rows(), 2048u);
-  EXPECT_EQ(stats.hedged_scans, 1u);
+  EXPECT_EQ(stats.hedged_scans, 4u);
   EXPECT_EQ(stats.failed_scans, 0u);
   EXPECT_GE(set.decorators[0]->fault_counters().hangs, 1u);
 }
 
 TEST(StallHedgingTest, HedgedAndRetriedShardsCommitUndisturbedColumns) {
-  // Cached assignment columns filled through a hedged shard re-scan
-  // (shard 1 stalls) and a per-shard retry (shard 2 fails once) are
-  // committed with exactly the bits of an undisturbed scan: re-delivered
-  // blocks rewrite their own row ranges with the same values.
+  // Cached assignment columns filled through hedged block reads (shard 1
+  // stalls) and retried block reads (shard 2 fails each read once) are
+  // committed with exactly the bits of an undisturbed scan: each block is
+  // consumed once, from the attempt that delivered it whole.
   Dataset ds = RandomDataset(4096, 6, 37);
   MemorySource whole(ds);
   auto medoids = whole.Fetch(std::vector<size_t>{3, 1500, 4000});
@@ -513,7 +545,7 @@ TEST(StallHedgingTest, HedgedAndRetriedShardsCommitUndisturbedColumns) {
   MedoidDistanceCache disturbed;
   AssignConsumer consumer;
   fill(*set.sharded, options, &disturbed, &consumer);
-  EXPECT_EQ(stats.hedged_scans, 1u);
+  EXPECT_EQ(stats.hedged_scans, 4u);  // Shard 1's four block reads.
   EXPECT_GT(stats.retries, 0u);
 
   EXPECT_EQ(consumer.labels(), baseline.labels());
@@ -583,6 +615,10 @@ ProclusParams CheckpointBaseParams() {
   return params;
 }
 
+// Block reads per whole scan of CheckpointFixture() at the block size of
+// CheckpointBaseParams(): 2000 rows in blocks of 256.
+constexpr size_t kCheckpointReadsPerScan = 8;
+
 SyntheticData CheckpointFixture() {
   GeneratorParams gen;
   gen.num_points = 2000;
@@ -643,7 +679,8 @@ TEST(ProclusCancelTest, CancelToCheckpointResumesBitIdentically) {
   const std::string ck_path = TestTempPath("cancel_to_ck.pckp");
   std::remove(ck_path.c_str());
   CancelToken token;
-  CancelAfterScansSource cancelling(memory, &token, 5);
+  CancelAfterScansSource cancelling(memory, &token, 5,
+                                    kCheckpointReadsPerScan);
   ProclusParams params = CheckpointBaseParams();
   params.cancel.token = &token;
   params.checkpoint.path = ck_path;
@@ -679,7 +716,8 @@ TEST(ProclusCancelTest, SaveOnCancelOffFallsBackToPeriodicCheckpoint) {
   const std::string ck_path = TestTempPath("periodic_fallback.pckp");
   std::remove(ck_path.c_str());
   CancelToken token;
-  CancelAfterScansSource cancelling(memory, &token, 9);
+  CancelAfterScansSource cancelling(memory, &token, 9,
+                                    kCheckpointReadsPerScan);
   ProclusParams params = CheckpointBaseParams();
   params.cancel.token = &token;
   params.checkpoint.path = ck_path;

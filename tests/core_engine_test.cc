@@ -398,7 +398,6 @@ class CancelAtBlock final : public ScanConsumer {
     if (block_index == at_block_) token_->Cancel();
   }
   Status Merge() override { return Status::OK(); }
-  void Reset() override {}
 
  private:
   CancelToken* token_;
@@ -826,9 +825,10 @@ TEST(ScanExecutorTest, DiskScansAccountEveryByte) {
     EXPECT_EQ(stats.bytes_read, scan * bytes_per_scan);
   }
 
-  // The source's own cumulative counters agree with the executor's view.
+  // The source's own cumulative counters agree with the executor's view:
+  // each scan is one ranged read per 512-row block.
   IoCounters io = disk->io();
-  EXPECT_EQ(io.scans, 3u);
+  EXPECT_EQ(io.scans, 3u * BlockCount(5000, 512));
   EXPECT_EQ(io.rows_scanned, 3u * 5000);
   EXPECT_EQ(io.bytes_read, 3u * bytes_per_scan);
   EXPECT_EQ(io.rows_fetched, 0u);  // No random access was issued.

@@ -248,18 +248,19 @@ TEST(DiskSourceTest, ScanErrorNamesPathOffsetAndSizes) {
   auto source = DiskSource::Open(path);
   ASSERT_TRUE(source.ok());
   // Truncate AFTER opening: Open's up-front size validation has passed,
-  // so the failure surfaces mid-scan exactly where the bytes run out.
+  // so the failure surfaces mid-scan, in the first read.
   const size_t data_offset = DataOffset(100, kDefaultChecksumBlockRows);
   const size_t row_bytes = 4 * sizeof(double);
   TruncateFile(path, data_offset + 64 * row_bytes);
   Status status =
       source->Scan(32, [](size_t, std::span<const double>, size_t) {});
   EXPECT_EQ(status.code(), StatusCode::kIOError);
-  // The third scan block starts at row 64 = byte data_offset + 64*32 and
-  // wants 32 rows; none of its bytes exist.
+  // The first scan block, rows [0, 32), lies inside checksum block 0,
+  // which covers all 100 rows, so its read covers the whole checksum
+  // block and runs out of bytes after row 64.
   ExpectMessageContains(status, "'" + path + "'");
-  ExpectMessageContains(status, "byte offset " + std::to_string(data_offset + 64 * row_bytes));
-  ExpectMessageContains(status, "expected " + std::to_string(32 * row_bytes) + " bytes, got 0");
+  ExpectMessageContains(status, "byte offset " + std::to_string(data_offset));
+  ExpectMessageContains(status, "expected " + std::to_string(100 * row_bytes) + " bytes, got " + std::to_string(64 * row_bytes));
 }
 
 TEST(DiskSourceTest, FetchErrorNamesPathOffsetAndSizes) {
@@ -276,6 +277,28 @@ TEST(DiskSourceTest, FetchErrorNamesPathOffsetAndSizes) {
   ExpectMessageContains(status, "'" + path + "'");
   ExpectMessageContains(status, "byte offset");
   ExpectMessageContains(status, "expected");
+}
+
+// A 104-byte v2 snapshot claiming 2^60 rows x 1 column in checksum blocks
+// of one row: header offset + payload length wraps 64 bits to 40, and a
+// 2^60-entry checksum table cannot be allocated up front.
+void WritePayloadLengthWrapsSnapshot(const std::string& path) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  const uint32_t version = 2;
+  const uint64_t fields[] = {uint64_t{1} << 60, 1, 1, uint64_t{1} << 60};
+  out.write("PCLS", 4);
+  out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  out.write(reinterpret_cast<const char*>(fields), sizeof(fields));
+  const std::string digests(64, '\0');
+  out << digests;
+}
+
+TEST(DiskSourceTest, OpenRejectsAHeaderWhosePayloadLengthWraps) {
+  const std::string path = TestTempPath("payload_length_wraps.bin");
+  WritePayloadLengthWrapsSnapshot(path);
+  // The one header parser rejects it for both readers, without aborting.
+  EXPECT_EQ(DiskSource::Open(path).status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(ReadBinaryFile(path).status().code(), StatusCode::kCorruption);
 }
 
 TEST(DiskSourceTest, OpenTruncationReportsPromisedAndActualSizes) {

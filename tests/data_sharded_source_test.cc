@@ -1,21 +1,20 @@
 // Sharded source tests:
 //
-//  * ShardedSource is a faithful PointSource: its glued Scan reproduces
-//    the single-source block geometry bit-for-bit for ANY shard layout
-//    (aligned, unaligned, ragged, one-row), and Fetch routes indices to
-//    the owning shard.
+//  * ShardedSource is a faithful PointSource: its Scan routes every row
+//    range to the shards holding it and reproduces the single-source
+//    block geometry bit-for-bit for ANY shard layout (aligned, unaligned,
+//    ragged, one-row), and Fetch routes indices to the owning shard.
 //  * SplitIntoShards + OpenManifest round-trip a snapshot through N
 //    checksummed per-shard snapshots; every corruption — truncated
 //    manifest, bad magic, shard/manifest shape disagreement, missing
 //    shard file, a flipped byte inside one shard — is rejected with a
 //    diagnosable Status.
-//  * The ShardedScanExecutor path (engaged transparently through
-//    ScanExecutor::Run) is bit-identical to the unsharded scan for
-//    shards in {1,2,4,8}, populates RunStats::shard_io, and a full
-//    PROCLUS fit over a sharded disk source matches the single-source
-//    fit exactly.
-//  * DiskSource's double-buffered prefetch delivers the same blocks,
-//    the same errors, and the same diagnostics as the inline path.
+//  * ScanExecutor::Run over a shard set is bit-identical to the unsharded
+//    scan for shards in {1,2,4,8} and for unaligned layouts, populates
+//    RunStats::shard_io, and a full PROCLUS fit over a sharded disk
+//    source matches the single-source fit exactly.
+//  * DiskSource's read loop delivers every block whole and verified, for
+//    any block size, with the failing read's diagnostics.
 
 #include "data/sharded_source.h"
 
@@ -342,6 +341,34 @@ TEST(ShardManifestTest, OpenManifestRejectsShardShapeDisagreement) {
   ExpectMessageContains(status, "manifest promises");
 }
 
+TEST(ShardManifestTest, OpenManifestRejectsAShardWhosePayloadLengthWraps) {
+  // One shard whose 104-byte v2 header claims 2^60 rows x 1 column in
+  // checksum blocks of one row: header offset + payload length wraps to
+  // 40. The manifest agrees with the header, so only the shard's own
+  // header check can refuse it.
+  const std::string prefix = TestTempPath("manifest_wraps");
+  {
+    std::ofstream out(prefix + ".shard0.bin",
+                      std::ios::binary | std::ios::trunc);
+    const uint32_t version = 2;
+    const uint64_t fields[] = {uint64_t{1} << 60, 1, 1, uint64_t{1} << 60};
+    out.write("PCLS", 4);
+    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    out.write(reinterpret_cast<const char*>(fields), sizeof(fields));
+    const std::string digests(64, '\0');
+    out << digests;
+  }
+  ShardManifest manifest;
+  manifest.rows = uint64_t{1} << 60;
+  manifest.cols = 1;
+  manifest.checksum_block_rows = 1;
+  std::string base = prefix.substr(prefix.find_last_of('/') + 1);
+  manifest.shards.push_back({uint64_t{1} << 60, base + ".shard0.bin"});
+  ASSERT_TRUE(WriteShardManifest(manifest, prefix + ".pcsm").ok());
+  EXPECT_EQ(ShardedSource::OpenManifest(prefix + ".pcsm").status().code(),
+            StatusCode::kCorruption);
+}
+
 TEST(ShardManifestTest, ScanDetectsChecksumMismatchInOneShard) {
   SplitFixture fixture = MakeSplit("manifest_csum", 600, 4, 4, 32);
   // Flip a payload byte in shard 2 only. OpenManifest still succeeds
@@ -377,7 +404,7 @@ TEST(ShardManifestTest, ScanDetectsChecksumMismatchInOneShard) {
 }
 
 // ---------------------------------------------------------------------
-// ShardedScanExecutor bit-identity and counters.
+// Executor bit-identity and per-shard counters over shard sets.
 // ---------------------------------------------------------------------
 
 TEST(ShardedExecutorTest, ConsumersBitIdenticalForEveryShardCount) {
@@ -421,11 +448,13 @@ TEST(ShardedExecutorTest, ConsumersBitIdenticalForEveryShardCount) {
       EXPECT_EQ(assign.centroids(), assign_base.centroids());
       EXPECT_EQ(assign.cluster_sizes(), assign_base.cluster_sizes());
 
-      // Per-shard counters: one scan per shard, rows partitioning N.
+      // Per-shard counters: one read per block of the shard, rows
+      // partitioning N.
       ASSERT_EQ(stats.shard_io.size(), num_shards);
       uint64_t rows = 0;
       for (size_t s = 0; s < num_shards; ++s) {
-        EXPECT_EQ(stats.shard_io[s].scans, 1u);
+        EXPECT_EQ(stats.shard_io[s].scans,
+                  BlockCount(sharded->shard_rows(s), 128));
         EXPECT_EQ(stats.shard_io[s].rows, sharded->shard_rows(s));
         EXPECT_EQ(stats.shard_io[s].retries, 0u);
         rows += stats.shard_io[s].rows;
@@ -456,13 +485,16 @@ TEST(ShardedExecutorTest, UnalignedShardsFallBackBitIdentically) {
   ASSERT_TRUE(ScanExecutor(options).Run(sharded, {&glued}).ok());
   EXPECT_EQ(glued.stats(), base.stats());
 
-  // The explicit sharded executor accepts the unaligned set too.
-  LocalityStatsConsumer direct;
-  ASSERT_TRUE(direct.Bind(&medoids).ok());
-  ScanConsumer* direct_consumers[] = {&direct};
-  ASSERT_TRUE(
-      ShardedScanExecutor(options).Run(sharded, direct_consumers).ok());
-  EXPECT_EQ(direct.stats(), base.stats());
+  // The blocks spanning a boundary are read from both shards by whichever
+  // worker owns them, at any thread count.
+  for (size_t threads : {2, 7}) {
+    ScanOptions parallel = options;
+    parallel.num_threads = threads;
+    LocalityStatsConsumer spanning;
+    ASSERT_TRUE(spanning.Bind(&medoids).ok());
+    ASSERT_TRUE(ScanExecutor(parallel).Run(sharded, {&spanning}).ok());
+    EXPECT_EQ(spanning.stats(), base.stats()) << threads << " threads";
+  }
 }
 
 TEST(ShardedExecutorTest, ProclusOverShardedDiskMatchesSingleSource) {
@@ -512,8 +544,8 @@ TEST(ShardedExecutorTest, ProclusOverShardedDiskMatchesSingleSource) {
 }
 
 // ---------------------------------------------------------------------
-// DiskSource prefetch: the double-buffered producer loop is the only read
-// loop, for multi-tile, single-tile and empty scans alike.
+// DiskSource's read loop, for multi-block, single-block and empty scans
+// alike.
 // ---------------------------------------------------------------------
 
 TEST(DiskPrefetchTest, EveryBlockSizeDeliversTheDataset) {
@@ -596,8 +628,8 @@ TEST(DiskPrefetchTest, ProducerIoFailureSurfacesWithFullDetail) {
   ASSERT_TRUE(WriteBinaryFile(ds, path).ok());
   auto source = DiskSource::Open(path);
   ASSERT_TRUE(source.ok());
-  // Truncate AFTER opening so the failure hits the producer thread
-  // mid-scan, in a tile past the first (prefetch slots already cycling).
+  // Truncate AFTER opening so the failure hits mid-scan, in a read past
+  // the first.
   const size_t row_bytes = 4 * sizeof(double);
   const size_t data_offset = 24 + 16 + 4 * sizeof(uint64_t);  // 4 csum blocks
   TruncateFile(path, data_offset + 700 * row_bytes);
@@ -607,8 +639,11 @@ TEST(DiskPrefetchTest, ProducerIoFailureSurfacesWithFullDetail) {
   EXPECT_EQ(status.code(), StatusCode::kIOError);
   ExpectMessageContains(status, "'" + path + "'");
   ExpectMessageContains(status, "byte offset");
-  // Exactly the fully-read tiles before the failure were delivered.
-  EXPECT_EQ(delivered, 7u);
+  // A 100-row block is read with the whole 256-row checksum blocks around
+  // it, so the read for rows [500, 600) covers rows [256, 768) and runs
+  // out of bytes at row 700. Exactly the five blocks before it, all
+  // inside fully read checksum blocks, were delivered.
+  EXPECT_EQ(delivered, 5u);
 }
 
 TEST(DiskPrefetchTest, ChecksumMismatchDetectedBeforeDelivery) {

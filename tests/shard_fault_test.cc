@@ -1,10 +1,10 @@
 // Resilience tests for the sharded scan engine:
 //
-//  * Failure domains are per shard: a transiently failed shard scan is
-//    re-issued alone, its re-delivered blocks are absorbed by the
-//    ConsumeBlock re-delivery contract, and the surviving run is
-//    bit-identical to a fault-free one — with the retries recorded in
-//    RunStats (globally and per shard in shard_io).
+//  * Failure domains are per block read: a transiently failed read of a
+//    shard's block is re-issued for that block alone, the block is
+//    consumed once, from the read that delivered it whole, and the
+//    surviving run is bit-identical to a fault-free one — with the
+//    retries recorded in RunStats (globally and per shard in shard_io).
 //  * A permanently failed shard fails the whole scan with its own error.
 //  * A full PROCLUS fit over fault-injected sharded disk shards matches
 //    the clean single-source fit exactly.
@@ -164,7 +164,8 @@ TEST(ShardFaultTest, TransientShardFaultsAbsorbedBitIdentically) {
   ASSERT_EQ(stats.shard_io.size(), 4u);
   uint64_t shard_retries = 0;
   for (const RunStats::ShardIo& io : stats.shard_io) {
-    EXPECT_EQ(io.scans, 8u);  // Every shard completed every scan.
+    // Every shard completed the reads of its 4 blocks in every scan.
+    EXPECT_EQ(io.scans, 8u * 4);
     shard_retries += io.retries;
   }
   EXPECT_EQ(shard_retries, stats.retries);
@@ -174,8 +175,9 @@ TEST(ShardFaultTest, PermanentShardFailureFailsTheScan) {
   Dataset ds = RandomDataset(1024, 4, 59);
   FaultPlan healthy;  // No faults at all.
 
-  // Shard 2 carries a kill switch: its first operation succeeds,
-  // everything after fails permanently (beyond any retry budget).
+  // Shard 2 (one 256-row block) carries a kill switch: its first
+  // operation, the first scan's read of its block, succeeds; everything
+  // after fails permanently (beyond any retry budget).
   FaultPlan dying = healthy;
   dying.kill_after_ops = 1;
   FaultyShardSet killed = [&] {

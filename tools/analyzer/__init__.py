@@ -8,8 +8,8 @@ rests on at the AST level:
   fp-accumulation-order  no reassociation-prone floating-point reductions
                          outside the blessed kernel layer
   consumer-lifecycle     ScanConsumer subclasses honor the commit-on-Merge
-                         contract (explicit Reset, block-keyed writes, no
-                         retained scratch pointers)
+                         contract (block-keyed writes, no retained scratch
+                         pointers)
   layer-dag              the include DAG common -> data -> distance/gen ->
                          core/clique/baselines -> eval/extensions
   status-flow            value()/deref on a Result only behind a

@@ -14,7 +14,6 @@ class DanglingConsumer : public ScanConsumer {
     first_ = &data[0];  // expect: consumer-lifecycle
   }
   void Merge() override {}
-  void Reset() override { views_.clear(); }
 
  private:
   std::map<std::size_t, const double*> views_;

@@ -14,7 +14,6 @@ class RacyConsumer : public ScanConsumer {
     blocks_seen_++;  // expect: consumer-lifecycle
   }
   void Merge() override {}
-  void Reset() override { total_ = 0.0; }
 
  private:
   double total_ = 0.0;

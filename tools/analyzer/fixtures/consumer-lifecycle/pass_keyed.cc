@@ -1,6 +1,5 @@
 // fixture-path: src/core/fixture_consumer_keyed.cc
-// The contract in full: Reset() overridden, every ConsumeBlock write
-// keyed by block_index (or a row range derived from first_row), and the
+// The contract in full: every ConsumeBlock write keyed by block_index (or a row range derived from first_row), and the
 // only retained pointer into the block span lives in a per-block slot.
 #include "src/data/engine.h"
 
@@ -21,10 +20,6 @@ class BlockSumConsumer : public ScanConsumer {
   void Merge() override {
     total_ = 0.0;
     for (double p : partial_) total_ += p;
-  }
-  void Reset() override {
-    partial_.clear();
-    scratch_.clear();
   }
 
  private:

@@ -300,13 +300,11 @@ class FpAccumulationOrder(Rule):
 
 class ConsumerLifecycle(Rule):
     """The commit-on-Merge contract (DESIGN.md §10, data/engine.h): every
-    ScanConsumer subclass must (a) explicitly override Reset() — the
-    rollback hook the executor's retry path calls; a silently inherited
-    no-op is indistinguishable from an unconsidered one — (b) write only
-    block-/row-keyed state from ConsumeBlock (an unsubscripted member
-    write from the concurrent region races across blocks and mutates
-    merged state outside Merge), and (c) not retain raw pointers into the
-    block's scratch span except in per-block slots keyed by block_index.
+    ScanConsumer subclass must (a) write only block-/row-keyed state from
+    ConsumeBlock (an unsubscripted member write from the concurrent region
+    races across blocks and mutates merged state outside Merge), and (b)
+    not retain raw pointers into the block's scratch span except in
+    per-block slots keyed by block_index.
     """
 
     name = "consumer-lifecycle"
@@ -316,26 +314,9 @@ class ConsumerLifecycle(Rule):
         return _under(rel_path, "src")
 
     def check(self, fir):
-        code = fir.code
         for cls in fir.classes:
             if "ScanConsumer" not in cls.bases:
                 continue
-            method_names = {m.name for m in cls.methods}
-            # Header-declared overrides without inline bodies do not parse
-            # as FunctionIR methods; fall back to a declaration scan.
-            body_text = code[cls.start:cls.end]
-            declares_reset = ("Reset" in method_names or
-                              re.search(r"\bReset\s*\(\s*\)", body_text))
-            if not declares_reset:
-                yield Finding(
-                    fir.rel_path, fir.line_of(cls.start), self.name,
-                    f"ScanConsumer subclass '{cls.name}' does not override "
-                    "Reset(): the executor's fault-retry path calls "
-                    "Reset() to roll back a failed scan attempt, and the "
-                    "contract must be acknowledged explicitly — override "
-                    "it (an empty body with a comment is fine when "
-                    "Prepare() fully re-initializes every partial that "
-                    "Merge() reads)")
             for method in cls.methods:
                 if method.name != "ConsumeBlock":
                     continue

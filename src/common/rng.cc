@@ -1,6 +1,7 @@
 #include "common/rng.h"
 
 #include <algorithm>
+#include <limits>
 #include <unordered_set>
 
 namespace proclus {
@@ -54,7 +55,11 @@ int Rng::Poisson(double mean) {
     }
     return count;
   }
-  // PTRS (Hörmann 1993) transformed rejection for large means.
+  // PTRS (Hörmann 1993) transformed rejection for large means. From a
+  // mean near 2^31 on, k can exceed INT_MAX, where the conversion to int
+  // would be undefined: the count saturates instead.
+  constexpr double kMaxCount =
+      static_cast<double>(std::numeric_limits<int>::max());
   const double b = 0.931 + 2.53 * std::sqrt(mean);
   const double a = -0.059 + 0.02483 * b;
   const double inv_alpha = 1.1239 + 1.1328 / (b - 3.4);
@@ -64,12 +69,13 @@ int Rng::Poisson(double mean) {
     double v = UniformDouble();
     double us = 0.5 - std::fabs(u);
     double k = std::floor((2.0 * a / us + b) * u + mean + 0.43);
-    if (us >= 0.07 && v <= v_r) return static_cast<int>(k);
+    if (us >= 0.07 && v <= v_r)
+      return static_cast<int>(std::min(k, kMaxCount));
     if (k < 0.0 || (us < 0.013 && v > us)) continue;
     double log_mean = std::log(mean);
     double lhs = std::log(v * inv_alpha / (a / (us * us) + b));
     double rhs = -mean + k * log_mean - std::lgamma(k + 1.0);
-    if (lhs <= rhs) return static_cast<int>(k);
+    if (lhs <= rhs) return static_cast<int>(std::min(k, kMaxCount));
   }
 }
 

@@ -14,6 +14,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -133,15 +134,25 @@ class Rng {
 
   /// Poisson with the given mean. Uses Knuth's product method for small
   /// means and the PTRS transformed-rejection method for large means.
+  /// A draw above INT_MAX returns INT_MAX.
   int Poisson(double mean);
+
+  /// Fisher–Yates shuffle of `n` positions that the caller stores: for
+  /// i = n … 2, draws j = UniformInt(i) and calls `swap(i - 1, j)` (j may
+  /// equal i - 1). The draws depend on `n` alone, so a shuffle of rows
+  /// held elsewhere follows the same stream as `Shuffle(v)`.
+  template <typename SwapFn>
+  void Shuffle(size_t n, SwapFn&& swap) {
+    for (size_t i = n; i > 1; --i) {
+      size_t j = UniformInt(static_cast<uint64_t>(i));
+      swap(i - 1, j);
+    }
+  }
 
   /// Fisher–Yates shuffle of `v`.
   template <typename T>
   void Shuffle(std::vector<T>& v) {
-    for (size_t i = v.size(); i > 1; --i) {
-      size_t j = UniformInt(static_cast<uint64_t>(i));
-      std::swap(v[i - 1], v[j]);
-    }
+    Shuffle(v.size(), [&v](size_t a, size_t b) { std::swap(v[a], v[b]); });
   }
 
   /// Draws `k` distinct indices uniformly from [0, n) (order randomized).

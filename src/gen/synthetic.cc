@@ -2,16 +2,35 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <span>
+#include <string>
+#include <utility>
 
 #include "common/rng.h"
 
 namespace proclus {
 
 Status GeneratorParams::Validate() const {
+  // Every range check below is false for a NaN, so non-finite values are
+  // rejected first; an infinite spread, scale or range would otherwise
+  // yield non-finite coordinates.
+  const std::pair<const char*, double> doubles[] = {
+      {"poisson_mean", poisson_mean},
+      {"outlier_fraction", outlier_fraction},
+      {"spread", spread},
+      {"max_scale", max_scale},
+      {"range", range},
+      {"rotation_max_degrees", rotation_max_degrees}};
+  for (const auto& [name, value] : doubles) {
+    if (!std::isfinite(value))
+      return Status::InvalidArgument(std::string(name) + " must be finite");
+  }
   if (num_points == 0) return Status::InvalidArgument("num_points must be > 0");
   if (space_dims < 2)
     return Status::InvalidArgument("space_dims must be >= 2");
+  if (space_dims > std::vector<double>().max_size() / num_points)
+    return Status::InvalidArgument(
+        "num_points * space_dims is too large to allocate");
   if (num_clusters == 0)
     return Status::InvalidArgument("num_clusters must be > 0");
   if (!cluster_dim_counts.empty() &&
@@ -30,6 +49,13 @@ Status GeneratorParams::Validate() const {
   if (rotation_max_degrees < 0.0 || rotation_max_degrees > 90.0)
     return Status::InvalidArgument(
         "rotation_max_degrees must be in [0, 90]");
+  // A cluster coordinate is anchor + s_ij * spread * z with s_ij <= max_scale
+  // and |z| < 12.1 (the polar method's s is at least 2^-104), and a rotation
+  // adds at most one more range, so this bound keeps every coordinate finite.
+  if (!std::isfinite(2.0 * range + 16.0 * spread * max_scale))
+    return Status::InvalidArgument(
+        "range, spread and max_scale are too large: coordinates would "
+        "overflow");
   size_t min_cluster_points =
       static_cast<size_t>(static_cast<double>(num_points) *
                           (1.0 - outlier_fraction));
@@ -230,21 +256,18 @@ Result<SyntheticData> GenerateSynthetic(const GeneratorParams& params) {
   PROCLUS_CHECK(row == n);
 
   // Shuffle points so cluster membership is not encoded in file order.
-  std::vector<size_t> perm(n);
-  std::iota(perm.begin(), perm.end(), size_t{0});
-  rng.Shuffle(perm);
-  Matrix shuffled(n, d);
-  std::vector<int> shuffled_labels(n);
-  for (size_t r = 0; r < n; ++r) {
-    auto src = points.row(perm[r]);
-    auto dst = shuffled.row(r);
-    std::copy(src.begin(), src.end(), dst.begin());
-    shuffled_labels[r] = labels[perm[r]];
-  }
+  // The Fisher–Yates swaps move the rows in place, so the generator never
+  // holds a second n × d matrix.
+  rng.Shuffle(n, [&points, &labels](size_t a, size_t b) {
+    if (a == b) return;  // swap_ranges needs two distinct rows.
+    std::span<double> row_a = points.row(a);
+    std::swap_ranges(row_a.begin(), row_a.end(), points.row(b).begin());
+    std::swap(labels[a], labels[b]);
+  });
 
   SyntheticData out;
-  out.dataset = Dataset(std::move(shuffled));
-  out.truth.labels = std::move(shuffled_labels);
+  out.dataset = Dataset(std::move(points));
+  out.truth.labels = std::move(labels);
   out.truth.cluster_dims = std::move(cluster_dims);
   out.truth.anchors = std::move(anchors);
   return out;

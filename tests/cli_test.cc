@@ -152,6 +152,22 @@ TEST_F(CliTest, MalformedNumericFlagsExitOneNamingTheFlag) {
       << output;
 }
 
+TEST_F(CliTest, GenerateRejectsShapesTooLargeToAllocate) {
+  // These shapes used to abort (exit 134) on an uncaught
+  // std::length_error instead of reporting an error.
+  const std::string out = Quoted(dir_ + "/huge.csv");
+  for (const std::string& shape :
+       {std::string("--n 4611686018427387904 --d 8"),
+        std::string("--n 10 --d 2305843009213693952 --cluster-dims 2")}) {
+    SCOPED_TRACE(shape);
+    std::string output;
+    EXPECT_EQ(ExitCode(RunCli("generate --out " + out + " " + shape, &output)),
+              1)
+        << output;
+    EXPECT_NE(output.find("error: "), std::string::npos) << output;
+  }
+}
+
 TEST_F(CliTest, MissingRequiredFlagsFail) {
   EXPECT_NE(RunCli("generate 2>/dev/null"), 0);
   EXPECT_NE(RunCli("fit --input /nonexistent.csv 2>/dev/null"), 0);

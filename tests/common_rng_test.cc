@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <set>
@@ -179,6 +180,17 @@ INSTANTIATE_TEST_SUITE_P(Lambdas, PoissonMeanTest,
 TEST(RngTest, PoissonZeroMeanIsZero) {
   Rng rng(43);
   EXPECT_EQ(rng.Poisson(0.0), 0);
+}
+
+TEST(RngTest, PoissonSaturatesAtIntMax) {
+  // From a mean near 2^31 on, the draw used to be converted to int out of
+  // range; on x86-64 it came back negative, so a generator asked for
+  // Poisson(3e9) cluster dimensionalities gave every cluster 2 dimensions
+  // instead of all of them.
+  Rng rng(43);
+  for (double mean : {3e9, 1e18, 1e300})
+    EXPECT_EQ(rng.Poisson(mean), std::numeric_limits<int>::max()) << mean;
+  EXPECT_LT(rng.Poisson(1e9), std::numeric_limits<int>::max());
 }
 
 TEST(RngTest, ShufflePreservesElements) {

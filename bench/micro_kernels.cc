@@ -6,8 +6,11 @@
 //
 // Follows the repo harness convention (bench_util.h): --quick / --scale
 // shrink the inputs, --reps takes the best-of-N wall time, --json emits
-// the machine-diffable document behind BENCH_kernels.json. Each case
-// reports items/s (items = rows or element-operations, per case).
+// a machine-diffable document whose "binary" is "micro_kernels" (no
+// baseline of it is committed; BENCH_kernels.json is kernels.cc's). Each
+// case reports items/s (items = rows or element-operations, per case).
+// The locality-statistics and assignment cases run their consumers on a
+// ScanExecutor over a MemorySource, as the fit does.
 //
 // --smoke asserts every case completes with a finite positive
 // throughput and that the end-to-end PROCLUS case is run-to-run
@@ -30,11 +33,13 @@
 #include "common/eigen.h"
 #include "common/rng.h"
 #include "common/timer.h"
-#include "core/assign.h"
 #include "core/classify.h"
+#include "core/consumers.h"
 #include "core/find_dimensions.h"
 #include "core/greedy.h"
 #include "core/proclus.h"
+#include "data/engine.h"
+#include "data/point_source.h"
 #include "distance/metric.h"
 #include "distance/segmental.h"
 #include "extensions/orclus.h"
@@ -76,6 +81,13 @@ struct Case {
   double items = 0.0;              // work per timed pass, for items/s
   std::function<void()> pass;      // one timed pass
 };
+
+// A failed bind or scan ends the run.
+void Check(const Status& status) {
+  if (status.ok()) return;
+  std::fprintf(stderr, "scan failed: %s\n", status.ToString().c_str());
+  std::exit(1);
+}
 
 // Times each case as the best of `reps` passes and reports items/s.
 // Returns false if any throughput comes out non-finite or non-positive.
@@ -131,6 +143,14 @@ int main(int argc, char** argv) {
                               4 * n_scan / 5};
   std::vector<DimensionSet> assign_dims(5,
                                         DimensionSet(20, {0, 4, 9, 13, 19}));
+  MemorySource scan_source(scan_data.dataset);
+  auto scan_medoids = scan_source.Fetch(medoids);
+  if (!scan_medoids.ok()) {
+    std::fprintf(stderr, "medoid fetch failed: %s\n",
+                 scan_medoids.status().ToString().c_str());
+    return 1;
+  }
+  const ScanExecutor scan_executor(ScanOptions{});
 
   SyntheticData greedy_data = MakeData(2000, 20, 5, {5, 5, 5, 5, 5}, 7);
   std::vector<size_t> candidates(greedy_data.dataset.size());
@@ -231,14 +251,18 @@ int main(int argc, char** argv) {
          g_sink = static_cast<double>(picked.size());
        }});
   cases.push_back({"locality stats", static_cast<double>(n_scan), [&] {
-                     auto stats =
-                         internal::LocalityStats(scan_data.dataset, medoids);
-                     g_sink = stats(0, 0);
+                     LocalityStatsConsumer stats;
+                     Check(stats.Bind(&*scan_medoids));
+                     Check(scan_executor.Run(scan_source, {&stats}));
+                     g_sink = stats.stats()(0, 0);
                    }});
   cases.push_back({"assign points", static_cast<double>(n_scan), [&] {
-                     auto labels = AssignPoints(scan_data.dataset, medoids,
-                                                assign_dims);
-                     g_sink = static_cast<double>(labels.back());
+                     AssignConsumer assign;
+                     Check(assign.Bind(&*scan_medoids, &assign_dims,
+                                       /*segmental_normalization=*/true,
+                                       /*accumulate_centroids=*/false));
+                     Check(scan_executor.Run(scan_source, {&assign}));
+                     g_sink = static_cast<double>(assign.labels().back());
                    }});
   cases.push_back({"find dimensions d=100", 500.0, [&] {
                      auto found = FindDimensions(locality, 5.0);

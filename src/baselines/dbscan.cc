@@ -1,5 +1,6 @@
 #include "baselines/dbscan.h"
 
+#include <cmath>
 #include <deque>
 
 #include "gen/ground_truth.h"
@@ -7,6 +8,8 @@
 namespace proclus {
 
 Status DbscanParams::Validate() const {
+  if (!std::isfinite(eps))
+    return Status::InvalidArgument("eps must be finite");
   if (eps <= 0.0) return Status::InvalidArgument("eps must be > 0");
   if (min_points == 0)
     return Status::InvalidArgument("min_points must be >= 1");

@@ -19,6 +19,8 @@ Status KMeansParams::Validate(size_t num_points) const {
     return Status::InvalidArgument("fewer points than clusters");
   if (max_iterations == 0)
     return Status::InvalidArgument("max_iterations must be >= 1");
+  if (!std::isfinite(tolerance))
+    return Status::InvalidArgument("tolerance must be finite");
   if (tolerance < 0.0)
     return Status::InvalidArgument("tolerance must be >= 0");
   if (block_rows == 0)

@@ -1,6 +1,7 @@
 #include "clique/clique.h"
 
 #include <algorithm>
+#include <cmath>
 #include <unordered_map>
 
 #include "common/check.h"
@@ -11,6 +12,8 @@ namespace proclus {
 Status CliqueParams::Validate() const {
   if (xi < 2 || xi > 255)
     return Status::InvalidArgument("xi must be in [2, 255]");
+  if (!std::isfinite(tau_percent))
+    return Status::InvalidArgument("tau_percent must be finite");
   if (tau_percent <= 0.0 || tau_percent > 100.0)
     return Status::InvalidArgument("tau_percent must be in (0, 100]");
   if (report_mode == CliqueReportMode::kTargetDim && target_dim == 0)

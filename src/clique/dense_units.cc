@@ -193,6 +193,8 @@ Result<MinerResult> MineDenseUnits(const std::vector<uint8_t>& cells,
                                    const MinerParams& params) {
   if (params.xi < 2 || params.xi > 255)
     return Status::InvalidArgument("xi must be in [2, 255]");
+  if (!std::isfinite(params.tau_percent))
+    return Status::InvalidArgument("tau_percent must be finite");
   if (params.tau_percent <= 0.0 || params.tau_percent > 100.0)
     return Status::InvalidArgument("tau_percent must be in (0, 100]");
   if (num_points == 0) return Status::InvalidArgument("no points");

@@ -2,6 +2,8 @@
 
 #include <limits>
 
+#include "core/consumers.h"
+
 namespace proclus {
 
 Result<std::vector<int>> ClassifyPoints(const ProjectedClustering& model,
@@ -15,9 +17,13 @@ Result<std::vector<int>> ClassifyPoints(const ProjectedClustering& model,
       detect ? model.spheres
              : std::vector<double>(
                    k, std::numeric_limits<double>::infinity());
-  return RefineAssignPass(source, model.medoid_coords, model.dimensions,
-                          spheres, options.segmental_normalization, detect,
-                          options.pass);
+  AssignConsumer assign;
+  PROCLUS_RETURN_IF_ERROR(assign.BindRefine(
+      &model.medoid_coords, &model.dimensions, &spheres,
+      options.segmental_normalization, detect,
+      /*accumulate_centroids=*/false));
+  PROCLUS_RETURN_IF_ERROR(ScanExecutor(options.pass).Run(source, {&assign}));
+  return assign.TakeLabels();
 }
 
 Result<std::vector<int>> ClassifyPoints(const ProjectedClustering& model,

@@ -16,7 +16,7 @@
 
 #include "common/status.h"
 #include "core/model.h"
-#include "core/passes.h"
+#include "data/engine.h"
 #include "data/point_source.h"
 
 namespace proclus {
@@ -29,8 +29,8 @@ struct ClassifyOptions {
   /// Use the paper's |D|-normalized segmental distance (must match how
   /// the model was fit).
   bool segmental_normalization = true;
-  /// Pass execution (threads / block size).
-  PassOptions pass;
+  /// Scan execution (threads / block size).
+  ScanOptions pass;
 };
 
 /// Labels every point of `source` against `model`. The source's

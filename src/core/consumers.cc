@@ -7,6 +7,7 @@
 
 #include "common/check.h"
 #include "distance/batch.h"
+#include "distance/metric.h"
 #include "gen/ground_truth.h"
 
 namespace proclus {
@@ -607,42 +608,6 @@ ScanConsumer::KernelStats ClusterStatsConsumer::kernel_stats() const {
 Status ClusterStatsConsumer::Merge() {
   std::vector<size_t> count;
   MergeMeans(partials_, medoids_->rows(), dims_, &stats_, &count);
-  return Status::OK();
-}
-
-// ---------- CentroidConsumer ----------
-
-Status CentroidConsumer::Bind(const std::vector<int>* labels,
-                              size_t num_clusters) {
-  if (labels == nullptr) return Status::InvalidArgument("no labels");
-  labels_ = labels;
-  num_clusters_ = num_clusters;
-  return Status::OK();
-}
-
-Status CentroidConsumer::Prepare(const ScanGeometry& geometry) {
-  if (labels_ == nullptr) return Status::InvalidArgument("Bind not called");
-  if (labels_->size() != geometry.rows)
-    return Status::InvalidArgument("label count mismatch");
-  dims_ = geometry.dims;
-  partials_.resize(geometry.num_blocks);
-  return Status::OK();
-}
-
-void CentroidConsumer::ConsumeBlock(size_t block_index, size_t first_row,
-                                    std::span<const double> data,
-                                    size_t rows) {
-  const size_t d = dims_;
-  const size_t k = num_clusters_;
-  BlockSums& partial = partials_[block_index];
-  partial.sums.assign(k * d, 0.0);
-  partial.count.assign(k, 0);
-  LabeledSumBatch(data, rows, d, labels_->data() + first_row, k,
-                  partial.sums.data(), partial.count.data());
-}
-
-Status CentroidConsumer::Merge() {
-  MergeMeans(partials_, num_clusters_, dims_, &centroids_, &counts_);
   return Status::OK();
 }
 

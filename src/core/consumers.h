@@ -1,22 +1,25 @@
 // ScanConsumer implementations of the PROCLUS data passes.
 //
-// Each class transcribes one of the aggregate/per-point computations of
-// the original pass functions (core/passes.h) onto the scan-executor
-// contract (data/engine.h): per-block partials, block-ordered merge,
-// bit-identical results for any thread count. Because they are consumers,
-// several of them can share one physical scan — the fused PROCLUS loop
-// runs assignment + centroid accumulation in one scan and deviation
-// evaluation + speculative locality statistics in another.
+// Each class computes one of the paper's aggregate or per-point passes
+// (Figures 4-6 and the refinement) under the scan-executor contract
+// (data/engine.h): per-block partials, block-ordered merge, bit-identical
+// results for any thread count. The fit (core/proclus.cc) and
+// ClassifyPoints (core/classify.cc) bind them and run them on a
+// ScanExecutor directly. Because they are consumers, several of them can
+// share one physical scan — the fused PROCLUS loop runs assignment +
+// centroid accumulation in one scan and deviation evaluation +
+// speculative locality statistics in another.
 //
 // Consumers are long-lived: construct once, Bind(...) the inputs of the
 // next scan, hand to ScanExecutor::Run. Their block buffers persist
 // across scans, so rebinding every iteration costs no allocations once
 // the buffers reach steady-state capacity.
 //
-// Accumulation-order guarantee: every consumer adds values in exactly the
-// per-point, per-cluster order of the original pass bodies and merges
-// partials in ascending block order, so its outputs are bit-identical to
-// the pre-refactor passes for identical inputs.
+// Accumulation-order guarantee: every consumer adds values in ascending
+// row order within a block, per cluster, and merges partials in
+// ascending block order, so its outputs are bit-identical to the scalar
+// transcription of the paper (tests/reference_proclus.cc) for identical
+// inputs.
 //
 // Failure: the executor hands a consumer only whole, verified blocks, each
 // exactly once per scan, and retries a failed read for its block alone, so
@@ -240,7 +243,7 @@ class LocalityStatsConsumer final : public ScanConsumer {
 /// Assignment (Figure 5): each point goes to the medoid minimizing the
 /// Manhattan segmental distance on that medoid's dimensions, ties to the
 /// lower index. Optionally fuses the per-cluster centroid accumulation
-/// (the first of EvaluateClustersPass's two scans) into the same pass.
+/// (the first of Figure 6's two scans) into the same pass.
 class AssignConsumer final : public ScanConsumer {
  public:
   /// `medoids` (k x d) and `dims` (k sets) must outlive the scan.
@@ -338,39 +341,15 @@ class ClusterStatsConsumer final : public ScanConsumer {
   size_t dims_ = 0;
 };
 
-/// Standalone centroid accumulation (first scan of
-/// EvaluateClustersPass): per-cluster coordinate means over non-outlier
-/// points.
-class CentroidConsumer final : public ScanConsumer {
- public:
-  Status Bind(const std::vector<int>* labels, size_t num_clusters);
-
-  Status Prepare(const ScanGeometry& geometry) override;
-  void ConsumeBlock(size_t block_index, size_t first_row,
-                    std::span<const double> data, size_t rows) override;
-  Status Merge() override;
-
-  const Matrix& centroids() const { return centroids_; }
-  const std::vector<size_t>& cluster_sizes() const { return counts_; }
-
- private:
-  const std::vector<int>* labels_ = nullptr;
-  size_t num_clusters_ = 0;
-  std::vector<BlockSums> partials_;
-  Matrix centroids_;
-  std::vector<size_t> counts_;
-  size_t dims_ = 0;
-};
-
-/// Deviation evaluation (second scan of EvaluateClustersPass, Figure 6):
-/// accumulates per-dimension absolute deviations from the bound centroids
-/// and reduces them to the paper's objective — the size-weighted average,
+/// Deviation evaluation (the second scan of Figure 6): accumulates
+/// per-dimension absolute deviations from the bound centroids and
+/// reduces them to the paper's objective — the size-weighted average,
 /// over non-empty clusters, of the mean per-dimension deviation on the
 /// cluster's dimensions.
 class DeviationConsumer final : public ScanConsumer {
  public:
-  /// `centroids`/`cluster_sizes` are typically the outputs of an
-  /// AssignConsumer or CentroidConsumer merged in an earlier scan; all
+  /// `centroids`/`cluster_sizes` are the outputs of an AssignConsumer
+  /// bound with accumulate_centroids and merged in an earlier scan; all
   /// pointers must outlive the scan.
   Status Bind(const std::vector<int>* labels, const Matrix* centroids,
               const std::vector<size_t>* cluster_sizes,

@@ -16,7 +16,6 @@
 #include "core/find_dimensions.h"
 #include "core/greedy.h"
 #include "core/model_io.h"
-#include "core/passes.h"
 #include "distance/metric.h"
 #include "distance/segmental.h"
 
@@ -28,6 +27,8 @@ Status ProclusParams::Validate(size_t num_points, size_t dims) const {
   if (num_points < num_clusters)
     return Status::InvalidArgument("fewer points than clusters");
   if (dims < 2) return Status::InvalidArgument("need at least 2 dimensions");
+  if (!std::isfinite(avg_dims))
+    return Status::InvalidArgument("avg_dims must be finite");
   if (avg_dims < 2.0)
     return Status::InvalidArgument("avg_dims must be >= 2");
   if (avg_dims > static_cast<double>(dims))
@@ -40,6 +41,8 @@ Status ProclusParams::Validate(size_t num_points, size_t dims) const {
     return Status::InvalidArgument("sample_factor must be >= 1");
   if (candidate_factor == 0)
     return Status::InvalidArgument("candidate_factor must be >= 1");
+  if (!std::isfinite(min_deviation))
+    return Status::InvalidArgument("min_deviation must be finite");
   if (min_deviation <= 0.0 || min_deviation > 1.0)
     return Status::InvalidArgument("min_deviation must be in (0, 1]");
   if (max_iterations == 0)
@@ -58,27 +61,6 @@ Status ProclusParams::Validate(size_t num_points, size_t dims) const {
 }
 
 namespace internal {
-
-Matrix LocalityStats(const Dataset& dataset,
-                     const std::vector<size_t>& medoids) {
-  MemorySource source(dataset);
-  auto coords = source.Fetch(medoids);
-  PROCLUS_CHECK(coords.ok());
-  auto result = LocalityStatsPass(source, *coords);
-  PROCLUS_CHECK(result.ok());
-  return std::move(result).value();
-}
-
-Matrix ClusterStats(const Dataset& dataset,
-                    const std::vector<size_t>& medoids,
-                    const std::vector<int>& labels) {
-  MemorySource source(dataset);
-  auto coords = source.Fetch(medoids);
-  PROCLUS_CHECK(coords.ok());
-  auto result = ClusterStatsPass(source, *coords, labels);
-  PROCLUS_CHECK(result.ok());
-  return std::move(result).value();
-}
 
 std::vector<size_t> FindBadMedoids(const std::vector<int>& labels, size_t k,
                                    double min_deviation) {
@@ -562,11 +544,11 @@ Result<ProjectedClustering> RunProclusOnSource(const PointSource& source,
   const size_t n = source.size();
   const size_t d = source.dims();
   RunStats stats;
-  PassOptions pass_options{params.num_threads, params.block_rows, &stats,
+  ScanOptions scan_options{params.num_threads, params.block_rows, &stats,
                            params.retry};
-  pass_options.cancel = params.cancel;
-  pass_options.shard_soft_deadline = params.shard_soft_deadline;
-  pass_options.max_hedges_per_shard = params.max_hedges_per_shard;
+  scan_options.cancel = params.cancel;
+  scan_options.shard_soft_deadline = params.shard_soft_deadline;
+  scan_options.max_hedges_per_shard = params.max_hedges_per_shard;
   if (params.cancel.active()) {
     stats.cancel_checks += 1;
     PROCLUS_RETURN_IF_ERROR(params.cancel.Check());
@@ -650,7 +632,7 @@ Result<ProjectedClustering> RunProclusOnSource(const PointSource& source,
   // ----- Phase 2: Iterative (hill climbing with restarts) -----
   phase_timer.Reset();
   const uint64_t scans_before_climb = stats.scans_issued;
-  ScanExecutor executor(pass_options);
+  ScanExecutor executor(scan_options);
   FusedScratch fused;
 
   double best_objective = std::numeric_limits<double>::infinity();
@@ -793,10 +775,10 @@ Result<ProjectedClustering> RunProclusOnSource(const PointSource& source,
   // reads the data three times where the paper's passes read it four.
   phase_timer.Reset();
   const uint64_t scans_before_refine = stats.scans_issued;
-  auto X = ClusterStatsPass(source, medoid_coords, best_labels,
-                            pass_options);
-  PROCLUS_RETURN_IF_ERROR(X.status());
-  auto refined_dims = FindDimensions(*X, params.avg_dims);
+  ClusterStatsConsumer cluster_stats;
+  PROCLUS_RETURN_IF_ERROR(cluster_stats.Bind(&medoid_coords, &best_labels));
+  PROCLUS_RETURN_IF_ERROR(executor.Run(source, {&cluster_stats}));
+  auto refined_dims = FindDimensions(cluster_stats.stats(), params.avg_dims);
   PROCLUS_RETURN_IF_ERROR(refined_dims.status());
 
   std::vector<std::vector<uint32_t>> dim_lists(k);

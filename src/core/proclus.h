@@ -182,21 +182,6 @@ Status ValidateClustering(const ProjectedClustering& model,
 
 namespace internal {
 
-/// Per-medoid locality statistics: X(i, j) = average |p_j - m_ij| over the
-/// points p within delta_i of medoid i, where delta_i is the (full-space
-/// segmental) distance from medoid i to its nearest other medoid. The
-/// medoid itself is part of its locality. Exposed for testing.
-Matrix LocalityStats(const Dataset& dataset,
-                     const std::vector<size_t>& medoids);
-
-/// Per-cluster statistics used by the refinement phase: X(i, j) = average
-/// |p_j - m_ij| over the points assigned to cluster i. Rows of empty
-/// clusters fall back to the medoid's own coordinates (all-zero
-/// distances). Exposed for testing.
-Matrix ClusterStats(const Dataset& dataset,
-                    const std::vector<size_t>& medoids,
-                    const std::vector<int>& labels);
-
 /// Identifies the bad medoids of a clustering: the medoid of the smallest
 /// cluster, plus every medoid whose cluster has fewer than
 /// (N/k)*min_deviation points. Returns cluster indices. Exposed for

@@ -81,6 +81,8 @@ Result<TuneResult> AutoTuneAvgDims(const Dataset& dataset,
                                    const TuneParams& tune) {
   if (tune.max_rounds == 0)
     return Status::InvalidArgument("max_rounds must be >= 1");
+  if (!std::isfinite(tune.correlation_fraction))
+    return Status::InvalidArgument("correlation_fraction must be finite");
   if (tune.correlation_fraction <= 0.0 || tune.correlation_fraction >= 1.0)
     return Status::InvalidArgument(
         "correlation_fraction must be in (0, 1)");

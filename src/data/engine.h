@@ -140,8 +140,7 @@ class ScanConsumer {
   virtual KernelStats kernel_stats() const { return {}; }
 };
 
-/// Execution options for a scan (shared by the pass wrappers as
-/// PassOptions).
+/// Execution options for a scan (also ClassifyOptions::pass).
 struct ScanOptions {
   /// Thread budget T. A source whose blocks are memory views (InMemory()
   /// non-null) is scanned by T workers; a source read from storage by 2T,

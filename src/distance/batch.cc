@@ -115,12 +115,6 @@ struct SquareFold {
   }
 };
 
-struct ChebyshevFold {
-  double operator()(double acc, double value, double ref) const {
-    return std::max(acc, std::fabs(value - ref));
-  }
-};
-
 // Folds one reference over a gathered sub-tile: out[r] starts at 0 and
 // accumulates dimension-by-dimension in ascending order — the scalar
 // loop's order per point — while the r-loop bodies stay independent and
@@ -207,89 +201,6 @@ void ArgminInitOne(const double* __restrict__ dist, size_t n, int index,
   }
 }
 
-// Single-reference distance kernel skeleton: gather each sub-tile, fold
-// the reference over it.
-template <typename Fold>
-PROCLUS_KERNEL_HELPER
-void OneRefKernel(std::span<const double> block, size_t rows,
-                  size_t dims_total, const double* ref, const uint32_t* ids,
-                  size_t nd, KernelScratch& scratch, double* out, Fold fold) {
-  scratch.tile.resize(nd * kTileLd);
-  double* tile = scratch.tile.data();
-  for (size_t r0 = 0; r0 < rows; r0 += kKernelRowTile) {
-    const size_t n = std::min(kKernelRowTile, rows - r0);
-    GatherSubTile(block.data(), dims_total, ids, nd, r0, n, tile);
-    AccumulateOne(tile, n, nd, ref, ids, out + r0, fold);
-  }
-}
-
-// Shared skeleton for the full-dimensional argmin kernels: gather each
-// sub-tile once, fold every reference over it in pairs, argmin-update in
-// ascending reference order. `root` takes the sqrt of each distance
-// before the comparison (the Euclidean dispatch compares rooted
-// distances).
-template <typename Fold>
-PROCLUS_KERNEL_HELPER
-void FullDimArgmin(std::span<const double> block, size_t rows,
-                   size_t dims_total, const Matrix& refs, bool root,
-                   KernelScratch& scratch, int* labels, Fold fold) {
-  const size_t k = refs.rows();
-  scratch.tile.resize(dims_total * kTileLd);
-  scratch.dist.resize(2 * kKernelRowTile);
-  scratch.best.resize(rows);
-  if (k == 0) {
-    std::fill(scratch.best.begin(), scratch.best.end(),
-              std::numeric_limits<double>::infinity());
-    std::fill(labels, labels + rows, 0);
-    return;
-  }
-  double* tile = scratch.tile.data();
-  double* dist0 = scratch.dist.data();
-  double* dist1 = dist0 + kKernelRowTile;
-  for (size_t r0 = 0; r0 < rows; r0 += kKernelRowTile) {
-    const size_t n = std::min(kKernelRowTile, rows - r0);
-    GatherSubTile(block.data(), dims_total, nullptr, dims_total, r0, n, tile);
-    scratch.tile_hits += k - 1;
-    double* best = scratch.best.data() + r0;
-    int* tile_labels = labels + r0;
-    size_t m;
-    if (k == 1) {
-      AccumulateOne(tile, n, dims_total, refs.row(0).data(), nullptr, dist0,
-                    fold);
-      if (root)
-        for (size_t r = 0; r < n; ++r) dist0[r] = std::sqrt(dist0[r]);
-      ArgminInitOne(dist0, n, 0, best, tile_labels);
-      m = 1;
-    } else {
-      AccumulatePair(tile, n, dims_total, refs.row(0).data(),
-                     refs.row(1).data(), nullptr, dist0, dist1, fold);
-      if (root) {
-        for (size_t r = 0; r < n; ++r) dist0[r] = std::sqrt(dist0[r]);
-        for (size_t r = 0; r < n; ++r) dist1[r] = std::sqrt(dist1[r]);
-      }
-      ArgminInitPair(dist0, dist1, n, 0, 1, best, tile_labels);
-      m = 2;
-    }
-    for (; m + 1 < k; m += 2) {
-      AccumulatePair(tile, n, dims_total, refs.row(m).data(),
-                     refs.row(m + 1).data(), nullptr, dist0, dist1, fold);
-      if (root) {
-        for (size_t r = 0; r < n; ++r) dist0[r] = std::sqrt(dist0[r]);
-        for (size_t r = 0; r < n; ++r) dist1[r] = std::sqrt(dist1[r]);
-      }
-      ArgminUpdate(dist0, n, static_cast<int>(m), best, tile_labels);
-      ArgminUpdate(dist1, n, static_cast<int>(m + 1), best, tile_labels);
-    }
-    if (m < k) {
-      AccumulateOne(tile, n, dims_total, refs.row(m).data(), nullptr, dist0,
-                    fold);
-      if (root)
-        for (size_t r = 0; r < n; ++r) dist0[r] = std::sqrt(dist0[r]);
-      ArgminUpdate(dist0, n, static_cast<int>(m), best, tile_labels);
-    }
-  }
-}
-
 }  // namespace
 
 PROCLUS_KERNEL
@@ -323,17 +234,6 @@ void SegmentalDistanceBatch(std::span<const double> block, size_t rows,
       }
     }
   }
-}
-
-PROCLUS_KERNEL
-void ManhattanBatch(std::span<const double> block, size_t rows,
-                    size_t dims_total, std::span<const double> point,
-                    KernelScratch& scratch, double* out) {
-  PROCLUS_DCHECK(point.size() == dims_total);
-  ++scratch.batches;
-  scratch.rows_scored += rows;
-  OneRefKernel(block, rows, dims_total, point.data(), nullptr, dims_total,
-               scratch, out, ManhattanFold{});
 }
 
 PROCLUS_KERNEL
@@ -381,19 +281,14 @@ void SquaredEuclideanBatch(std::span<const double> block, size_t rows,
   PROCLUS_DCHECK(point.size() == dims_total);
   ++scratch.batches;
   scratch.rows_scored += rows;
-  OneRefKernel(block, rows, dims_total, point.data(), nullptr, dims_total,
-               scratch, out, SquareFold{});
-}
-
-PROCLUS_KERNEL
-void ChebyshevBatch(std::span<const double> block, size_t rows,
-                    size_t dims_total, std::span<const double> point,
-                    KernelScratch& scratch, double* out) {
-  PROCLUS_DCHECK(point.size() == dims_total);
-  ++scratch.batches;
-  scratch.rows_scored += rows;
-  OneRefKernel(block, rows, dims_total, point.data(), nullptr, dims_total,
-               scratch, out, ChebyshevFold{});
+  scratch.tile.resize(dims_total * kTileLd);
+  double* tile = scratch.tile.data();
+  for (size_t r0 = 0; r0 < rows; r0 += kKernelRowTile) {
+    const size_t n = std::min(kKernelRowTile, rows - r0);
+    GatherSubTile(block.data(), dims_total, nullptr, dims_total, r0, n, tile);
+    AccumulateOne(tile, n, dims_total, point.data(), nullptr, out + r0,
+                  SquareFold{});
+  }
 }
 
 PROCLUS_KERNEL
@@ -512,31 +407,6 @@ void SquaredEuclideanArgminBatch(std::span<const double> block, size_t rows,
                     SquareFold{});
       ArgminUpdate(dist0, n, static_cast<int>(c), best, tile_labels);
     }
-  }
-}
-
-PROCLUS_KERNEL
-void MetricArgminBatch(std::span<const double> block, size_t rows,
-                       size_t dims_total, MetricKind metric,
-                       const Matrix& medoids, KernelScratch& scratch,
-                       int* labels) {
-  ++scratch.batches;
-  scratch.rows_scored += rows * medoids.rows();
-  switch (metric) {
-    case MetricKind::kManhattan:
-      FullDimArgmin(block, rows, dims_total, medoids, /*root=*/false, scratch,
-                    labels, ManhattanFold{});
-      break;
-    case MetricKind::kEuclidean:
-      // The scalar dispatch compares (and accumulates) the rooted
-      // distance, so root before comparing.
-      FullDimArgmin(block, rows, dims_total, medoids, /*root=*/true, scratch,
-                    labels, SquareFold{});
-      break;
-    case MetricKind::kChebyshev:
-      FullDimArgmin(block, rows, dims_total, medoids, /*root=*/false, scratch,
-                    labels, ChebyshevFold{});
-      break;
   }
 }
 

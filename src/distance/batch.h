@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "common/matrix.h"
-#include "distance/metric.h"
 
 namespace proclus {
 
@@ -103,12 +102,6 @@ void SegmentalDistanceBatch(std::span<const double> block, size_t rows,
                             bool normalize, KernelScratch& scratch,
                             std::span<double* const> outs);
 
-/// out[r] = ManhattanDistance(row r, point) over all dims_total
-/// dimensions; bit-identical to the scalar kernel.
-void ManhattanBatch(std::span<const double> block, size_t rows,
-                    size_t dims_total, std::span<const double> point,
-                    KernelScratch& scratch, double* out);
-
 /// out[m * rows + r] = ManhattanDistance(row r, points.row(m)) for every
 /// reference row m; bit-identical to the scalar kernel. Each gathered
 /// sub-tile is shared by all references (the locality-statistics path:
@@ -130,11 +123,6 @@ void ManhattanManyBatch(std::span<const double> block, size_t rows,
 void SquaredEuclideanBatch(std::span<const double> block, size_t rows,
                            size_t dims_total, std::span<const double> point,
                            KernelScratch& scratch, double* out);
-
-/// out[r] = ChebyshevDistance(row r, point); bit-identical.
-void ChebyshevBatch(std::span<const double> block, size_t rows,
-                    size_t dims_total, std::span<const double> point,
-                    KernelScratch& scratch, double* out);
 
 /// Nearest medoid per row under the per-medoid segmental distance on
 /// `dim_lists[i]` (normalized or restricted, as in the assignment scan):
@@ -168,16 +156,6 @@ void SquaredEuclideanArgminBatch(std::span<const double> block, size_t rows,
                                  size_t dims_total,
                                  std::span<const std::vector<double>> centers,
                                  KernelScratch& scratch, int* labels);
-
-/// Nearest medoid per row under a full-dimensional metric (the CLARANS
-/// assignment): labels[r] gets the argmin, scratch.best[r] the winning
-/// distance (Euclidean distances include the sqrt, matching the scalar
-/// Distance() dispatch bit-for-bit). Each gathered sub-tile is shared by
-/// all medoids.
-void MetricArgminBatch(std::span<const double> block, size_t rows,
-                       size_t dims_total, MetricKind metric,
-                       const Matrix& medoids, KernelScratch& scratch,
-                       int* labels);
 
 /// Locality deviations (the X statistics of Figure 4): for every
 /// reference a and every row r with dists[a][r] <= radii[a], sums[a *

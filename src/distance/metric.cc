@@ -37,44 +37,6 @@ double ChebyshevDistance(std::span<const double> a,
   return best;
 }
 
-namespace {
-
-// x^p for small integral p by repeated multiplication — dozens of times
-// cheaper than a std::pow call per element.
-inline double IntegerPower(double x, int p) {
-  double result = x;
-  for (int i = 1; i < p; ++i) result *= x;
-  return result;
-}
-
-// Largest exponent routed through IntegerPower; beyond this the rounding
-// drift of a long multiply chain stops being worth the saved pow calls.
-constexpr double kMaxIntegerPower = 16.0;
-
-}  // namespace
-
-double LpDistance(std::span<const double> a, std::span<const double> b,
-                  double p) {
-  PROCLUS_DCHECK(a.size() == b.size());
-  PROCLUS_DCHECK(p >= 1.0);
-  // p = 1 and p = 2 are the specialized kernels (identical sums: |x|^1 is
-  // |x| and |x|^2 is x*x exactly, and the final root is exact for p = 1
-  // and correctly rounded for p = 2).
-  if (p == 1.0) return ManhattanDistance(a, b);
-  if (p == 2.0) return EuclideanDistance(a, b);
-  double sum = 0.0;
-  double integral = 0.0;
-  if (p <= kMaxIntegerPower && std::modf(p, &integral) == 0.0) {
-    const int ip = static_cast<int>(p);
-    for (size_t i = 0; i < a.size(); ++i)
-      sum += IntegerPower(std::fabs(a[i] - b[i]), ip);
-  } else {
-    for (size_t i = 0; i < a.size(); ++i)
-      sum += std::pow(std::fabs(a[i] - b[i]), p);
-  }
-  return std::pow(sum, 1.0 / p);
-}
-
 double Distance(MetricKind kind, std::span<const double> a,
                 std::span<const double> b) {
   switch (kind) {

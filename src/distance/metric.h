@@ -1,6 +1,6 @@
-// Full-dimensional distance metrics (Section 1.2 of the paper): Lp norms
-// with the Manhattan (L1) and Euclidean (L2) specializations used by the
-// PROCLUS initialization phase and the full-dimensional baselines.
+// Full-dimensional distance metrics (Section 1.2 of the paper): the
+// Manhattan (L1), Euclidean (L2) and Chebyshev (L-infinity) norms used by
+// the PROCLUS initialization phase and the full-dimensional baselines.
 
 #ifndef PROCLUS_DISTANCE_METRIC_H_
 #define PROCLUS_DISTANCE_METRIC_H_
@@ -24,10 +24,6 @@ double SquaredEuclideanDistance(std::span<const double> a,
 
 /// Chebyshev (L-infinity) distance.
 double ChebyshevDistance(std::span<const double> a, std::span<const double> b);
-
-/// General Lp distance for p >= 1.
-double LpDistance(std::span<const double> a, std::span<const double> b,
-                  double p);
 
 /// Identifies a full-dimensional metric for option structs.
 enum class MetricKind {

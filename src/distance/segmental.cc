@@ -1,7 +1,5 @@
 #include "distance/segmental.h"
 
-#include <cmath>
-
 namespace proclus {
 
 double ManhattanSegmentalDistance(std::span<const double> a,
@@ -24,18 +22,6 @@ double ManhattanSegmentalDistance(std::span<const double> a,
   });
   PROCLUS_DCHECK(count > 0);
   return sum / static_cast<double>(count);
-}
-
-double RestrictedEuclideanDistance(std::span<const double> a,
-                                   std::span<const double> b,
-                                   std::span<const uint32_t> dims) {
-  PROCLUS_DCHECK(a.size() == b.size());
-  double sum = 0.0;
-  for (uint32_t d : dims) {
-    double diff = a[d] - b[d];
-    sum += diff * diff;
-  }
-  return std::sqrt(sum);
 }
 
 }  // namespace proclus

@@ -59,12 +59,6 @@ inline double RestrictedManhattanDistance(std::span<const double> a,
   return sum;
 }
 
-/// Euclidean distance restricted to `dims` (no comparably easy normalized
-/// variant exists for L2, as the paper notes; provided for completeness).
-double RestrictedEuclideanDistance(std::span<const double> a,
-                                   std::span<const double> b,
-                                   std::span<const uint32_t> dims);
-
 }  // namespace proclus
 
 #endif  // PROCLUS_DISTANCE_SEGMENTAL_H_

@@ -18,6 +18,8 @@ Status OrclusParams::Validate(size_t num_points, size_t dims) const {
     return Status::InvalidArgument("fewer points than clusters");
   if (subspace_dims == 0 || subspace_dims > dims)
     return Status::InvalidArgument("subspace_dims must be in [1, d]");
+  if (!std::isfinite(alpha))
+    return Status::InvalidArgument("alpha must be finite");
   if (alpha <= 0.0 || alpha >= 1.0)
     return Status::InvalidArgument("alpha must be in (0, 1)");
   if (initial_seeds != 0 && initial_seeds < num_clusters)

@@ -1,6 +1,8 @@
 #include "baselines/dbscan.h"
 
+#include <limits>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -38,6 +40,19 @@ TEST(DbscanValidationTest, RejectsBadParams) {
   params = DbscanParams{};
   params.min_points = 0;
   EXPECT_FALSE(RunDbscan(ds, params).ok());
+}
+
+TEST(DbscanValidationTest, NonFiniteEpsIsRejectedByName) {
+  for (double eps : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    DbscanParams params;
+    params.eps = eps;
+    const Status status = params.Validate();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("eps"), std::string::npos)
+        << status.ToString();
+  }
 }
 
 TEST(DbscanTest, FindsTwoBlobsAndNoise) {

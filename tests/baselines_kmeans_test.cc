@@ -1,6 +1,8 @@
 #include "baselines/kmeans.h"
 
+#include <limits>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -36,6 +38,19 @@ TEST(KMeansValidationTest, RejectsBadParams) {
   params = KMeansParams{};
   params.tolerance = -1.0;
   EXPECT_FALSE(RunKMeans(ds, params).ok());
+}
+
+TEST(KMeansValidationTest, NonFiniteToleranceIsRejectedByName) {
+  for (double tolerance : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    KMeansParams params;
+    params.tolerance = tolerance;
+    const Status status = params.Validate(100);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("tolerance"), std::string::npos)
+        << status.ToString();
+  }
 }
 
 TEST(KMeansTest, SeparatesTwoBlobs) {

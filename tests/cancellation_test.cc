@@ -16,7 +16,7 @@
 //    checkpoint behind (forced at the loop top, or the last periodic one
 //    when save_on_cancel is off) from which a clean resume reproduces the
 //    uninterrupted result bit-for-bit.
-//  * The baseline drivers (k-means, CLARANS) honor their CancelContext.
+//  * The k-means baseline (RunKMeans) honors its CancelContext.
 
 #include "common/cancel.h"
 
@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "baselines/kmeans.h"
-#include "baselines/kmedoids.h"
 #include "common/rng.h"
 #include "core/consumers.h"
 #include "core/model_io.h"
@@ -760,26 +759,6 @@ TEST(BaselineCancelTest, KMeansHonorsItsCancelContext) {
   expired.cancel = {};
   expired.cancel.deadline = Deadline::After(std::chrono::nanoseconds{0});
   auto late = RunKMeans(ds, expired);
-  ASSERT_FALSE(late.ok());
-  EXPECT_EQ(late.status().code(), StatusCode::kDeadlineExceeded);
-}
-
-TEST(BaselineCancelTest, ClaransHonorsItsCancelContext) {
-  Dataset ds = RandomDataset(400, 4, 17);
-  CancelToken token;
-  token.Cancel();
-  ClaransParams params;
-  params.num_clusters = 3;
-  params.seed = 7;
-  params.cancel.token = &token;
-  auto cancelled = RunClarans(ds, params);
-  ASSERT_FALSE(cancelled.ok());
-  EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
-
-  ClaransParams expired = params;
-  expired.cancel = {};
-  expired.cancel.deadline = Deadline::After(std::chrono::nanoseconds{0});
-  auto late = RunClarans(ds, expired);
   ASSERT_FALSE(late.ok());
   EXPECT_EQ(late.status().code(), StatusCode::kDeadlineExceeded);
 }

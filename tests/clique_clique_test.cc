@@ -1,5 +1,8 @@
 #include "clique/clique.h"
 
+#include <limits>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -40,6 +43,19 @@ TEST(CliqueValidationTest, RejectsBadParams) {
   params = CliqueParams{};
   std::vector<int> wrong_labels(3, 0);
   EXPECT_FALSE(RunClique(ds, params, &wrong_labels).ok());
+}
+
+TEST(CliqueValidationTest, NonFiniteTauIsRejectedByName) {
+  for (double tau : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    CliqueParams params;
+    params.tau_percent = tau;
+    const Status status = params.Validate();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("tau_percent"), std::string::npos)
+        << status.ToString();
+  }
 }
 
 TEST(CliqueTest, FindsPlantedDenseBlob) {

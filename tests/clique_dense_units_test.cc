@@ -1,5 +1,9 @@
 #include "clique/dense_units.h"
 
+#include <limits>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "clique/grid.h"
@@ -32,6 +36,21 @@ TEST(MinerValidationTest, RejectsBadParams) {
   params = MinerParams{};
   EXPECT_FALSE(MineDenseUnits(cells, 0, 2, params).ok());
   EXPECT_FALSE(MineDenseUnits(cells, 3, 2, params).ok());  // Shape mismatch.
+}
+
+TEST(MinerValidationTest, NonFiniteTauIsRejectedByName) {
+  std::vector<uint8_t> cells{0, 0};
+  for (double tau : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    MinerParams params;
+    params.tau_percent = tau;
+    auto mined = MineDenseUnits(cells, 1, 2, params);
+    ASSERT_FALSE(mined.ok());
+    EXPECT_EQ(mined.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(mined.status().message().find("tau_percent"), std::string::npos)
+        << mined.status().ToString();
+  }
 }
 
 TEST(MinerTest, LevelOneHistogram) {

@@ -1,15 +1,16 @@
-// Equivalence tests for the PointSource-based passes: memory vs disk,
-// sequential vs multithreaded, and block-size invariance all produce
-// bit-identical results.
-
-#include "core/passes.h"
+// Equivalence tests for the PROCLUS data passes, each a consumer bound
+// and run on a ScanExecutor: memory vs disk, sequential vs
+// multithreaded, and block-size invariance all produce bit-identical
+// results.
 
 #include <gtest/gtest.h>
 
 #include "test_temp.h"
 
+#include "core/consumers.h"
 #include "core/proclus.h"
 #include "data/binary_io.h"
+#include "data/engine.h"
 #include "gen/synthetic.h"
 
 namespace proclus {
@@ -46,13 +47,74 @@ Fixture MakeFixture(uint64_t seed = 3) {
   return fixture;
 }
 
+// The passes below bind each consumer and run it on a ScanExecutor, as
+// RunProclusOnSource and ClassifyPoints do.
+Result<Matrix> LocalityStats(const PointSource& source, const Matrix& medoids,
+                             const ScanOptions& options = {}) {
+  LocalityStatsConsumer consumer;
+  PROCLUS_RETURN_IF_ERROR(consumer.Bind(&medoids));
+  PROCLUS_RETURN_IF_ERROR(ScanExecutor(options).Run(source, {&consumer}));
+  return consumer.TakeStats();
+}
+
+Result<std::vector<int>> Assign(const PointSource& source,
+                                const Fixture& fixture,
+                                const ScanOptions& options = {}) {
+  AssignConsumer consumer;
+  PROCLUS_RETURN_IF_ERROR(consumer.Bind(&fixture.medoids, &fixture.dims,
+                                        /*segmental_normalization=*/true,
+                                        /*accumulate_centroids=*/false));
+  PROCLUS_RETURN_IF_ERROR(ScanExecutor(options).Run(source, {&consumer}));
+  return consumer.TakeLabels();
+}
+
+// Figure 6 as the refinement runs it: the assignment scan accumulates the
+// centroids, a second scan the deviations.
+Result<double> Objective(const PointSource& source, const Fixture& fixture,
+                         const ScanOptions& options) {
+  const ScanExecutor executor(options);
+  AssignConsumer assign;
+  PROCLUS_RETURN_IF_ERROR(assign.Bind(&fixture.medoids, &fixture.dims,
+                                      /*segmental_normalization=*/true,
+                                      /*accumulate_centroids=*/true));
+  PROCLUS_RETURN_IF_ERROR(executor.Run(source, {&assign}));
+  DeviationConsumer deviation;
+  PROCLUS_RETURN_IF_ERROR(deviation.Bind(&assign.labels(), &assign.centroids(),
+                                         &assign.cluster_sizes(),
+                                         &fixture.dims));
+  PROCLUS_RETURN_IF_ERROR(executor.Run(source, {&deviation}));
+  return deviation.objective();
+}
+
+Result<Matrix> ClusterStats(const PointSource& source, const Matrix& medoids,
+                            const std::vector<int>& labels,
+                            const ScanOptions& options) {
+  ClusterStatsConsumer consumer;
+  PROCLUS_RETURN_IF_ERROR(consumer.Bind(&medoids, &labels));
+  PROCLUS_RETURN_IF_ERROR(ScanExecutor(options).Run(source, {&consumer}));
+  return consumer.TakeStats();
+}
+
+Result<std::vector<int>> RefineAssign(const PointSource& source,
+                                      const Fixture& fixture,
+                                      const std::vector<double>& spheres,
+                                      bool detect_outliers) {
+  AssignConsumer consumer;
+  PROCLUS_RETURN_IF_ERROR(consumer.BindRefine(
+      &fixture.medoids, &fixture.dims, &spheres,
+      /*segmental_normalization=*/true, detect_outliers,
+      /*accumulate_centroids=*/false));
+  PROCLUS_RETURN_IF_ERROR(ScanExecutor(ScanOptions{}).Run(source, {&consumer}));
+  return consumer.TakeLabels();
+}
+
 TEST(PassesTest, LocalityStatsDiskMatchesMemory) {
   Fixture fixture = MakeFixture();
   MemorySource memory(fixture.data.dataset);
   auto disk = DiskSource::Open(fixture.disk_path);
   ASSERT_TRUE(disk.ok());
-  auto a = LocalityStatsPass(memory, fixture.medoids);
-  auto b = LocalityStatsPass(*disk, fixture.medoids);
+  auto a = LocalityStats(memory, fixture.medoids);
+  auto b = LocalityStats(*disk, fixture.medoids);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(*a, *b);
 }
@@ -60,12 +122,11 @@ TEST(PassesTest, LocalityStatsDiskMatchesMemory) {
 TEST(PassesTest, LocalityStatsThreadInvariant) {
   Fixture fixture = MakeFixture();
   MemorySource memory(fixture.data.dataset);
-  PassOptions sequential{1, 512};
-  auto base = LocalityStatsPass(memory, fixture.medoids, sequential);
+  auto base = LocalityStats(memory, fixture.medoids, ScanOptions{1, 512});
   ASSERT_TRUE(base.ok());
   for (size_t threads : {2, 4, 7, 16}) {
-    PassOptions options{threads, 512};
-    auto result = LocalityStatsPass(memory, fixture.medoids, options);
+    auto result =
+        LocalityStats(memory, fixture.medoids, ScanOptions{threads, 512});
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(*result, *base) << threads << " threads";
   }
@@ -74,12 +135,11 @@ TEST(PassesTest, LocalityStatsThreadInvariant) {
 TEST(PassesTest, LocalityStatsBlockSizeInvariant) {
   Fixture fixture = MakeFixture();
   MemorySource memory(fixture.data.dataset);
-  auto base = LocalityStatsPass(memory, fixture.medoids,
-                                PassOptions{1, 5000});
+  auto base = LocalityStats(memory, fixture.medoids, ScanOptions{1, 5000});
   ASSERT_TRUE(base.ok());
   for (size_t block_rows : {1, 37, 1024, 100000}) {
-    auto result = LocalityStatsPass(memory, fixture.medoids,
-                                    PassOptions{1, block_rows});
+    auto result =
+        LocalityStats(memory, fixture.medoids, ScanOptions{1, block_rows});
     ASSERT_TRUE(result.ok());
     // Block-partial sums are merged in order, so even the FP sums agree
     // only up to reassociation across block boundaries; compare within
@@ -95,14 +155,12 @@ TEST(PassesTest, AssignPointsAgreesEverywhere) {
   MemorySource memory(fixture.data.dataset);
   auto disk = DiskSource::Open(fixture.disk_path);
   ASSERT_TRUE(disk.ok());
-  auto base = AssignPointsPass(memory, fixture.medoids, fixture.dims, true);
+  auto base = Assign(memory, fixture);
   ASSERT_TRUE(base.ok());
-  auto from_disk =
-      AssignPointsPass(*disk, fixture.medoids, fixture.dims, true);
+  auto from_disk = Assign(*disk, fixture);
   ASSERT_TRUE(from_disk.ok());
   EXPECT_EQ(*base, *from_disk);
-  auto threaded = AssignPointsPass(memory, fixture.medoids, fixture.dims,
-                                   true, PassOptions{4, 256});
+  auto threaded = Assign(memory, fixture, ScanOptions{4, 256});
   ASSERT_TRUE(threaded.ok());
   EXPECT_EQ(*base, *threaded);
 }
@@ -112,25 +170,18 @@ TEST(PassesTest, EvaluateClustersAgreesEverywhere) {
   MemorySource memory(fixture.data.dataset);
   auto disk = DiskSource::Open(fixture.disk_path);
   ASSERT_TRUE(disk.ok());
-  auto labels = AssignPointsPass(memory, fixture.medoids, fixture.dims,
-                                 true);
-  ASSERT_TRUE(labels.ok());
-  auto base = EvaluateClustersPass(memory, *labels, fixture.dims,
-                                   PassOptions{1, 512});
-  auto from_disk = EvaluateClustersPass(*disk, *labels, fixture.dims,
-                                        PassOptions{1, 512});
+  auto base = Objective(memory, fixture, ScanOptions{1, 512});
+  auto from_disk = Objective(*disk, fixture, ScanOptions{1, 512});
   // Same block size: the block-ordered reduction is bit-identical across
   // sources and thread counts.
-  auto threaded = EvaluateClustersPass(memory, *labels, fixture.dims,
-                                       PassOptions{3, 512});
+  auto threaded = Objective(memory, fixture, ScanOptions{3, 512});
   ASSERT_TRUE(base.ok() && from_disk.ok() && threaded.ok());
   EXPECT_EQ(*base, *from_disk);
   EXPECT_EQ(*base, *threaded);
   EXPECT_GT(*base, 0.0);
   // A different block size reassociates the floating-point sums; the
   // value agrees numerically but not necessarily bit-for-bit.
-  auto other_blocks = EvaluateClustersPass(memory, *labels, fixture.dims,
-                                           PassOptions{1, 4096});
+  auto other_blocks = Objective(memory, fixture, ScanOptions{1, 4096});
   ASSERT_TRUE(other_blocks.ok());
   EXPECT_NEAR(*other_blocks, *base, 1e-9);
 }
@@ -140,15 +191,14 @@ TEST(PassesTest, ClusterStatsAgreesEverywhere) {
   MemorySource memory(fixture.data.dataset);
   auto disk = DiskSource::Open(fixture.disk_path);
   ASSERT_TRUE(disk.ok());
-  auto labels =
-      AssignPointsPass(memory, fixture.medoids, fixture.dims, true);
+  auto labels = Assign(memory, fixture);
   ASSERT_TRUE(labels.ok());
-  auto base = ClusterStatsPass(memory, fixture.medoids, *labels,
-                               PassOptions{1, 333});
-  auto from_disk = ClusterStatsPass(*disk, fixture.medoids, *labels,
-                                    PassOptions{1, 333});
-  auto threaded = ClusterStatsPass(memory, fixture.medoids, *labels,
-                                   PassOptions{5, 333});
+  auto base =
+      ClusterStats(memory, fixture.medoids, *labels, ScanOptions{1, 333});
+  auto from_disk =
+      ClusterStats(*disk, fixture.medoids, *labels, ScanOptions{1, 333});
+  auto threaded =
+      ClusterStats(memory, fixture.medoids, *labels, ScanOptions{5, 333});
   ASSERT_TRUE(base.ok() && from_disk.ok() && threaded.ok());
   EXPECT_EQ(*base, *from_disk);
   EXPECT_EQ(*base, *threaded);
@@ -158,8 +208,7 @@ TEST(PassesTest, RefineAssignDetectsOutliers) {
   Fixture fixture = MakeFixture();
   MemorySource memory(fixture.data.dataset);
   std::vector<double> tight_spheres(3, 1e-9);
-  auto all_out = RefineAssignPass(memory, fixture.medoids, fixture.dims,
-                                  tight_spheres, true, true);
+  auto all_out = RefineAssign(memory, fixture, tight_spheres, true);
   ASSERT_TRUE(all_out.ok());
   size_t outliers = 0;
   for (int label : *all_out)
@@ -167,28 +216,37 @@ TEST(PassesTest, RefineAssignDetectsOutliers) {
   // Radii of ~0 leave only points sitting exactly on a medoid inside.
   EXPECT_GT(outliers, all_out->size() - 10);
   // With detection disabled nothing is an outlier.
-  auto none = RefineAssignPass(memory, fixture.medoids, fixture.dims,
-                               tight_spheres, true, false);
+  auto none = RefineAssign(memory, fixture, tight_spheres, false);
   ASSERT_TRUE(none.ok());
   for (int label : *none) EXPECT_NE(label, kOutlierLabel);
 }
 
 TEST(PassesTest, ValidationErrors) {
+  // A consumer refuses no medoids, a per-medoid count mismatch, and a
+  // label count other than the source's row count.
   Fixture fixture = MakeFixture();
   MemorySource memory(fixture.data.dataset);
+  const ScanExecutor executor(ScanOptions{});
   Matrix no_medoids;
-  EXPECT_FALSE(LocalityStatsPass(memory, no_medoids).ok());
+  EXPECT_FALSE(LocalityStatsConsumer().Bind(&no_medoids).ok());
   std::vector<int> short_labels(3, 0);
-  EXPECT_FALSE(
-      ClusterStatsPass(memory, fixture.medoids, short_labels).ok());
-  EXPECT_FALSE(
-      EvaluateClustersPass(memory, short_labels, fixture.dims).ok());
+  ClusterStatsConsumer cluster_stats;
+  ASSERT_TRUE(cluster_stats.Bind(&fixture.medoids, &short_labels).ok());
+  EXPECT_FALSE(executor.Run(memory, {&cluster_stats}).ok());
+  const Matrix centroids = fixture.medoids;
+  const std::vector<size_t> sizes(3, 1);
+  DeviationConsumer deviation;
+  ASSERT_TRUE(
+      deviation.Bind(&short_labels, &centroids, &sizes, &fixture.dims).ok());
+  EXPECT_FALSE(executor.Run(memory, {&deviation}).ok());
   std::vector<DimensionSet> wrong_dims(2, DimensionSet(10, {0, 1}));
-  EXPECT_FALSE(
-      AssignPointsPass(memory, fixture.medoids, wrong_dims, true).ok());
+  EXPECT_FALSE(AssignConsumer()
+                   .Bind(&fixture.medoids, &wrong_dims, true, false)
+                   .ok());
   std::vector<double> wrong_spheres(2, 1.0);
-  EXPECT_FALSE(RefineAssignPass(memory, fixture.medoids, fixture.dims,
-                                wrong_spheres, true, true)
+  EXPECT_FALSE(AssignConsumer()
+                   .BindRefine(&fixture.medoids, &fixture.dims,
+                               &wrong_spheres, true, true, false)
                    .ok());
 }
 

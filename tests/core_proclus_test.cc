@@ -8,11 +8,11 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "core/assign.h"
 #include "eval/confusion.h"
 #include "eval/matching.h"
 #include "eval/metrics.h"
 #include "gen/synthetic.h"
+#include "reference_proclus.h"
 
 namespace proclus {
 namespace {
@@ -224,7 +224,7 @@ TEST(ProclusTest, ObjectiveImprovesOverRandomAssignment) {
   for (auto& label : random_labels)
     label = static_cast<int>(rng.UniformInt(uint64_t{3}));
   double random_objective =
-      EvaluateClusters(data.dataset, random_labels, result->dimensions);
+      reference::Evaluate(data.dataset, random_labels, result->dimensions);
   EXPECT_LT(result->objective, random_objective * 0.5);
 }
 
@@ -286,6 +286,30 @@ TEST(ProclusValidationTest, ZeroRestartsRejected) {
   ProclusParams params;
   params.num_restarts = 0;
   EXPECT_FALSE(RunProclus(ds, params).ok());
+}
+
+// NaN fails both comparisons of a `x <= lo || x > hi` range check, so
+// each floating-point parameter is checked for finiteness first. A NaN
+// min_deviation used to fit a model (the reference rejects it), and a
+// NaN avg_dims was rejected only because std::llround(NaN) happens to
+// return LLONG_MIN on x86-64, under a message about k*l.
+TEST(ProclusValidationTest, NonFiniteParamsAreRejectedByName) {
+  for (double value : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity()}) {
+    ProclusParams params;
+    params.avg_dims = value;
+    Status status = params.Validate(100, 10);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("avg_dims"), std::string::npos)
+        << status.ToString();
+    params = ProclusParams{};
+    params.min_deviation = value;
+    status = params.Validate(100, 10);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("min_deviation"), std::string::npos)
+        << status.ToString();
+  }
 }
 
 // A zero no-improvement budget once passed validation, ran no climb
@@ -427,6 +451,37 @@ TEST(ValidateClusteringTest, RejectsAMisshapenModel) {
   fit.model.medoid_coords = Matrix(2, 12);
   EXPECT_NE(Violation(fit).find("medoid coordinates"), std::string::npos)
       << Violation(fit);
+}
+
+TEST(FindBadMedoidsTest, SmallestClusterAlwaysBad) {
+  // Clusters sizes: 5, 3, 2 of N=10, k=3 -> threshold (10/3)*0.1 = 0.33.
+  std::vector<int> labels{0, 0, 0, 0, 0, 1, 1, 1, 2, 2};
+  std::vector<size_t> bad = internal::FindBadMedoids(labels, 3, 0.1);
+  ASSERT_EQ(bad.size(), 1u);
+  EXPECT_EQ(bad[0], 2u);
+}
+
+TEST(FindBadMedoidsTest, BelowThresholdAlsoBad) {
+  // N=10, k=2, minDeviation=0.5 -> threshold 2.5. Sizes 9 and 1: cluster 1
+  // is both smallest and below threshold; cluster 0 fine.
+  std::vector<int> labels{0, 0, 0, 0, 0, 0, 0, 0, 0, 1};
+  std::vector<size_t> bad = internal::FindBadMedoids(labels, 2, 0.5);
+  ASSERT_EQ(bad.size(), 1u);
+  EXPECT_EQ(bad[0], 1u);
+}
+
+TEST(FindBadMedoidsTest, MultipleBadMedoids) {
+  // N=12, k=3, minDeviation=0.9 -> threshold 3.6. Sizes 10, 1, 1.
+  std::vector<int> labels{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2};
+  std::vector<size_t> bad = internal::FindBadMedoids(labels, 3, 0.9);
+  EXPECT_EQ(bad.size(), 2u);
+}
+
+TEST(FindBadMedoidsTest, EmptyClusterIsBad) {
+  std::vector<int> labels{0, 0, 1, 1};
+  std::vector<size_t> bad = internal::FindBadMedoids(labels, 3, 0.1);
+  ASSERT_GE(bad.size(), 1u);
+  EXPECT_EQ(bad[0], 2u);
 }
 
 }  // namespace

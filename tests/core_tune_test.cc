@@ -1,5 +1,8 @@
 #include "core/tune.h"
 
+#include <limits>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -78,6 +81,22 @@ TEST(AutoTuneTest, ValidationErrors) {
   tune = TuneParams{};
   tune.initial_avg_dims = 100.0;  // > d.
   EXPECT_FALSE(AutoTuneAvgDims(data.dataset, TuneBase(), tune).ok());
+}
+
+TEST(AutoTuneTest, NonFiniteCorrelationFractionIsRejectedByName) {
+  SyntheticData data = TuneData();
+  for (double fraction : {std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity()}) {
+    TuneParams tune;
+    tune.correlation_fraction = fraction;
+    auto result = AutoTuneAvgDims(data.dataset, TuneBase(), tune);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("correlation_fraction"),
+              std::string::npos)
+        << result.status().ToString();
+  }
 }
 
 TEST(AutoTuneTest, ConvergesToTrueAvgDims) {

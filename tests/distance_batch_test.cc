@@ -109,22 +109,10 @@ TEST(DistanceBatchTest, FullDimensionalKernelsMatchScalarBitForBit) {
     std::vector<double> out(rows);
     KernelScratch scratch;
 
-    ManhattanBatch(block, rows, d, point, scratch, out.data());
-    for (size_t r = 0; r < rows; ++r) {
-      std::span<const double> row(block.data() + r * d, d);
-      ASSERT_EQ(out[r], ManhattanDistance(row, point)) << "r=" << r;
-    }
-
     SquaredEuclideanBatch(block, rows, d, point, scratch, out.data());
     for (size_t r = 0; r < rows; ++r) {
       std::span<const double> row(block.data() + r * d, d);
       ASSERT_EQ(out[r], SquaredEuclideanDistance(row, point)) << "r=" << r;
-    }
-
-    ChebyshevBatch(block, rows, d, point, scratch, out.data());
-    for (size_t r = 0; r < rows; ++r) {
-      std::span<const double> row(block.data() + r * d, d);
-      ASSERT_EQ(out[r], ChebyshevDistance(row, point)) << "r=" << r;
     }
   }
 }
@@ -196,13 +184,14 @@ TEST(DistanceBatchTest, SegmentalArgminMatchesScalarIncludingTies) {
   }
 }
 
-// This test and ArgminTiesAndNearTiesMatchScalar are the runtime check
-// that floating-point contraction stays off in the kernels: on a CPU with
-// FMA (x86-64-v3 and up), kernel clones built without -ffp-contract=off
-// fuse `acc + diff * diff` and both fail, as do the squared-Euclidean
-// cases of FullDimensionalKernelsMatchScalarBitForBit and
-// MetricArgminMatchesScalarForAllMetrics. The PROCLUS kernels multiply
-// nothing, so the fit goldens cannot catch it.
+// This test, ArgminTiesAndNearTiesMatchScalar,
+// WideMetricArgminSweepMatchesScalar and
+// FullDimensionalKernelsMatchScalarBitForBit are the runtime check that
+// floating-point contraction stays off in the kernels: on a CPU with FMA
+// (x86-64-v3 and up), kernel clones built without -ffp-contract=off fuse
+// `acc + diff * diff` in the squared-Euclidean kernels, and all four
+// fail. The PROCLUS kernels multiply nothing, so the fit goldens cannot
+// catch it.
 TEST(DistanceBatchTest, SquaredEuclideanArgminMatchesScalar) {
   Rng rng(7005);
   for (size_t rows : kRowCounts) {
@@ -236,39 +225,6 @@ TEST(DistanceBatchTest, SquaredEuclideanArgminMatchesScalar) {
   }
 }
 
-TEST(DistanceBatchTest, MetricArgminMatchesScalarForAllMetrics) {
-  Rng rng(7006);
-  for (MetricKind metric : {MetricKind::kManhattan, MetricKind::kEuclidean,
-                            MetricKind::kChebyshev}) {
-    for (size_t rows : {size_t{1}, size_t{513}, kKernelRowTile + 9}) {
-      const size_t d = 6;
-      const size_t k = 3;
-      std::vector<double> block = RandomBlock(rng, rows, d);
-      Matrix medoids = RandomMatrix(rng, k, d);
-      std::vector<int> labels(rows);
-      KernelScratch scratch;
-      MetricArgminBatch(block, rows, d, metric, medoids, scratch,
-                        labels.data());
-      for (size_t r = 0; r < rows; ++r) {
-        std::span<const double> point(block.data() + r * d, d);
-        double best = std::numeric_limits<double>::infinity();
-        int best_i = 0;
-        for (size_t m = 0; m < k; ++m) {
-          const double dist = Distance(metric, point, medoids.row(m));
-          if (dist < best) {
-            best = dist;
-            best_i = static_cast<int>(m);
-          }
-        }
-        ASSERT_EQ(labels[r], best_i)
-            << "metric=" << static_cast<int>(metric) << " r=" << r;
-        ASSERT_EQ(scratch.best[r], best)
-            << "metric=" << static_cast<int>(metric) << " r=" << r;
-      }
-    }
-  }
-}
-
 // Scalar strict-< argmin over full-dimensional references: the loop the
 // batched argmin kernels must reproduce, lower index winning every tie.
 template <typename DistFn>
@@ -288,10 +244,10 @@ void ScalarArgmin(std::span<const double> point, size_t k, DistFn dist,
 // With SquaredEuclideanArgminMatchesScalar, the runtime check that
 // contraction stays off (see the comment there).
 TEST(DistanceBatchTest, ArgminTiesAndNearTiesMatchScalar) {
-  // A duplicated medoid ties exactly on every row and a one-ulp nudge
-  // creates rounding-scale near-ties; the batched kernels must resolve
-  // both through the scalar strict-< path, so labels AND winning
-  // distances match bit for bit, for every metric and the Lloyd twin.
+  // A duplicated center ties exactly on every row and a one-ulp nudge
+  // creates rounding-scale near-ties; the batched Lloyd argmin must
+  // resolve both through the scalar strict-< path, so labels AND winning
+  // distances match bit for bit.
   Rng rng(7010);
   const size_t d = 64;
   const size_t k = 5;
@@ -302,28 +258,6 @@ TEST(DistanceBatchTest, ArgminTiesAndNearTiesMatchScalar) {
     for (size_t j = 0; j < d; ++j) medoids(4, j) = medoids(3, j);
     medoids(4, 17) =
         std::nextafter(medoids(4, 17), std::numeric_limits<double>::max());
-
-    for (MetricKind metric : {MetricKind::kManhattan, MetricKind::kEuclidean,
-                              MetricKind::kChebyshev}) {
-      std::vector<int> labels(rows);
-      KernelScratch scratch;
-      MetricArgminBatch(block, rows, d, metric, medoids, scratch,
-                        labels.data());
-      for (size_t r = 0; r < rows; ++r) {
-        int label = 0;
-        double best = 0.0;
-        ScalarArgmin(
-            std::span<const double>(block.data() + r * d, d), k,
-            [&](std::span<const double> p, size_t m) {
-              return Distance(metric, p, medoids.row(m));
-            },
-            &label, &best);
-        ASSERT_EQ(labels[r], label)
-            << "metric=" << static_cast<int>(metric) << " r=" << r;
-        ASSERT_EQ(scratch.best[r], best)
-            << "metric=" << static_cast<int>(metric) << " r=" << r;
-      }
-    }
 
     std::vector<std::vector<double>> centers(k);
     for (size_t c = 0; c < k; ++c)
@@ -432,8 +366,8 @@ TEST(DistanceBatchTest, ManhattanManyNearDuplicateReferenceMatchesScalar) {
 }
 
 TEST(DistanceBatchTest, WideMetricArgminSweepMatchesScalar) {
-  // Randomized (seed, d, rows, k) shapes at the wide dimensionalities the
-  // full-dimensional baselines run at.
+  // Randomized (seed, d, rows, k) shapes of the Lloyd argmin at the wide
+  // dimensionalities the full-dimensional baselines run at.
   for (uint64_t seed : {21ull, 22ull, 23ull, 24ull, 25ull}) {
     Rng rng(seed * 1000 + 7);
     for (size_t d : {size_t{32}, size_t{64}, size_t{130}}) {
@@ -441,18 +375,20 @@ TEST(DistanceBatchTest, WideMetricArgminSweepMatchesScalar) {
           1 + static_cast<size_t>(rng.UniformInt(2 * kKernelRowTile));
       const size_t k = 2 + static_cast<size_t>(rng.UniformInt(6));
       std::vector<double> block = RandomBlock(rng, rows, d);
-      Matrix medoids = RandomMatrix(rng, k, d);
+      std::vector<std::vector<double>> centers(k, std::vector<double>(d));
+      for (std::vector<double>& center : centers)
+        for (double& v : center) v = rng.Uniform(-50, 50);
       std::vector<int> labels(rows);
       KernelScratch scratch;
-      MetricArgminBatch(block, rows, d, MetricKind::kManhattan, medoids,
-                        scratch, labels.data());
+      SquaredEuclideanArgminBatch(block, rows, d, centers, scratch,
+                                  labels.data());
       for (size_t r = 0; r < rows; ++r) {
         int label = 0;
         double best = 0.0;
         ScalarArgmin(
             std::span<const double>(block.data() + r * d, d), k,
-            [&](std::span<const double> p, size_t m) {
-              return ManhattanDistance(p, medoids.row(m));
+            [&](std::span<const double> p, size_t c) {
+              return SquaredEuclideanDistance(p, centers[c]);
             },
             &label, &best);
         ASSERT_EQ(labels[r], label)
@@ -595,8 +531,9 @@ void ScalarLocalityLoop(std::span<const double> data, size_t rows, size_t d,
   }
 }
 
-// CentroidConsumer::ConsumeBlock's centroid loop (AssignConsumer's, for
-// the assignment and the refinement, was the same loop over its labels).
+// The centroid loop LabeledSumBatch replaced in AssignConsumer's
+// ConsumeBlock (the assignment and the refinement) and k-means' Lloyd
+// step.
 void ScalarLabeledSumLoop(std::span<const double> data, size_t rows,
                           size_t d, const int* labels, double* partial_sums,
                           size_t* partial_count) {

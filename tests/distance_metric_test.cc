@@ -26,14 +26,6 @@ TEST(MetricTest, ChebyshevKnownValues) {
   EXPECT_DOUBLE_EQ(ChebyshevDistance(a, b), 5.0);
 }
 
-TEST(MetricTest, LpSpecializations) {
-  std::vector<double> a{0, 0}, b{3, 4};
-  EXPECT_NEAR(LpDistance(a, b, 1.0), ManhattanDistance(a, b), 1e-12);
-  EXPECT_NEAR(LpDistance(a, b, 2.0), EuclideanDistance(a, b), 1e-12);
-  // L_p decreases toward L_inf as p grows.
-  EXPECT_NEAR(LpDistance(a, b, 50.0), ChebyshevDistance(a, b), 0.1);
-}
-
 TEST(MetricTest, DistanceDispatch) {
   std::vector<double> a{0, 0}, b{3, 4};
   EXPECT_DOUBLE_EQ(Distance(MetricKind::kManhattan, a, b), 7.0);
@@ -69,64 +61,6 @@ INSTANTIATE_TEST_SUITE_P(AllMetrics, MetricAxiomsTest,
                          ::testing::Values(MetricKind::kManhattan,
                                            MetricKind::kEuclidean,
                                            MetricKind::kChebyshev));
-
-TEST(MetricTest, LpIntegerPowerPathMatchesPow) {
-  // Small integral p routes through the multiply-chain fast path; it must
-  // agree with the straightforward pow formulation to rounding error.
-  Rng rng(104);
-  for (int trial = 0; trial < 50; ++trial) {
-    std::vector<double> x(6), y(6);
-    for (size_t j = 0; j < 6; ++j) {
-      x[j] = rng.Uniform(-10, 10);
-      y[j] = rng.Uniform(-10, 10);
-    }
-    for (double p : {3.0, 4.0, 7.0, 16.0}) {
-      double sum = 0.0;
-      for (size_t j = 0; j < 6; ++j)
-        sum += std::pow(std::fabs(x[j] - y[j]), p);
-      const double expected = std::pow(sum, 1.0 / p);
-      EXPECT_NEAR(LpDistance(x, y, p), expected, 1e-9 * (1.0 + expected))
-          << "p=" << p;
-    }
-    // Just past the integer-power cutoff (and fractional p) both take the
-    // pow path; spot-check continuity between the two implementations.
-    EXPECT_NEAR(LpDistance(x, y, 16.0), LpDistance(x, y, 16.0 + 1e-12),
-                1e-6);
-  }
-}
-
-TEST(MetricTest, LpSpecializationsAreBitIdentical) {
-  // p = 1 and p = 2 must dispatch to the exact scalar kernels, not a
-  // near-equal pow formulation: the scan pipeline compares their outputs
-  // bit-for-bit.
-  Rng rng(105);
-  for (int trial = 0; trial < 50; ++trial) {
-    std::vector<double> x(9), y(9);
-    for (size_t j = 0; j < 9; ++j) {
-      x[j] = rng.Uniform(-100, 100);
-      y[j] = rng.Uniform(-100, 100);
-    }
-    EXPECT_EQ(LpDistance(x, y, 1.0), ManhattanDistance(x, y));
-    EXPECT_EQ(LpDistance(x, y, 2.0), EuclideanDistance(x, y));
-  }
-}
-
-TEST(MetricTest, LpOrderingProperty) {
-  // For p < q, Lp >= Lq pointwise.
-  Rng rng(103);
-  for (int trial = 0; trial < 100; ++trial) {
-    std::vector<double> x(5), y(5);
-    for (size_t j = 0; j < 5; ++j) {
-      x[j] = rng.Uniform(-10, 10);
-      y[j] = rng.Uniform(-10, 10);
-    }
-    double l1 = LpDistance(x, y, 1.0);
-    double l2 = LpDistance(x, y, 2.0);
-    double l4 = LpDistance(x, y, 4.0);
-    EXPECT_GE(l1, l2 - 1e-9);
-    EXPECT_GE(l2, l4 - 1e-9);
-  }
-}
 
 }  // namespace
 }  // namespace proclus

@@ -87,11 +87,5 @@ TEST(SegmentalTest, TriangleInequalityOnFixedDims) {
   }
 }
 
-TEST(SegmentalTest, RestrictedEuclideanKnownValue) {
-  std::vector<double> a{0, 0, 0}, b{3, 100, 4};
-  std::vector<uint32_t> dims{0, 2};
-  EXPECT_DOUBLE_EQ(RestrictedEuclideanDistance(a, b, dims), 5.0);
-}
-
 }  // namespace
 }  // namespace proclus

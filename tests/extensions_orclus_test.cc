@@ -1,6 +1,8 @@
 #include "extensions/orclus.h"
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -33,6 +35,21 @@ TEST(OrclusValidationTest, RejectsBadParams) {
   params.initial_seeds = 2;  // < k.
   params.num_clusters = 5;
   EXPECT_FALSE(RunOrclus(ds, params).ok());
+}
+
+// A NaN alpha passed the range check and hung RunOrclus: its decay loop
+// casts floor(alpha * kc) to size_t. Validate must refuse it by name.
+TEST(OrclusValidationTest, NonFiniteAlphaIsRejectedByName) {
+  for (double alpha : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity()}) {
+    OrclusParams params;
+    params.alpha = alpha;
+    const Status status = params.Validate(100, 8);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("alpha"), std::string::npos)
+        << status.ToString();
+  }
 }
 
 TEST(ProjectedDistanceTest, KnownValues) {

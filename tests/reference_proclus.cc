@@ -355,4 +355,37 @@ Result<ProjectedClustering> Proclus(const Dataset& dataset,
   return result;
 }
 
+namespace {
+
+Data DefaultBlocks(const Dataset& dataset) {
+  return {dataset.matrix(), dataset.size(), dataset.dims(),
+          ProclusParams{}.block_rows};
+}
+
+}  // namespace
+
+Matrix LocalityStats(const Dataset& dataset,
+                     const std::vector<size_t>& medoids) {
+  return LocalityStats(DefaultBlocks(dataset), medoids);
+}
+
+Matrix ClusterStats(const Dataset& dataset,
+                    const std::vector<size_t>& medoids,
+                    const std::vector<int>& labels) {
+  return ClusterStats(DefaultBlocks(dataset), medoids, labels);
+}
+
+std::vector<int> Assign(const Dataset& dataset,
+                        const std::vector<size_t>& medoids,
+                        const std::vector<DimensionSet>& dims,
+                        bool segmental_normalization) {
+  return Assign(DefaultBlocks(dataset), medoids, Lists(dims),
+                segmental_normalization, /*spheres=*/nullptr);
+}
+
+double Evaluate(const Dataset& dataset, const std::vector<int>& labels,
+                const std::vector<DimensionSet>& dims) {
+  return Evaluate(DefaultBlocks(dataset), labels, Lists(dims));
+}
+
 }  // namespace proclus::reference

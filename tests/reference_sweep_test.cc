@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -137,7 +138,7 @@ TEST(ReferenceSweepTest, ProductionMatchesReferenceBitForBit) {
   const MetricKind kMetrics[] = {MetricKind::kManhattan,
                                  MetricKind::kEuclidean,
                                  MetricKind::kChebyshev};
-  for (size_t c = 0; c < kConfigs + 3; ++c) {
+  for (size_t c = 0; c < kConfigs + 5; ++c) {
     GeneratorParams gen;
     gen.num_points = 200 + draw.UniformInt(2801);
     gen.space_dims = 2 + draw.UniformInt(23);
@@ -171,12 +172,16 @@ TEST(ReferenceSweepTest, ProductionMatchesReferenceBitForBit) {
     params.segmental_normalization = c % 5 != 3;
     params.two_step_init = c % 5 != 4;
     params.num_threads = (c / 3) % 2 == 0 ? 1 : 3;
-    // The last three configurations leave the paper's domain: l > d, a
-    // minimum deviation of zero, and no room for a single climb step.
-    // Both sides must refuse them alike.
+    // The last five configurations leave the paper's domain: l > d, a
+    // minimum deviation of zero, no room for a single climb step, and a
+    // NaN l or minimum deviation. Both sides must refuse them alike.
     if (c == kConfigs) params.avg_dims = static_cast<double>(d) + 1.0;
     if (c == kConfigs + 1) params.min_deviation = 0.0;
     if (c == kConfigs + 2) params.max_no_improve = 0;
+    if (c == kConfigs + 3)
+      params.avg_dims = std::numeric_limits<double>::quiet_NaN();
+    if (c == kConfigs + 4)
+      params.min_deviation = std::numeric_limits<double>::quiet_NaN();
 
     Layout layout = MakeLayout(c, data->dataset, params.block_rows);
     SCOPED_TRACE("config " + std::to_string(c) + ": n=" + std::to_string(n) +

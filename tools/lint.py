@@ -114,6 +114,13 @@ Enforces invariants that no generic tool knows about:
                       AssignPoints, EvaluateClusters, internal::). An
                       oracle that shared code with the engine could not
                       catch a bug in that code.
+  test-only-api       A src/ header that nothing outside tests/ and fuzz/
+                      includes, other than its own .cc: no other src/ file,
+                      and no file under tools/, examples/, bench/ or
+                      perfbench/. Such a header is library code only tests
+                      call; delete it with its tests, or give it a caller.
+                      Checked over the whole tree (reported on line 1 of
+                      the header).
 
 Any line may opt out of one rule with a trailing `// lint:allow(<rule>)`
 comment; use sparingly and justify in a neighboring comment.
@@ -282,6 +289,13 @@ REFERENCE_BANNED_NAME_RE = re.compile(
     r"\b(?:ScanExecutor|\w*Consumer|\w*Pass|\w*Batch|MedoidDistanceCache"
     r"|PointSource|MemorySource|DiskSource|RunProclus\w*|AssignPoints\w*"
     r"|EvaluateClusters\w*)\b|\binternal\s*::")
+
+# --- test-only-api ----------------------------------------------------------
+
+# Trees whose includes give a src/ header a caller. tests/ and fuzz/ are
+# missing on purpose: they check the library, so a header only they
+# include is code nothing runs.
+API_USER_DIRS = ("src", "tools", "examples", "bench", "perfbench")
 
 # --- unordered-iteration ----------------------------------------------------
 
@@ -496,9 +510,8 @@ def check_raw_isa_attribute(rel_path, original_lines, code, findings):
             "sanitizer guards; move the loop into a batch kernel"))
 
 
-def check_reference_independence(rel_path, original_lines, code, findings):
-    if rel_path not in REFERENCE_FILES:
-        return
+def includes(original_lines, code):
+    """Yields (line, path) for every #include directive outside comments."""
     code_lines = code.split("\n")
     for ln, original in enumerate(original_lines, start=1):
         # Include paths live in string-like tokens the stripped code
@@ -507,9 +520,16 @@ def check_reference_independence(rel_path, original_lines, code, findings):
         if ln > len(code_lines) or "include" not in code_lines[ln - 1]:
             continue
         m = INCLUDE_RE.match(original)
-        if not m or allowed(original_lines, ln, "reference-independence"):
+        if m:
+            yield ln, m.group(1)
+
+
+def check_reference_independence(rel_path, original_lines, code, findings):
+    if rel_path not in REFERENCE_FILES:
+        return
+    for ln, path in includes(original_lines, code):
+        if allowed(original_lines, ln, "reference-independence"):
             continue
-        path = m.group(1)
         if any(path == banned or path.endswith("/" + banned)
                for banned in REFERENCE_BANNED_INCLUDES):
             findings.append(Finding(
@@ -894,6 +914,45 @@ def check_nodiscard_status(root, findings):
                 "errors fail the -Werror build"))
 
 
+def check_test_only_api(root, findings):
+    headers = set()
+    for dirpath, dirnames, filenames in os.walk(os.path.join(root, "src")):
+        dirnames[:] = sorted(d for d in dirnames if not d.startswith("."))
+        for name in filenames:
+            if name.endswith((".h", ".hpp")):
+                headers.add(os.path.relpath(os.path.join(dirpath, name), root))
+    used = set()
+    for top in API_USER_DIRS:
+        for dirpath, dirnames, filenames in os.walk(os.path.join(root, top)):
+            dirnames[:] = sorted(d for d in dirnames if not d.startswith("."))
+            for name in filenames:
+                if not name.endswith(SOURCE_EXTS):
+                    continue
+                rel = os.path.relpath(os.path.join(dirpath, name), root)
+                with open(os.path.join(root, rel), encoding="utf-8",
+                          errors="replace") as f:
+                    text = f.read()
+                for _, path in includes(text.splitlines(),
+                                        strip_comments_and_strings(text)):
+                    for header in (os.path.normpath(os.path.join("src", path)),
+                                   os.path.normpath(os.path.join(
+                                       os.path.dirname(rel), path))):
+                        # A header's own implementation file is no caller.
+                        if (header in headers and os.path.splitext(header)[0]
+                                != os.path.splitext(rel)[0]):
+                            used.add(header)
+    for header in sorted(headers - used):
+        with open(os.path.join(root, header), encoding="utf-8",
+                  errors="replace") as f:
+            if allowed(f.read().splitlines(), 1, "test-only-api"):
+                continue
+        findings.append(Finding(
+            header, 1, "test-only-api",
+            "no file under src/, tools/, examples/, bench/ or perfbench/ "
+            "includes this header (its own .cc aside): it is library code "
+            "only tests call; delete it with its tests or give it a caller"))
+
+
 def lint_file(root, rel_path, findings):
     with open(os.path.join(root, rel_path), encoding="utf-8",
               errors="replace") as f:
@@ -930,6 +989,7 @@ def lint_tree(root):
                     rel = os.path.relpath(os.path.join(dirpath, name), root)
                     lint_file(root, rel, findings)
     check_nodiscard_status(root, findings)
+    check_test_only_api(root, findings)
     return findings
 
 
@@ -1486,8 +1546,51 @@ SELF_TEST_FIXTURES = [
 ]
 
 
+# test-only-api: (name, {path: contents}, expected flagged headers). Each
+# tree holds src/lib/api.h plus its own .cc; the other files decide
+# whether the header has a caller.
+API_HEADER = "#ifndef PROCLUS_LIB_API_H_\n#define PROCLUS_LIB_API_H_\n#endif\n"
+API_OWN_CC = "#include \"lib/api.h\"\n"
+TEST_ONLY_API_TREES = [
+    ("included only from tests/",
+     {"tests/api_test.cc": "#include \"lib/api.h\"\n",
+      "fuzz/api_fuzz.cc": "#include \"lib/api.h\"\n"},
+     ["src/lib/api.h"]),
+    ("included only by its own .cc", {}, ["src/lib/api.h"]),
+    ("included only from a comment",
+     {"bench/old.cc": "// #include \"lib/api.h\"\n"
+                      "/* #include \"lib/api.h\" */\n"},
+     ["src/lib/api.h"]),
+    ("included from bench/", {"bench/cell.cc": API_OWN_CC}, []),
+    ("included from perfbench/",
+     {"perfbench/probes.cc": "#include <lib/api.h>\n"}, []),
+    ("included from another src/ file",
+     {"src/other/user.cc": API_OWN_CC}, []),
+    ("included from tools/ and examples/",
+     {"tools/cli.cc": API_OWN_CC, "examples/demo.cpp": API_OWN_CC}, []),
+    ("suppressed on line 1",
+     {"src/lib/api.h": "// lint:allow(test-only-api) kept for a plugin\n"},
+     []),
+]
+
+
 def self_test():
     failures = []
+    for name, files, expected in TEST_ONLY_API_TREES:
+        with tempfile.TemporaryDirectory() as root:
+            tree = {"src/lib/api.h": API_HEADER, "src/lib/api.cc": API_OWN_CC}
+            tree.update(files)
+            for rel, contents in tree.items():
+                path = os.path.join(root, rel)
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                with open(path, "w", encoding="utf-8") as f:
+                    f.write(contents)
+            findings = []
+            check_test_only_api(root, findings)
+            got = [f.path for f in findings if f.rule == "test-only-api"]
+            if got != [os.path.normpath(h) for h in expected]:
+                failures.append(f"test-only-api, {name}: expected {expected}, "
+                                f"got {[str(f) for f in findings]}")
     with tempfile.TemporaryDirectory() as root:
         for rel, contents, expected in SELF_TEST_FIXTURES:
             path = os.path.join(root, rel)

@@ -162,8 +162,9 @@ int main(int argc, char** argv) {
     for (size_t j = 0; j < 100; ++j) locality(i, j) = fd_rng.Uniform(0, 30);
 
   SyntheticData clique_data = MakeData(n_mid, 10, 3, {4, 4, 4}, 23);
-  auto grid = Grid::Build(clique_data.dataset, 10);
-  auto cells = grid->QuantizeAll(clique_data.dataset);
+  MemorySource clique_source(clique_data.dataset);
+  auto grid = Grid::BuildFromSource(clique_source, 10);
+  const std::vector<uint8_t> cells = *grid->QuantizeSource(clique_source);
   MinerParams miner;
   miner.xi = 10;
   miner.tau_percent = 1.0;

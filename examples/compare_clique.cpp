@@ -76,7 +76,7 @@ int main() {
   // Show the DNF description of the largest CLIQUE cluster (the output
   // format the CLIQUE paper proposes).
   if (!clique_result->clusters.empty()) {
-    auto grid = Grid::Build(data->dataset, cparams.xi);
+    auto grid = Grid::BuildFromSource(MemorySource(data->dataset), cparams.xi);
     if (grid.ok()) {
       const CliqueCluster* largest = &clique_result->clusters[0];
       for (const auto& cluster : clique_result->clusters)

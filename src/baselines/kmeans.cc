@@ -229,6 +229,16 @@ class FarthestPointConsumer final : public ScanConsumer {
   uint64_t distance_evals_ = 0;
 };
 
+// Fetches rows by position as the executor's scans read them: under its
+// retry policy and cancel context, counted in its stats.
+Result<Matrix> FetchRows(const PointSource& source,
+                         std::span<const size_t> indices,
+                         const ScanExecutor& executor) {
+  const ScanOptions& options = executor.options();
+  return FetchWithRetry(source, indices, options.retry, options.stats,
+                        options.cancel);
+}
+
 // k-means++ seeding over a source: one scan per center folds the new
 // center into the per-point nearest-center distances; the selection walk
 // runs over the flat dist2 vector afterwards, exactly as the in-memory
@@ -241,7 +251,7 @@ Result<std::vector<std::vector<double>>> PlusPlusInitOnSource(
   centers.reserve(k);
   size_t first = rng.UniformInt(static_cast<uint64_t>(n));
   size_t index[1] = {first};
-  auto first_coords = source.Fetch(index);
+  auto first_coords = FetchRows(source, index, executor);
   PROCLUS_RETURN_IF_ERROR(first_coords.status());
   auto fp = first_coords->row(0);
   centers.emplace_back(fp.begin(), fp.end());
@@ -270,7 +280,7 @@ Result<std::vector<std::vector<double>>> PlusPlusInitOnSource(
       chosen = rng.UniformInt(static_cast<uint64_t>(n));
     }
     index[0] = chosen;
-    auto chosen_coords = source.Fetch(index);
+    auto chosen_coords = FetchRows(source, index, executor);
     PROCLUS_RETURN_IF_ERROR(chosen_coords.status());
     auto cp = chosen_coords->row(0);
     centers.emplace_back(cp.begin(), cp.end());
@@ -302,7 +312,7 @@ Result<KMeansResult> RunKMeansOnSource(const PointSource& source,
     centroids = std::move(centers).value();
   } else {
     std::vector<size_t> pick = rng.SampleWithoutReplacement(n, k);
-    auto coords = source.Fetch(pick);
+    auto coords = FetchRows(source, pick, executor);
     PROCLUS_RETURN_IF_ERROR(coords.status());
     for (size_t i = 0; i < k; ++i) {
       auto p = coords->row(i);
@@ -336,7 +346,7 @@ Result<KMeansResult> RunKMeansOnSource(const PointSource& source,
         farthest.Bind(&centroids, &lloyd.labels());
         PROCLUS_RETURN_IF_ERROR(executor.Run(source, {&farthest}));
         size_t index[1] = {farthest.farthest()};
-        auto coords = source.Fetch(index);
+        auto coords = FetchRows(source, index, executor);
         PROCLUS_RETURN_IF_ERROR(coords.status());
         auto fp = coords->row(0);
         std::copy(fp.begin(), fp.end(), centroids[c].begin());

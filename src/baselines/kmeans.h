@@ -26,7 +26,7 @@ struct KMeansParams {
   /// Use k-means++ seeding (else uniform random points).
   bool plus_plus_init = true;
   uint64_t seed = 1;
-  /// Worker threads for the scans over in-memory sources. Results are
+  /// Worker threads for the scans (ScanOptions::num_threads). Results are
   /// bit-identical for every value (block-ordered deterministic
   /// reduction).
   size_t num_threads = 1;
@@ -65,9 +65,10 @@ Result<KMeansResult> RunKMeans(const Dataset& dataset,
 /// Runs Lloyd's algorithm over any PointSource on the scan executor: one
 /// fused scan per iteration computes the assignment, the inertia, and the
 /// per-cluster coordinate sums; k-means++ seeding scans once per center.
-/// Random access is limited to fetching the chosen centers. Results are
-/// bit-identical across thread counts and across Memory/Disk sources for
-/// a fixed block_rows.
+/// Random access is limited to fetching the chosen centers. Transient
+/// read failures of scans and fetches alike are retried under the default
+/// RetryPolicy. Results are bit-identical across thread counts, retries
+/// and Memory/Disk sources for a fixed block_rows.
 Result<KMeansResult> RunKMeansOnSource(const PointSource& source,
                                        const KMeansParams& params);
 

@@ -87,27 +87,11 @@ std::vector<const DenseLevel::value_type*> SelectSubspaces(
 
 }  // namespace
 
-namespace {
-
-// The shared post-quantization pipeline: mining, cluster formation, and
-// the point pass over the cell matrix.
-Result<CliqueResult> RunCliqueQuantized(
-    const std::vector<uint8_t>& cells, size_t num_points, size_t num_dims,
-    const CliqueParams& params, const std::vector<int>* truth_labels);
-
-}  // namespace
-
 Result<CliqueResult> RunClique(const Dataset& dataset,
                                const CliqueParams& params,
                                const std::vector<int>* truth_labels) {
-  PROCLUS_RETURN_IF_ERROR(params.Validate());
-  if (truth_labels && truth_labels->size() != dataset.size())
-    return Status::InvalidArgument("truth label count != dataset size");
-  auto grid = Grid::Build(dataset, params.xi);
-  PROCLUS_RETURN_IF_ERROR(grid.status());
-  std::vector<uint8_t> cells = grid->QuantizeAll(dataset);
-  return RunCliqueQuantized(cells, dataset.size(), dataset.dims(), params,
-                            truth_labels);
+  MemorySource source(dataset);
+  return RunCliqueOnSource(source, params, truth_labels);
 }
 
 Result<CliqueResult> RunCliqueOnSource(const PointSource& source,
@@ -118,17 +102,11 @@ Result<CliqueResult> RunCliqueOnSource(const PointSource& source,
     return Status::InvalidArgument("truth label count != source size");
   auto grid = Grid::BuildFromSource(source, params.xi);
   PROCLUS_RETURN_IF_ERROR(grid.status());
-  auto cells = grid->QuantizeSource(source);
-  PROCLUS_RETURN_IF_ERROR(cells.status());
-  return RunCliqueQuantized(*cells, source.size(), source.dims(), params,
-                            truth_labels);
-}
-
-namespace {
-
-Result<CliqueResult> RunCliqueQuantized(
-    const std::vector<uint8_t>& cells, size_t num_points, size_t num_dims,
-    const CliqueParams& params, const std::vector<int>* truth_labels) {
+  auto quantized = grid->QuantizeSource(source);
+  PROCLUS_RETURN_IF_ERROR(quantized.status());
+  const std::vector<uint8_t>& cells = *quantized;
+  const size_t n = source.size();
+  const size_t d = source.dims();
   MinerParams miner_params;
   miner_params.xi = params.xi;
   miner_params.tau_percent = params.tau_percent;
@@ -136,7 +114,7 @@ Result<CliqueResult> RunCliqueQuantized(
   miner_params.max_candidates_per_level = params.max_candidates_per_level;
   miner_params.mdl_prune = params.mdl_prune;
   auto mined_result =
-      MineDenseUnits(cells, num_points, num_dims, miner_params);
+      MineDenseUnits(cells, n, d, miner_params);
   PROCLUS_RETURN_IF_ERROR(mined_result.status());
   const MinerResult& mined = *mined_result;
 
@@ -182,8 +160,6 @@ Result<CliqueResult> RunCliqueQuantized(
   }
 
   // Point pass: membership counts, coverage, overlap.
-  const size_t n = num_points;
-  const size_t d = num_dims;
   size_t covered = 0;
   size_t covered_cluster_points = 0;
   size_t total_cluster_points = 0;
@@ -225,7 +201,5 @@ Result<CliqueResult> RunCliqueQuantized(
   }
   return result;
 }
-
-}  // namespace
 
 }  // namespace proclus

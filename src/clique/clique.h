@@ -108,15 +108,16 @@ struct CliqueResult {
 
 /// Runs CLIQUE on `dataset`. When `truth_labels` is non-null (size N,
 /// values in [0,k) or kOutlierLabel), per-cluster label counts and the
-/// coverage statistic are filled in.
+/// coverage statistic are filled in. Delegates to RunCliqueOnSource over
+/// an in-memory view of `dataset`.
 Result<CliqueResult> RunClique(const Dataset& dataset,
                                const CliqueParams& params,
                                const std::vector<int>* truth_labels = nullptr);
 
-/// Out-of-core variant: runs CLIQUE over any PointSource with exactly two
-/// scans of the data (bounds, then quantization); everything downstream
-/// operates on the N x d byte cell matrix, which is 8x smaller than the
-/// coordinates. Same result as RunClique over the same points.
+/// Runs CLIQUE over any PointSource with exactly two scans of the data
+/// (bounds, then quantization); everything downstream operates on the
+/// N x d byte cell matrix, which is 8x smaller than the coordinates, so
+/// it fits in memory even when the data does not.
 Result<CliqueResult> RunCliqueOnSource(
     const PointSource& source, const CliqueParams& params,
     const std::vector<int>* truth_labels = nullptr);

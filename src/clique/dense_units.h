@@ -65,7 +65,7 @@ struct MinerResult {
 };
 
 /// Mines dense units from the quantized point matrix `cells` (n x d,
-/// row-major interval indices produced by Grid::QuantizeAll).
+/// row-major interval indices produced by Grid::QuantizeSource).
 Result<MinerResult> MineDenseUnits(const std::vector<uint8_t>& cells,
                                    size_t num_points, size_t dims,
                                    const MinerParams& params);

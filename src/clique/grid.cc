@@ -10,20 +10,6 @@ namespace proclus {
 
 namespace {
 
-Result<Grid> BuildFromBounds(std::vector<double> mins,
-                             const std::vector<double>& maxs, size_t xi,
-                             Grid (*make)(size_t, std::vector<double>,
-                                          std::vector<double>)) {
-  std::vector<double> width(mins.size());
-  for (size_t j = 0; j < mins.size(); ++j) {
-    double range = maxs[j] - mins[j];
-    // Constant dimensions get a unit-width grid so every point lands in
-    // interval 0.
-    width[j] = range > 0.0 ? range / static_cast<double>(xi) : 1.0;
-  }
-  return make(xi, std::move(mins), std::move(width));
-}
-
 // Per-dimension min/max over a scan. Min/max merging is associativity-
 // free, so the bounds are bitwise identical for any block size or thread
 // count.
@@ -110,19 +96,6 @@ class QuantizeConsumer final : public ScanConsumer {
 
 }  // namespace
 
-Result<Grid> Grid::Build(const Dataset& dataset, size_t xi) {
-  if (xi < 2 || xi > 255)
-    return Status::InvalidArgument("xi must be in [2, 255]");
-  if (dataset.empty()) return Status::InvalidArgument("dataset is empty");
-  std::vector<double> mins, maxs;
-  dataset.Bounds(&mins, &maxs);
-  return BuildFromBounds(std::move(mins), maxs, xi,
-                         [](size_t n, std::vector<double> lo,
-                            std::vector<double> w) {
-                           return Grid(n, std::move(lo), std::move(w));
-                         });
-}
-
 Result<Grid> Grid::BuildFromSource(const PointSource& source, size_t xi) {
   if (xi < 2 || xi > 255)
     return Status::InvalidArgument("xi must be in [2, 255]");
@@ -130,11 +103,15 @@ Result<Grid> Grid::BuildFromSource(const PointSource& source, size_t xi) {
     return Status::InvalidArgument("source is empty");
   BoundsConsumer bounds;
   PROCLUS_RETURN_IF_ERROR(ScanExecutor(ScanOptions{}).Run(source, {&bounds}));
-  return BuildFromBounds(bounds.TakeMins(), bounds.maxs(), xi,
-                         [](size_t n, std::vector<double> lo,
-                            std::vector<double> w) {
-                           return Grid(n, std::move(lo), std::move(w));
-                         });
+  std::vector<double> mins = bounds.TakeMins();
+  std::vector<double> width(mins.size());
+  for (size_t j = 0; j < mins.size(); ++j) {
+    double range = bounds.maxs()[j] - mins[j];
+    // Constant dimensions get a unit-width grid so every point lands in
+    // interval 0.
+    width[j] = range > 0.0 ? range / static_cast<double>(xi) : 1.0;
+  }
+  return Grid(xi, std::move(mins), std::move(width));
 }
 
 Result<std::vector<uint8_t>> Grid::QuantizeSource(
@@ -161,18 +138,6 @@ void Grid::IntervalBounds(size_t dim, uint8_t idx, double* lo,
   PROCLUS_DCHECK(idx < xi_);
   *lo = lo_[dim] + width_[dim] * static_cast<double>(idx);
   *hi = *lo + width_[dim];
-}
-
-std::vector<uint8_t> Grid::QuantizeAll(const Dataset& dataset) const {
-  const size_t n = dataset.size();
-  const size_t d = dims();
-  PROCLUS_CHECK(dataset.dims() == d);
-  std::vector<uint8_t> cells(n * d);
-  for (size_t i = 0; i < n; ++i) {
-    auto p = dataset.point(i);
-    for (size_t j = 0; j < d; ++j) cells[i * d + j] = Interval(j, p[j]);
-  }
-  return cells;
 }
 
 }  // namespace proclus

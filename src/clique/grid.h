@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "data/dataset.h"
 #include "data/point_source.h"
 
 namespace proclus {
@@ -20,12 +19,9 @@ namespace proclus {
 /// Per-dimension uniform interval grid.
 class Grid {
  public:
-  /// Builds a grid with `xi` intervals per dimension spanning the dataset's
-  /// per-dimension bounds. Requires xi in [2, 255] and a non-empty dataset.
-  static Result<Grid> Build(const Dataset& dataset, size_t xi);
-
-  /// Builds the grid from one scan over any PointSource (the out-of-core
-  /// path; same result as the Dataset overload for the same points).
+  /// Builds a grid with `xi` intervals per dimension spanning the source's
+  /// per-dimension bounds, found with one scan. Requires xi in [2, 255]
+  /// and a non-empty source.
   static Result<Grid> BuildFromSource(const PointSource& source, size_t xi);
 
   /// Quantizes every point of a source into interval indices (N x d,
@@ -46,9 +42,6 @@ class Grid {
 
   /// Interval bounds [lo, hi) of interval `idx` on dimension `dim`.
   void IntervalBounds(size_t dim, uint8_t idx, double* lo, double* hi) const;
-
-  /// Quantizes every point: returns an N x d matrix of interval indices.
-  std::vector<uint8_t> QuantizeAll(const Dataset& dataset) const;
 
  private:
   Grid(size_t xi, std::vector<double> lo, std::vector<double> width)

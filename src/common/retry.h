@@ -14,7 +14,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <thread>
 
 #include "common/cancel.h"
 #include "common/status.h"
@@ -73,27 +72,6 @@ inline Status SleepBackoff(const RetryPolicy& policy, size_t attempt,
   const auto delay = policy.BackoffFor(attempt);
   if (delay.count() <= 0) return ctx.Check();
   return InterruptibleSleep(delay, ctx);
-}
-
-/// Runs `op` (a callable returning Status) under `policy`. Retries only
-/// transient statuses; the final failure is returned as-is. If `retries` is
-/// non-null it is incremented once per re-issued attempt. A cancellation or
-/// deadline expiry observed between attempts (including mid-backoff — the
-/// sleeps are interruptible) abandons the loop and returns
-/// kCancelled/kDeadlineExceeded instead of the transient status.
-template <typename Op>
-Status RunWithRetry(const RetryPolicy& policy, Op&& op,
-                    uint64_t* retries = nullptr,
-                    const CancelContext& ctx = {}) {
-  const size_t max_attempts = policy.max_attempts == 0 ? 1 : policy.max_attempts;
-  for (size_t attempt = 1;; ++attempt) {
-    Status status = op();
-    if (status.ok() || !IsTransient(status) || attempt >= max_attempts) {
-      return status;
-    }
-    if (retries != nullptr) ++*retries;
-    PROCLUS_RETURN_IF_ERROR(SleepBackoff(policy, attempt, ctx));
-  }
 }
 
 }  // namespace proclus

@@ -1,7 +1,5 @@
 #include "core/classify.h"
 
-#include <limits>
-
 #include "core/consumers.h"
 
 namespace proclus {
@@ -10,18 +8,13 @@ Result<std::vector<int>> ClassifyPoints(const ProjectedClustering& model,
                                         const PointSource& source,
                                         const ClassifyOptions& options) {
   PROCLUS_RETURN_IF_ERROR(ValidateModelShape(model, source.dims()));
-  const size_t k = model.num_clusters();
-  const bool detect =
-      options.detect_outliers && model.spheres.size() == k;
-  std::vector<double> spheres =
-      detect ? model.spheres
-             : std::vector<double>(
-                   k, std::numeric_limits<double>::infinity());
+  const bool detect = options.detect_outliers &&
+                      model.spheres.size() == model.num_clusters();
   AssignConsumer assign;
-  PROCLUS_RETURN_IF_ERROR(assign.BindRefine(
-      &model.medoid_coords, &model.dimensions, &spheres,
-      options.segmental_normalization, detect,
-      /*accumulate_centroids=*/false));
+  PROCLUS_RETURN_IF_ERROR(assign.Bind(
+      &model.medoid_coords, &model.dimensions,
+      options.segmental_normalization, /*accumulate_centroids=*/false,
+      detect ? &model.spheres : nullptr));
   PROCLUS_RETURN_IF_ERROR(ScanExecutor(options.pass).Run(source, {&assign}));
   return assign.TakeLabels();
 }

@@ -430,34 +430,22 @@ Status LocalityStatsConsumer::Merge() {
 Status AssignConsumer::Bind(const Matrix* medoids,
                             const std::vector<DimensionSet>* dims,
                             bool segmental_normalization,
-                            bool accumulate_centroids) {
+                            bool accumulate_centroids,
+                            const std::vector<double>* spheres) {
   if (medoids == nullptr || medoids->rows() == 0)
     return Status::InvalidArgument("no medoids");
   if (dims == nullptr || dims->size() != medoids->rows())
     return Status::InvalidArgument("dimension set count mismatch");
+  if (spheres != nullptr && spheres->size() != medoids->rows())
+    return Status::InvalidArgument("sphere count mismatch");
   medoids_ = medoids;
   dims_sets_ = dims;
   dim_lists_ = DimLists(*dims);
-  spheres_ = nullptr;
+  spheres_ = spheres;
   segmental_ = segmental_normalization;
   accumulate_ = accumulate_centroids;
   cache_ = nullptr;
   slots_.clear();
-  return Status::OK();
-}
-
-Status AssignConsumer::BindRefine(const Matrix* medoids,
-                                  const std::vector<DimensionSet>* dims,
-                                  const std::vector<double>* spheres,
-                                  bool segmental_normalization,
-                                  bool detect_outliers,
-                                  bool accumulate_centroids) {
-  if (medoids != nullptr &&
-      (spheres == nullptr || spheres->size() != medoids->rows()))
-    return Status::InvalidArgument("per-medoid input count mismatch");
-  PROCLUS_RETURN_IF_ERROR(Bind(medoids, dims, segmental_normalization,
-                               accumulate_centroids));
-  if (detect_outliers) spheres_ = spheres;
   return Status::OK();
 }
 

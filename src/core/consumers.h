@@ -246,19 +246,14 @@ class LocalityStatsConsumer final : public ScanConsumer {
 /// (the first of Figure 6's two scans) into the same pass.
 class AssignConsumer final : public ScanConsumer {
  public:
-  /// `medoids` (k x d) and `dims` (k sets) must outlive the scan.
+  /// `medoids` (k x d) and `dims` (k sets) must outlive the scan. With
+  /// `spheres` (one per medoid, outliving the scan), a point farther from
+  /// every medoid than that medoid's sphere of influence is labeled
+  /// kOutlierLabel and the centroids skip it: the refinement's outlier
+  /// detection. Null detects no outliers.
   Status Bind(const Matrix* medoids, const std::vector<DimensionSet>* dims,
-              bool segmental_normalization, bool accumulate_centroids);
-
-  /// Refinement assignment: as above, but with detect_outliers a point
-  /// farther from every medoid than that medoid's sphere of influence
-  /// (`spheres`, one per medoid) is labeled kOutlierLabel, and the
-  /// centroids skip outliers. `spheres` must outlive the scan.
-  Status BindRefine(const Matrix* medoids,
-                    const std::vector<DimensionSet>* dims,
-                    const std::vector<double>* spheres,
-                    bool segmental_normalization, bool detect_outliers,
-                    bool accumulate_centroids);
+              bool segmental_normalization, bool accumulate_centroids,
+              const std::vector<double>* spheres = nullptr);
 
   /// Cached binding: `slots` names the candidate slot behind each medoid
   /// row (distinct, same length as `medoids` rows) and `cache` persists

@@ -91,8 +91,14 @@ Result<std::vector<DimensionSet>> FindDimensions(const Matrix& X,
                                                  double avg_dims) {
   const size_t k = X.rows();
   if (k == 0) return Status::InvalidArgument("X has no rows");
-  size_t total = static_cast<size_t>(
-      std::llround(avg_dims * static_cast<double>(k)));
+  // Checked before rounding: llround of a NaN or out-of-range value is
+  // unspecified.
+  const double slots = avg_dims * static_cast<double>(k);
+  if (!std::isfinite(avg_dims) || slots < 0.0 ||
+      slots > static_cast<double>(k * X.cols()))
+    return Status::InvalidArgument(
+        "avg_dims must be finite with k * avg_dims in [0, k * d]");
+  const size_t total = static_cast<size_t>(std::llround(slots));
   Matrix Z = ComputeZScores(X);
   return AllocateDimensions(Z, total, /*min_per_row=*/2);
 }

@@ -144,34 +144,31 @@ namespace {
 constexpr char kCheckpointMagic[4] = {'P', 'C', 'K', 'P'};
 constexpr uint32_t kCheckpointVersion = 1;
 
+// The file stores slots and indices as 64-bit words and labels as 32-bit
+// integers, written straight from the vectors that hold them.
+static_assert(sizeof(size_t) == sizeof(uint64_t));
+static_assert(sizeof(int) == sizeof(int32_t));
+
 template <typename T>
 void PutRaw(std::string& out, const T& value) {
   out.append(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
-void PutU64Vector(std::string& out, const std::vector<uint64_t>& v) {
+template <typename T>
+void PutVector(std::string& out, const std::vector<T>& v) {
   PutRaw(out, static_cast<uint64_t>(v.size()));
   if (!v.empty())
-    out.append(reinterpret_cast<const char*>(v.data()),
-               v.size() * sizeof(uint64_t));
+    out.append(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(T));
 }
 
-void PutI32Vector(std::string& out, const std::vector<int32_t>& v) {
-  PutRaw(out, static_cast<uint64_t>(v.size()));
-  if (!v.empty())
-    out.append(reinterpret_cast<const char*>(v.data()),
-               v.size() * sizeof(int32_t));
-}
-
-void PutDimLists(std::string& out,
-                 const std::vector<std::vector<uint32_t>>& lists) {
-  PutRaw(out, static_cast<uint64_t>(lists.size()));
-  for (const auto& list : lists) {
-    PutRaw(out, static_cast<uint64_t>(list.size()));
-    if (!list.empty())
-      out.append(reinterpret_cast<const char*>(list.data()),
-                 list.size() * sizeof(uint32_t));
-  }
+void PutRecord(std::string& out, const ClimbRecord& record) {
+  PutRaw(out, record.objective);
+  PutVector(out, record.slots);
+  PutRaw(out, static_cast<uint64_t>(record.dims.size()));
+  for (const auto& list : record.dims) PutVector(out, list);
+  PutVector(out, record.labels);
+  PutRaw(out, record.iterations);
+  PutRaw(out, record.improvements);
 }
 
 // Bounds-checked reader over the in-memory checkpoint payload: every Read
@@ -206,15 +203,18 @@ class Cursor {
            ReadBytes(out->data(), static_cast<size_t>(count) * sizeof(T));
   }
 
-  bool ReadDimLists(std::vector<std::vector<uint32_t>>* out) {
-    uint64_t count = 0;
-    if (!Read(&count)) return false;
+  bool ReadRecord(ClimbRecord* record) {
+    uint64_t lists = 0;
+    if (!Read(&record->objective) || !ReadVector(&record->slots) ||
+        !Read(&lists))
+      return false;
     // Each list costs at least its 8-byte count.
-    if (count > remaining() / sizeof(uint64_t)) return false;
-    out->resize(static_cast<size_t>(count));
-    for (auto& list : *out)
+    if (lists > remaining() / sizeof(uint64_t)) return false;
+    record->dims.resize(static_cast<size_t>(lists));
+    for (auto& list : record->dims)
       if (!ReadVector(&list)) return false;
-    return true;
+    return ReadVector(&record->labels) && Read(&record->iterations) &&
+           Read(&record->improvements);
   }
 
  private:
@@ -233,22 +233,12 @@ std::string SerializeCheckpoint(const ProclusCheckpoint& ck) {
   for (uint64_t word : ck.rng.state) PutRaw(out, word);
   PutRaw(out, ck.rng.normal_spare);
   PutRaw(out, static_cast<uint8_t>(ck.rng.has_normal_spare ? 1 : 0));
-  PutU64Vector(out, ck.candidates);
-  PutU64Vector(out, ck.climb_current);
-  PutRaw(out, ck.climb_objective);
-  PutU64Vector(out, ck.climb_slots);
-  PutDimLists(out, ck.climb_dims);
-  PutI32Vector(out, ck.climb_labels);
-  PutRaw(out, ck.climb_iterations);
-  PutRaw(out, ck.climb_improvements);
-  PutU64Vector(out, ck.climb_bad);
+  PutVector(out, ck.candidates);
+  PutVector(out, ck.current);
+  PutRecord(out, ck.climb);
+  PutVector(out, ck.bad);
   PutRaw(out, ck.since_improvement);
-  PutRaw(out, ck.best_objective);
-  PutU64Vector(out, ck.best_slots);
-  PutDimLists(out, ck.best_dims);
-  PutI32Vector(out, ck.best_labels);
-  PutRaw(out, ck.total_iterations);
-  PutRaw(out, ck.total_improvements);
+  PutRecord(out, ck.best);
   PutRaw(out, Xxh64::Hash(out.data(), out.size()));
   return out;
 }
@@ -326,15 +316,9 @@ Result<ProclusCheckpoint> LoadCheckpoint(std::istream& in) {
             cur.Read(&ck.restart);
   for (uint64_t& word : ck.rng.state) ok = ok && cur.Read(&word);
   ok = ok && cur.Read(&ck.rng.normal_spare) && cur.Read(&has_spare) &&
-       cur.ReadVector(&ck.candidates) && cur.ReadVector(&ck.climb_current) &&
-       cur.Read(&ck.climb_objective) && cur.ReadVector(&ck.climb_slots) &&
-       cur.ReadDimLists(&ck.climb_dims) &&
-       cur.ReadVector(&ck.climb_labels) && cur.Read(&ck.climb_iterations) &&
-       cur.Read(&ck.climb_improvements) && cur.ReadVector(&ck.climb_bad) &&
-       cur.Read(&ck.since_improvement) && cur.Read(&ck.best_objective) &&
-       cur.ReadVector(&ck.best_slots) && cur.ReadDimLists(&ck.best_dims) &&
-       cur.ReadVector(&ck.best_labels) && cur.Read(&ck.total_iterations) &&
-       cur.Read(&ck.total_improvements);
+       cur.ReadVector(&ck.candidates) && cur.ReadVector(&ck.current) &&
+       cur.ReadRecord(&ck.climb) && cur.ReadVector(&ck.bad) &&
+       cur.Read(&ck.since_improvement) && cur.ReadRecord(&ck.best);
   if (!ok) return Status::Corruption("checkpoint truncated in body");
   if (cur.remaining() != 0)
     return Status::Corruption("checkpoint has " +

@@ -45,11 +45,24 @@ Result<ProjectedClustering> LoadModel(std::istream& in);
 /// Reads a model from the file at `path`.
 Result<ProjectedClustering> LoadModelFile(const std::string& path);
 
-/// Serializable mid-climb state of a PROCLUS run. The climb_* fields hold
-/// the in-progress restart (captured at the top of a hill-climbing
-/// iteration); the best_* fields hold the accumulated winner of the
-/// completed restarts. Dimension sets are stored as sorted index lists
-/// over a `num_dims`-dimensional space.
+/// The best medoid set one hill climb has found: its objective, its
+/// positions in the candidate pool, its dimension sets (sorted index lists
+/// over a `num_dims`-dimensional space), its labels, and the iteration and
+/// improvement counts behind it. The dimension sets stay index lists, not
+/// DimensionSet bitsets, so loading a checkpoint allocates nothing sized
+/// by the file's `num_dims` before a resume has checked it against d.
+struct ClimbRecord {
+  double objective = std::numeric_limits<double>::infinity();
+  std::vector<size_t> slots;
+  std::vector<std::vector<uint32_t>> dims;
+  std::vector<int> labels;
+  uint64_t iterations = 0;
+  uint64_t improvements = 0;
+};
+
+/// The resumable state of a PROCLUS fit. The hill climb keeps its state
+/// between iterations in this form, and a checkpoint is that state as it
+/// stood at the top of an iteration: resuming assigns it back.
 struct ProclusCheckpoint {
   /// Binds the checkpoint to the (parameters, data shape) that wrote it.
   uint64_t fingerprint = 0;
@@ -60,26 +73,17 @@ struct ProclusCheckpoint {
   /// Full RNG state at the capture point.
   RngState rng;
   /// Global point indices of the candidate medoid pool (phase 1 output).
-  std::vector<uint64_t> candidates;
-
-  // In-progress restart (loop-top state of the hill climb).
-  std::vector<uint64_t> climb_current;
-  double climb_objective = std::numeric_limits<double>::infinity();
-  std::vector<uint64_t> climb_slots;
-  std::vector<std::vector<uint32_t>> climb_dims;
-  std::vector<int32_t> climb_labels;
-  uint64_t climb_iterations = 0;
-  uint64_t climb_improvements = 0;
-  std::vector<uint64_t> climb_bad;
+  std::vector<size_t> candidates;
+  /// Medoid set under evaluation (positions in the candidate pool).
+  std::vector<size_t> current;
+  /// Best of the restart in progress.
+  ClimbRecord climb;
+  /// Bad medoids of climb.slots (cluster indices).
+  std::vector<size_t> bad;
+  /// Iterations since the restart in progress last improved.
   uint64_t since_improvement = 0;
-
-  // Best across completed restarts.
-  double best_objective = std::numeric_limits<double>::infinity();
-  std::vector<uint64_t> best_slots;
-  std::vector<std::vector<uint32_t>> best_dims;
-  std::vector<int32_t> best_labels;
-  uint64_t total_iterations = 0;
-  uint64_t total_improvements = 0;
+  /// Best of the completed restarts; its counts are their totals.
+  ClimbRecord best;
 };
 
 /// Serializes `checkpoint` (binary "PCKP" v1 + XXH64 trailer) to a stream.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <numeric>
 #include <span>
@@ -133,36 +132,6 @@ void SlotsToCoords(const Matrix& candidate_coords,
   }
 }
 
-// Best state found by one hill-climbing restart.
-struct ClimbResult {
-  double objective = std::numeric_limits<double>::infinity();
-  std::vector<size_t> slots;
-  std::vector<DimensionSet> dims;
-  std::vector<int> labels;
-  size_t iterations = 0;
-  size_t improvements = 0;
-};
-
-// Complete loop-top state of one hill-climbing restart — everything a
-// checkpoint must capture to replay the remaining iterations exactly
-// (the locality statistics X are deliberately NOT part of it: they are
-// regenerated on resume by a bootstrap scan of `current`, bit-identical
-// to the fused variant extraction that produced them mid-run). Callers
-// seed `current` (fresh start) or all fields (resume) before the climb.
-struct ClimbState {
-  std::vector<size_t> current;   // Medoid slots under evaluation.
-  ClimbResult out;               // Best of this restart so far.
-  std::vector<size_t> bad;       // Bad medoids of out.slots.
-  size_t since_improvement = 0;
-};
-
-// Invoked at the top of every hill-climbing iteration, before any work
-// of that iteration, with the restart's complete state. Used by
-// RunProclusOnSource to write periodic checkpoints; `force_save` asks for
-// an immediate save regardless of the period (the cancel-to-checkpoint
-// path). A failure aborts the climb.
-using ClimbHook = std::function<Status(const ClimbState&, bool force_save)>;
-
 // Long-lived consumers and buffers shared by every restart of the fused
 // climb, so steady-state iterations allocate nothing.
 struct FusedScratch {
@@ -206,16 +175,31 @@ constexpr size_t kNoVariant = static_cast<size_t>(-1);
 // ReplaceBadMedoids), so the random stream — and therefore every result —
 // stays bit-identical to the paper's one-draw-per-iteration loop, as
 // transcribed by the test oracle (tests/reference_proclus.h).
+//
+// `st` holds the restart's loop-top state: `current`, the `climb` record
+// (best of this restart so far), its `bad` medoids and the no-improvement
+// count. Callers seed `current` (fresh start) or assign a checkpoint
+// (resume) before the climb. The locality statistics X are deliberately
+// not part of it: they are regenerated by a bootstrap scan of `current`,
+// bit-identical to the fused variant extraction that produced them
+// mid-run. With a checkpoint path set, `st` is saved, RNG state stamped,
+// at the top of every every_iterations-th iteration and on a loop-top
+// cancellation.
 Status FusedClimb(const PointSource& source, const ProclusParams& params,
-                  const Matrix& candidate_coords, ClimbState& st, Rng& rng,
-                  const ScanExecutor& executor, FusedScratch& s,
-                  RunStats& stats, const ClimbHook& hook) {
+                  const Matrix& candidate_coords, ProclusCheckpoint& st,
+                  Rng& rng, const ScanExecutor& executor, FusedScratch& s,
+                  RunStats& stats) {
   const size_t k = params.num_clusters;
   const size_t pool = candidate_coords.rows();
   std::vector<size_t>& current = st.current;
-  ClimbResult& out = st.out;
+  ClimbRecord& out = st.climb;
   std::vector<size_t>& bad = st.bad;  // Bad medoids of the best set so far.
-  size_t& since_improvement = st.since_improvement;
+  uint64_t& since_improvement = st.since_improvement;
+  const std::string& path = params.checkpoint.path;
+  auto save = [&]() -> Status {
+    st.rng = rng.SaveState();
+    return SaveCheckpointFile(st, path);
+  };
 
   // Bootstrap: the locality statistics of the initial medoid set are the
   // only input the first iteration needs that no earlier scan produced.
@@ -244,11 +228,13 @@ Status FusedClimb(const PointSource& source, const ProclusParams& params,
         // Cancel-to-checkpoint: persist the exact loop-top state (RNG
         // included) so a resumed run replays the remaining iterations
         // bit-identically.
-        if (hook) PROCLUS_RETURN_IF_ERROR(hook(st, /*force_save=*/true));
+        if (!path.empty()) PROCLUS_RETURN_IF_ERROR(save());
         return cancelled;
       }
     }
-    if (hook) PROCLUS_RETURN_IF_ERROR(hook(st, /*force_save=*/false));
+    if (!path.empty() &&
+        out.iterations % params.checkpoint.every_iterations == 0)
+      PROCLUS_RETURN_IF_ERROR(save());
     ++out.iterations;
     auto dims = FindDimensions(X, params.avg_dims);
     PROCLUS_RETURN_IF_ERROR(dims.status());
@@ -341,7 +327,8 @@ Status FusedClimb(const PointSource& source, const ProclusParams& params,
     if (improved) {
       out.objective = objective;
       out.slots = current;
-      out.dims = std::move(dims).value();
+      out.dims.resize(k);
+      for (size_t i = 0; i < k; ++i) out.dims[i] = (*dims)[i].ToVector();
       out.labels = s.assign.labels();
       bad = std::move(bad_a);
       ++out.improvements;
@@ -390,7 +377,7 @@ uint64_t ParamsFingerprint(const ProclusParams& p, size_t n, size_t d) {
   put_u64(p.max_no_improve);
   put_u64(p.max_iterations);
   put_u64(p.num_restarts);
-  put_u64(static_cast<uint64_t>(p.init_metric));
+  put_u64(0);  // The retired greedy-metric choice; always Manhattan.
   put_u64(p.seed);
   put_u64(p.block_rows);
   put_u64((p.refine ? 1u : 0u) | (p.detect_outliers ? 2u : 0u) |
@@ -419,79 +406,67 @@ Status ValidateCheckpoint(const ProclusCheckpoint& ck,
   for (uint64_t c : ck.candidates)
     if (c >= n) return bad("candidate index out of range");
   const size_t pool = ck.candidates.size();
-  auto check_slots = [&](const std::vector<uint64_t>& slots,
-                         const char* name, bool may_be_empty) -> Status {
-    if (slots.empty() && may_be_empty) return Status::OK();
-    if (slots.size() != k)
-      return bad(std::string(name) + " has wrong length");
-    for (uint64_t s : slots)
-      if (s >= pool) return bad(std::string(name) + " index out of range");
-    return Status::OK();
-  };
-  PROCLUS_RETURN_IF_ERROR(
-      check_slots(ck.climb_current, "climb_current", false));
-  PROCLUS_RETURN_IF_ERROR(check_slots(ck.climb_slots, "climb_slots", true));
-  PROCLUS_RETURN_IF_ERROR(check_slots(ck.best_slots, "best_slots", true));
-  auto check_dims = [&](const std::vector<std::vector<uint32_t>>& lists,
-                        const std::vector<uint64_t>& slots,
-                        const char* name) -> Status {
-    if (lists.size() != slots.size())
-      return bad(std::string(name) + " count does not match medoids");
-    for (const auto& list : lists) {
-      if (list.size() < 2 || list.size() > d)
-        return bad(std::string(name) + " entry has invalid size");
-      for (size_t i = 0; i < list.size(); ++i) {
-        if (list[i] >= d)
-          return bad(std::string(name) + " dimension out of range");
-        if (i > 0 && list[i] <= list[i - 1])
-          return bad(std::string(name) + " entry is not strictly sorted");
-      }
+  auto check_slots = [&](const std::vector<size_t>& slots,
+                         const std::string& name) -> Status {
+    if (slots.size() != k) return bad(name + " has wrong length");
+    for (size_t i = 0; i < k; ++i) {
+      if (slots[i] >= pool) return bad(name + " index out of range");
+      for (size_t j = 0; j < i; ++j)
+        if (slots[i] == slots[j]) return bad(name + " repeats a medoid");
     }
     return Status::OK();
   };
-  PROCLUS_RETURN_IF_ERROR(
-      check_dims(ck.climb_dims, ck.climb_slots, "climb_dims"));
-  PROCLUS_RETURN_IF_ERROR(check_dims(ck.best_dims, ck.best_slots,
-                                     "best_dims"));
-  auto check_labels = [&](const std::vector<int32_t>& labels,
-                          const std::vector<uint64_t>& slots,
-                          const char* name) -> Status {
-    if (slots.empty()) {
-      if (!labels.empty())
-        return bad(std::string(name) + " present without medoids");
+  PROCLUS_RETURN_IF_ERROR(check_slots(ck.current, "current"));
+  // A record is blank (no medoids, infinite objective) until its climb's
+  // first iteration fills it with a finite objective. The climb relies on
+  // that: its first iteration must improve on a blank record, and a
+  // filled one must be beatable.
+  auto check_record = [&](const ClimbRecord& record,
+                          const std::string& name) -> Status {
+    if (record.slots.empty()) {
+      if (record.objective != std::numeric_limits<double>::infinity() ||
+          !record.dims.empty() || !record.labels.empty())
+        return bad(name + " has no medoids but is not blank");
       return Status::OK();
     }
-    if (labels.size() != n)
-      return bad(std::string(name) + " has wrong length");
-    for (int32_t label : labels)
+    if (!std::isfinite(record.objective))
+      return bad(name + " objective is not finite");
+    PROCLUS_RETURN_IF_ERROR(check_slots(record.slots, name + " slots"));
+    if (record.dims.size() != k)
+      return bad(name + " dims count does not match medoids");
+    for (const auto& list : record.dims) {
+      if (list.size() < 2 || list.size() > d)
+        return bad(name + " dims entry has invalid size");
+      for (size_t i = 0; i < list.size(); ++i) {
+        if (list[i] >= d) return bad(name + " dimension out of range");
+        if (i > 0 && list[i] <= list[i - 1])
+          return bad(name + " dims entry is not strictly sorted");
+      }
+    }
+    if (record.labels.size() != n)
+      return bad(name + " labels have wrong length");
+    for (int label : record.labels)
       if (label != kOutlierLabel &&
           (label < 0 || static_cast<size_t>(label) >= k))
-        return bad(std::string(name) + " value out of range");
+        return bad(name + " label out of range");
     return Status::OK();
   };
-  PROCLUS_RETURN_IF_ERROR(
-      check_labels(ck.climb_labels, ck.climb_slots, "climb_labels"));
-  PROCLUS_RETURN_IF_ERROR(
-      check_labels(ck.best_labels, ck.best_slots, "best_labels"));
-  if (ck.climb_bad.size() > k) return bad("climb_bad has wrong length");
-  for (uint64_t c : ck.climb_bad)
-    if (c >= k) return bad("climb_bad index out of range");
-  if (ck.climb_iterations > params.max_iterations)
-    return bad("climb_iterations out of range");
-  if (ck.since_improvement > params.max_no_improve)
+  PROCLUS_RETURN_IF_ERROR(check_record(ck.climb, "climb"));
+  PROCLUS_RETURN_IF_ERROR(check_record(ck.best, "best"));
+  if (ck.bad.size() > k) return bad("bad medoids have wrong length");
+  for (size_t c : ck.bad)
+    if (c >= k) return bad("bad medoid index out of range");
+  // Saves happen inside the climb loop, where both counts are below
+  // their caps, and the restarts before `restart` each left a best set.
+  if (ck.climb.iterations >= params.max_iterations)
+    return bad("climb iterations out of range");
+  if (ck.since_improvement >= params.max_no_improve)
     return bad("since_improvement out of range");
-  if (ck.climb_slots.empty() && ck.climb_iterations != 0)
+  if (ck.climb.slots.empty() && ck.climb.iterations != 0)
     return bad("iterations recorded without a best set");
+  if (ck.restart > 0 && ck.best.slots.empty())
+    return bad("completed restarts recorded without a best set");
   return Status::OK();
-}
-
-// Rebuilds DimensionSets from the checkpoint's sorted index lists.
-std::vector<DimensionSet> DimsFromLists(
-    const std::vector<std::vector<uint32_t>>& lists, size_t d) {
-  std::vector<DimensionSet> out;
-  out.reserve(lists.size());
-  for (const auto& list : lists) out.emplace_back(d, list);
-  return out;
 }
 
 }  // namespace
@@ -557,23 +532,25 @@ Result<ProjectedClustering> RunProclusOnSource(const PointSource& source,
   Timer phase_timer;
 
   // ----- Resume -----
-  // A compatible checkpoint replaces phase 1 and the completed prefix of
-  // the restart loop. The fingerprint binds it to this exact
-  // configuration and data shape; a mismatch is an error (resuming a
-  // different run would silently produce wrong results), while a missing
-  // file just starts fresh.
-  const uint64_t fingerprint = ParamsFingerprint(params, n, d);
-  ProclusCheckpoint resume_ck;
+  // The fit's resumable state. A compatible checkpoint replaces phase 1
+  // and the completed prefix of the restart loop. The fingerprint binds
+  // it to this exact configuration and data shape; a mismatch is an error
+  // (resuming a different run would silently produce wrong results),
+  // while a missing file just starts fresh.
+  ProclusCheckpoint state;
+  state.fingerprint = ParamsFingerprint(params, n, d);
+  state.num_dims = d;
   bool resuming = false;
-  if (!params.checkpoint.path.empty() && params.checkpoint.resume) {
+  if (!params.checkpoint.path.empty()) {
     auto loaded = LoadCheckpointFile(params.checkpoint.path);
     if (loaded.ok()) {
-      if (loaded->fingerprint != fingerprint)
+      if (loaded->fingerprint != state.fingerprint)
         return Status::InvalidArgument(
             "checkpoint '" + params.checkpoint.path +
             "' was written by a different run configuration");
       PROCLUS_RETURN_IF_ERROR(ValidateCheckpoint(*loaded, params, n, d));
-      resume_ck = *std::move(loaded);
+      state = *std::move(loaded);
+      rng.RestoreState(state.rng);
       resuming = true;
     } else if (loaded.status().code() != StatusCode::kNotFound) {
       return loaded.status();
@@ -586,36 +563,33 @@ Result<ProjectedClustering> RunProclusOnSource(const PointSource& source,
   // ablation). Only these few points are ever fetched by position. A
   // resumed run reuses the checkpointed candidate pool — the restored
   // RNG state already reflects the draws this phase made.
-  std::vector<size_t> candidates;  // Global point indices.
+  std::vector<size_t>& candidates = state.candidates;  // Global indices.
   // draws: invariant — the init path is selected by run config, and a
   // resumed run restores the RNG state whose position already includes
   // this phase's draws (see the note above), so stream position is
   // path-consistent.
-  if (resuming) {
-    candidates.assign(resume_ck.candidates.begin(),
-                      resume_ck.candidates.end());
-  } else if (params.two_step_init) {
+  if (!resuming) {
     const size_t sample_size = std::min(n, params.sample_factor * k);
     const size_t candidate_size =
         std::max(k, std::min(sample_size, params.candidate_factor * k));
-    std::vector<size_t> sample =
-        rng.SampleWithoutReplacement(n, sample_size);
-    auto sample_coords =
-        FetchWithRetry(source, sample, params.retry, &stats, params.cancel);
-    PROCLUS_RETURN_IF_ERROR(sample_coords.status());
-    Dataset sample_dataset(std::move(sample_coords).value());
-    std::vector<size_t> local(sample.size());
-    std::iota(local.begin(), local.end(), size_t{0});
-    std::vector<size_t> picked = GreedyPick(
-        sample_dataset, local, candidate_size, params.init_metric, rng);
-    candidates.reserve(picked.size());
-    for (size_t local_index : picked)
-      candidates.push_back(sample[local_index]);
-  } else {
-    const size_t sample_size = std::min(n, params.sample_factor * k);
-    const size_t candidate_size =
-        std::max(k, std::min(sample_size, params.candidate_factor * k));
-    candidates = rng.SampleWithoutReplacement(n, candidate_size);
+    if (params.two_step_init) {
+      std::vector<size_t> sample =
+          rng.SampleWithoutReplacement(n, sample_size);
+      auto sample_coords = FetchWithRetry(source, sample, params.retry,
+                                          &stats, params.cancel);
+      PROCLUS_RETURN_IF_ERROR(sample_coords.status());
+      Dataset sample_dataset(std::move(sample_coords).value());
+      std::vector<size_t> local(sample.size());
+      std::iota(local.begin(), local.end(), size_t{0});
+      std::vector<size_t> picked =
+          GreedyPick(sample_dataset, local, candidate_size,
+                     MetricKind::kManhattan, rng);
+      candidates.reserve(picked.size());
+      for (size_t local_index : picked)
+        candidates.push_back(sample[local_index]);
+    } else {
+      candidates = rng.SampleWithoutReplacement(n, candidate_size);
+    }
   }
   // invariant: candidate_size was clamped to >= k, both sampling paths
   // return exactly candidate_size indices, and ValidateCheckpoint
@@ -635,109 +609,33 @@ Result<ProjectedClustering> RunProclusOnSource(const PointSource& source,
   ScanExecutor executor(scan_options);
   FusedScratch fused;
 
-  double best_objective = std::numeric_limits<double>::infinity();
-  std::vector<size_t> best_slots;
-  std::vector<DimensionSet> best_dims;
-  std::vector<int> best_labels;
-  size_t iterations = 0;    // Committed totals of COMPLETED restarts;
-  size_t improvements = 0;  // the in-progress climb's counts live in st.
-
-  size_t first_restart = 0;
-  ClimbState seeded;
-  bool have_seed = false;
-  if (resuming) {
-    first_restart = resume_ck.restart;
-    best_objective = resume_ck.best_objective;
-    best_slots.assign(resume_ck.best_slots.begin(),
-                      resume_ck.best_slots.end());
-    best_dims = DimsFromLists(resume_ck.best_dims, d);
-    best_labels.assign(resume_ck.best_labels.begin(),
-                       resume_ck.best_labels.end());
-    iterations = resume_ck.total_iterations;
-    improvements = resume_ck.total_improvements;
-    seeded.current.assign(resume_ck.climb_current.begin(),
-                          resume_ck.climb_current.end());
-    seeded.out.objective = resume_ck.climb_objective;
-    seeded.out.slots.assign(resume_ck.climb_slots.begin(),
-                            resume_ck.climb_slots.end());
-    seeded.out.dims = DimsFromLists(resume_ck.climb_dims, d);
-    seeded.out.labels.assign(resume_ck.climb_labels.begin(),
-                             resume_ck.climb_labels.end());
-    seeded.out.iterations = resume_ck.climb_iterations;
-    seeded.out.improvements = resume_ck.climb_improvements;
-    seeded.bad.assign(resume_ck.climb_bad.begin(),
-                      resume_ck.climb_bad.end());
-    seeded.since_improvement = resume_ck.since_improvement;
-    have_seed = true;
-    rng.RestoreState(resume_ck.rng);
-  }
-
-  size_t current_restart = first_restart;
-  ClimbHook hook;
-  if (!params.checkpoint.path.empty()) {
-    hook = [&](const ClimbState& cs, bool force_save) -> Status {
-      if (force_save) {
-        if (!params.checkpoint.save_on_cancel) return Status::OK();
-      } else if (cs.out.iterations % params.checkpoint.every_iterations !=
-                 0) {
-        return Status::OK();
-      }
-      ProclusCheckpoint ck;
-      ck.fingerprint = fingerprint;
-      ck.num_dims = d;
-      ck.restart = current_restart;
-      ck.rng = rng.SaveState();
-      ck.candidates.assign(candidates.begin(), candidates.end());
-      ck.climb_current.assign(cs.current.begin(), cs.current.end());
-      ck.climb_objective = cs.out.objective;
-      ck.climb_slots.assign(cs.out.slots.begin(), cs.out.slots.end());
-      ck.climb_dims.reserve(cs.out.dims.size());
-      for (const DimensionSet& ds : cs.out.dims)
-        ck.climb_dims.push_back(ds.ToVector());
-      ck.climb_labels.assign(cs.out.labels.begin(), cs.out.labels.end());
-      ck.climb_iterations = cs.out.iterations;
-      ck.climb_improvements = cs.out.improvements;
-      ck.climb_bad.assign(cs.bad.begin(), cs.bad.end());
-      ck.since_improvement = cs.since_improvement;
-      ck.best_objective = best_objective;
-      ck.best_slots.assign(best_slots.begin(), best_slots.end());
-      ck.best_dims.reserve(best_dims.size());
-      for (const DimensionSet& ds : best_dims)
-        ck.best_dims.push_back(ds.ToVector());
-      ck.best_labels.assign(best_labels.begin(), best_labels.end());
-      ck.total_iterations = iterations;
-      ck.total_improvements = improvements;
-      return SaveCheckpointFile(ck, params.checkpoint.path);
-    };
-  }
-
-  for (size_t restart = first_restart; restart < params.num_restarts;
-       ++restart) {
-    current_restart = restart;
-    ClimbState st;
-    // draws: invariant — the seeded restart skips the draw precisely
+  for (; state.restart < params.num_restarts; ++state.restart) {
+    // draws: invariant — the resumed restart skips the draw precisely
     // because the checkpointed RNG state already consumed it before the
     // snapshot; fresh restarts draw it here. Stream position matches in
     // both cases.
-    if (have_seed && restart == first_restart) {
-      st = std::move(seeded);
-    } else {
-      st.current = rng.SampleWithoutReplacement(candidates.size(), k);
+    if (!resuming) {
+      state.current = rng.SampleWithoutReplacement(candidates.size(), k);
+      state.bad.clear();
+      state.since_improvement = 0;
     }
-    PROCLUS_RETURN_IF_ERROR(FusedClimb(source, params, candidate_coords, st,
-                                       rng, executor, fused, stats, hook));
-    iterations += st.out.iterations;
-    improvements += st.out.improvements;
-    if (st.out.objective < best_objective) {
-      best_objective = st.out.objective;
-      best_slots = std::move(st.out.slots);
-      best_dims = std::move(st.out.dims);
-      best_labels = std::move(st.out.labels);
-    }
+    resuming = false;
+    PROCLUS_RETURN_IF_ERROR(FusedClimb(source, params, candidate_coords,
+                                       state, rng, executor, fused, stats));
+    // The finished climb leaves the state blank for the next restart (and
+    // its labels are freed before the refinement); the best record keeps
+    // the completed restarts' totals.
+    ClimbRecord climb = std::exchange(state.climb, ClimbRecord{});
+    const uint64_t iterations = state.best.iterations + climb.iterations;
+    const uint64_t improvements = state.best.improvements + climb.improvements;
+    if (climb.objective < state.best.objective) state.best = std::move(climb);
+    state.best.iterations = iterations;
+    state.best.improvements = improvements;
   }
+  ClimbRecord& best = state.best;
   // invariant: num_restarts >= 1 (validated) and every restart runs at
   // least one hill-climbing iteration, which always records a best set.
-  PROCLUS_CHECK(!best_slots.empty());
+  PROCLUS_CHECK(!best.slots.empty());
   stats.locality_cache_hits = fused.dist_cache.hits;
   stats.locality_cache_misses = fused.dist_cache.misses;
   stats.locality_row_hits = fused.dist_cache.row_hits;
@@ -749,18 +647,18 @@ Result<ProjectedClustering> RunProclusOnSource(const PointSource& source,
   stats.iterative_seconds = phase_timer.ElapsedSeconds();
 
   ProjectedClustering result;
-  result.iterations = iterations;
-  result.improvements = improvements;
+  result.iterations = best.iterations;
+  result.improvements = best.improvements;
   result.medoids.reserve(k);
-  for (size_t slot : best_slots) result.medoids.push_back(candidates[slot]);
+  for (size_t slot : best.slots) result.medoids.push_back(candidates[slot]);
   Matrix medoid_coords;
-  SlotsToCoords(candidate_coords, best_slots, &medoid_coords);
+  SlotsToCoords(candidate_coords, best.slots, &medoid_coords);
   result.medoid_coords = medoid_coords;
 
   if (!params.refine) {
-    result.dimensions = std::move(best_dims);
-    result.labels = std::move(best_labels);
-    result.objective = best_objective;
+    for (const auto& list : best.dims) result.dimensions.emplace_back(d, list);
+    result.labels = std::move(best.labels);
+    result.objective = best.objective;
     stats.total_seconds = total_timer.ElapsedSeconds();
     result.stats = stats;
     // invariant: every fit satisfies the paper's output invariants.
@@ -776,7 +674,7 @@ Result<ProjectedClustering> RunProclusOnSource(const PointSource& source,
   phase_timer.Reset();
   const uint64_t scans_before_refine = stats.scans_issued;
   ClusterStatsConsumer cluster_stats;
-  PROCLUS_RETURN_IF_ERROR(cluster_stats.Bind(&medoid_coords, &best_labels));
+  PROCLUS_RETURN_IF_ERROR(cluster_stats.Bind(&medoid_coords, &best.labels));
   PROCLUS_RETURN_IF_ERROR(executor.Run(source, {&cluster_stats}));
   auto refined_dims = FindDimensions(cluster_stats.stats(), params.avg_dims);
   PROCLUS_RETURN_IF_ERROR(refined_dims.status());
@@ -799,14 +697,14 @@ Result<ProjectedClustering> RunProclusOnSource(const PointSource& source,
       if (dist < spheres[i]) spheres[i] = dist;
     }
   }
-  result.spheres = spheres;
+  result.spheres = std::move(spheres);
   result.dimensions = std::move(refined_dims).value();
 
   AssignConsumer refine;
-  PROCLUS_RETURN_IF_ERROR(refine.BindRefine(
-      &medoid_coords, &result.dimensions, &spheres,
-      params.segmental_normalization, params.detect_outliers,
-      /*accumulate_centroids=*/true));
+  PROCLUS_RETURN_IF_ERROR(refine.Bind(
+      &medoid_coords, &result.dimensions, params.segmental_normalization,
+      /*accumulate_centroids=*/true,
+      params.detect_outliers ? &result.spheres : nullptr));
   PROCLUS_RETURN_IF_ERROR(executor.Run(source, {&refine}));
   DeviationConsumer deviation;
   PROCLUS_RETURN_IF_ERROR(

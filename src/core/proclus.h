@@ -36,36 +36,26 @@
 #include "core/model.h"
 #include "data/dataset.h"
 #include "data/point_source.h"
-#include "distance/metric.h"
 
 namespace proclus {
 
-/// Periodic checkpointing of the iterative phase. When `path` is
-/// non-empty, the run atomically rewrites a checkpoint file (see
+/// Checkpointing of the iterative phase. When `path` is non-empty, the
+/// run resumes from a compatible checkpoint at that path if one exists
+/// (a missing file starts fresh; a mismatched or damaged one is an error,
+/// never silently ignored), and atomically rewrites the file (see
 /// core/model_io.h) at the top of every `every_iterations`-th
-/// hill-climbing iteration, and — when `resume` is set — restores from an
-/// existing compatible checkpoint at that path instead of starting over.
-/// A resumed run is bit-identical to an uninterrupted one: the checkpoint
-/// carries the full RNG state, so the remaining iterations replay the
-/// exact random stream the interrupted run would have drawn.
+/// hill-climbing iteration and when the run's CancelContext fires at the
+/// top of an iteration. A resumed run is bit-identical to an
+/// uninterrupted one: the checkpoint carries the full RNG state, so the
+/// remaining iterations replay the exact random stream the interrupted
+/// run would have drawn. A cancellation that lands mid-scan saves
+/// nothing; the run resumes from the last periodic save.
 struct CheckpointOptions {
   /// Checkpoint file path; empty disables checkpointing entirely.
   std::string path;
   /// Save period in hill-climbing iterations (per capture opportunity at
   /// the top of each iteration). Must be >= 1 when `path` is set.
   size_t every_iterations = 16;
-  /// Resume from an existing checkpoint at `path` if one is present and
-  /// matches this run's configuration fingerprint. A missing file starts
-  /// fresh; a mismatched or damaged file is an error, never silently
-  /// ignored.
-  bool resume = true;
-  /// Cancel-to-checkpoint: when the run's CancelContext fires at the top
-  /// of a hill-climbing iteration, write a checkpoint immediately
-  /// (bypassing every_iterations) before returning the cancellation
-  /// status, so the interrupted run resumes bit-identically from where it
-  /// stopped. A cancellation that lands mid-scan unwinds to the last
-  /// periodic checkpoint instead — resume is bit-identical either way.
-  bool save_on_cancel = true;
 };
 
 /// Tunable parameters of PROCLUS. Defaults follow the paper where it gives
@@ -97,15 +87,12 @@ struct ProclusParams {
   /// search from CLARANS, whose `numlocal` restarts are the standard
   /// escape from the local optima a single climb gets stuck in.
   size_t num_restarts = 4;
-  /// Metric used by the greedy initialization (full-dimensional).
-  MetricKind init_metric = MetricKind::kManhattan;
   /// Seed for all randomness in the run.
   uint64_t seed = 1;
-  /// Worker threads for the data passes. Results are bit-identical for
-  /// every value (block-ordered deterministic reduction). In-memory
-  /// sources split each scan's blocks across the workers; a ShardedSource
-  /// scans min(num_threads, shards) shards at once, disk shards included.
-  /// Any other source, such as a lone DiskSource, scans sequentially.
+  /// Worker threads for the data passes (ScanOptions::num_threads): every
+  /// source's blocks are spread over the workers, and a source read from
+  /// storage gets twice as many. Results are bit-identical for every value
+  /// (block-ordered deterministic reduction).
   size_t num_threads = 1;
   /// Rows per scan block / disk read.
   size_t block_rows = 8192;
@@ -123,11 +110,11 @@ struct ProclusParams {
   /// showing why the greedy step matters.
   bool two_step_init = true;
   // --- Resilience (no effect on results, only on survival). ---
-  /// Retry schedule for transient I/O failures (IOError/DataLoss): scans
-  /// are re-issued whole by the executor after resetting every consumer,
-  /// and fetches are re-issued via FetchWithRetry. Results are
-  /// bit-identical whether or not any retry happened; RunStats records
-  /// retries / failed_scans / wasted_rows.
+  /// Retry schedule for transient I/O failures (IOError/DataLoss): the
+  /// executor re-issues a failed block read for that block alone, and
+  /// FetchWithRetry re-issues a failed fetch. Results are bit-identical
+  /// whether or not any retry happened; RunStats records retries /
+  /// failed_scans / wasted_rows.
   RetryPolicy retry{};
   /// Periodic checkpoint/resume of the iterative phase.
   CheckpointOptions checkpoint{};
@@ -137,7 +124,7 @@ struct ProclusParams {
   /// block's work; backoff sleeps are interruptible. Like retry, it can
   /// never change results — a run either completes with identical bits or
   /// returns kCancelled/kDeadlineExceeded (after a cancel-to-checkpoint
-  /// save when configured; see CheckpointOptions::save_on_cancel).
+  /// save when a checkpoint path is set; see CheckpointOptions).
   /// Excluded from the checkpoint fingerprint: a run may be resumed under
   /// a different deadline.
   CancelContext cancel{};

@@ -86,6 +86,11 @@ Result<TuneResult> AutoTuneAvgDims(const Dataset& dataset,
   if (tune.correlation_fraction <= 0.0 || tune.correlation_fraction >= 1.0)
     return Status::InvalidArgument(
         "correlation_fraction must be in (0, 1)");
+  if (!std::isfinite(tune.initial_avg_dims))
+    return Status::InvalidArgument("initial_avg_dims must be finite");
+  if (tune.initial_avg_dims < 2.0 ||
+      tune.initial_avg_dims > static_cast<double>(dataset.dims()))
+    return Status::InvalidArgument("initial_avg_dims must be in [2, d]");
   {
     ProclusParams probe = base;
     probe.avg_dims = tune.initial_avg_dims;

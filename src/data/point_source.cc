@@ -242,9 +242,8 @@ Result<Matrix> DiskSource::Fetch(std::span<const size_t> indices) const {
       return Status::OutOfRange("point index " + std::to_string(idx) +
                                 " out of range");
     if (idx < held.first || idx >= held.end) {
-      PROCLUS_RETURN_IF_ERROR(RunWithRetry(retry_, [&]() -> Status {
-        return ReadVerified(idx, idx + 1, &buffer, &held, &bytes_read, idx);
-      }));
+      PROCLUS_RETURN_IF_ERROR(
+          ReadVerified(idx, idx + 1, &buffer, &held, &bytes_read, idx));
     }
     std::memcpy(out.row(r).data(), held.data + (idx - held.first) * cols_,
                 row_bytes);

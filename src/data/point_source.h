@@ -37,7 +37,6 @@
 
 #include "common/cancel.h"
 #include "common/matrix.h"
-#include "common/retry.h"
 #include "common/status.h"
 #include "common/sync.h"
 #include "data/dataset.h"
@@ -242,9 +241,9 @@ class MemorySource final : public PointSource {
 /// offset. Version-1 snapshots (no checksums) are still readable,
 /// unverified.
 ///
-/// Resilience: Fetch re-issues transiently failed row reads under
-/// `retry_policy()`. Scan does not retry: the executor retries the failed
-/// block alone (ScanExecutor::Run).
+/// Resilience: neither Fetch nor Scan retries. The executor retries a
+/// failed block alone (ScanExecutor::Run), and FetchWithRetry a failed
+/// fetch.
 class DiskSource final : public PointSource {
  public:
   /// Opens and validates the snapshot at `path`.
@@ -253,10 +252,6 @@ class DiskSource final : public PointSource {
   size_t size() const override { return rows_; }
   size_t dims() const override { return cols_; }
   Result<Matrix> Fetch(std::span<const size_t> indices) const override;
-
-  /// Retry schedule for transient Fetch failures.
-  const RetryPolicy& retry_policy() const { return retry_; }
-  void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
 
   /// True when the snapshot carries a checksum table (version >= 2).
   bool verifies_checksums() const { return !checksums_.empty(); }
@@ -306,7 +301,6 @@ class DiskSource final : public PointSource {
   // (empty for v1 snapshots).
   size_t checksum_block_rows_;
   std::vector<uint64_t> checksums_;
-  RetryPolicy retry_;
 };
 
 }  // namespace proclus

@@ -14,8 +14,8 @@
 //    with hedged_scans / ShardIo::hedges recording the recovery.
 //  * Cancel-to-checkpoint: a PROCLUS fit cancelled mid-run leaves a
 //    checkpoint behind (forced at the loop top, or the last periodic one
-//    when save_on_cancel is off) from which a clean resume reproduces the
-//    uninterrupted result bit-for-bit.
+//    when the cancel lands mid-scan) from which a clean resume reproduces
+//    the uninterrupted result bit-for-bit.
 //  * The k-means baseline (RunKMeans) honors its CancelContext.
 
 #include "common/cancel.h"
@@ -700,36 +700,33 @@ TEST(ProclusCancelTest, CancelToCheckpointResumesBitIdentically) {
   ExpectSameResult(*resumed, *baseline);
 }
 
-TEST(ProclusCancelTest, SaveOnCancelOffFallsBackToPeriodicCheckpoint) {
+TEST(ProclusCancelTest, MidScanCancelFallsBackToPeriodicCheckpoint) {
   SyntheticData data = CheckpointFixture();
   MemorySource memory(data.dataset);
   auto baseline = RunProclusOnSource(memory, CheckpointBaseParams());
   ASSERT_TRUE(baseline.ok());
 
-  // Cancellation observed at the loop top after 4 completed iterations
-  // (the 9th completed scan: bootstrap + 4 iterations x 2); with
-  // save_on_cancel off, the run must NOT write a forced checkpoint —
-  // resume falls back to the last periodic save (captured at the loop
-  // top of the iteration after 2 completed, under every_iterations=2)
-  // and still replays to the identical result.
+  // Cancellation lands mid-scan: 60 blocks are the bootstrap scan's 8,
+  // three iterations' 48 and half the fourth iteration's assignment
+  // scan. A mid-scan cancel saves nothing, so the file holds the last
+  // periodic save, taken at the loop top after 2 completed iterations
+  // under every_iterations=2 (the top after 3 is not a save point).
+  // Resume replays from there to the identical result.
   const std::string ck_path = TestTempPath("periodic_fallback.pckp");
   std::remove(ck_path.c_str());
   CancelToken token;
-  CancelAfterScansSource cancelling(memory, &token, 9,
-                                    kCheckpointReadsPerScan);
+  CancelAfterBlocksSource cancelling(memory, &token, 60);
   ProclusParams params = CheckpointBaseParams();
   params.cancel.token = &token;
   params.checkpoint.path = ck_path;
   params.checkpoint.every_iterations = 2;
-  params.checkpoint.save_on_cancel = false;
   auto interrupted = RunProclusOnSource(cancelling, params);
   ASSERT_FALSE(interrupted.ok());
   EXPECT_EQ(interrupted.status().code(), StatusCode::kCancelled);
   auto saved = LoadCheckpointFile(ck_path);
   ASSERT_TRUE(saved.ok());
-  // Periodic saves land on even iteration counts; a forced save at the
-  // loop top of iteration 5 would have captured an odd one.
-  EXPECT_EQ(saved->climb_iterations % 2, 0u);
+  EXPECT_EQ(saved->restart, 0u);
+  EXPECT_EQ(saved->climb.iterations, 2u);
 
   ProclusParams resume = CheckpointBaseParams();
   resume.checkpoint.path = ck_path;

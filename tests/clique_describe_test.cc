@@ -57,7 +57,7 @@ TEST(DescribeTest, NumericBoundsFromGrid) {
   // Grid over [0, 100] x [0, 100] with 10 intervals each.
   Matrix m(2, 2, {0, 0, 100, 100});
   Dataset ds(std::move(m));
-  auto grid = Grid::Build(ds, 10);
+  auto grid = Grid::BuildFromSource(MemorySource(ds), 10);
   ASSERT_TRUE(grid.ok());
 
   CliqueCluster cluster;
@@ -76,7 +76,7 @@ TEST(DescribeTest, NumericBoundsFromGrid) {
 TEST(DescribeTest, MergeFoldsRegions) {
   Matrix m(2, 1, {0, 100});
   Dataset ds(std::move(m));
-  auto grid = Grid::Build(ds, 10);
+  auto grid = Grid::BuildFromSource(MemorySource(ds), 10);
   ASSERT_TRUE(grid.ok());
   CliqueCluster cluster;
   cluster.subspace = {0};

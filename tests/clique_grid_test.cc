@@ -5,19 +5,23 @@
 namespace proclus {
 namespace {
 
+Result<Grid> BuildGrid(const Dataset& ds, size_t xi) {
+  return Grid::BuildFromSource(MemorySource(ds), xi);
+}
+
 TEST(GridTest, ValidationErrors) {
   Dataset ds(Matrix(3, 2, {0, 0, 1, 1, 2, 2}));
-  EXPECT_FALSE(Grid::Build(ds, 1).ok());
-  EXPECT_FALSE(Grid::Build(ds, 256).ok());
-  EXPECT_FALSE(Grid::Build(Dataset(), 10).ok());
-  EXPECT_TRUE(Grid::Build(ds, 2).ok());
-  EXPECT_TRUE(Grid::Build(ds, 255).ok());
+  EXPECT_FALSE(BuildGrid(ds, 1).ok());
+  EXPECT_FALSE(BuildGrid(ds, 256).ok());
+  EXPECT_FALSE(BuildGrid(Dataset(), 10).ok());
+  EXPECT_TRUE(BuildGrid(ds, 2).ok());
+  EXPECT_TRUE(BuildGrid(ds, 255).ok());
 }
 
 TEST(GridTest, IntervalAssignment) {
   // Dim 0 spans [0, 10] with 10 intervals of width 1.
   Dataset ds(Matrix(2, 1, {0, 10}));
-  auto grid = Grid::Build(ds, 10);
+  auto grid = BuildGrid(ds, 10);
   ASSERT_TRUE(grid.ok());
   EXPECT_EQ(grid->Interval(0, 0.0), 0);
   EXPECT_EQ(grid->Interval(0, 0.999), 0);
@@ -30,7 +34,7 @@ TEST(GridTest, IntervalAssignment) {
 
 TEST(GridTest, OutOfRangeValuesClamp) {
   Dataset ds(Matrix(2, 1, {0, 10}));
-  auto grid = Grid::Build(ds, 10);
+  auto grid = BuildGrid(ds, 10);
   ASSERT_TRUE(grid.ok());
   EXPECT_EQ(grid->Interval(0, -5.0), 0);
   EXPECT_EQ(grid->Interval(0, 50.0), 9);
@@ -38,14 +42,14 @@ TEST(GridTest, OutOfRangeValuesClamp) {
 
 TEST(GridTest, ConstantDimensionAllInIntervalZero) {
   Dataset ds(Matrix(3, 1, {7, 7, 7}));
-  auto grid = Grid::Build(ds, 10);
+  auto grid = BuildGrid(ds, 10);
   ASSERT_TRUE(grid.ok());
   EXPECT_EQ(grid->Interval(0, 7.0), 0);
 }
 
 TEST(GridTest, IntervalBoundsRoundTrip) {
   Dataset ds(Matrix(2, 1, {-10, 30}));
-  auto grid = Grid::Build(ds, 8);
+  auto grid = BuildGrid(ds, 8);
   ASSERT_TRUE(grid.ok());
   for (uint8_t idx = 0; idx < 8; ++idx) {
     double lo, hi;
@@ -56,11 +60,13 @@ TEST(GridTest, IntervalBoundsRoundTrip) {
   }
 }
 
-TEST(GridTest, QuantizeAllMatchesPerPointInterval) {
+TEST(GridTest, QuantizeSourceMatchesPerPointInterval) {
   Dataset ds(Matrix(4, 2, {0, 0, 3, 9, 7, 5, 10, 10}));
-  auto grid = Grid::Build(ds, 5);
+  auto grid = BuildGrid(ds, 5);
   ASSERT_TRUE(grid.ok());
-  std::vector<uint8_t> cells = grid->QuantizeAll(ds);
+  auto quantized = grid->QuantizeSource(MemorySource(ds));
+  ASSERT_TRUE(quantized.ok());
+  const std::vector<uint8_t>& cells = *quantized;
   ASSERT_EQ(cells.size(), 8u);
   for (size_t i = 0; i < 4; ++i)
     for (size_t j = 0; j < 2; ++j)

@@ -47,24 +47,30 @@ void ExpectSameResult(const CliqueResult& a, const CliqueResult& b) {
 }
 
 TEST(CliqueSourceTest, GridFromSourceMatchesDataset) {
+  // The grid spans the data's per-dimension bounds in xi equal intervals,
+  // and every point lands in the interval of each of its coordinates.
   SourceFixture fixture = MakeFixture();
-  MemorySource memory(fixture.data.dataset);
-  auto from_dataset = Grid::Build(fixture.data.dataset, 10);
-  auto from_source = Grid::BuildFromSource(memory, 10);
-  ASSERT_TRUE(from_dataset.ok() && from_source.ok());
-  for (size_t j = 0; j < fixture.data.dataset.dims(); ++j) {
+  const Dataset& ds = fixture.data.dataset;
+  MemorySource memory(ds);
+  auto grid = Grid::BuildFromSource(memory, 10);
+  ASSERT_TRUE(grid.ok());
+  std::vector<double> mins, maxs;
+  ds.Bounds(&mins, &maxs);
+  for (size_t j = 0; j < ds.dims(); ++j) {
+    const double width = (maxs[j] - mins[j]) / 10.0;
     for (uint8_t idx = 0; idx < 10; ++idx) {
-      double lo1, hi1, lo2, hi2;
-      from_dataset->IntervalBounds(j, idx, &lo1, &hi1);
-      from_source->IntervalBounds(j, idx, &lo2, &hi2);
-      EXPECT_EQ(lo1, lo2);
-      EXPECT_EQ(hi1, hi2);
+      double lo, hi;
+      grid->IntervalBounds(j, idx, &lo, &hi);
+      EXPECT_EQ(lo, mins[j] + width * static_cast<double>(idx));
+      EXPECT_EQ(hi, lo + width);
     }
   }
-  auto cells_a = from_dataset->QuantizeAll(fixture.data.dataset);
-  auto cells_b = from_source->QuantizeSource(memory);
-  ASSERT_TRUE(cells_b.ok());
-  EXPECT_EQ(cells_a, *cells_b);
+  auto cells = grid->QuantizeSource(memory);
+  ASSERT_TRUE(cells.ok());
+  ASSERT_EQ(cells->size(), ds.size() * ds.dims());
+  for (size_t i = 0; i < ds.size(); ++i)
+    for (size_t j = 0; j < ds.dims(); ++j)
+      EXPECT_EQ((*cells)[i * ds.dims() + j], grid->Interval(j, ds.at(i, j)));
 }
 
 TEST(CliqueSourceTest, MemorySourceMatchesDataset) {

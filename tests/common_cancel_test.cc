@@ -9,18 +9,21 @@
 //  * InterruptibleSleep / HangUntilCancelled: truncated by the deadline,
 //    woken by the token, never oversleeping a cancelled context.
 //  * Integration with common/retry.h: kCancelled/kDeadlineExceeded are
-//    non-transient, and RunWithRetry abandons its loop (including
+//    non-transient, and FetchWithRetry abandons its loop (including
 //    mid-backoff) when the context fires.
 
 #include "common/cancel.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <span>
 #include <thread>
 
 #include "common/retry.h"
 #include "common/status.h"
+#include "data/engine.h"
 
 namespace proclus {
 namespace {
@@ -251,27 +254,48 @@ TEST(CancelRetryTest, CancellationCodesAreNotTransient) {
   EXPECT_TRUE(IsTransient(Status::IOError("flaky")));
 }
 
-TEST(CancelRetryTest, RunWithRetryStopsRetryingOnceCancelled) {
+// A one-point source whose every Fetch fails transiently. Each attempt
+// is counted and, when a token is given, cancels it.
+class FailingFetchSource final : public PointSource {
+ public:
+  explicit FailingFetchSource(CancelToken* cancel_on_fetch = nullptr)
+      : cancel_on_fetch_(cancel_on_fetch) {}
+
+  size_t size() const override { return 1; }
+  size_t dims() const override { return 1; }
+  Result<Matrix> Fetch(std::span<const size_t>) const override {
+    calls_.fetch_add(1, std::memory_order_relaxed);
+    if (cancel_on_fetch_ != nullptr) cancel_on_fetch_->Cancel();
+    return Status::IOError("transient");
+  }
+  size_t calls() const { return calls_.load(std::memory_order_relaxed); }
+
+ protected:
+  Status ScanBlocks(const ScanSpec&, const BlockVisitor&) const override {
+    return Status::IOError("transient");
+  }
+
+ private:
+  CancelToken* cancel_on_fetch_;
+  // order: relaxed — a counter read after the fetch returned.
+  mutable std::atomic<size_t> calls_{0};
+};
+
+TEST(CancelRetryTest, FetchWithRetryStopsRetryingOnceCancelled) {
   CancelToken token;
-  token.Cancel();
   CancelContext ctx;
   ctx.token = &token;
   RetryPolicy policy;
   policy.max_attempts = 4;
-  size_t calls = 0;
-  uint64_t retries = 0;
-  Status status = RunWithRetry(
-      policy,
-      [&calls] {
-        ++calls;
-        return Status::IOError("transient");
-      },
-      &retries, ctx);
-  // The transient failure would normally be retried; the cancelled
-  // context abandons the loop after the first attempt instead.
-  EXPECT_EQ(status.code(), StatusCode::kCancelled);
-  EXPECT_EQ(calls, 1u);
-  EXPECT_EQ(retries, 1u);  // The re-issue was counted, then abandoned.
+  FailingFetchSource source(&token);
+  RunStats stats;
+  const size_t index[1] = {0};
+  auto fetched = FetchWithRetry(source, index, policy, &stats, ctx);
+  // The transient failure would normally be retried; the context the
+  // first attempt cancelled abandons the loop instead.
+  EXPECT_EQ(fetched.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(source.calls(), 1u);
+  EXPECT_EQ(stats.retries, 1u);  // The re-issue was counted, then abandoned.
 }
 
 TEST(CancelRetryTest, BackoffSleepIsInterruptible) {
@@ -290,9 +314,10 @@ TEST(CancelRetryTest, BackoffSleepIsInterruptible) {
     token.Cancel();
   });
   const auto start = steady_clock::now();
-  Status status = RunWithRetry(
-      policy, [] { return Status::IOError("transient"); }, nullptr, ctx);
-  EXPECT_EQ(status.code(), StatusCode::kCancelled);
+  FailingFetchSource source;
+  const size_t index[1] = {0};
+  auto fetched = FetchWithRetry(source, index, policy, nullptr, ctx);
+  EXPECT_EQ(fetched.status().code(), StatusCode::kCancelled);
   EXPECT_LT(steady_clock::now() - start, std::chrono::minutes(5));
   canceller.join();
 }

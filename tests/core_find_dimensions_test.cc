@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -149,6 +150,21 @@ TEST(FindDimensionsTest, TotalEqualsKTimesL) {
       total += set.size();
     }
     EXPECT_EQ(total, static_cast<size_t>(std::llround(l * k)));
+  }
+}
+
+TEST(FindDimensionsTest, NonFiniteOrOutOfRangeAvgDimsIsRejectedByName) {
+  // k * l must lie in [0, k * d]; the check comes before any rounding.
+  Matrix X(2, 4, {1, 2, 3, 4, 4, 3, 2, 1});
+  for (double l : {std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity(), -1.0,
+                   1e300}) {
+    auto result = FindDimensions(X, l);
+    ASSERT_FALSE(result.ok()) << "l=" << l;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("avg_dims"), std::string::npos)
+        << result.status().ToString();
   }
 }
 

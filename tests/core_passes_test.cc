@@ -100,10 +100,9 @@ Result<std::vector<int>> RefineAssign(const PointSource& source,
                                       const std::vector<double>& spheres,
                                       bool detect_outliers) {
   AssignConsumer consumer;
-  PROCLUS_RETURN_IF_ERROR(consumer.BindRefine(
-      &fixture.medoids, &fixture.dims, &spheres,
-      /*segmental_normalization=*/true, detect_outliers,
-      /*accumulate_centroids=*/false));
+  PROCLUS_RETURN_IF_ERROR(consumer.Bind(
+      &fixture.medoids, &fixture.dims, /*segmental_normalization=*/true,
+      /*accumulate_centroids=*/false, detect_outliers ? &spheres : nullptr));
   PROCLUS_RETURN_IF_ERROR(ScanExecutor(ScanOptions{}).Run(source, {&consumer}));
   return consumer.TakeLabels();
 }
@@ -245,8 +244,8 @@ TEST(PassesTest, ValidationErrors) {
                    .ok());
   std::vector<double> wrong_spheres(2, 1.0);
   EXPECT_FALSE(AssignConsumer()
-                   .BindRefine(&fixture.medoids, &fixture.dims,
-                               &wrong_spheres, true, true, false)
+                   .Bind(&fixture.medoids, &fixture.dims, true, false,
+                         &wrong_spheres)
                    .ok());
 }
 

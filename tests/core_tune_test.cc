@@ -99,6 +99,23 @@ TEST(AutoTuneTest, NonFiniteCorrelationFractionIsRejectedByName) {
   }
 }
 
+TEST(AutoTuneTest, NonFiniteOrOutOfRangeInitialAvgDimsIsRejectedByName) {
+  SyntheticData data = TuneData();
+  for (double l : {std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity(), -1.0,
+                   1e300}) {
+    TuneParams tune;
+    tune.initial_avg_dims = l;
+    auto result = AutoTuneAvgDims(data.dataset, TuneBase(), tune);
+    ASSERT_FALSE(result.ok()) << "l=" << l;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("initial_avg_dims"),
+              std::string::npos)
+        << result.status().ToString();
+  }
+}
+
 TEST(AutoTuneTest, ConvergesToTrueAvgDims) {
   SyntheticData data = TuneData(23);
   TuneParams tune;

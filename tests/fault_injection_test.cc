@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "baselines/kmeans.h"
 #include "common/rng.h"
 #include "core/proclus.h"
 #include "data/binary_io.h"
@@ -347,6 +348,43 @@ TEST(FaultProclusTest, SurvivesInjectedFaultsBitIdentically) {
                 faulty.fault_counters().injected_fetch_faults,
             0u);
   EXPECT_GT(faulty.fault_counters().absorbed, 0u);
+}
+
+// k-means reads rows by position when it seeds its centers (and when it
+// re-seeds an empty cluster). Those fetches are retried like its scans:
+// over a source whose every read fails once, the fit matches the clean
+// one bit for bit.
+TEST(FaultKMeansTest, SurvivesFetchFaultsBitIdentically) {
+  Dataset ds = RandomDataset(600, 5, 13);
+  MemorySource inner(ds);
+  for (bool plus_plus : {true, false}) {
+    SCOPED_TRACE(plus_plus ? "k-means++ seeding" : "uniform seeding");
+    KMeansParams params;
+    params.num_clusters = 4;
+    params.seed = 7;
+    params.plus_plus_init = plus_plus;
+    params.block_rows = 128;
+    auto clean = RunKMeansOnSource(inner, params);
+    ASSERT_TRUE(clean.ok());
+
+    FaultPlan plan;
+    plan.fail_rate = 1.0;
+    plan.max_consecutive = 1;
+    FaultInjectingPointSource faulty(inner, plan);
+    auto survived = RunKMeansOnSource(faulty, params);
+    ASSERT_TRUE(survived.ok()) << survived.status().ToString();
+    EXPECT_EQ(survived->labels, clean->labels);
+    EXPECT_EQ(ObjectiveBits(survived->inertia),
+              ObjectiveBits(clean->inertia));
+    EXPECT_EQ(survived->iterations, clean->iterations);
+    ASSERT_EQ(survived->centroids.size(), clean->centroids.size());
+    for (size_t c = 0; c < clean->centroids.size(); ++c)
+      for (size_t j = 0; j < clean->centroids[c].size(); ++j)
+        EXPECT_EQ(ObjectiveBits(survived->centroids[c][j]),
+                  ObjectiveBits(clean->centroids[c][j]));
+    EXPECT_GT(faulty.fault_counters().injected_fetch_faults, 0u);
+    EXPECT_GT(survived->stats.retries, 0u);
+  }
 }
 
 // Counter exactness under concurrency (meaningful under TSan, which runs

@@ -2,6 +2,7 @@
 // combination must uphold the structural contracts regardless of the
 // statistical quality of the result.
 
+#include <cmath>
 #include <set>
 
 #include <gtest/gtest.h>

@@ -273,7 +273,7 @@ Result<ProjectedClustering> Proclus(const Dataset& dataset,
     const std::vector<size_t> sample =
         rng.SampleWithoutReplacement(data.n, sample_size);
     candidates = GreedyPick(dataset, sample, candidate_size,
-                            params.init_metric, rng);
+                            MetricKind::kManhattan, rng);
   } else {
     candidates = rng.SampleWithoutReplacement(data.n, candidate_size);
   }

@@ -4,22 +4,27 @@
 // distance/metric.h) against the block-batched kernels (distance/batch.h)
 // on a block-partitioned input, driving them exactly as the scan
 // consumers do: one KernelScratch reused across blocks of
-// kDefaultBlockRows. Three kernels are measured at d in {20, 100}:
+// kDefaultBlockRows. Three kernels are measured at d in {20, 100}, and
+// the Manhattan kernel also at perfbench mem_d200's shape (20,000 rows
+// of d = 200):
 //
 //   segmental   - k-medoid argmin assignment on per-medoid dimension
 //                 lists (the PROCLUS assignment hot path)
 //   manhattan   - full-dimensional Manhattan distances to k reference
-//                 points sharing one tile (the locality-statistics path)
+//                 points sharing each row read (the locality-statistics
+//                 path)
 //   sqeuclidean - full-dimensional squared Euclidean argmin (the Lloyd
 //                 assignment step)
 //
-// Each cell is timed over --reps=N passes (at least 5) and reports the
-// throughput of the fastest, median and slowest pass; --json records
-// the kernel clone that ran (host.kernel_isa, distance/batch.h
-// KernelIsa). Every batched output is checked bit-identical to its
-// scalar reference on every run. --smoke additionally asserts the
-// batched path is at least as fast as the scalar path for each
-// configuration and exits nonzero otherwise — wired into ctest (label
+// Each cell is timed over --reps=N passes of each side (at least 5),
+// scalar and batched passes interleaved so that a burst of host load
+// lands on both, and reports the throughput of the fastest, median and
+// slowest pass; --json records the kernel clone that ran
+// (host.kernel_isa, distance/batch.h KernelIsa). Every batched output
+// is checked bit-identical to its scalar reference on every run. --smoke
+// additionally asserts that the fastest batched pass is no slower than
+// the fastest scalar pass for each configuration, printing every pass
+// of both sides and exiting nonzero otherwise — wired into ctest (label
 // bench_smoke) so a vectorization regression cannot land silently.
 
 #include <algorithm>
@@ -74,24 +79,49 @@ Input MakeInput(size_t n, size_t d, uint64_t seed) {
   return input;
 }
 
-// Wall times of `reps` calls of one pass: the fastest, the median and
-// the slowest.
+// Wall times of one side's passes: the fastest, the median and the
+// slowest.
 struct Spread {
   double best = 0.0;
   double median = 0.0;
   double worst = 0.0;
 };
 
-template <typename Fn>
-Spread TimeReps(size_t reps, Fn pass) {
-  std::vector<double> seconds(reps);
-  for (double& s : seconds) {
-    Timer timer;
-    pass();
-    s = timer.ElapsedSeconds();
-  }
+Spread SpreadOf(std::vector<double> seconds) {
   std::sort(seconds.begin(), seconds.end());
-  return {seconds.front(), seconds[reps / 2], seconds.back()};
+  return {seconds.front(), seconds[seconds.size() / 2], seconds.back()};
+}
+
+template <typename Fn>
+double TimePass(Fn& pass) {
+  Timer timer;
+  pass();
+  return timer.ElapsedSeconds();
+}
+
+// Wall times of `reps` passes of each side, in run order. The sides
+// alternate pass by pass, and so does which of them goes first.
+struct KernelResult {
+  std::vector<double> scalar_seconds;
+  std::vector<double> batch_seconds;
+  bool identical = false;
+};
+
+template <typename Scalar, typename Batch>
+KernelResult TimeInterleaved(size_t reps, Scalar scalar, Batch batch) {
+  KernelResult result;
+  result.scalar_seconds.resize(reps);
+  result.batch_seconds.resize(reps);
+  for (size_t i = 0; i < reps; ++i) {
+    if (i % 2 == 0) {
+      result.scalar_seconds[i] = TimePass(scalar);
+      result.batch_seconds[i] = TimePass(batch);
+    } else {
+      result.batch_seconds[i] = TimePass(batch);
+      result.scalar_seconds[i] = TimePass(scalar);
+    }
+  }
+  return result;
 }
 
 // Visits the input in scan-sized blocks, like ScanExecutor does.
@@ -105,19 +135,12 @@ void VisitBlocks(const Input& input, Fn fn) {
   }
 }
 
-struct KernelResult {
-  Spread scalar_seconds;
-  Spread batch_seconds;
-  bool identical = false;
-};
-
 KernelResult BenchSegmental(const Input& input, size_t reps) {
   const size_t d = input.d;
   std::vector<int> labels_scalar(input.n), labels_batch(input.n);
   std::vector<double> best_scalar(input.n), best_batch(input.n);
   KernelScratch scratch;
-  KernelResult result;
-  result.scalar_seconds = TimeReps(reps, [&] {
+  auto scalar = [&] {
     VisitBlocks(input, [&](size_t first, std::span<const double> block,
                             size_t rows) {
       for (size_t r = 0; r < rows; ++r) {
@@ -136,8 +159,8 @@ KernelResult BenchSegmental(const Input& input, size_t reps) {
         best_scalar[first + r] = best;
       }
     });
-  });
-  result.batch_seconds = TimeReps(reps, [&] {
+  };
+  auto batch = [&] {
     VisitBlocks(input, [&](size_t first, std::span<const double> block,
                             size_t rows) {
       SegmentalArgminBatch(block, rows, d, input.medoids, input.dim_lists,
@@ -146,7 +169,8 @@ KernelResult BenchSegmental(const Input& input, size_t reps) {
       std::copy(scratch.best.begin(), scratch.best.begin() + rows,
                 best_batch.begin() + first);
     });
-  });
+  };
+  KernelResult result = TimeInterleaved(reps, scalar, batch);
   result.identical =
       labels_scalar == labels_batch && best_scalar == best_batch;
   return result;
@@ -157,8 +181,7 @@ KernelResult BenchManhattan(const Input& input, size_t reps) {
   std::vector<double> out_scalar(kMedoids * input.n);
   std::vector<double> out_batch(kMedoids * input.n);
   KernelScratch scratch;
-  KernelResult result;
-  result.scalar_seconds = TimeReps(reps, [&] {
+  auto scalar = [&] {
     VisitBlocks(input, [&](size_t first, std::span<const double> block,
                             size_t rows) {
       for (size_t r = 0; r < rows; ++r) {
@@ -168,12 +191,12 @@ KernelResult BenchManhattan(const Input& input, size_t reps) {
               ManhattanDistance(point, input.medoids.row(m));
       }
     });
-  });
+  };
   // The batched path mirrors LocalityStatsConsumer: one many-reference
   // call per block writing an [medoid x row] panel, then a copy into the
   // row-major comparison layout (charged to the batched time).
   std::vector<double> panel(kMedoids * kDefaultBlockRows);
-  result.batch_seconds = TimeReps(reps, [&] {
+  auto batch = [&] {
     VisitBlocks(input, [&](size_t first, std::span<const double> block,
                             size_t rows) {
       ManhattanManyBatch(block, rows, d, input.medoids, scratch,
@@ -182,7 +205,8 @@ KernelResult BenchManhattan(const Input& input, size_t reps) {
         std::copy(panel.begin() + m * rows, panel.begin() + (m + 1) * rows,
                   out_batch.begin() + m * input.n + first);
     });
-  });
+  };
+  KernelResult result = TimeInterleaved(reps, scalar, batch);
   result.identical = out_scalar == out_batch;
   return result;
 }
@@ -197,8 +221,7 @@ KernelResult BenchSquaredEuclidean(const Input& input, size_t reps) {
   std::vector<int> labels_scalar(input.n), labels_batch(input.n);
   std::vector<double> best_scalar(input.n), best_batch(input.n);
   KernelScratch scratch;
-  KernelResult result;
-  result.scalar_seconds = TimeReps(reps, [&] {
+  auto scalar = [&] {
     VisitBlocks(input, [&](size_t first, std::span<const double> block,
                             size_t rows) {
       for (size_t r = 0; r < rows; ++r) {
@@ -216,8 +239,8 @@ KernelResult BenchSquaredEuclidean(const Input& input, size_t reps) {
         best_scalar[first + r] = best;
       }
     });
-  });
-  result.batch_seconds = TimeReps(reps, [&] {
+  };
+  auto batch = [&] {
     VisitBlocks(input, [&](size_t first, std::span<const double> block,
                             size_t rows) {
       SquaredEuclideanArgminBatch(block, rows, d, centers, scratch,
@@ -225,10 +248,17 @@ KernelResult BenchSquaredEuclidean(const Input& input, size_t reps) {
       std::copy(scratch.best.begin(), scratch.best.begin() + rows,
                 best_batch.begin() + first);
     });
-  });
+  };
+  KernelResult result = TimeInterleaved(reps, scalar, batch);
   result.identical =
       labels_scalar == labels_batch && best_scalar == best_batch;
   return result;
+}
+
+void PrintPasses(const char* side, const std::vector<double>& seconds) {
+  std::fprintf(stderr, "  %s passes (s, in run order):", side);
+  for (double s : seconds) std::fprintf(stderr, " %.5f", s);
+  std::fprintf(stderr, "\n");
 }
 
 }  // namespace
@@ -239,32 +269,36 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
 
-  const size_t n = options.Points(100000);
   const size_t reps = std::max<size_t>(5, options.repetitions);
   bool ok = true;
 
+  // paper_n is the row count before --quick / --scale: the paper's
+  // 100,000, or 20,000 for perfbench mem_d200's shape.
   struct Config {
     const char* kernel;
     size_t d;
+    size_t paper_n;
     KernelResult (*run)(const Input&, size_t);
   };
   const Config configs[] = {
-      {"segmental", 20, BenchSegmental},
-      {"segmental", 100, BenchSegmental},
-      {"manhattan", 20, BenchManhattan},
-      {"manhattan", 100, BenchManhattan},
-      {"sqeuclidean", 20, BenchSquaredEuclidean},
-      {"sqeuclidean", 100, BenchSquaredEuclidean},
+      {"segmental", 20, 100000, BenchSegmental},
+      {"segmental", 100, 100000, BenchSegmental},
+      {"manhattan", 20, 100000, BenchManhattan},
+      {"manhattan", 100, 100000, BenchManhattan},
+      {"manhattan", 200, 20000, BenchManhattan},
+      {"sqeuclidean", 20, 100000, BenchSquaredEuclidean},
+      {"sqeuclidean", 100, 100000, BenchSquaredEuclidean},
   };
   for (const Config& config : configs) {
+    const size_t n = options.Points(config.paper_n);
     Input input = MakeInput(n, config.d, options.seed);
     KernelResult result = config.run(input, reps);
     const double pairs =
         static_cast<double>(n) * static_cast<double>(kMedoids);
     const std::string name =
         std::string(config.kernel) + " d=" + std::to_string(config.d);
-    const Spread& scalar = result.scalar_seconds;
-    const Spread& batch = result.batch_seconds;
+    const Spread scalar = SpreadOf(result.scalar_seconds);
+    const Spread batch = SpreadOf(result.batch_seconds);
     PrintHeader(name);
     PrintKV("rows", static_cast<double>(n));
     PrintKV("reps", static_cast<double>(reps));
@@ -277,14 +311,20 @@ int main(int argc, char** argv) {
     PrintKV("batched Mpairs/s min", pairs / batch.worst / 1e6);
     PrintKV("speedup", scalar.best / batch.best);
     PrintKV("bit identical", result.identical ? "yes" : "no");
+    bool cell_ok = true;
     if (!result.identical) {
       std::fprintf(stderr, "FAIL %s: batched != scalar\n", name.c_str());
-      ok = false;
+      cell_ok = false;
     }
     if (smoke && batch.best > scalar.best) {
       std::fprintf(stderr,
                    "FAIL %s: batched slower than scalar (%.4fs vs %.4fs)\n",
                    name.c_str(), batch.best, scalar.best);
+      cell_ok = false;
+    }
+    if (!cell_ok) {
+      PrintPasses("scalar", result.scalar_seconds);
+      PrintPasses("batched", result.batch_seconds);
       ok = false;
     }
   }

@@ -359,7 +359,7 @@ void LocalityStatsConsumer::ConsumeBlock(size_t block_index, size_t first_row,
   if (num_acc == 0) return;  // Every row came from the memo.
   // Distances to the needed medoids are computed once per point and
   // shared: one many-reference kernel scores them all against each
-  // gathered sub-tile. Dividing the Manhattan sum by d afterwards is
+  // group of rows it reads. Dividing the Manhattan sum by d afterwards is
   // exactly FullSegmental's operation order, so every distance stays
   // bit-identical to the per-point scalar loop.
   //

@@ -154,6 +154,15 @@ struct FusedScratch {
 
 constexpr size_t kNoVariant = static_cast<size_t>(-1);
 
+// No source checks its values, so a NaN or infinite coordinate first
+// shows as a non-finite objective. The climb would take a NaN objective
+// for "no improvement" on every iteration.
+Status NonFiniteObjective() {
+  return Status::InvalidArgument(
+      "the objective is not finite: the data hold a non-finite "
+      "coordinate, or their differences overflow");
+}
+
 // One hill-climbing restart on the fused scan engine: two physical scans
 // per iteration.
 //
@@ -322,6 +331,7 @@ Status FusedClimb(const PointSource& source, const ProclusParams& params,
     }
     ++stats.iterative_scans;
     const double objective = s.deviation.objective();
+    if (!std::isfinite(objective)) return NonFiniteObjective();
 
     const bool improved = objective < out.objective;
     if (improved) {
@@ -712,6 +722,7 @@ Result<ProjectedClustering> RunProclusOnSource(const PointSource& source,
                      &refine.cluster_sizes(), &result.dimensions));
   PROCLUS_RETURN_IF_ERROR(executor.Run(source, {&deviation}));
   result.objective = deviation.objective();
+  if (!std::isfinite(result.objective)) return NonFiniteObjective();
   result.labels = refine.TakeLabels();
   stats.refine_scans = stats.scans_issued - scans_before_refine;
   stats.refine_seconds = phase_timer.ElapsedSeconds();

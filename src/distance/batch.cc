@@ -60,6 +60,86 @@ namespace proclus {
 
 namespace {
 
+// Eight doubles in one 64-byte vector: one lane per row of a row group.
+// Each clone lowers the type to its own width (one zmm register, two ymm
+// or four xmm). Helpers take these by pointer only: a 64-byte vector
+// passed by value has a different ABI in the baseline clone (-Wpsabi).
+typedef double Lanes __attribute__((vector_size(64)));
+typedef uint64_t LaneBits __attribute__((vector_size(64)));
+constexpr size_t kLanes = 8;
+
+// Loads columns [0, 8) of the eight rows at row_ptr (row stride `stride`
+// doubles) and transposes them in registers, so col[c] lane l holds
+// row l's column c. Three shuffle stages swap 1-, 2- and 4-lane blocks.
+PROCLUS_KERNEL_HELPER
+void LoadTransposed8x8(const double* row_ptr, size_t stride, Lanes* col) {
+  Lanes r[kLanes];
+  for (size_t i = 0; i < kLanes; ++i)
+    __builtin_memcpy(&r[i], row_ptr + i * stride, sizeof(Lanes));
+  // t[2p] = rows 2p, 2p+1 interleaved at even columns; t[2p+1] at odd.
+  Lanes t[kLanes];
+  for (size_t i = 0; i < kLanes; i += 2) {
+    t[i] = __builtin_shufflevector(r[i], r[i + 1], 0, 8, 2, 10, 4, 12, 6, 14);
+    t[i + 1] =
+        __builtin_shufflevector(r[i], r[i + 1], 1, 9, 3, 11, 5, 13, 7, 15);
+  }
+  // s[q] = rows 0-3 (q < 4) or 4-7 of columns q % 4 and q % 4 + 4.
+  Lanes s[kLanes];
+  for (size_t i = 0; i < kLanes; i += 4) {
+    s[i] = __builtin_shufflevector(t[i], t[i + 2], 0, 1, 8, 9, 4, 5, 12, 13);
+    s[i + 2] =
+        __builtin_shufflevector(t[i], t[i + 2], 2, 3, 10, 11, 6, 7, 14, 15);
+    s[i + 1] =
+        __builtin_shufflevector(t[i + 1], t[i + 3], 0, 1, 8, 9, 4, 5, 12, 13);
+    s[i + 3] =
+        __builtin_shufflevector(t[i + 1], t[i + 3], 2, 3, 10, 11, 6, 7, 14, 15);
+  }
+  for (size_t c = 0; c < 4; ++c) {
+    col[c] =
+        __builtin_shufflevector(s[c], s[c + 4], 0, 1, 2, 3, 8, 9, 10, 11);
+    col[c + 4] =
+        __builtin_shufflevector(s[c], s[c + 4], 4, 5, 6, 7, 12, 13, 14, 15);
+  }
+}
+
+// Scores R references (points rows m .. m + R - 1) against the eight rows
+// at `group`, the rows from r0 on: outs[m + a][r0 + l] = ManhattanDistance
+// (row l, reference a). Lane l of acc[a] starts at +0.0 and adds
+// |x_j - ref_j| for ascending j — the scalar loop's order — whether j
+// falls in a transposed 8 x 8 block or in the columns after the last one.
+// Clearing the sign bit is std::fabs exactly, NaN included. The eight
+// rows at `next` are prefetched block by block as this group's are
+// loaded: eight row streams at a stride of d doubles outrun the hardware
+// prefetchers once d is large (d = 200 rows span four pages per group).
+template <size_t R>
+PROCLUS_KERNEL_HELPER
+void ManhattanRowGroup(const double* group, const double* next, size_t d,
+                       const Matrix& points, size_t m, double* const* outs,
+                       size_t r0) {
+  const LaneBits abs_mask = ~LaneBits{} >> 1;
+  const double* ref[R];
+  for (size_t a = 0; a < R; ++a) ref[a] = points.row(m + a).data();
+  Lanes acc[R] = {};
+  size_t j0 = 0;
+  for (; j0 + kLanes <= d; j0 += kLanes) {
+    for (size_t i = 0; i < kLanes; ++i) __builtin_prefetch(next + i * d + j0);
+    Lanes col[kLanes];
+    LoadTransposed8x8(group + j0, d, col);
+    for (size_t c = 0; c < kLanes; ++c)
+      for (size_t a = 0; a < R; ++a)
+        acc[a] += (Lanes)((LaneBits)(col[c] - ref[a][j0 + c]) & abs_mask);
+  }
+  for (size_t j = j0; j < d; ++j) {
+    const Lanes col = {group[j],         group[d + j],     group[2 * d + j],
+                       group[3 * d + j], group[4 * d + j], group[5 * d + j],
+                       group[6 * d + j], group[7 * d + j]};
+    for (size_t a = 0; a < R; ++a)
+      acc[a] += (Lanes)((LaneBits)(col - ref[a][j]) & abs_mask);
+  }
+  for (size_t a = 0; a < R; ++a)
+    __builtin_memcpy(outs[m + a] + r0, &acc[a], sizeof(Lanes));
+}
+
 // Leading dimension of the gathered sub-tile. kKernelRowTile is a power
 // of two, so unpadded columns would sit exactly 8 KiB apart and every
 // column's write/read stream would map onto the same L1 cache sets; the
@@ -99,12 +179,6 @@ struct SegmentalFold {
   double operator()(double acc, double value, double ref) const {
     double diff = value - ref;
     return acc + (diff < 0 ? -diff : diff);
-  }
-};
-
-struct ManhattanFold {
-  double operator()(double acc, double value, double ref) const {
-    return acc + std::fabs(value - ref);
   }
 };
 
@@ -244,22 +318,43 @@ void ManhattanManyBatch(std::span<const double> block, size_t rows,
   PROCLUS_DCHECK(points.cols() == dims_total);
   PROCLUS_DCHECK(outs.size() == points.rows());
   const size_t u = points.rows();
+  const size_t d = dims_total;
   ++scratch.batches;
   scratch.rows_scored += rows * u;
-  scratch.tile.resize(dims_total * kTileLd);
-  double* tile = scratch.tile.data();
-  for (size_t r0 = 0; r0 < rows; r0 += kKernelRowTile) {
-    const size_t n = std::min(kKernelRowTile, rows - r0);
-    GatherSubTile(block.data(), dims_total, nullptr, dims_total, r0, n, tile);
-    if (u > 0) scratch.tile_hits += u - 1;
-    size_t m = 0;
-    for (; m + 1 < u; m += 2)
-      AccumulatePair(tile, n, dims_total, points.row(m).data(),
-                     points.row(m + 1).data(), nullptr, outs[m] + r0,
-                     outs[m + 1] + r0, ManhattanFold{});
-    if (m < u)
-      AccumulateOne(tile, n, dims_total, points.row(m).data(), nullptr,
-                    outs[m] + r0, ManhattanFold{});
+  // Counted as in the tiled kernels: each kKernelRowTile rows are read
+  // once and folded by u references.
+  if (u > 0)
+    scratch.tile_hits +=
+        (u - 1) * ((rows + kKernelRowTile - 1) / kKernelRowTile);
+  double* const* out = outs.data();
+  size_t r0 = 0;
+  // Up to four references share each transposed row group; more than
+  // four re-read the group's rows from L1.
+  for (; r0 + kLanes <= rows; r0 += kLanes) {
+    const double* group = block.data() + r0 * d;
+    // The last full group prefetches itself rather than point past the
+    // block.
+    const double* next = r0 + 2 * kLanes <= rows ? group + kLanes * d : group;
+    for (size_t m = 0; m < u; m += 4) {
+      switch (std::min<size_t>(4, u - m)) {
+        case 1: ManhattanRowGroup<1>(group, next, d, points, m, out, r0); break;
+        case 2: ManhattanRowGroup<2>(group, next, d, points, m, out, r0); break;
+        case 3: ManhattanRowGroup<3>(group, next, d, points, m, out, r0); break;
+        default:
+          ManhattanRowGroup<4>(group, next, d, points, m, out, r0);
+          break;
+      }
+    }
+  }
+  // Rows after the last full group: the scalar loop itself.
+  for (; r0 < rows; ++r0) {
+    const double* row = block.data() + r0 * d;
+    for (size_t m = 0; m < u; ++m) {
+      const double* ref = points.row(m).data();
+      double sum = 0.0;
+      for (size_t j = 0; j < d; ++j) sum += std::fabs(row[j] - ref[j]);
+      out[m][r0] = sum;
+    }
   }
 }
 

@@ -6,22 +6,29 @@
 // chain, so the compiler cannot vectorize it without reassociating the
 // additions — which would change results bit-for-bit. The batch kernels
 // follow the opposite design rule: *vectorize across points, not within a
-// point*. Rows are processed in sub-tiles of kKernelRowTile points: the
-// reference's `dims` columns are gathered from the row-major block into a
-// |dims| x kKernelRowTile column tile (padded leading dimension, so the
-// column streams never alias the same cache sets), then distances
-// accumulate dimension-by-dimension into per-point accumulators. Each
-// point's additions still happen in ascending-dimension order — exactly
-// the scalar loop's order — so every output is bit-identical to the
-// scalar reference (property-tested in tests/distance_batch_test.cc)
-// while the inner loop over points is contiguous, dependency-free, and
-// auto-vectorizable.
+// point*. Each point's additions still happen in ascending-dimension
+// order — exactly the scalar loop's order — so every output is
+// bit-identical to the scalar reference (property-tested in
+// tests/distance_batch_test.cc). Two layouts put several points' values
+// of one dimension side by side (DESIGN.md §9):
 //
-// Multi-reference kernels (the argmin variants and ManhattanManyBatch)
-// keep each gathered sub-tile resident in cache while every reference
-// folds over it, so a block's coordinates are read from memory once per
-// scan instead of once per reference; that reuse is what `tile_hits`
-// counts.
+//   * ManhattanManyBatch, the full-width fold of the locality scan,
+//     loads eight rows at a time and transposes them 8 x 8 in registers;
+//     each reference keeps an 8-lane accumulator. Every row is read once
+//     per call and nothing but the outputs is written.
+//   * The selected-dimension and Lloyd kernels gather a reference's
+//     `dims` columns of kKernelRowTile rows into a |dims| x
+//     kKernelRowTile column tile (padded leading dimension, so the
+//     column streams never alias the same cache sets), then accumulate
+//     dimension by dimension over contiguous, dependency-free loops over
+//     points. A tile of a few selected dimensions is small; a full-width
+//     one (the Lloyd kernels) is d x 8 KiB and outgrows a 48 KiB L1d
+//     from d = 6.
+//
+// Multi-reference kernels fold every reference over one read of the rows
+// — a gathered sub-tile or a transposed row group — so a block's
+// coordinates come from memory once per call instead of once per
+// reference; that reuse is what `tile_hits` counts.
 //
 // Scratch discipline: kernels never allocate on the steady-state path.
 // Callers own a KernelScratch per (consumer, block) — ConsumeBlock runs
@@ -45,9 +52,11 @@
 
 namespace proclus {
 
-/// Rows per gathered sub-tile. Small enough that a full-width tile
-/// (d x kKernelRowTile doubles) stays cache-resident while several
-/// references fold over it.
+/// Rows per gathered sub-tile, and the unit `tile_hits` counts in. A
+/// tile of a segmental kernel's selected dimensions (|dims| x 8 KiB)
+/// stays in L1 or L2 while several references fold over it. A
+/// full-width tile is d x 8 KiB, 1.6 MB at d = 200 against a 48 KiB
+/// L1d, so ManhattanManyBatch gathers none.
 inline constexpr size_t kKernelRowTile = 1024;
 
 /// Reusable buffers plus observability counters for the batch kernels.
@@ -57,8 +66,10 @@ struct KernelScratch {
   uint64_t batches = 0;
   /// (row, reference) pairs scored, summed over invocations.
   uint64_t rows_scored = 0;
-  /// Sub-tile reuses: gathered tiles folded over by an additional
-  /// reference instead of being re-gathered.
+  /// Row reuses: per kKernelRowTile rows, each reference after the
+  /// first that folds over rows already read (a gathered sub-tile, or
+  /// ManhattanManyBatch's transposed row groups) instead of reading
+  /// them again.
   uint64_t tile_hits = 0;
 
   void ResetCounters() {
@@ -69,7 +80,8 @@ struct KernelScratch {
 
   // Buffers below are kernel-internal; callers may read `best`/`inside`
   // after an argmin kernel as documented on the kernel.
-  std::vector<double> tile;    ///< |dims| x kKernelRowTile padded tile.
+  std::vector<double> tile;    ///< |dims| x kKernelRowTile padded tile
+                               ///< (the gathered-tile kernels only).
   std::vector<double> dist;    ///< Per-row distances (argmin kernels).
   std::vector<double> best;    ///< Per-row winning distance (argmin).
   std::vector<uint8_t> inside; ///< Per-row sphere flags (refine argmin).
@@ -103,9 +115,10 @@ void SegmentalDistanceBatch(std::span<const double> block, size_t rows,
                             std::span<double* const> outs);
 
 /// out[m * rows + r] = ManhattanDistance(row r, points.row(m)) for every
-/// reference row m; bit-identical to the scalar kernel. Each gathered
-/// sub-tile is shared by all references (the locality-statistics path:
-/// u medoids against the same block).
+/// reference row m; bit-identical to the scalar kernel. Rows are read
+/// eight at a time and transposed in registers, and up to four
+/// references fold over each transposed group (the locality-statistics
+/// path: u medoids against the same block). Uses no scratch.tile.
 void ManhattanManyBatch(std::span<const double> block, size_t rows,
                         size_t dims_total, const Matrix& points,
                         KernelScratch& scratch, double* out);
@@ -113,7 +126,7 @@ void ManhattanManyBatch(std::span<const double> block, size_t rows,
 /// Scatter-output variant: reference m's distances land at outs[m][0..rows)
 /// instead of a contiguous u x rows panel. Lets a caller stream per-medoid
 /// distance columns into independently-owned buffers (the locality
-/// distance cache) without a copy; same tiling, same bit-exact results.
+/// distance cache) without a copy; same loads, same bit-exact results.
 void ManhattanManyBatch(std::span<const double> block, size_t rows,
                         size_t dims_total, const Matrix& points,
                         KernelScratch& scratch,

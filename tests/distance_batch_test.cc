@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -118,22 +119,48 @@ TEST(DistanceBatchTest, FullDimensionalKernelsMatchScalarBitForBit) {
 }
 
 TEST(DistanceBatchTest, ManhattanManyMatchesScalarForEveryReference) {
+  // Shapes around the kernel's 8-row groups and 8 x 8 register blocks:
+  // d below, at and past one block; rows below, at and past one group,
+  // past a kKernelRowTile sub-tile and past a scan block; reference
+  // counts that leave every remainder of the four references a group
+  // folds at once. A third of the rows and references carry one of
+  // -0.0, a subnormal, an infinity or a NaN, and results are compared as
+  // bit patterns.
+  const double specials[] = {-0.0,
+                             0.0,
+                             std::numeric_limits<double>::denorm_min(),
+                             -std::numeric_limits<double>::denorm_min(),
+                             1e-310,
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN(),
+                             -std::numeric_limits<double>::quiet_NaN()};
   Rng rng(7003);
-  for (size_t rows : kRowCounts) {
-    const size_t d = 9;
-    // Odd and even reference counts cover both the paired loop and the
-    // leftover single-reference path.
-    for (size_t u : {size_t{1}, size_t{2}, size_t{5}}) {
+  auto sprinkle = [&](std::span<double> values) {
+    if (rng.UniformInt(3) != 0) return;
+    values[rng.UniformInt(values.size())] =
+        specials[rng.UniformInt(std::size(specials))];
+  };
+  for (size_t d : {1, 2, 7, 8, 9, 16, 17, 200}) {
+    for (size_t rows : {1, 7, 8, 9, 1025, 8193}) {
       std::vector<double> block = RandomBlock(rng, rows, d);
-      Matrix points = RandomMatrix(rng, u, d);
-      std::vector<double> out(u * rows);
-      KernelScratch scratch;
-      ManhattanManyBatch(block, rows, d, points, scratch, out.data());
-      for (size_t m = 0; m < u; ++m) {
-        for (size_t r = 0; r < rows; ++r) {
-          std::span<const double> row(block.data() + r * d, d);
-          ASSERT_EQ(out[m * rows + r], ManhattanDistance(row, points.row(m)))
-              << "u=" << u << " m=" << m << " r=" << r;
+      for (size_t r = 0; r < rows; ++r)
+        sprinkle(std::span<double>(block.data() + r * d, d));
+      for (size_t u : {1, 2, 3, 5, 8, 9, 17}) {
+        Matrix points = RandomMatrix(rng, u, d);
+        for (size_t m = 0; m < u; ++m) sprinkle(points.row(m));
+        std::vector<double> out(u * rows);
+        KernelScratch scratch;
+        ManhattanManyBatch(block, rows, d, points, scratch, out.data());
+        for (size_t m = 0; m < u; ++m) {
+          for (size_t r = 0; r < rows; ++r) {
+            std::span<const double> row(block.data() + r * d, d);
+            ASSERT_EQ(std::bit_cast<uint64_t>(out[m * rows + r]),
+                      std::bit_cast<uint64_t>(
+                          ManhattanDistance(row, points.row(m))))
+                << "d=" << d << " rows=" << rows << " u=" << u << " m=" << m
+                << " r=" << r;
+          }
         }
       }
     }

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -171,6 +172,62 @@ TEST(EdgeCaseTest, ProclusHugeBlockRowsOnDiskEqualMemory) {
       auto fit = RunProclusOnSource(*sources[s], params);
       ASSERT_TRUE(fit.ok()) << fit.status().ToString();
       ExpectSameFit(*fit, base.fit);
+    }
+  }
+}
+
+// A NaN or infinite coordinate once aborted the process: the climb's
+// first objective came out NaN, `NaN < +inf` is false, so the first
+// iteration counted as not improving and tripped the climb's invariant
+// check. Every such fit, from memory or from a snapshot file, must now
+// end in a Status naming the fault or in a model that passes
+// ValidateClustering.
+TEST(EdgeCaseTest, ProclusNonFiniteCoordinateIsAStatusNotAnAbort) {
+  GeneratorParams gen;
+  gen.num_points = 600;
+  gen.space_dims = 6;
+  gen.num_clusters = 2;
+  gen.cluster_dim_counts = {3, 3};
+  gen.seed = 5;
+  auto data = GenerateSynthetic(gen);
+  ASSERT_TRUE(data.ok());
+  ProclusParams params;
+  params.num_clusters = 2;
+  params.avg_dims = 3.0;
+  params.seed = 7;
+  const size_t n = gen.num_points;
+  const double values[] = {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()};
+  for (double value : values) {
+    for (bool whole_column : {true, false}) {
+      Dataset dataset = data->dataset;
+      if (whole_column) {
+        for (size_t i = 0; i < n; ++i) dataset.matrix()(i, 0) = value;
+      } else {
+        dataset.matrix()(n / 2, 0) = value;
+      }
+      const std::string path = TestTempPath("nonfinite.bin");
+      ASSERT_TRUE(WriteBinaryFile(dataset, path).ok());
+      auto disk = DiskSource::Open(path);
+      ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+      MemorySource memory(dataset);
+      const PointSource* sources[] = {&memory, &*disk};
+      const char* names[] = {"memory", "disk"};
+      for (size_t s = 0; s < 2; ++s) {
+        SCOPED_TRACE(std::string(names[s]) + ", value " +
+                     std::to_string(value) +
+                     (whole_column ? ", whole column" : ", one cell"));
+        auto fit = RunProclusOnSource(*sources[s], params);
+        if (fit.ok()) {
+          EXPECT_TRUE(ValidateClustering(*fit, params, n).ok());
+        } else {
+          EXPECT_EQ(fit.status().code(), StatusCode::kInvalidArgument);
+          EXPECT_NE(fit.status().message().find("non-finite coordinate"),
+                    std::string::npos)
+              << fit.status().ToString();
+        }
+      }
     }
   }
 }

@@ -9,6 +9,9 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
+#if defined(__linux__)
+#include <sched.h>
+#endif
 #endif
 
 #include "common/timer.h"
@@ -264,16 +267,28 @@ void FinishJson(const std::string& binary) {
   if (!json_output) return;
   // Host metadata, so a committed baseline records what machine shaped
   // its timings and which kernel clone ran (counters are
-  // machine-independent; seconds are not).
+  // machine-independent; seconds are not). affinity_cpus is the number
+  // of CPUs the process may run on: `taskset -c 2` makes it 1 while
+  // hardware_concurrency still counts every CPU of the host. 0 where the
+  // platform cannot tell.
   long page_size = 0;
 #if defined(_SC_PAGESIZE)
   page_size = sysconf(_SC_PAGESIZE);
 #endif
+  int affinity_cpus = 0;
+#if defined(__linux__)
+  cpu_set_t cpus;
+  CPU_ZERO(&cpus);
+  if (sched_getaffinity(0, sizeof(cpus), &cpus) == 0)
+    affinity_cpus = CPU_COUNT(&cpus);
+#endif
   std::printf("{\"binary\": \"%s\", \"host\": "
-              "{\"hardware_concurrency\": %u, \"kernel_isa\": \"%s\", "
-              "\"page_size_bytes\": %ld}, \"sections\": [",
+              "{\"hardware_concurrency\": %u, \"affinity_cpus\": %d, "
+              "\"kernel_isa\": \"%s\", \"page_size_bytes\": %ld}, "
+              "\"sections\": [",
               JsonEscape(binary).c_str(),
-              std::thread::hardware_concurrency(), KernelIsa(), page_size);
+              std::thread::hardware_concurrency(), affinity_cpus,
+              KernelIsa(), page_size);
   for (size_t s = 0; s < json_sections.size(); ++s) {
     const JsonSection& section = json_sections[s];
     std::printf("%s\n  {\"title\": \"%s\", \"values\": [",

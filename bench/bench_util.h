@@ -102,8 +102,9 @@ void PrintRunStats(const std::string& prefix, const RunStats& stats);
 void PrintTable(const std::string& name, const TableWriter& table);
 
 /// In JSON mode, writes the captured document
-///   {"binary": <name>, "host": {hardware_concurrency, kernel_isa,
-///    page_size_bytes}, "sections": [{"title": ..., "values": [[k, v]...]}]}
+///   {"binary": <name>, "host": {hardware_concurrency, affinity_cpus,
+///    kernel_isa, page_size_bytes}, "sections": [{"title": ...,
+///    "values": [[k, v]...]}]}
 /// to stdout and clears the capture buffer; otherwise a no-op. Call once
 /// at the end of main.
 void FinishJson(const std::string& binary);

@@ -16,6 +16,16 @@
 //   sqeuclidean - full-dimensional squared Euclidean argmin (the Lloyd
 //                 assignment step)
 //
+// One more cell, "evaluation d=200", times the two sums of Figure 6 at
+// mem_d200's shape (five clusters of ten dimensions, 5% outliers): its
+// "scalar" side is the full-width LabeledSumBatch and
+// LabeledAbsDeviationBatch the consumers once ran, its "batched" side
+// GroupRowsByLabel plus the restricted kernels, which add only each
+// cluster's own columns. Its throughput counts rows, and its
+// bit-identity covers every listed entry and the counts. It has no
+// d = 20 twin: there the two sides tie, and the --smoke rule would fail
+// at random.
+//
 // Each cell is timed over --reps=N passes of each side (at least 5),
 // scalar and batched passes interleaved so that a burst of host load
 // lands on both, and reports the throughput of the fastest, median and
@@ -28,6 +38,8 @@
 // bench_smoke) so a vectorization regression cannot land silently.
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -255,6 +267,85 @@ KernelResult BenchSquaredEuclidean(const Input& input, size_t reps) {
   return result;
 }
 
+KernelResult BenchEvaluation(const Input& input, size_t reps) {
+  const size_t d = input.d;
+  const size_t k = kMedoids;
+  // mem_d200's lists: ten dimensions per cluster, drawn apart.
+  constexpr size_t kEvaluationDims = 10;
+  Rng rng(input.n * 31 + d);
+  std::vector<std::vector<uint32_t>> dim_lists(k);
+  for (std::vector<uint32_t>& list : dim_lists) {
+    while (list.size() < kEvaluationDims) {
+      const uint32_t j = static_cast<uint32_t>(rng.UniformInt(d));
+      if (std::find(list.begin(), list.end(), j) == list.end())
+        list.push_back(j);
+    }
+    std::sort(list.begin(), list.end());
+  }
+  std::vector<int> labels(input.n);
+  for (int& label : labels)
+    label = rng.UniformInt(20) == 0 ? -1 : static_cast<int>(rng.UniformInt(k));
+  const Matrix& centroids = input.medoids;
+
+  // Per-block partial sums, deviations and counts of each side.
+  struct Partials {
+    std::vector<double> sums, deviations;
+    std::vector<size_t> count;
+  };
+  const size_t num_blocks =
+      (input.n + kDefaultBlockRows - 1) / kDefaultBlockRows;
+  std::vector<Partials> full(num_blocks), restricted(num_blocks);
+  auto reset = [&](Partials& p) {
+    p.sums.assign(k * d, 0.0);
+    p.deviations.assign(k * d, 0.0);
+    p.count.assign(k, 0);
+  };
+  KernelScratch scratch;
+  KernelScratch groups;
+  auto scalar = [&] {
+    VisitBlocks(input, [&](size_t first, std::span<const double> block,
+                            size_t rows) {
+      Partials& p = full[first / kDefaultBlockRows];
+      reset(p);
+      const int* block_labels = labels.data() + first;
+      LabeledSumBatch(block, rows, d, block_labels, k, p.sums.data(),
+                      p.count.data());
+      LabeledAbsDeviationBatch(block, rows, d, block_labels, centroids,
+                               scratch, p.deviations.data(),
+                               /*count=*/nullptr);
+    });
+  };
+  auto batch = [&] {
+    VisitBlocks(input, [&](size_t first, std::span<const double> block,
+                            size_t rows) {
+      Partials& p = restricted[first / kDefaultBlockRows];
+      reset(p);
+      GroupRowsByLabel(labels.data() + first, rows, k, groups);
+      RestrictedLabeledSumBatch(block, d, dim_lists, groups, p.sums.data(),
+                                p.count.data());
+      RestrictedLabeledAbsDeviationBatch(block, rows, d, centroids,
+                                         dim_lists, groups, scratch,
+                                         p.deviations.data());
+    });
+  };
+  KernelResult result = TimeInterleaved(reps, scalar, batch);
+  result.identical = true;
+  for (size_t b = 0; b < num_blocks; ++b) {
+    if (full[b].count != restricted[b].count) result.identical = false;
+    for (size_t i = 0; i < k; ++i) {
+      for (uint32_t j : dim_lists[i]) {
+        const size_t at = i * d + j;
+        if (std::bit_cast<uint64_t>(full[b].sums[at]) !=
+                std::bit_cast<uint64_t>(restricted[b].sums[at]) ||
+            std::bit_cast<uint64_t>(full[b].deviations[at]) !=
+                std::bit_cast<uint64_t>(restricted[b].deviations[at]))
+          result.identical = false;
+      }
+    }
+  }
+  return result;
+}
+
 void PrintPasses(const char* side, const std::vector<double>& seconds) {
   std::fprintf(stderr, "  %s passes (s, in run order):", side);
   for (double s : seconds) std::fprintf(stderr, " %.5f", s);
@@ -273,42 +364,47 @@ int main(int argc, char** argv) {
   bool ok = true;
 
   // paper_n is the row count before --quick / --scale: the paper's
-  // 100,000, or 20,000 for perfbench mem_d200's shape.
+  // 100,000, or 20,000 for perfbench mem_d200's shape. A distance cell
+  // scores kMedoids pairs per row; the evaluation cell adds each row to
+  // one cluster.
   struct Config {
     const char* kernel;
     size_t d;
     size_t paper_n;
     KernelResult (*run)(const Input&, size_t);
+    size_t per_row;
   };
   const Config configs[] = {
-      {"segmental", 20, 100000, BenchSegmental},
-      {"segmental", 100, 100000, BenchSegmental},
-      {"manhattan", 20, 100000, BenchManhattan},
-      {"manhattan", 100, 100000, BenchManhattan},
-      {"manhattan", 200, 20000, BenchManhattan},
-      {"sqeuclidean", 20, 100000, BenchSquaredEuclidean},
-      {"sqeuclidean", 100, 100000, BenchSquaredEuclidean},
+      {"segmental", 20, 100000, BenchSegmental, kMedoids},
+      {"segmental", 100, 100000, BenchSegmental, kMedoids},
+      {"manhattan", 20, 100000, BenchManhattan, kMedoids},
+      {"manhattan", 100, 100000, BenchManhattan, kMedoids},
+      {"manhattan", 200, 20000, BenchManhattan, kMedoids},
+      {"sqeuclidean", 20, 100000, BenchSquaredEuclidean, kMedoids},
+      {"sqeuclidean", 100, 100000, BenchSquaredEuclidean, kMedoids},
+      {"evaluation", 200, 20000, BenchEvaluation, 1},
   };
   for (const Config& config : configs) {
     const size_t n = options.Points(config.paper_n);
     Input input = MakeInput(n, config.d, options.seed);
     KernelResult result = config.run(input, reps);
-    const double pairs =
-        static_cast<double>(n) * static_cast<double>(kMedoids);
+    const double work =
+        static_cast<double>(n) * static_cast<double>(config.per_row);
     const std::string name =
         std::string(config.kernel) + " d=" + std::to_string(config.d);
     const Spread scalar = SpreadOf(result.scalar_seconds);
     const Spread batch = SpreadOf(result.batch_seconds);
+    const std::string unit = config.per_row == 1 ? "Mrows/s" : "Mpairs/s";
     PrintHeader(name);
     PrintKV("rows", static_cast<double>(n));
     PrintKV("reps", static_cast<double>(reps));
     // Throughput of the fastest rep, then the median and slowest reps.
-    PrintKV("scalar Mpairs/s", pairs / scalar.best / 1e6);
-    PrintKV("scalar Mpairs/s median", pairs / scalar.median / 1e6);
-    PrintKV("scalar Mpairs/s min", pairs / scalar.worst / 1e6);
-    PrintKV("batched Mpairs/s", pairs / batch.best / 1e6);
-    PrintKV("batched Mpairs/s median", pairs / batch.median / 1e6);
-    PrintKV("batched Mpairs/s min", pairs / batch.worst / 1e6);
+    PrintKV("scalar " + unit, work / scalar.best / 1e6);
+    PrintKV("scalar " + unit + " median", work / scalar.median / 1e6);
+    PrintKV("scalar " + unit + " min", work / scalar.worst / 1e6);
+    PrintKV("batched " + unit, work / batch.best / 1e6);
+    PrintKV("batched " + unit + " median", work / batch.median / 1e6);
+    PrintKV("batched " + unit + " min", work / batch.worst / 1e6);
     PrintKV("speedup", scalar.best / batch.best);
     PrintKV("bit identical", result.identical ? "yes" : "no");
     bool cell_ok = true;

@@ -334,6 +334,13 @@ Result<KMeansResult> RunKMeansOnSource(const PointSource& source,
     lloyd.Bind(&centroids);
     PROCLUS_RETURN_IF_ERROR(executor.Run(source, {&lloyd}));
     result.inertia = lloyd.inertia();
+    // A NaN or infinite coordinate makes its row's distance, and so the
+    // inertia, non-finite; without this check the loop would run on to
+    // max_iterations and return non-finite centroids.
+    if (!std::isfinite(result.inertia))
+      return Status::InvalidArgument(
+          "the k-means inertia is not finite: the data hold a non-finite "
+          "coordinate, or their differences overflow");
 
     // Update step.
     double movement = 0.0;

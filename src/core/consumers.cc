@@ -444,6 +444,7 @@ Status AssignConsumer::Bind(const Matrix* medoids,
   spheres_ = spheres;
   segmental_ = segmental_normalization;
   accumulate_ = accumulate_centroids;
+  merged_centroids_ = false;
   cache_ = nullptr;
   slots_.clear();
   return Status::OK();
@@ -468,7 +469,8 @@ Status AssignConsumer::Prepare(const ScanGeometry& geometry) {
   if (medoids_ == nullptr) return Status::InvalidArgument("Bind not called");
   if (medoids_->cols() != geometry.dims)
     return Status::InvalidArgument("medoid dimensionality mismatch");
-  dims_ = geometry.dims;
+  geometry_ = geometry;
+  merged_centroids_ = false;
   const size_t k = medoids_->rows();
   labels_.resize(geometry.rows);
   if (accumulate_) partials_.resize(geometry.num_blocks);
@@ -502,7 +504,7 @@ Status AssignConsumer::Prepare(const ScanGeometry& geometry) {
 void AssignConsumer::ConsumeBlock(size_t block_index, size_t first_row,
                                   std::span<const double> data,
                                   size_t rows) {
-  const size_t d = dims_;
+  const size_t d = geometry_.dims;
   const size_t k = medoids_->rows();
   KernelScratch& scratch = scratch_[block_index];
   int* labels = labels_.data() + first_row;
@@ -534,11 +536,14 @@ void AssignConsumer::ConsumeBlock(size_t block_index, size_t first_row,
     ColumnArgminBatch(cols, rows, scratch, labels);
   }
   if (!accumulate_) return;
+  // Figure 6 reads centroid i on D_i only: group the rows by label and
+  // sum each cluster's own columns. DeviationConsumer reuses the groups.
   BlockSums& partial = partials_[block_index];
   partial.sums.assign(k * d, 0.0);
   partial.count.assign(k, 0);
-  LabeledSumBatch(data, rows, d, labels, k, partial.sums.data(),
-                  partial.count.data());
+  GroupRowsByLabel(labels, rows, k, scratch);
+  RestrictedLabeledSumBatch(data, d, dim_lists_, scratch, partial.sums.data(),
+                            partial.count.data());
 }
 
 ScanConsumer::KernelStats AssignConsumer::kernel_stats() const {
@@ -550,7 +555,9 @@ Status AssignConsumer::Merge() {
   // protocol in consumers.h.
   if (cache_ != nullptr) cache_->CommitColumns(fresh_entries_);
   if (!accumulate_) return Status::OK();
-  MergeMeans(partials_, medoids_->rows(), dims_, &centroids_, &counts_);
+  MergeMeans(partials_, medoids_->rows(), geometry_.dims, &centroids_,
+             &counts_);
+  merged_centroids_ = true;
   return Status::OK();
 }
 
@@ -601,51 +608,45 @@ Status ClusterStatsConsumer::Merge() {
 
 // ---------- DeviationConsumer ----------
 
-Status DeviationConsumer::Bind(const std::vector<int>* labels,
-                               const Matrix* centroids,
-                               const std::vector<size_t>* cluster_sizes,
-                               const std::vector<DimensionSet>* dims) {
-  if (labels == nullptr || centroids == nullptr || cluster_sizes == nullptr ||
-      dims == nullptr)
-    return Status::InvalidArgument("null deviation input");
-  if (dims->size() != centroids->rows() ||
-      cluster_sizes->size() != centroids->rows())
-    return Status::InvalidArgument("per-cluster input count mismatch");
-  labels_ = labels;
-  centroids_ = centroids;
-  counts_ = cluster_sizes;
-  dims_sets_ = dims;
-  // Materialize the per-cluster dimension lists once per Bind; the paper's
-  // objective only reads them in Merge, but re-extracting a bitset per
-  // cluster per scan is the exact allocation pattern tools/lint.py bans.
-  // Empty sets are tolerated here — Merge only requires non-empty lists
-  // for clusters that received points.
-  dim_lists_.resize(dims->size());
-  for (size_t i = 0; i < dims->size(); ++i)
-    dim_lists_[i] = (*dims)[i].ToVector();
+Status DeviationConsumer::Bind(const AssignConsumer& assign) {
+  if (!assign.accumulate_)
+    return Status::InvalidArgument(
+        "the deviation scan needs an assignment that sums centroids");
+  assign_ = &assign;
   return Status::OK();
 }
 
 Status DeviationConsumer::Prepare(const ScanGeometry& geometry) {
-  if (labels_ == nullptr) return Status::InvalidArgument("Bind not called");
-  if (labels_->size() != geometry.rows)
-    return Status::InvalidArgument("label count mismatch");
-  dims_ = geometry.dims;
+  if (assign_ == nullptr) return Status::InvalidArgument("Bind not called");
+  // The assignment's centroids, sizes and label groups describe the rows
+  // and blocks of its own last scan; any other scan would misread them.
+  const ScanGeometry& assigned = assign_->geometry_;
+  if (!assign_->merged_centroids_ || assigned.rows != geometry.rows ||
+      assigned.dims != geometry.dims ||
+      assigned.block_rows != geometry.block_rows ||
+      assigned.num_blocks != geometry.num_blocks)
+    return Status::InvalidArgument(
+        "the deviation scan must cover the rows and blocks of a merged "
+        "assignment scan");
   partials_.resize(geometry.num_blocks);
   PrepareKernelScratch(scratch_, geometry.num_blocks);
   return Status::OK();
 }
 
-void DeviationConsumer::ConsumeBlock(size_t block_index, size_t first_row,
+// The assignment's label groups hold block-relative rows, so the block's
+// first row is not needed.
+void DeviationConsumer::ConsumeBlock(size_t block_index,
+                                     size_t /*first_row*/,
                                      std::span<const double> data,
                                      size_t rows) {
-  const size_t d = dims_;
-  const size_t k = centroids_->rows();
+  const size_t d = assign_->geometry_.dims;
+  const Matrix& centroids = assign_->centroids_;
   BlockSums& partial = partials_[block_index];
-  partial.sums.assign(k * d, 0.0);
-  LabeledAbsDeviationBatch(data, rows, d, labels_->data() + first_row,
-                           *centroids_, scratch_[block_index],
-                           partial.sums.data(), /*count=*/nullptr);
+  partial.sums.assign(centroids.rows() * d, 0.0);
+  RestrictedLabeledAbsDeviationBatch(
+      data, rows, d, centroids, assign_->dim_lists_,
+      assign_->scratch_[block_index], scratch_[block_index],
+      partial.sums.data());
 }
 
 ScanConsumer::KernelStats DeviationConsumer::kernel_stats() const {
@@ -653,8 +654,8 @@ ScanConsumer::KernelStats DeviationConsumer::kernel_stats() const {
 }
 
 Status DeviationConsumer::Merge() {
-  const size_t d = dims_;
-  const size_t k = centroids_->rows();
+  const size_t d = assign_->geometry_.dims;
+  const size_t k = assign_->centroids_.rows();
   ResetMatrix(&deviation_, k, d);
   for (const BlockSums& partial : partials_) {
     if (partial.sums.empty()) continue;
@@ -666,9 +667,9 @@ Status DeviationConsumer::Merge() {
   double weighted = 0.0;
   size_t clustered = 0;
   for (size_t i = 0; i < k; ++i) {
-    const size_t count = (*counts_)[i];
+    const size_t count = assign_->counts_[i];
     if (count == 0) continue;
-    const std::vector<uint32_t>& dim_list = dim_lists_[i];
+    const std::vector<uint32_t>& dim_list = assign_->dim_lists_[i];
     // invariant: FindDimensions allocates >= 2 dimensions per medoid.
     PROCLUS_CHECK(!dim_list.empty());
     double w = 0.0;

@@ -243,7 +243,12 @@ class LocalityStatsConsumer final : public ScanConsumer {
 /// Assignment (Figure 5): each point goes to the medoid minimizing the
 /// Manhattan segmental distance on that medoid's dimensions, ties to the
 /// lower index. Optionally fuses the per-cluster centroid accumulation
-/// (the first of Figure 6's two scans) into the same pass.
+/// (the first of Figure 6's two scans) into the same pass. Figure 6 reads
+/// cluster i's centroid on D_i only, so only those coordinates are
+/// summed: each block groups its rows by label and adds every row into
+/// its own cluster's D_i columns (distance/batch.h,
+/// RestrictedLabeledSumBatch). A DeviationConsumer bound to this
+/// consumer reuses those groups.
 class AssignConsumer final : public ScanConsumer {
  public:
   /// `medoids` (k x d) and `dims` (k sets) must outlive the scan. With
@@ -280,11 +285,16 @@ class AssignConsumer final : public ScanConsumer {
   /// Moves the labels out (one-shot use; surrenders buffer reuse).
   std::vector<int> TakeLabels() { return std::move(labels_); }
   /// Cluster centroids (k x d) and sizes; valid after Merge when bound
-  /// with accumulate_centroids = true.
+  /// with accumulate_centroids = true. Row i holds the centroid on D_i,
+  /// the bound dimensions of medoid i; its entries off D_i are 0.
   const Matrix& centroids() const { return centroids_; }
   const std::vector<size_t>& cluster_sizes() const { return counts_; }
 
  private:
+  // DeviationConsumer reads the centroids' dimension lists and each
+  // block's label groups (scratch_[block]) of the last merged scan.
+  friend class DeviationConsumer;
+
   const Matrix* medoids_ = nullptr;
   const std::vector<DimensionSet>* dims_sets_ = nullptr;
   std::vector<std::vector<uint32_t>> dim_lists_;
@@ -296,8 +306,10 @@ class AssignConsumer final : public ScanConsumer {
   std::vector<KernelScratch> scratch_;  // [block]
   Matrix centroids_;
   std::vector<size_t> counts_;
-  size_t dims_ = 0;
   uint64_t distance_evals_ = 0;
+  // The geometry of the last scan, and whether it merged with centroids.
+  ScanGeometry geometry_;
+  bool merged_centroids_ = false;
   // Cached-binding state (empty/null for uncached binds): the column of
   // each medoid, the medoids whose column this scan scores and their
   // cache entries, and each block's column pointers at its first row.
@@ -337,18 +349,21 @@ class ClusterStatsConsumer final : public ScanConsumer {
 };
 
 /// Deviation evaluation (the second scan of Figure 6): accumulates
-/// per-dimension absolute deviations from the bound centroids and
+/// per-dimension absolute deviations from the assignment's centroids and
 /// reduces them to the paper's objective — the size-weighted average,
 /// over non-empty clusters, of the mean per-dimension deviation on the
-/// cluster's dimensions.
+/// cluster's dimensions. Only those dimensions are accumulated: cluster
+/// i adds |x_j - c_ij| for j in D_i alone, walking the rows the
+/// assignment grouped by label (RestrictedLabeledAbsDeviationBatch).
 class DeviationConsumer final : public ScanConsumer {
  public:
-  /// `centroids`/`cluster_sizes` are the outputs of an AssignConsumer
-  /// bound with accumulate_centroids and merged in an earlier scan; all
-  /// pointers must outlive the scan.
-  Status Bind(const std::vector<int>* labels, const Matrix* centroids,
-              const std::vector<size_t>* cluster_sizes,
-              const std::vector<DimensionSet>* dims);
+  /// Binds the outputs of `assign`, which must be bound with
+  /// accumulate_centroids: its centroids, cluster sizes and dimension
+  /// lists, and each block's rows grouped by label. The deviations are
+  /// thus summed on exactly the dimensions the centroids were. Prepare
+  /// fails unless `assign`'s last scan merged over the same rows,
+  /// dimensions and blocks. `assign` must outlive the scan.
+  Status Bind(const AssignConsumer& assign);
 
   Status Prepare(const ScanGeometry& geometry) override;
   void ConsumeBlock(size_t block_index, size_t first_row,
@@ -360,16 +375,11 @@ class DeviationConsumer final : public ScanConsumer {
   double objective() const { return objective_; }
 
  private:
-  const std::vector<int>* labels_ = nullptr;
-  const Matrix* centroids_ = nullptr;
-  const std::vector<size_t>* counts_ = nullptr;
-  const std::vector<DimensionSet>* dims_sets_ = nullptr;
-  std::vector<std::vector<uint32_t>> dim_lists_;  // cached per-cluster lists
+  const AssignConsumer* assign_ = nullptr;
   std::vector<BlockSums> partials_;  // count unused
   std::vector<KernelScratch> scratch_;  // [block]
   Matrix deviation_;
   double objective_ = 0.0;
-  size_t dims_ = 0;
 };
 
 }  // namespace proclus

@@ -133,7 +133,8 @@ void SlotsToCoords(const Matrix& candidate_coords,
 }
 
 // Long-lived consumers and buffers shared by every restart of the fused
-// climb, so steady-state iterations allocate nothing.
+// climb, so steady-state iterations allocate nothing. The refinement
+// reuses `assign` and `deviation` as well.
 struct FusedScratch {
   LocalityStatsConsumer locality;
   AssignConsumer assign;
@@ -287,9 +288,7 @@ Status FusedClimb(const PointSource& source, const ProclusParams& params,
 
     // Scan 2: deviation evaluation, fused with the speculative locality
     // statistics whenever a next iteration is possible.
-    PROCLUS_RETURN_IF_ERROR(
-        s.deviation.Bind(&s.assign.labels(), &s.assign.centroids(),
-                         &s.assign.cluster_sizes(), &*dims));
+    PROCLUS_RETURN_IF_ERROR(s.deviation.Bind(s.assign));
     size_t variant_a = kNoVariant;
     size_t variant_b = kNoVariant;
     if (need_a || need_b) {
@@ -710,16 +709,17 @@ Result<ProjectedClustering> RunProclusOnSource(const PointSource& source,
   result.spheres = std::move(spheres);
   result.dimensions = std::move(refined_dims).value();
 
-  AssignConsumer refine;
+  // The climb's two evaluation consumers run the refinement's Figure 6
+  // too, so their per-block buffers (labels, argmin scratch, label
+  // groups) are not allocated a second time.
+  AssignConsumer& refine = fused.assign;
   PROCLUS_RETURN_IF_ERROR(refine.Bind(
       &medoid_coords, &result.dimensions, params.segmental_normalization,
       /*accumulate_centroids=*/true,
       params.detect_outliers ? &result.spheres : nullptr));
   PROCLUS_RETURN_IF_ERROR(executor.Run(source, {&refine}));
-  DeviationConsumer deviation;
-  PROCLUS_RETURN_IF_ERROR(
-      deviation.Bind(&refine.labels(), &refine.centroids(),
-                     &refine.cluster_sizes(), &result.dimensions));
+  DeviationConsumer& deviation = fused.deviation;
+  PROCLUS_RETURN_IF_ERROR(deviation.Bind(refine));
   PROCLUS_RETURN_IF_ERROR(executor.Run(source, {&deviation}));
   result.objective = deviation.objective();
   if (!std::isfinite(result.objective)) return NonFiniteObjective();

@@ -140,6 +140,109 @@ void ManhattanRowGroup(const double* group, const double* next, size_t d,
     __builtin_memcpy(outs[m + a] + r0, &acc[a], sizeof(Lanes));
 }
 
+// Columns one pass of a restricted labeled kernel gathers per row: up to
+// four groups of eight, so a list of l columns takes ceil(l / 32) passes
+// over its label's rows.
+constexpr size_t kRestrictedGroups = 4;
+
+// Adds one label's rows, `run` (row offsets into `block`, ascending), to
+// its G x 8 register accumulators: lane l of group g sums column
+// ids[8g + l] of each row, starting from that column's entry of `acc_row`
+// and storing it back at the end. Lanes past `count` (the last group's
+// padding) read a repeated listed column and are dropped. With
+// kAbsDeviation each row adds `diff < 0 ? -diff : diff` for diff = x -
+// ref: the sign bit of diff flipped where diff < 0, which is the scalar
+// loop's negation, so -0.0 and NaN terms keep their sign. The trip
+// counts depend on the label only, never on a row.
+template <size_t G, bool kAbsDeviation>
+PROCLUS_KERNEL_HELPER
+void RestrictedRun(const double* block, size_t d, const uint32_t* run,
+                   size_t n, const uint32_t* ids, size_t count,
+                   const double* ref, double* acc_row) {
+  const LaneBits sign = ~(~LaneBits{} >> 1);
+  Lanes acc[G];
+  Lanes center[G];
+  for (size_t g = 0; g < G; ++g) {
+    double start[kLanes];
+    double ref_lanes[kLanes];
+    for (size_t l = 0; l < kLanes; ++l) {
+      const size_t x = g * kLanes + l;
+      start[l] = x < count ? acc_row[ids[x]] : 0.0;
+      ref_lanes[l] = kAbsDeviation ? ref[ids[x]] : 0.0;
+    }
+    __builtin_memcpy(&acc[g], start, sizeof(Lanes));
+    __builtin_memcpy(&center[g], ref_lanes, sizeof(Lanes));
+  }
+  for (size_t p = 0; p < n; ++p) {
+    const double* row = block + size_t{run[p]} * d;
+    for (size_t g = 0; g < G; ++g) {
+      const uint32_t* c = ids + g * kLanes;
+      Lanes v = {row[c[0]], row[c[1]], row[c[2]], row[c[3]],
+                 row[c[4]], row[c[5]], row[c[6]], row[c[7]]};
+      if constexpr (kAbsDeviation) {
+        const Lanes diff = v - center[g];
+        v = (Lanes)((LaneBits)diff ^ ((LaneBits)(diff < 0) & sign));
+      }
+      acc[g] += v;
+    }
+  }
+  for (size_t g = 0; g < G; ++g) {
+    double sums[kLanes];
+    __builtin_memcpy(sums, &acc[g], sizeof(Lanes));
+    for (size_t l = 0; l < kLanes && g * kLanes + l < count; ++l)
+      acc_row[ids[g * kLanes + l]] = sums[l];
+  }
+}
+
+// The restricted labeled kernels' walk: label by label, each label's
+// list in passes of up to kRestrictedGroups groups, each pass over the
+// label's run of rows. `refs` is read only with kAbsDeviation.
+template <bool kAbsDeviation>
+PROCLUS_KERNEL_HELPER
+void RestrictedLabeledRuns(const double* block, size_t d,
+                           std::span<const std::vector<uint32_t>> dim_lists,
+                           const KernelScratch& groups, const Matrix* refs,
+                           double* sums) {
+  const size_t k = dim_lists.size();
+  PROCLUS_CHECK(groups.label_start.size() == k + 1);
+  for (size_t i = 0; i < k; ++i) {
+    const uint32_t* run = groups.label_rows.data() + groups.label_start[i];
+    const size_t n = groups.label_start[i + 1] - groups.label_start[i];
+    const std::vector<uint32_t>& list = dim_lists[i];
+    if (n == 0) continue;
+    const double* ref = nullptr;
+    if constexpr (kAbsDeviation) ref = refs->row(i).data();
+    double* acc_row = sums + i * d;
+    for (size_t first = 0; first < list.size();
+         first += kRestrictedGroups * kLanes) {
+      const size_t count =
+          std::min(list.size() - first, kRestrictedGroups * kLanes);
+      const size_t num_groups = (count + kLanes - 1) / kLanes;
+      uint32_t ids[kRestrictedGroups * kLanes];
+      for (size_t x = 0; x < num_groups * kLanes; ++x)
+        ids[x] = list[first + std::min(x, count - 1)];
+      switch (num_groups) {
+        case 1:
+          RestrictedRun<1, kAbsDeviation>(block, d, run, n, ids, count, ref,
+                                          acc_row);
+          break;
+        case 2:
+          RestrictedRun<2, kAbsDeviation>(block, d, run, n, ids, count, ref,
+                                          acc_row);
+          break;
+        case 3:
+          RestrictedRun<3, kAbsDeviation>(block, d, run, n, ids, count, ref,
+                                          acc_row);
+          break;
+        default:
+          RestrictedRun<4, kAbsDeviation>(block, d, run, n, ids, count, ref,
+                                          acc_row);
+          break;
+      }
+    }
+  }
+}
+
 // Leading dimension of the gathered sub-tile. kKernelRowTile is a power
 // of two, so unpadded columns would sit exactly 8 KiB apart and every
 // column's write/read stream would map onto the same L1 cache sets; the
@@ -580,6 +683,58 @@ void LabeledSumBatch(std::span<const double> block, size_t rows,
     for (size_t j = 0; j < dims_total; ++j) acc[j] += point[j];
     ++count[i];
   }
+}
+
+PROCLUS_KERNEL
+void GroupRowsByLabel(const int* labels, size_t rows, size_t num_labels,
+                      KernelScratch& scratch) {
+  PROCLUS_CHECK(rows <= std::numeric_limits<uint32_t>::max());
+  std::vector<uint32_t>& start = scratch.label_start;
+  start.assign(num_labels + 1, 0);
+  for (size_t r = 0; r < rows; ++r) {
+    const int label = labels[r];
+    if (label < 0) continue;  // Outliers belong to no cluster.
+    // invariant: labels come from an assignment scan, which only emits
+    // negative outlier labels or cluster indices in [0, num_labels).
+    PROCLUS_CHECK(static_cast<size_t>(label) < num_labels);
+    ++start[static_cast<size_t>(label) + 1];
+  }
+  for (size_t i = 0; i < num_labels; ++i) start[i + 1] += start[i];
+  scratch.label_rows.resize(start[num_labels]);
+  // start[i] serves as label i's cursor and ends at its run's end, the
+  // next run's start; one shift restores the run starts.
+  for (size_t r = 0; r < rows; ++r) {
+    const int label = labels[r];
+    if (label < 0) continue;
+    scratch.label_rows[start[static_cast<size_t>(label)]++] =
+        static_cast<uint32_t>(r);
+  }
+  for (size_t i = num_labels; i > 0; --i) start[i] = start[i - 1];
+  start[0] = 0;
+}
+
+PROCLUS_KERNEL
+void RestrictedLabeledSumBatch(
+    std::span<const double> block, size_t dims_total,
+    std::span<const std::vector<uint32_t>> dim_lists,
+    const KernelScratch& groups, double* sums, size_t* count) {
+  RestrictedLabeledRuns</*kAbsDeviation=*/false>(
+      block.data(), dims_total, dim_lists, groups, nullptr, sums);
+  for (size_t i = 0; i < dim_lists.size(); ++i)
+    count[i] += groups.label_start[i + 1] - groups.label_start[i];
+}
+
+PROCLUS_KERNEL
+void RestrictedLabeledAbsDeviationBatch(
+    std::span<const double> block, size_t rows, size_t dims_total,
+    const Matrix& refs, std::span<const std::vector<uint32_t>> dim_lists,
+    const KernelScratch& groups, KernelScratch& scratch, double* sums) {
+  PROCLUS_DCHECK(refs.rows() == dim_lists.size());
+  PROCLUS_DCHECK(refs.cols() == dims_total);
+  ++scratch.batches;
+  scratch.rows_scored += rows;
+  RestrictedLabeledRuns</*kAbsDeviation=*/true>(
+      block.data(), dims_total, dim_lists, groups, &refs, sums);
 }
 
 const char* KernelIsa() {

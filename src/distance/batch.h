@@ -10,7 +10,8 @@
 // order — exactly the scalar loop's order — so every output is
 // bit-identical to the scalar reference (property-tested in
 // tests/distance_batch_test.cc). Two layouts put several points' values
-// of one dimension side by side (DESIGN.md §9):
+// of one dimension side by side, and a third several dimensions of one
+// cluster (DESIGN.md §9):
 //
 //   * ManhattanManyBatch, the full-width fold of the locality scan,
 //     loads eight rows at a time and transposes them 8 x 8 in registers;
@@ -24,6 +25,12 @@
 //     points. A tile of a few selected dimensions is small; a full-width
 //     one (the Lloyd kernels) is d x 8 KiB and outgrows a 48 KiB L1d
 //     from d = 6.
+//   * The restricted labeled kernels, the per-cluster sums of Figure 6,
+//     add rows into accumulators rather than score them. They walk one
+//     cluster's rows (grouped by GroupRowsByLabel) and gather eight of
+//     that cluster's own columns per row into a vector, so each 8-lane
+//     register accumulator holds eight dimensions of one cluster and
+//     adds its rows in ascending order.
 //
 // Multi-reference kernels fold every reference over one read of the rows
 // — a gathered sub-tile or a transposed row group — so a block's
@@ -86,6 +93,11 @@ struct KernelScratch {
   std::vector<double> best;    ///< Per-row winning distance (argmin).
   std::vector<uint8_t> inside; ///< Per-row sphere flags (refine argmin).
   std::vector<double*> outs;   ///< Per-reference output pointers.
+  /// A block's rows grouped by label (GroupRowsByLabel): label i's rows,
+  /// ascending, are label_rows[label_start[i] .. label_start[i + 1]).
+  /// The restricted labeled kernels read them.
+  std::vector<uint32_t> label_rows;
+  std::vector<uint32_t> label_start;
 };
 
 /// Sizes `scratches` to one KernelScratch per block and readies each for
@@ -191,26 +203,63 @@ void LocalityAbsDeviationBatch(std::span<const double> block, size_t rows,
 void DivideColumnsBatch(std::span<double* const> cols, size_t rows,
                         double denom);
 
-/// Accumulates per-label coordinate sums (centroids before the divide):
-/// for every row r with labels[r] == i >= 0 (negative labels — outliers —
-/// are skipped), sums[i * dims_total + j] += row[j] for all j and
-/// ++count[i]. Every label must be < num_labels. Ascending row order, so
-/// bit-identical to the scalar centroid loops.
+/// Accumulates per-label coordinate sums over all dimensions (k-means'
+/// Lloyd update): for every row r with labels[r] == i >= 0 (negative
+/// labels — outliers — are skipped), sums[i * dims_total + j] += row[j]
+/// for all j and ++count[i]. Every label must be < num_labels. Ascending
+/// row order, so bit-identical to the scalar centroid loops.
 void LabeledSumBatch(std::span<const double> block, size_t rows,
                      size_t dims_total, const int* labels, size_t num_labels,
                      double* sums, size_t* count);
 
-/// Accumulates per-label absolute deviations: for every row r with
-/// labels[r] == i >= 0 (negative labels — outliers — are skipped),
-/// sums[i * dims_total + j] += |row[j] - refs(i, j)| for all j, and
-/// count[i] is incremented when `count` is non-null. Rows are visited in
-/// ascending order, so each accumulator sees the same addition order as
-/// the scalar cluster-stats/deviation loops — bit-identical results.
+/// Accumulates per-label absolute deviations over all dimensions (the
+/// refinement's cluster statistics, which FindDimensions reads in full):
+/// for every row r with labels[r] == i >= 0 (negative labels — outliers —
+/// are skipped), sums[i * dims_total + j] += |row[j] - refs(i, j)| for
+/// all j, and count[i] is incremented when `count` is non-null. Rows are
+/// visited in ascending order, so each accumulator sees the same addition
+/// order as the scalar cluster-stats loop — bit-identical results.
 /// `sums` must hold refs.rows() x dims_total zeros-or-partials.
 void LabeledAbsDeviationBatch(std::span<const double> block, size_t rows,
                               size_t dims_total, const int* labels,
                               const Matrix& refs, KernelScratch& scratch,
                               double* sums, size_t* count);
+
+/// Groups a block's rows by label for the restricted kernels below:
+/// afterwards scratch.label_rows holds, for i = 0 .. num_labels - 1 in
+/// turn, the rows r < rows with labels[r] == i in ascending order, and
+/// scratch.label_start (num_labels + 1 entries) bounds each label's run.
+/// Negative labels (outliers) are left out; every other label must be
+/// < num_labels, and `rows` must fit in 32 bits.
+void GroupRowsByLabel(const int* labels, size_t rows, size_t num_labels,
+                      KernelScratch& scratch);
+
+/// Per-label coordinate sums on each label's own dimensions (the
+/// centroids of Figure 6, before the divide): for every label i and each
+/// row r of its run in `groups` (GroupRowsByLabel over this block),
+/// sums[i * dims_total + j] += row[j] for j in dim_lists[i] only, and
+/// count[i] += the run's length. The entries off dim_lists[i] are not
+/// touched. Each accumulator adds its rows in ascending order, so every
+/// entry on dim_lists[i] is bit-identical to LabeledSumBatch's. An empty
+/// list adds nothing but still counts its rows. dim_lists.size() must
+/// equal the number of labels `groups` was built for.
+void RestrictedLabeledSumBatch(
+    std::span<const double> block, size_t dims_total,
+    std::span<const std::vector<uint32_t>> dim_lists,
+    const KernelScratch& groups, double* sums, size_t* count);
+
+/// Per-label absolute deviations on each label's own dimensions (the
+/// second scan of Figure 6): for every label i and each row r of its run
+/// in `groups`, sums[i * dims_total + j] += |row[j] - refs(i, j)| for j
+/// in dim_lists[i] only; the entries off dim_lists[i] are not touched.
+/// Bit-identical on every listed entry to LabeledAbsDeviationBatch,
+/// signed zeros and NaNs included: |diff| is `diff < 0 ? -diff : diff`.
+/// `rows` is the block's row count; like LabeledAbsDeviationBatch the
+/// call counts one batch and `rows` scored rows in `scratch`.
+void RestrictedLabeledAbsDeviationBatch(
+    std::span<const double> block, size_t rows, size_t dims_total,
+    const Matrix& refs, std::span<const std::vector<uint32_t>> dim_lists,
+    const KernelScratch& groups, KernelScratch& scratch, double* sums);
 
 /// The kernel clone the loader bound on this CPU: "x86-64-v4",
 /// "x86-64-v3" or "baseline". Always "baseline" in builds without clones

@@ -79,9 +79,7 @@ Result<double> Objective(const PointSource& source, const Fixture& fixture,
                                       /*accumulate_centroids=*/true));
   PROCLUS_RETURN_IF_ERROR(executor.Run(source, {&assign}));
   DeviationConsumer deviation;
-  PROCLUS_RETURN_IF_ERROR(deviation.Bind(&assign.labels(), &assign.centroids(),
-                                         &assign.cluster_sizes(),
-                                         &fixture.dims));
+  PROCLUS_RETURN_IF_ERROR(deviation.Bind(assign));
   PROCLUS_RETURN_IF_ERROR(executor.Run(source, {&deviation}));
   return deviation.objective();
 }
@@ -232,12 +230,37 @@ TEST(PassesTest, ValidationErrors) {
   ClusterStatsConsumer cluster_stats;
   ASSERT_TRUE(cluster_stats.Bind(&fixture.medoids, &short_labels).ok());
   EXPECT_FALSE(executor.Run(memory, {&cluster_stats}).ok());
-  const Matrix centroids = fixture.medoids;
-  const std::vector<size_t> sizes(3, 1);
+
+  // A deviation scan refuses an assignment that sums no centroids, and
+  // runs only over the rows and blocks of the assignment's merged scan:
+  // the centroids cover each cluster's own dimensions only, so any other
+  // pairing would read entries nobody summed.
+  AssignConsumer labels_only;
+  ASSERT_TRUE(labels_only.Bind(&fixture.medoids, &fixture.dims, true, false)
+                  .ok());
+  EXPECT_FALSE(DeviationConsumer().Bind(labels_only).ok());
+  AssignConsumer assign;
+  ASSERT_TRUE(assign.Bind(&fixture.medoids, &fixture.dims, true, true).ok());
   DeviationConsumer deviation;
+  ASSERT_TRUE(deviation.Bind(assign).ok());
+  EXPECT_FALSE(executor.Run(memory, {&deviation}).ok()) << "not merged";
   ASSERT_TRUE(
-      deviation.Bind(&short_labels, &centroids, &sizes, &fixture.dims).ok());
-  EXPECT_FALSE(executor.Run(memory, {&deviation}).ok());
+      ScanExecutor(ScanOptions{1, 256, nullptr}).Run(memory, {&assign}).ok());
+  EXPECT_FALSE(executor.Run(memory, {&deviation}).ok()) << "other blocks";
+  const size_t half = fixture.data.dataset.size() / 2;
+  const std::vector<double>& values = fixture.data.dataset.matrix().data();
+  Dataset first_half(Matrix(
+      half, 10,
+      std::vector<double>(values.begin(),
+                          values.begin() + static_cast<ptrdiff_t>(half * 10))));
+  MemorySource short_memory(first_half);
+  ASSERT_TRUE(executor.Run(short_memory, {&assign}).ok());
+  EXPECT_FALSE(executor.Run(memory, {&deviation}).ok()) << "other rows";
+  ASSERT_TRUE(executor.Run(memory, {&assign}).ok());
+  EXPECT_TRUE(executor.Run(memory, {&deviation}).ok());
+  ASSERT_TRUE(assign.Bind(&fixture.medoids, &fixture.dims, true, true).ok());
+  EXPECT_FALSE(executor.Run(memory, {&deviation}).ok()) << "rebound";
+
   std::vector<DimensionSet> wrong_dims(2, DimensionSet(10, {0, 1}));
   EXPECT_FALSE(AssignConsumer()
                    .Bind(&fixture.medoids, &wrong_dims, true, false)

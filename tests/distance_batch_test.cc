@@ -426,40 +426,6 @@ TEST(DistanceBatchTest, WideMetricArgminSweepMatchesScalar) {
   }
 }
 
-TEST(DistanceBatchTest, LabeledAbsDeviationMatchesScalarAndSkipsOutliers) {
-  Rng rng(7007);
-  const size_t rows = 777;
-  const size_t d = 10;
-  const size_t k = 3;
-  std::vector<double> block = RandomBlock(rng, rows, d);
-  Matrix refs = RandomMatrix(rng, k, d);
-  std::vector<int> labels(rows);
-  for (int& label : labels) {
-    const uint64_t pick = rng.UniformInt(k + 1);
-    label = pick == k ? -1 : static_cast<int>(pick);  // -1 = outlier
-  }
-
-  std::vector<double> sums(k * d, 0.0);
-  std::vector<size_t> count(k, 0);
-  KernelScratch scratch;
-  LabeledAbsDeviationBatch(block, rows, d, labels.data(), refs, scratch,
-                           sums.data(), count.data());
-
-  std::vector<double> expected_sums(k * d, 0.0);
-  std::vector<size_t> expected_count(k, 0);
-  for (size_t r = 0; r < rows; ++r) {
-    if (labels[r] < 0) continue;
-    const size_t i = static_cast<size_t>(labels[r]);
-    for (size_t j = 0; j < d; ++j) {
-      double diff = block[r * d + j] - refs(i, j);
-      expected_sums[i * d + j] += diff < 0 ? -diff : diff;
-    }
-    ++expected_count[i];
-  }
-  EXPECT_EQ(sums, expected_sums);
-  EXPECT_EQ(count, expected_count);
-}
-
 TEST(DistanceBatchTest, ResultsIndependentOfBatchSplit) {
   // Splitting the same rows into arbitrary batch boundaries (including
   // B=1) must not change a single bit: the engine's block size is a
@@ -575,6 +541,155 @@ void ScalarLabeledSumLoop(std::span<const double> data, size_t rows,
   }
 }
 
+// The per-row deviation loop of the refinement's cluster statistics and
+// of DeviationConsumer before it summed each cluster's own dimensions
+// only: |diff| written as `diff < 0 ? -diff : diff`, all d dimensions.
+void ScalarLabeledAbsDeviationLoop(std::span<const double> data, size_t rows,
+                                   size_t d, const int* labels,
+                                   const Matrix& refs, double* partial_sums) {
+  for (size_t r = 0; r < rows; ++r) {
+    if (labels[r] < 0) continue;
+    const size_t i = static_cast<size_t>(labels[r]);
+    double* sums = partial_sums + i * d;
+    for (size_t j = 0; j < d; ++j) {
+      double diff = data[r * d + j] - refs(i, j);
+      sums[j] += diff < 0 ? -diff : diff;
+    }
+  }
+}
+
+// Dimensionalities of the restricted kernels' cases: below one 8-lane
+// group, one group plus one column, two and a half groups, and
+// perfbench mem_d200's d, whose full list takes several passes.
+const size_t kRestrictedDims[] = {2, 9, 20, 200};
+
+// One case for the restricted labeled kernels: a label per list length
+// in {1, 2, 7, 8, 9, 16, 17, d} that fits in d, a label with an empty
+// list, and a last label that gets no rows; outliers (-1) among the
+// rows; and special values in the block and the references: signed
+// zeros, subnormals, +-inf and NaN.
+// The NaN is the one x86 arithmetic makes (inf - inf: sign set, quiet),
+// so every NaN a sum meets has one bit pattern. When an addition's two
+// operands are NaNs of different patterns, which one it returns follows
+// the operand order the compiler picked, which C++ leaves open; such a
+// sum has no defined bits in the full-width loop either.
+struct RestrictedCase {
+  size_t k = 0;
+  std::vector<double> block;
+  std::vector<int> labels;
+  Matrix refs;
+  std::vector<std::vector<uint32_t>> dim_lists;
+};
+
+RestrictedCase MakeRestrictedCase(Rng& rng, size_t rows, size_t d) {
+  RestrictedCase c;
+  for (size_t length : {size_t{1}, size_t{2}, size_t{7}, size_t{8},
+                        size_t{9}, size_t{16}, size_t{17}})
+    if (length < d) c.dim_lists.push_back(RandomDims(rng, d, length));
+  c.dim_lists.push_back(RandomDims(rng, d, d));
+  c.dim_lists.emplace_back();  // Rows are counted, nothing is summed.
+  c.dim_lists.push_back(RandomDims(rng, d, 1 + d / 2));  // No rows.
+  c.k = c.dim_lists.size();
+  c.labels.resize(rows);
+  for (int& label : c.labels)
+    label = static_cast<int>(rng.UniformInt(c.k)) - 1;  // k - 1: none.
+  c.block = RandomBlock(rng, rows, d);
+  c.refs = RandomMatrix(rng, c.k, d);
+  const double specials[] = {-0.0,
+                             0.0,
+                             std::numeric_limits<double>::denorm_min(),
+                             -3 * std::numeric_limits<double>::denorm_min(),
+                             std::numeric_limits<double>::min() / 4,
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::quiet_NaN()};
+  const uint64_t num_specials = std::size(specials);
+  for (double& v : c.block)
+    if (rng.UniformInt(64) == 0) v = specials[rng.UniformInt(num_specials)];
+  for (size_t i = 0; i < c.k; ++i)
+    for (size_t j = 0; j < d; ++j)
+      if (rng.UniformInt(16) == 0)
+        c.refs(i, j) = specials[rng.UniformInt(num_specials)];
+  // Row 0 repeats label 0's reference with its zero signs flipped, so the
+  // deviation adds -0.0 terms to a -0.0 partial.
+  c.labels[0] = 0;
+  for (size_t j = 0; j < d; ++j) {
+    c.refs(0, j) = j % 2 == 0 ? 0.0 : -0.0;
+    c.block[j] = j % 2 == 0 ? -0.0 : 0.0;
+  }
+  return c;
+}
+
+// `got` must hold `want`'s bits on each label's listed entries and keep
+// its starting -0.0 everywhere else.
+void ExpectListedBitsAndUntouchedRest(const RestrictedCase& c, size_t d,
+                                      const std::vector<double>& want,
+                                      const std::vector<double>& got) {
+  for (size_t i = 0; i < c.k; ++i) {
+    std::vector<bool> listed(d, false);
+    for (uint32_t j : c.dim_lists[i]) listed[j] = true;
+    for (size_t j = 0; j < d; ++j) {
+      const uint64_t expected =
+          std::bit_cast<uint64_t>(listed[j] ? want[i * d + j] : -0.0);
+      ASSERT_EQ(std::bit_cast<uint64_t>(got[i * d + j]), expected)
+          << "d=" << d << " rows=" << c.labels.size() << " label=" << i
+          << " |list|=" << c.dim_lists[i].size() << " j=" << j
+          << (listed[j] ? " (listed)" : " (not listed)");
+    }
+  }
+}
+
+TEST(DistanceBatchTest, LabeledAbsDeviationMatchesScalarAndSkipsOutliers) {
+  Rng rng(7007);
+  const size_t rows = 777;
+  const size_t d = 10;
+  const size_t k = 3;
+  std::vector<double> block = RandomBlock(rng, rows, d);
+  Matrix refs = RandomMatrix(rng, k, d);
+  std::vector<int> labels(rows);
+  for (int& label : labels) {
+    const uint64_t pick = rng.UniformInt(k + 1);
+    label = pick == k ? -1 : static_cast<int>(pick);  // -1 = outlier
+  }
+
+  std::vector<double> sums(k * d, 0.0);
+  std::vector<size_t> count(k, 0);
+  KernelScratch scratch;
+  LabeledAbsDeviationBatch(block, rows, d, labels.data(), refs, scratch,
+                           sums.data(), count.data());
+
+  std::vector<double> expected_sums(k * d, 0.0);
+  std::vector<size_t> expected_count(k, 0);
+  ScalarLabeledAbsDeviationLoop(block, rows, d, labels.data(), refs,
+                                expected_sums.data());
+  for (int label : labels)
+    if (label >= 0) ++expected_count[static_cast<size_t>(label)];
+  EXPECT_EQ(sums, expected_sums);
+  EXPECT_EQ(count, expected_count);
+
+  // The restricted kernel over the same loop's entries on each label's
+  // own list: special values, ragged rows, an empty label, partials at
+  // -0.0 (RestrictedCase).
+  for (size_t d_case : kRestrictedDims) {
+    for (size_t rows_case : kRaggedRows) {
+      RestrictedCase c = MakeRestrictedCase(rng, rows_case, d_case);
+      std::vector<double> want(c.k * d_case, -0.0);
+      ScalarLabeledAbsDeviationLoop(c.block, rows_case, d_case,
+                                    c.labels.data(), c.refs, want.data());
+      KernelScratch groups;
+      GroupRowsByLabel(c.labels.data(), rows_case, c.k, groups);
+      std::vector<double> got(c.k * d_case, -0.0);
+      KernelScratch counters;
+      RestrictedLabeledAbsDeviationBatch(c.block, rows_case, d_case, c.refs,
+                                         c.dim_lists, groups, counters,
+                                         got.data());
+      EXPECT_EQ(counters.batches, 1u);
+      EXPECT_EQ(counters.rows_scored, rows_case);
+      ExpectListedBitsAndUntouchedRest(c, d_case, want, got);
+    }
+  }
+}
+
 TEST(DistanceBatchTest, LocalityAbsDeviationMatchesConsumerLoop) {
   Rng rng(7011);
   for (size_t rows : kRaggedRows) {
@@ -686,6 +801,26 @@ TEST(DistanceBatchTest, LabeledSumMatchesConsumerLoopAndSkipsOutliers) {
           << "rows=" << rows << " d=" << d;
       ASSERT_EQ(count, expected_count) << "rows=" << rows << " d=" << d;
       EXPECT_EQ(count[3], 0u);
+    }
+  }
+  // The restricted kernel, which AssignConsumer runs, against the same
+  // loop on each label's own list (RestrictedCase).
+  for (size_t d : kRestrictedDims) {
+    for (size_t rows : kRaggedRows) {
+      RestrictedCase c = MakeRestrictedCase(rng, rows, d);
+      std::vector<double> want(c.k * d, -0.0);
+      std::vector<size_t> want_count(c.k, 0);
+      ScalarLabeledSumLoop(c.block, rows, d, c.labels.data(), want.data(),
+                           want_count.data());
+      KernelScratch groups;
+      GroupRowsByLabel(c.labels.data(), rows, c.k, groups);
+      std::vector<double> got(c.k * d, -0.0);
+      std::vector<size_t> got_count(c.k, 0);
+      RestrictedLabeledSumBatch(c.block, d, c.dim_lists, groups, got.data(),
+                                got_count.data());
+      ExpectListedBitsAndUntouchedRest(c, d, want, got);
+      ASSERT_EQ(got_count, want_count) << "rows=" << rows << " d=" << d;
+      EXPECT_EQ(got_count.back(), 0u);
     }
   }
 }

@@ -440,5 +440,54 @@ TEST(EdgeCaseTest, KMeansSingleCluster) {
   for (int label : result->labels) EXPECT_EQ(label, 0);
 }
 
+TEST(EdgeCaseTest, KMeansNonFiniteCoordinateIsAStatus) {
+  // A NaN or infinite coordinate, in a whole column or one cell, read
+  // from memory or from a snapshot: the fit returns InvalidArgument
+  // naming the cause instead of a model with a NaN inertia.
+  GeneratorParams gen;
+  gen.num_points = 600;
+  gen.space_dims = 6;
+  gen.num_clusters = 2;
+  gen.cluster_dim_counts = {3, 3};
+  gen.seed = 5;
+  auto data = GenerateSynthetic(gen);
+  ASSERT_TRUE(data.ok());
+  KMeansParams params;
+  params.num_clusters = 2;
+  params.seed = 7;
+  const size_t n = gen.num_points;
+  const double values[] = {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()};
+  for (double value : values) {
+    for (bool whole_column : {true, false}) {
+      Dataset dataset = data->dataset;
+      if (whole_column) {
+        for (size_t i = 0; i < n; ++i) dataset.matrix()(i, 0) = value;
+      } else {
+        dataset.matrix()(n / 2, 0) = value;
+      }
+      const std::string path = TestTempPath("kmeans_nonfinite.bin");
+      ASSERT_TRUE(WriteBinaryFile(dataset, path).ok());
+      auto disk = DiskSource::Open(path);
+      ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+      MemorySource memory(dataset);
+      const PointSource* sources[] = {&memory, &*disk};
+      const char* names[] = {"memory", "disk"};
+      for (size_t s = 0; s < 2; ++s) {
+        SCOPED_TRACE(std::string(names[s]) + ", value " +
+                     std::to_string(value) +
+                     (whole_column ? ", whole column" : ", one cell"));
+        auto fit = RunKMeansOnSource(*sources[s], params);
+        ASSERT_FALSE(fit.ok()) << "inertia " << fit->inertia;
+        EXPECT_EQ(fit.status().code(), StatusCode::kInvalidArgument);
+        EXPECT_NE(fit.status().message().find("non-finite coordinate"),
+                  std::string::npos)
+            << fit.status().ToString();
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace proclus

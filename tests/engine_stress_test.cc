@@ -63,10 +63,7 @@ TEST(EngineStressTest, FusedConsumersBitIdenticalAcrossThreadCounts) {
   ASSERT_TRUE(
       assign_base.Bind(&fixture.medoids, &fixture.dims, true, true).ok());
   ASSERT_TRUE(sequential.Run(source, {&locality_base, &assign_base}).ok());
-  ASSERT_TRUE(deviation_base
-                  .Bind(&assign_base.labels(), &assign_base.centroids(),
-                        &assign_base.cluster_sizes(), &fixture.dims)
-                  .ok());
+  ASSERT_TRUE(deviation_base.Bind(assign_base).ok());
   ASSERT_TRUE(sequential.Run(source, {&deviation_base}).ok());
 
   for (size_t threads : kThreadCounts) {
@@ -78,10 +75,7 @@ TEST(EngineStressTest, FusedConsumersBitIdenticalAcrossThreadCounts) {
     ASSERT_TRUE(
         assign.Bind(&fixture.medoids, &fixture.dims, true, true).ok());
     ASSERT_TRUE(executor.Run(source, {&locality, &assign}).ok());
-    ASSERT_TRUE(deviation
-                    .Bind(&assign.labels(), &assign.centroids(),
-                          &assign.cluster_sizes(), &fixture.dims)
-                    .ok());
+    ASSERT_TRUE(deviation.Bind(assign).ok());
     ASSERT_TRUE(executor.Run(source, {&deviation}).ok());
 
     EXPECT_EQ(locality.stats(), locality_base.stats())

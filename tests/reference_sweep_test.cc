@@ -17,9 +17,11 @@
 // climb's distance-column cache, whose key is (medoid slot, dimension
 // set, normalization): l = d, where every assignment key is the locality
 // key; an unnormalized long climb; k = 1; restarts of 100 iterations,
-// across which the cache carries; and a fit resumed from a checkpoint,
-// whose cache starts empty.
+// across which the cache carries; a fit resumed from a checkpoint,
+// whose cache starts empty; and lists of 25 or more of d = 40
+// dimensions, which the evaluation sums in several 8-column groups.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -239,6 +241,11 @@ TEST(ReferenceSweepTest, CacheKeyEdgesMatchReferenceBitForBit) {
          p->checkpoint.path = TestTempPath("edge_resume.pckp");
          p->checkpoint.every_iterations = 7;
        }},
+      // The evaluation sums each cluster's own columns eight to a vector;
+      // lists of 25 or more columns (30 here) take three full groups and
+      // a remainder. The oracle's Evaluate sums all d columns.
+      {"long dimension lists", 1200, 40, 3, 28.0, 1,
+       [](ProclusParams* p) { p->num_threads = 2; }},
   };
   for (size_t c = 0; c < std::size(kEdges); ++c) {
     const EdgeConfig& edge = kEdges[c];
@@ -285,6 +292,12 @@ TEST(ReferenceSweepTest, CacheKeyEdgesMatchReferenceBitForBit) {
     if (edge.l == static_cast<double>(edge.d)) {
       for (const DimensionSet& dims : production->dimensions)
         EXPECT_EQ(dims.size(), edge.d);
+    }
+    if (edge.d == 40) {
+      size_t longest = 0;
+      for (const DimensionSet& dims : production->dimensions)
+        longest = std::max(longest, dims.size());
+      EXPECT_GT(longest, 24u);
     }
   }
 }

@@ -12,6 +12,12 @@ worse when higher; a key ending in "/s" (a rate) is worse when lower; any
 other median is printed without a direction. A change for the worse of
 more than THRESHOLD (10%) is flagged as a regression, and the script
 exits 1 if any key regressed, 0 otherwise (2 on unreadable input).
+
+When the two files' "host" blocks differ (another CPU count, CPU
+affinity, kernel clone or page size), it first prints a note naming each
+differing field: timings taken pinned to one CPU and unpinned, or on
+another kernel clone, differ by more than the threshold on their own. The
+note does not change the exit code.
 """
 
 import argparse
@@ -24,10 +30,24 @@ SUFFIX = " median"
 THRESHOLD = 0.10
 
 
+def load_document(path):
+    with open(path, encoding="utf-8") as f:
+        return json.load(f)
+
+
+def host_differences(old_document, new_document):
+    """[(field, old value, new value)] of the host fields that differ; a
+    field one file lacks reads None."""
+    old_host = old_document.get("host", {})
+    new_host = new_document.get("host", {})
+    return [(field, old_host.get(field), new_host.get(field))
+            for field in sorted(set(old_host) | set(new_host))
+            if old_host.get(field) != new_host.get(field)]
+
+
 def load_medians(path):
     """{(section title, key): value} for every numeric "<key> median"."""
-    with open(path, encoding="utf-8") as f:
-        document = json.load(f)
+    document = load_document(path)
     medians = {}
     for section in document.get("sections", []):
         for entry in section.get("values", []):
@@ -79,6 +99,10 @@ def report(rows, out=sys.stdout):
 
 
 def diff(old_path, new_path, out=sys.stdout):
+    for field, before, after in host_differences(load_document(old_path),
+                                                 load_document(new_path)):
+        out.write("note: host %s differs: old %s  new %s\n" %
+                  (field, json.dumps(before), json.dumps(after)))
     rows = compare(load_medians(old_path), load_medians(new_path))
     return 1 if report(rows, out) else 0
 
@@ -127,6 +151,19 @@ def self_test():
             json.dump(document([["fit seconds median", 9.0]], title="u"), f)
         if compare(load_medians(old_path), load_medians(other)):
             failures.append("keys of different sections were compared")
+    # Host blocks: a differing or missing field is named, equal ones not.
+    pinned = {"host": {"hardware_concurrency": 4, "affinity_cpus": 1,
+                       "kernel_isa": "x86-64-v4"}}
+    unpinned = {"host": {"hardware_concurrency": 4, "affinity_cpus": 4,
+                         "kernel_isa": "x86-64-v4"}}
+    older = {"host": {"hardware_concurrency": 4, "kernel_isa": "x86-64-v4"}}
+    if host_differences(pinned, unpinned) != [("affinity_cpus", 1, 4)]:
+        failures.append("affinity difference: %r" %
+                        host_differences(pinned, unpinned))
+    if host_differences(older, pinned) != [("affinity_cpus", None, 1)]:
+        failures.append("missing field: %r" % host_differences(older, pinned))
+    if host_differences(pinned, pinned):
+        failures.append("equal host blocks differ")
     if direction("memory seconds median") != 1 or \
             direction("batched Mpairs/s median") != -1 or \
             direction("count median") != 0:

@@ -15,13 +15,25 @@ BENCHMARK.json. The parent runs first on odd seeds and the change first on
 even ones, so a drift of the host over time does not favour either side.
 Each tree builds its own perfbench driver under its .bench_build/.
 
-For each workload and each end-to-end metric of BENCHMARK.json (name, unit
-and direction come from there) it prints the parent's and the change's
-median [q1, q3] and [min, max], the change / parent ratio of the medians,
-and the pairs the change won (strictly better in the metric's direction).
+For each workload and each end-to-end metric of BENCHMARK.json (name, unit,
+direction and bound come from there) it prints the parent's and the
+change's median [q1, q3] and [min, max], the change / parent ratio of the
+medians, the pairs the change won (strictly better in the metric's
+direction) and a verdict:
+
+  gain          the change won at least 9/10 of the pairs, and its median
+                is better than the parent's by more than the parent's
+                interquartile range;
+  unresolved    the parent's interquartile range exceeds bound x its
+                median, unless every change run is better than every
+                parent run;
+  worse         the change's median is worse than the parent's by more
+                than bound x the parent's median;
+  within bound  any other case.
+
 Runs whose result says "correct": false or failed > 0, and runs that
 printed no result, are listed; the exit code is then 1, else 0 (2 on bad
-arguments).
+arguments). The verdicts do not change the exit code.
 """
 
 import argparse
@@ -144,6 +156,28 @@ def summarize(spec, runs):
     return rows, failures
 
 
+def verdict(entry, pairs, stats, wins):
+    """The verdict on one workload's metric (see the module docstring)."""
+    lower = entry["better"] == "lower"
+    bound = entry["bound"]
+    parent_median, parent_q1, parent_q3, parent_min, parent_max = \
+        stats["parent"]
+    change_median, _, _, change_min, change_max = stats["change"]
+    parent_iqr = parent_q3 - parent_q1
+    # How much better the change's median is; negative when worse.
+    better_by = (parent_median - change_median if lower else
+                 change_median - parent_median)
+    if wins * 10 >= pairs * 9 and better_by > parent_iqr:
+        return "gain"
+    every_run_better = (change_max < parent_min if lower else
+                        change_min > parent_max)
+    if parent_iqr > bound * abs(parent_median) and not every_run_better:
+        return "unresolved"
+    if -better_by > bound * abs(parent_median):
+        return "worse"
+    return "within bound"
+
+
 def report(rows, failures, out=sys.stdout):
     for workload, entry, pairs, stats, ratio, wins in rows:
         out.write("%s  %s (%s, %s is better), %d pairs\n" %
@@ -154,8 +188,8 @@ def report(rows, failures, out=sys.stdout):
             out.write("  %-6s median %.4g [q1 %.4g, q3 %.4g] "
                       "[min %.4g, max %.4g]\n" %
                       (tree, median, q1, q3, low, high))
-        out.write("  change/parent %.3f, change won %d/%d\n" %
-                  (ratio, wins, pairs))
+        out.write("  change/parent %.3f, change won %d/%d: %s\n" %
+                  (ratio, wins, pairs, verdict(entry, pairs, stats, wins)))
     for seed, workload, tree in failures:
         out.write("FAILED: %s run of %s at seed %d (correct false, failed "
                   "ops or no result)\n" % (tree, workload, seed))
@@ -237,6 +271,44 @@ def self_test():
     expect(rows[0][2] == 4, "a pair without a result was summarized")
     with open(os.devnull, "w", encoding="utf-8") as sink:
         expect(report(rows, failed, sink) == 1, "failed runs exited 0")
+
+    # One canned case per verdict, from ten pairs of "rss" (lower is
+    # better, bound 0.25).
+    def verdict_of(parent, change):
+        canned = {}
+        for seed in range(1, 11):
+            canned[(seed, "w", "parent")] = result(parent[seed - 1], 1.0)
+            canned[(seed, "w", "change")] = result(change[seed - 1], 1.0)
+        row = next(row for row in summarize(spec, canned)[0]
+                   if row[1]["name"] == "rss")
+        return verdict(row[1], row[2], row[3], row[5])
+
+    steady = [100.0, 101.0, 99.0, 100.5, 99.5, 100.2, 99.8, 100.1, 99.9,
+              100.0]
+    # Nine of ten pairs won, medians 30 apart against an IQR of about 0.6.
+    gain = [70.0] * 9 + [101.5]
+    expect(verdict_of(steady, gain) == "gain",
+           "gain: %s" % verdict_of(steady, gain))
+    # Eight of ten won by as much: not 9/10, so only within the bound.
+    expect(verdict_of(steady, [70.0] * 8 + [101.5] * 2) == "within bound",
+           "eight of ten won")
+    # A parent spread of 60% of its median against a 25% bound.
+    wide = [60.0, 140.0, 70.0, 130.0, 80.0, 120.0, 65.0, 135.0, 75.0, 125.0]
+    expect(verdict_of(wide, [v * 1.01 for v in wide]) == "unresolved",
+           "wide parent spread")
+    # ... unless every change run beats every parent run. Its median is
+    # not better by the parent's IQR (about 55), so it is no gain.
+    beats_all = [50.0 + 0.1 * i for i in range(10)]
+    expect(verdict_of(wide, beats_all) == "within bound",
+           "a wide parent spread every change run beats: %s" %
+           verdict_of(wide, beats_all))
+    # 30% worse in the median on a steady parent.
+    expect(verdict_of(steady, [v * 1.3 for v in steady]) == "worse",
+           "worse: %s" % verdict_of(steady, [v * 1.3 for v in steady]))
+    # 10% worse: inside the bound.
+    expect(verdict_of(steady, [v * 1.1 for v in steady]) == "within bound",
+           "within bound: %s" %
+           verdict_of(steady, [v * 1.1 for v in steady]))
 
     # One sample: every statistic is that sample.
     expect(quartiles([3.0]) == (3.0, 3.0, 3.0), "one-sample quartiles")

@@ -16,20 +16,32 @@
 //   sqeuclidean - full-dimensional squared Euclidean argmin (the Lloyd
 //                 assignment step)
 //
-// One more cell, "evaluation d=200", times the two sums of Figure 6 at
-// mem_d200's shape (five clusters of ten dimensions, 5% outliers): its
-// "scalar" side is the full-width LabeledSumBatch and
-// LabeledAbsDeviationBatch the consumers once ran, its "batched" side
-// GroupRowsByLabel plus the restricted kernels, which add only each
-// cluster's own columns. Its throughput counts rows, and its
-// bit-identity covers every listed entry and the counts. It has no
-// d = 20 twin: there the two sides tie, and the --smoke rule would fail
-// at random.
+// Two kernels that add rows into sums rather than score them have their
+// own cells, each with the per-row loop it replaced, transcribed below,
+// as its "scalar" side:
+//
+//   evaluation  - the two sums of Figure 6 at mem_d200's shape (five
+//                 clusters of ten dimensions, 5% outliers): the
+//                 full-width per-row loops the consumers once ran, against
+//                 GroupRowsByLabel plus the restricted kernels, which add
+//                 only each cluster's own columns. Its throughput counts
+//                 rows, and its bit-identity covers every listed entry and
+//                 the counts. It has no d = 20 twin: there the two sides
+//                 tie, and the --smoke rule would fail at random.
+//   locality    - the locality sums of Figure 4 (LocalityStatsConsumer):
+//                 five medoids, each with the radius 35% of the rows fall
+//                 within, over precomputed distance columns. The batched
+//                 side calls LocalityAbsDeviationBatch one row tile
+//                 (LocalityTileRows) at a time, as the consumer does; sums
+//                 and counts must match bit for bit.
 //
 // Each cell is timed over --reps=N passes of each side (at least 5),
 // scalar and batched passes interleaved so that a burst of host load
 // lands on both, and reports the throughput of the fastest, median and
-// slowest pass; --json records the kernel clone that ran
+// slowest pass, and "speedup median", the scalar median over the batched
+// median of the same take: timings of one cell drift together with the
+// host's load, so tools/bench_diff.py gates a cell on that ratio alone.
+// --json records the kernel clone that ran
 // (host.kernel_isa, distance/batch.h KernelIsa). Every batched output
 // is checked bit-identical to its scalar reference on every run. --smoke
 // additionally asserts that the fastest batched pass is no slower than
@@ -267,6 +279,135 @@ KernelResult BenchSquaredEuclidean(const Input& input, size_t reps) {
   return result;
 }
 
+// The full-width per-row loops the evaluation ran before it summed each
+// cluster's own columns.
+void FullWidthSumLoop(std::span<const double> block, size_t rows, size_t d,
+                      const int* labels, double* sums, size_t* count) {
+  for (size_t r = 0; r < rows; ++r) {
+    if (labels[r] < 0) continue;
+    const size_t i = static_cast<size_t>(labels[r]);
+    const double* point = block.data() + r * d;
+    double* acc = sums + i * d;
+    for (size_t j = 0; j < d; ++j) acc[j] += point[j];
+    ++count[i];
+  }
+}
+
+void FullWidthDeviationLoop(std::span<const double> block, size_t rows,
+                            size_t d, const int* labels, const Matrix& refs,
+                            double* sums) {
+  for (size_t r = 0; r < rows; ++r) {
+    if (labels[r] < 0) continue;
+    const size_t i = static_cast<size_t>(labels[r]);
+    const double* point = block.data() + r * d;
+    const double* ref = refs.row(i).data();
+    double* acc = sums + i * d;
+    for (size_t j = 0; j < d; ++j) {
+      double diff = point[j] - ref[j];
+      acc[j] += diff < 0 ? -diff : diff;
+    }
+  }
+}
+
+// The per-row loop LocalityAbsDeviationBatch ran before it walked each
+// medoid's member rows.
+void LocalityRowLoop(std::span<const double> block, size_t rows, size_t d,
+                     const Matrix& refs, const std::vector<const double*>& dists,
+                     const std::vector<double>& radii, double* sums,
+                     size_t* count) {
+  for (size_t r = 0; r < rows; ++r) {
+    const double* point = block.data() + r * d;
+    for (size_t a = 0; a < radii.size(); ++a) {
+      if (dists[a][r] <= radii[a]) {
+        const double* ref = refs.row(a).data();
+        double* acc = sums + a * d;
+        for (size_t j = 0; j < d; ++j) {
+          double diff = point[j] - ref[j];
+          acc[j] += diff < 0 ? -diff : diff;
+        }
+        ++count[a];
+      }
+    }
+  }
+}
+
+// Per-block partial sums and counts, compared bit for bit.
+struct Partials {
+  std::vector<double> sums, deviations;
+  std::vector<size_t> count;
+};
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(), [](double x, double y) {
+           return std::bit_cast<uint64_t>(x) == std::bit_cast<uint64_t>(y);
+         });
+}
+
+KernelResult BenchLocality(const Input& input, size_t reps) {
+  const size_t d = input.d;
+  const size_t n = input.n;
+  // Each medoid's full-space segmental distance column, and the radius
+  // 35% of the rows fall within.
+  const std::span<const double> data(input.data);
+  std::vector<std::vector<double>> columns(kMedoids, std::vector<double>(n));
+  std::vector<double> radii(kMedoids);
+  for (size_t m = 0; m < kMedoids; ++m) {
+    for (size_t r = 0; r < n; ++r)
+      columns[m][r] = ManhattanDistance(data.subspan(r * d, d),
+                                        input.medoids.row(m)) /
+                      static_cast<double>(d);
+    std::vector<double> sorted = columns[m];
+    std::nth_element(sorted.begin(), sorted.begin() + n * 35 / 100,
+                     sorted.end());
+    radii[m] = sorted[n * 35 / 100];
+  }
+  std::vector<size_t> ref_rows(kMedoids);
+  for (size_t m = 0; m < kMedoids; ++m) ref_rows[m] = m;
+  const size_t num_blocks = (n + kDefaultBlockRows - 1) / kDefaultBlockRows;
+  std::vector<Partials> loop(num_blocks), walk(num_blocks);
+  auto reset = [&](Partials& p) {
+    p.sums.assign(kMedoids * d, 0.0);
+    p.count.assign(kMedoids, 0);
+  };
+  std::vector<const double*> cols(kMedoids);
+  auto at_row = [&](size_t row) {
+    for (size_t m = 0; m < kMedoids; ++m) cols[m] = columns[m].data() + row;
+  };
+  KernelScratch scratch;
+  auto scalar = [&] {
+    VisitBlocks(input, [&](size_t first, std::span<const double> block,
+                            size_t rows) {
+      Partials& p = loop[first / kDefaultBlockRows];
+      reset(p);
+      at_row(first);
+      LocalityRowLoop(block, rows, d, input.medoids, cols, radii,
+                      p.sums.data(), p.count.data());
+    });
+  };
+  const size_t tile_rows = LocalityTileRows(d);
+  auto batch = [&] {
+    VisitBlocks(input, [&](size_t first, std::span<const double> block,
+                            size_t rows) {
+      Partials& p = walk[first / kDefaultBlockRows];
+      reset(p);
+      for (size_t t0 = 0; t0 < rows; t0 += tile_rows) {
+        const size_t tile = std::min(tile_rows, rows - t0);
+        at_row(first + t0);
+        LocalityAbsDeviationBatch(block.subspan(t0 * d, tile * d), tile, d,
+                                  input.medoids, ref_rows, cols, radii,
+                                  scratch, p.sums.data(), p.count.data());
+      }
+    });
+  };
+  KernelResult result = TimeInterleaved(reps, scalar, batch);
+  result.identical = true;
+  for (size_t b = 0; b < num_blocks; ++b)
+    if (loop[b].count != walk[b].count || !SameBits(loop[b].sums, walk[b].sums))
+      result.identical = false;
+  return result;
+}
+
 KernelResult BenchEvaluation(const Input& input, size_t reps) {
   const size_t d = input.d;
   const size_t k = kMedoids;
@@ -287,11 +428,6 @@ KernelResult BenchEvaluation(const Input& input, size_t reps) {
     label = rng.UniformInt(20) == 0 ? -1 : static_cast<int>(rng.UniformInt(k));
   const Matrix& centroids = input.medoids;
 
-  // Per-block partial sums, deviations and counts of each side.
-  struct Partials {
-    std::vector<double> sums, deviations;
-    std::vector<size_t> count;
-  };
   const size_t num_blocks =
       (input.n + kDefaultBlockRows - 1) / kDefaultBlockRows;
   std::vector<Partials> full(num_blocks), restricted(num_blocks);
@@ -308,11 +444,10 @@ KernelResult BenchEvaluation(const Input& input, size_t reps) {
       Partials& p = full[first / kDefaultBlockRows];
       reset(p);
       const int* block_labels = labels.data() + first;
-      LabeledSumBatch(block, rows, d, block_labels, k, p.sums.data(),
-                      p.count.data());
-      LabeledAbsDeviationBatch(block, rows, d, block_labels, centroids,
-                               scratch, p.deviations.data(),
-                               /*count=*/nullptr);
+      FullWidthSumLoop(block, rows, d, block_labels, p.sums.data(),
+                       p.count.data());
+      FullWidthDeviationLoop(block, rows, d, block_labels, centroids,
+                             p.deviations.data());
     });
   };
   auto batch = [&] {
@@ -383,6 +518,8 @@ int main(int argc, char** argv) {
       {"sqeuclidean", 20, 100000, BenchSquaredEuclidean, kMedoids},
       {"sqeuclidean", 100, 100000, BenchSquaredEuclidean, kMedoids},
       {"evaluation", 200, 20000, BenchEvaluation, 1},
+      {"locality", 20, 100000, BenchLocality, kMedoids},
+      {"locality", 200, 20000, BenchLocality, kMedoids},
   };
   for (const Config& config : configs) {
     const size_t n = options.Points(config.paper_n);
@@ -406,6 +543,7 @@ int main(int argc, char** argv) {
     PrintKV("batched " + unit + " median", work / batch.median / 1e6);
     PrintKV("batched " + unit + " min", work / batch.worst / 1e6);
     PrintKV("speedup", scalar.best / batch.best);
+    PrintKV("speedup median", scalar.median / batch.median);
     PrintKV("bit identical", result.identical ? "yes" : "no");
     bool cell_ok = true;
     if (!result.identical) {

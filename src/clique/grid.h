@@ -21,7 +21,8 @@ class Grid {
  public:
   /// Builds a grid with `xi` intervals per dimension spanning the source's
   /// per-dimension bounds, found with one scan. Requires xi in [2, 255]
-  /// and a non-empty source.
+  /// and a non-empty source; a NaN or infinite coordinate returns
+  /// InvalidArgument naming the first one's row and dimension.
   static Result<Grid> BuildFromSource(const PointSource& source, size_t xi);
 
   /// Quantizes every point of a source into interval indices (N x d,

@@ -371,24 +371,36 @@ void LocalityStatsConsumer::ConsumeBlock(size_t block_index, size_t first_row,
   //
   // Ownership contract (consumers.h): this block may write only the row
   // range it owns inside each fresh column.
+  //
+  // The fill and the deviation walk run one row tile at a time
+  // (LocalityTileRows): the walk re-reads the tile's rows once per 32
+  // columns, from L2 rather than from memory, and the fill's read of the
+  // tile brings them there. Each accumulator still adds its rows in
+  // ascending order, tile after tile.
   PROCLUS_DCHECK(first_row + rows <= rows_);
   KernelScratch& scratch = scratch_[block_index];
   const size_t fill = fill_rows_.size();
-  if (fill > 0) {
-    scratch.outs.resize(fill);
-    for (size_t f = 0; f < fill; ++f)
-      scratch.outs[f] = col_base_[fill_rows_[f]] + first_row;
-    const std::span<double* const> outs(scratch.outs);
-    ManhattanManyBatch(data, rows, d, fill_medoids_, scratch, outs);
-    DivideColumnsBatch(outs, rows, static_cast<double>(d));
-  }
   std::vector<const double*>& cols = cols_[block_index];
+  scratch.outs.resize(fill);
   cols.resize(num_acc);
-  for (size_t a = 0; a < num_acc; ++a)
-    cols[a] = col_base_[acc_medoid_[a]] + first_row;
-  LocalityAbsDeviationBatch(data, rows, d, *medoids_, acc_medoid_, cols,
-                            acc_delta_, partial.sums.data(),
-                            partial.count.data());
+  const size_t tile_rows = LocalityTileRows(d);
+  for (size_t t0 = 0; t0 < rows; t0 += tile_rows) {
+    const size_t n = std::min(tile_rows, rows - t0);
+    const std::span<const double> tile = data.subspan(t0 * d, n * d);
+    const size_t row = first_row + t0;
+    if (fill > 0) {
+      for (size_t f = 0; f < fill; ++f)
+        scratch.outs[f] = col_base_[fill_rows_[f]] + row;
+      const std::span<double* const> outs(scratch.outs);
+      ManhattanManyBatch(tile, n, d, fill_medoids_, scratch, outs);
+      DivideColumnsBatch(outs, n, static_cast<double>(d));
+    }
+    for (size_t a = 0; a < num_acc; ++a)
+      cols[a] = col_base_[acc_medoid_[a]] + row;
+    LocalityAbsDeviationBatch(tile, n, d, *medoids_, acc_medoid_, cols,
+                              acc_delta_, scratch, partial.sums.data(),
+                              partial.count.data());
+  }
 }
 
 ScanConsumer::KernelStats LocalityStatsConsumer::kernel_stats() const {

@@ -174,6 +174,14 @@ struct MedoidDistanceCache {
 /// per variant would, so the results are bit-identical to one. This is
 /// what lets the fused hill-climb compute the locality statistics of
 /// both speculative next medoid sets inside the evaluation scan.
+///
+/// Each block is consumed one L2-sized row tile at a time
+/// (distance/batch.h, LocalityTileRows): the tile's distance columns are
+/// filled (ManhattanManyBatch), then every acc row walks its members in
+/// the tile over all d columns in register accumulators
+/// (LocalityAbsDeviationBatch), re-reading the rows from L2 once per 32
+/// columns. Partials stay per block, and each adds its rows in ascending
+/// order, tile after tile.
 class LocalityStatsConsumer final : public ScanConsumer {
  public:
   /// Binds the union medoid coordinate matrix (u x d) and one row-index

@@ -140,26 +140,32 @@ void ManhattanRowGroup(const double* group, const double* next, size_t d,
     __builtin_memcpy(outs[m + a] + r0, &acc[a], sizeof(Lanes));
 }
 
-// Columns one pass of a restricted labeled kernel gathers per row: up to
-// four groups of eight, so a list of l columns takes ceil(l / 32) passes
-// over its label's rows.
-constexpr size_t kRestrictedGroups = 4;
+// Columns one pass of a walk adds per row: up to four groups of eight,
+// so l columns take ceil(l / 32) passes over the walk's run of rows.
+constexpr size_t kWalkGroups = 4;
 
-// Adds one label's rows, `run` (row offsets into `block`, ascending), to
-// its G x 8 register accumulators: lane l of group g sums column
-// ids[8g + l] of each row, starting from that column's entry of `acc_row`
-// and storing it back at the end. Lanes past `count` (the last group's
-// padding) read a repeated listed column and are dropped. With
-// kAbsDeviation each row adds `diff < 0 ? -diff : diff` for diff = x -
-// ref: the sign bit of diff flipped where diff < 0, which is the scalar
-// loop's negation, so -0.0 and NaN terms keep their sign. The trip
-// counts depend on the label only, never on a row.
-template <size_t G, bool kAbsDeviation>
+// Adds a run of rows, `run` (row offsets into `block`, ascending), to G x
+// 8 register accumulators: lane l of group g sums column ids[8g + l] of
+// each row, starting from that column's entry of `acc_row` and storing it
+// back at the end. Lanes past `count` (the last group's padding) read a
+// repeated listed column and are dropped. With kContiguous the columns
+// ids[0 .. count) are consecutive, so each full group is one 64-byte load
+// (rows need not be 64-byte aligned: memcpy); the lanes of a partial
+// group, and every group of a listed walk, are loaded one by one, so no
+// load reaches past a row's last column. With kAbsDeviation each row adds
+// `diff < 0 ? -diff : diff` for diff = x - ref: the sign bit of diff
+// flipped where diff < 0, which is the scalar loop's negation, so -0.0
+// and NaN terms keep their sign. The trip counts depend on the run and
+// the columns only, never on a value.
+template <size_t G, bool kContiguous, bool kAbsDeviation>
 PROCLUS_KERNEL_HELPER
-void RestrictedRun(const double* block, size_t d, const uint32_t* run,
-                   size_t n, const uint32_t* ids, size_t count,
-                   const double* ref, double* acc_row) {
+void WalkRun(const double* block, size_t d, const uint32_t* run, size_t n,
+             const uint32_t* ids, size_t count, const double* ref,
+             double* acc_row) {
   const LaneBits sign = ~(~LaneBits{} >> 1);
+  // Groups before the last are always full; the last one is full when
+  // count is a multiple of eight.
+  const bool last_full = count == G * kLanes;
   Lanes acc[G];
   Lanes center[G];
   for (size_t g = 0; g < G; ++g) {
@@ -177,8 +183,13 @@ void RestrictedRun(const double* block, size_t d, const uint32_t* run,
     const double* row = block + size_t{run[p]} * d;
     for (size_t g = 0; g < G; ++g) {
       const uint32_t* c = ids + g * kLanes;
-      Lanes v = {row[c[0]], row[c[1]], row[c[2]], row[c[3]],
-                 row[c[4]], row[c[5]], row[c[6]], row[c[7]]};
+      Lanes v;
+      if (kContiguous && (g + 1 < G || last_full)) {
+        __builtin_memcpy(&v, row + c[0], sizeof(Lanes));
+      } else {
+        v = Lanes{row[c[0]], row[c[1]], row[c[2]], row[c[3]],
+                  row[c[4]], row[c[5]], row[c[6]], row[c[7]]};
+      }
       if constexpr (kAbsDeviation) {
         const Lanes diff = v - center[g];
         v = (Lanes)((LaneBits)diff ^ ((LaneBits)(diff < 0) & sign));
@@ -194,51 +205,69 @@ void RestrictedRun(const double* block, size_t d, const uint32_t* run,
   }
 }
 
-// The restricted labeled kernels' walk: label by label, each label's
-// list in passes of up to kRestrictedGroups groups, each pass over the
-// label's run of rows. `refs` is read only with kAbsDeviation.
+// Walks one run of rows over columns [0, size) (kContiguous) or over the
+// listed columns list[0 .. size), in passes of up to kWalkGroups groups:
+// acc_row[j] += row[j] (with kAbsDeviation, |row[j] - ref[j]|) for each
+// walked column j and each row of the run in turn. `ref` is read only
+// with kAbsDeviation, `list` only without kContiguous.
+template <bool kContiguous, bool kAbsDeviation>
+PROCLUS_KERNEL_HELPER
+void WalkColumns(const double* block, size_t d, const uint32_t* run,
+                 size_t n, const uint32_t* list, size_t size,
+                 const double* ref, double* acc_row) {
+  if (n == 0) return;
+  for (size_t first = 0; first < size; first += kWalkGroups * kLanes) {
+    const size_t count = std::min(size - first, kWalkGroups * kLanes);
+    const size_t num_groups = (count + kLanes - 1) / kLanes;
+    uint32_t ids[kWalkGroups * kLanes];
+    for (size_t x = 0; x < num_groups * kLanes; ++x) {
+      const size_t at = first + std::min(x, count - 1);
+      ids[x] = kContiguous ? static_cast<uint32_t>(at) : list[at];
+    }
+    switch (num_groups) {
+      case 1:
+        WalkRun<1, kContiguous, kAbsDeviation>(block, d, run, n, ids, count,
+                                               ref, acc_row);
+        break;
+      case 2:
+        WalkRun<2, kContiguous, kAbsDeviation>(block, d, run, n, ids, count,
+                                               ref, acc_row);
+        break;
+      case 3:
+        WalkRun<3, kContiguous, kAbsDeviation>(block, d, run, n, ids, count,
+                                               ref, acc_row);
+        break;
+      default:
+        WalkRun<4, kContiguous, kAbsDeviation>(block, d, run, n, ids, count,
+                                               ref, acc_row);
+        break;
+    }
+  }
+}
+
+// The labeled kernels' walk: label by label, each label's run of rows in
+// `groups` (GroupRowsByLabel) over its own list dim_lists[i], or over all
+// d columns when `dim_lists` is empty. sums holds one row of d per label;
+// `refs` is read only with kAbsDeviation.
 template <bool kAbsDeviation>
 PROCLUS_KERNEL_HELPER
-void RestrictedLabeledRuns(const double* block, size_t d,
-                           std::span<const std::vector<uint32_t>> dim_lists,
-                           const KernelScratch& groups, const Matrix* refs,
-                           double* sums) {
-  const size_t k = dim_lists.size();
-  PROCLUS_CHECK(groups.label_start.size() == k + 1);
+void LabeledRuns(const double* block, size_t d,
+                 std::span<const std::vector<uint32_t>> dim_lists,
+                 const KernelScratch& groups, const Matrix* refs,
+                 double* sums) {
+  const size_t k = groups.run_start.size() - 1;
   for (size_t i = 0; i < k; ++i) {
-    const uint32_t* run = groups.label_rows.data() + groups.label_start[i];
-    const size_t n = groups.label_start[i + 1] - groups.label_start[i];
-    const std::vector<uint32_t>& list = dim_lists[i];
-    if (n == 0) continue;
+    const uint32_t* run = groups.run_rows.data() + groups.run_start[i];
+    const size_t n = groups.run_start[i + 1] - groups.run_start[i];
     const double* ref = nullptr;
     if constexpr (kAbsDeviation) ref = refs->row(i).data();
-    double* acc_row = sums + i * d;
-    for (size_t first = 0; first < list.size();
-         first += kRestrictedGroups * kLanes) {
-      const size_t count =
-          std::min(list.size() - first, kRestrictedGroups * kLanes);
-      const size_t num_groups = (count + kLanes - 1) / kLanes;
-      uint32_t ids[kRestrictedGroups * kLanes];
-      for (size_t x = 0; x < num_groups * kLanes; ++x)
-        ids[x] = list[first + std::min(x, count - 1)];
-      switch (num_groups) {
-        case 1:
-          RestrictedRun<1, kAbsDeviation>(block, d, run, n, ids, count, ref,
-                                          acc_row);
-          break;
-        case 2:
-          RestrictedRun<2, kAbsDeviation>(block, d, run, n, ids, count, ref,
-                                          acc_row);
-          break;
-        case 3:
-          RestrictedRun<3, kAbsDeviation>(block, d, run, n, ids, count, ref,
-                                          acc_row);
-          break;
-        default:
-          RestrictedRun<4, kAbsDeviation>(block, d, run, n, ids, count, ref,
-                                          acc_row);
-          break;
-      }
+    if (dim_lists.empty()) {
+      WalkColumns</*kContiguous=*/true, kAbsDeviation>(
+          block, d, run, n, nullptr, d, ref, sums + i * d);
+    } else {
+      WalkColumns</*kContiguous=*/false, kAbsDeviation>(
+          block, d, run, n, dim_lists[i].data(), dim_lists[i].size(), ref,
+          sums + i * d);
     }
   }
 }
@@ -616,22 +645,12 @@ void LabeledAbsDeviationBatch(std::span<const double> block, size_t rows,
   const size_t k = refs.rows();
   ++scratch.batches;
   scratch.rows_scored += rows;
-  for (size_t r = 0; r < rows; ++r) {
-    const int label = labels[r];
-    if (label < 0) continue;  // Outliers carry no deviation.
-    const size_t i = static_cast<size_t>(label);
-    // invariant: labels come from an assignment scan, which only emits
-    // negative outlier labels or reference indices in [0, k).
-    PROCLUS_CHECK(i < k);
-    const double* __restrict__ point = block.data() + r * dims_total;
-    const double* __restrict__ ref = refs.row(i).data();
-    double* __restrict__ acc = sums + i * dims_total;
-    for (size_t j = 0; j < dims_total; ++j) {
-      double diff = point[j] - ref[j];
-      acc[j] += diff < 0 ? -diff : diff;
-    }
-    if (count != nullptr) ++count[i];
-  }
+  GroupRowsByLabel(labels, rows, k, scratch);
+  LabeledRuns</*kAbsDeviation=*/true>(block.data(), dims_total, {}, scratch,
+                                      &refs, sums);
+  if (count == nullptr) return;
+  for (size_t i = 0; i < k; ++i)
+    count[i] += scratch.run_start[i + 1] - scratch.run_start[i];
 }
 
 PROCLUS_KERNEL
@@ -639,24 +658,30 @@ void LocalityAbsDeviationBatch(std::span<const double> block, size_t rows,
                                size_t dims_total, const Matrix& refs,
                                std::span<const size_t> ref_rows,
                                std::span<const double* const> dists,
-                               std::span<const double> radii, double* sums,
+                               std::span<const double> radii,
+                               KernelScratch& scratch, double* sums,
                                size_t* count) {
   const size_t u = ref_rows.size();
   PROCLUS_DCHECK(dists.size() == u && radii.size() == u);
   PROCLUS_DCHECK(refs.cols() == dims_total);
-  for (size_t r = 0; r < rows; ++r) {
-    const double* __restrict__ point = block.data() + r * dims_total;
-    for (size_t a = 0; a < u; ++a) {
-      if (dists[a][r] <= radii[a]) {
-        const double* __restrict__ ref = refs.row(ref_rows[a]).data();
-        double* __restrict__ acc = sums + a * dims_total;
-        for (size_t j = 0; j < dims_total; ++j) {
-          double diff = point[j] - ref[j];
-          acc[j] += diff < 0 ? -diff : diff;
-        }
-        ++count[a];
-      }
+  PROCLUS_CHECK(rows <= std::numeric_limits<uint32_t>::max());
+  scratch.run_rows.resize(rows);
+  uint32_t* members = scratch.run_rows.data();
+  for (size_t a = 0; a < u; ++a) {
+    // The rows within the radius, ascending: every row is written at the
+    // cursor, which advances past the members only. A NaN distance fails
+    // the `<=` and is never inside.
+    const double* dist = dists[a];
+    const double radius = radii[a];
+    size_t n = 0;
+    for (size_t r = 0; r < rows; ++r) {
+      members[n] = static_cast<uint32_t>(r);
+      n += dist[r] <= radius ? 1 : 0;
     }
+    WalkColumns</*kContiguous=*/true, /*kAbsDeviation=*/true>(
+        block.data(), dims_total, members, n, nullptr, dims_total,
+        refs.row(ref_rows[a]).data(), sums + a * dims_total);
+    count[a] += n;
   }
 }
 
@@ -689,7 +714,7 @@ PROCLUS_KERNEL
 void GroupRowsByLabel(const int* labels, size_t rows, size_t num_labels,
                       KernelScratch& scratch) {
   PROCLUS_CHECK(rows <= std::numeric_limits<uint32_t>::max());
-  std::vector<uint32_t>& start = scratch.label_start;
+  std::vector<uint32_t>& start = scratch.run_start;
   start.assign(num_labels + 1, 0);
   for (size_t r = 0; r < rows; ++r) {
     const int label = labels[r];
@@ -700,13 +725,13 @@ void GroupRowsByLabel(const int* labels, size_t rows, size_t num_labels,
     ++start[static_cast<size_t>(label) + 1];
   }
   for (size_t i = 0; i < num_labels; ++i) start[i + 1] += start[i];
-  scratch.label_rows.resize(start[num_labels]);
+  scratch.run_rows.resize(start[num_labels]);
   // start[i] serves as label i's cursor and ends at its run's end, the
   // next run's start; one shift restores the run starts.
   for (size_t r = 0; r < rows; ++r) {
     const int label = labels[r];
     if (label < 0) continue;
-    scratch.label_rows[start[static_cast<size_t>(label)]++] =
+    scratch.run_rows[start[static_cast<size_t>(label)]++] =
         static_cast<uint32_t>(r);
   }
   for (size_t i = num_labels; i > 0; --i) start[i] = start[i - 1];
@@ -718,10 +743,11 @@ void RestrictedLabeledSumBatch(
     std::span<const double> block, size_t dims_total,
     std::span<const std::vector<uint32_t>> dim_lists,
     const KernelScratch& groups, double* sums, size_t* count) {
-  RestrictedLabeledRuns</*kAbsDeviation=*/false>(
-      block.data(), dims_total, dim_lists, groups, nullptr, sums);
+  PROCLUS_CHECK(groups.run_start.size() == dim_lists.size() + 1);
+  LabeledRuns</*kAbsDeviation=*/false>(block.data(), dims_total, dim_lists,
+                                       groups, nullptr, sums);
   for (size_t i = 0; i < dim_lists.size(); ++i)
-    count[i] += groups.label_start[i + 1] - groups.label_start[i];
+    count[i] += groups.run_start[i + 1] - groups.run_start[i];
 }
 
 PROCLUS_KERNEL
@@ -733,8 +759,9 @@ void RestrictedLabeledAbsDeviationBatch(
   PROCLUS_DCHECK(refs.cols() == dims_total);
   ++scratch.batches;
   scratch.rows_scored += rows;
-  RestrictedLabeledRuns</*kAbsDeviation=*/true>(
-      block.data(), dims_total, dim_lists, groups, &refs, sums);
+  PROCLUS_CHECK(groups.run_start.size() == dim_lists.size() + 1);
+  LabeledRuns</*kAbsDeviation=*/true>(block.data(), dims_total, dim_lists,
+                                      groups, &refs, sums);
 }
 
 const char* KernelIsa() {

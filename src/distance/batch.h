@@ -11,7 +11,7 @@
 // bit-identical to the scalar reference (property-tested in
 // tests/distance_batch_test.cc). Two layouts put several points' values
 // of one dimension side by side, and a third several dimensions of one
-// cluster (DESIGN.md §9):
+// accumulated row (DESIGN.md §9):
 //
 //   * ManhattanManyBatch, the full-width fold of the locality scan,
 //     loads eight rows at a time and transposes them 8 x 8 in registers;
@@ -25,12 +25,15 @@
 //     points. A tile of a few selected dimensions is small; a full-width
 //     one (the Lloyd kernels) is d x 8 KiB and outgrows a 48 KiB L1d
 //     from d = 6.
-//   * The restricted labeled kernels, the per-cluster sums of Figure 6,
-//     add rows into accumulators rather than score them. They walk one
-//     cluster's rows (grouped by GroupRowsByLabel) and gather eight of
-//     that cluster's own columns per row into a vector, so each 8-lane
-//     register accumulator holds eight dimensions of one cluster and
-//     adds its rows in ascending order.
+//   * The walk kernels add rows into accumulators rather than score
+//     them: the per-cluster sums of Figure 6, the refinement's cluster
+//     statistics and a medoid's locality sums of Figure 4. Each walks one
+//     run of rows — a cluster's rows (GroupRowsByLabel), or the rows
+//     within a medoid's radius — and carries up to four 8-lane register
+//     accumulators, each holding eight dimensions of one accumulated
+//     row, while the run's rows stream past in ascending order. Eight
+//     contiguous columns are one load; a cluster's own list D_i is
+//     gathered eight columns per row.
 //
 // Multi-reference kernels fold every reference over one read of the rows
 // — a gathered sub-tile or a transposed row group — so a block's
@@ -66,6 +69,19 @@ namespace proclus {
 /// L1d, so ManhattanManyBatch gathers none.
 inline constexpr size_t kKernelRowTile = 1024;
 
+/// Bytes of rows in one locality row tile (LocalityTileRows): small
+/// enough that a tile's rows, read once by ManhattanManyBatch, are still
+/// in L2 for the ceil(d / 32) passes of LocalityAbsDeviationBatch's walk.
+inline constexpr size_t kLocalityTileBytes = 128 * 1024;
+
+/// Rows per locality row tile at dimensionality d: kLocalityTileBytes of
+/// rows, rounded down to a multiple of eight (ManhattanManyBatch's row
+/// group), and at least eight. 816 rows at d = 20, 80 at d = 200.
+constexpr size_t LocalityTileRows(size_t d) {
+  const size_t rows = kLocalityTileBytes / (sizeof(double) * (d > 0 ? d : 1));
+  return rows < 8 ? 8 : rows / 8 * 8;
+}
+
 /// Reusable buffers plus observability counters for the batch kernels.
 /// One instance per (consumer, block); not thread-safe.
 struct KernelScratch {
@@ -93,11 +109,13 @@ struct KernelScratch {
   std::vector<double> best;    ///< Per-row winning distance (argmin).
   std::vector<uint8_t> inside; ///< Per-row sphere flags (refine argmin).
   std::vector<double*> outs;   ///< Per-reference output pointers.
-  /// A block's rows grouped by label (GroupRowsByLabel): label i's rows,
-  /// ascending, are label_rows[label_start[i] .. label_start[i + 1]).
-  /// The restricted labeled kernels read them.
-  std::vector<uint32_t> label_rows;
-  std::vector<uint32_t> label_start;
+  /// Runs of rows the walk kernels add, block-relative and ascending.
+  /// After GroupRowsByLabel, label i's rows are run_rows[run_start[i] ..
+  /// run_start[i + 1]); the labeled kernels read them.
+  /// LocalityAbsDeviationBatch keeps one medoid's member rows in run_rows
+  /// and leaves run_start alone.
+  std::vector<uint32_t> run_rows;
+  std::vector<uint32_t> run_start;
 };
 
 /// Sizes `scratches` to one KernelScratch per block and readies each for
@@ -185,15 +203,22 @@ void SquaredEuclideanArgminBatch(std::span<const double> block, size_t rows,
 /// Locality deviations (the X statistics of Figure 4): for every
 /// reference a and every row r with dists[a][r] <= radii[a], sums[a *
 /// dims_total + j] += |row[j] - refs(ref_rows[a], j)| for all j, and
-/// ++count[a]. `dists[a]` points at this block's first row; `sums` holds
-/// ref_rows.size() x dims_total zeros-or-partials. Rows are visited in
-/// ascending order, as in the scalar per-point loop, so each accumulator
-/// sees the same additions in the same order: bit-identical results.
+/// ++count[a]. `dists[a]` points at `block`'s first row; `sums` holds
+/// ref_rows.size() x dims_total zeros-or-partials. Each reference lists
+/// its member rows (a NaN distance is never inside) in scratch.run_rows
+/// and walks them over all dims_total columns, 32 per pass. Each
+/// accumulator adds its members in ascending order, as the scalar
+/// per-point loop does, and |diff| is `diff < 0 ? -diff : diff`, so the
+/// results are bit-identical, also over consecutive calls on consecutive
+/// row ranges into the same sums: the locality scan calls it once per
+/// row tile (LocalityTileRows), so every pass re-reads rows from L2. It
+/// scores no pairs and adds nothing to the scratch counters.
 void LocalityAbsDeviationBatch(std::span<const double> block, size_t rows,
                                size_t dims_total, const Matrix& refs,
                                std::span<const size_t> ref_rows,
                                std::span<const double* const> dists,
-                               std::span<const double> radii, double* sums,
+                               std::span<const double> radii,
+                               KernelScratch& scratch, double* sums,
                                size_t* count);
 
 /// cols[c][r] /= denom in place for every column c and row r < rows: the
@@ -207,7 +232,10 @@ void DivideColumnsBatch(std::span<double* const> cols, size_t rows,
 /// Lloyd update): for every row r with labels[r] == i >= 0 (negative
 /// labels — outliers — are skipped), sums[i * dims_total + j] += row[j]
 /// for all j and ++count[i]. Every label must be < num_labels. Ascending
-/// row order, so bit-identical to the scalar centroid loops.
+/// row order, so bit-identical to the scalar centroid loops. A per-row
+/// loop, not a walk of label groups: it adds without a subtraction, and
+/// at d <= 20 the grouping pass costs more than the walk saves
+/// (DESIGN.md §9).
 void LabeledSumBatch(std::span<const double> block, size_t rows,
                      size_t dims_total, const int* labels, size_t num_labels,
                      double* sums, size_t* count);
@@ -216,19 +244,20 @@ void LabeledSumBatch(std::span<const double> block, size_t rows,
 /// refinement's cluster statistics, which FindDimensions reads in full):
 /// for every row r with labels[r] == i >= 0 (negative labels — outliers —
 /// are skipped), sums[i * dims_total + j] += |row[j] - refs(i, j)| for
-/// all j, and count[i] is incremented when `count` is non-null. Rows are
-/// visited in ascending order, so each accumulator sees the same addition
-/// order as the scalar cluster-stats loop — bit-identical results.
-/// `sums` must hold refs.rows() x dims_total zeros-or-partials.
+/// all j, and count[i] is incremented when `count` is non-null. Groups
+/// the rows by label in `scratch` (GroupRowsByLabel) and walks each
+/// label's run, so each accumulator sees the same addition order as the
+/// scalar cluster-stats loop — bit-identical results. `sums` must hold
+/// refs.rows() x dims_total zeros-or-partials.
 void LabeledAbsDeviationBatch(std::span<const double> block, size_t rows,
                               size_t dims_total, const int* labels,
                               const Matrix& refs, KernelScratch& scratch,
                               double* sums, size_t* count);
 
-/// Groups a block's rows by label for the restricted kernels below:
-/// afterwards scratch.label_rows holds, for i = 0 .. num_labels - 1 in
-/// turn, the rows r < rows with labels[r] == i in ascending order, and
-/// scratch.label_start (num_labels + 1 entries) bounds each label's run.
+/// Groups a block's rows by label for the labeled kernels: afterwards
+/// scratch.run_rows holds, for i = 0 .. num_labels - 1 in turn, the rows
+/// r < rows with labels[r] == i in ascending order, and
+/// scratch.run_start (num_labels + 1 entries) bounds each label's run.
 /// Negative labels (outliers) are left out; every other label must be
 /// < num_labels, and `rows` must fit in 32 bits.
 void GroupRowsByLabel(const int* labels, size_t rows, size_t num_labels,

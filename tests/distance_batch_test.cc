@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <iterator>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -563,16 +564,33 @@ void ScalarLabeledAbsDeviationLoop(std::span<const double> data, size_t rows,
 // perfbench mem_d200's d, whose full list takes several passes.
 const size_t kRestrictedDims[] = {2, 9, 20, 200};
 
-// One case for the restricted labeled kernels: a label per list length
-// in {1, 2, 7, 8, 9, 16, 17, d} that fits in d, a label with an empty
-// list, and a last label that gets no rows; outliers (-1) among the
-// rows; and special values in the block and the references: signed
-// zeros, subnormals, +-inf and NaN.
+// Special values the walk kernels' cases sprinkle into rows and
+// references: signed zeros, subnormals, +-inf and NaN.
 // The NaN is the one x86 arithmetic makes (inf - inf: sign set, quiet),
 // so every NaN a sum meets has one bit pattern. When an addition's two
 // operands are NaNs of different patterns, which one it returns follows
 // the operand order the compiler picked, which C++ leaves open; such a
-// sum has no defined bits in the full-width loop either.
+// sum has no defined bits in the per-row loop either.
+const double kSpecials[] = {-0.0,
+                            0.0,
+                            std::numeric_limits<double>::denorm_min(),
+                            -3 * std::numeric_limits<double>::denorm_min(),
+                            std::numeric_limits<double>::min() / 4,
+                            std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::quiet_NaN()};
+
+// Replaces about one value in `one_in` with a special value.
+void SprinkleSpecials(Rng& rng, std::span<double> values, uint64_t one_in) {
+  for (double& v : values)
+    if (rng.UniformInt(one_in) == 0)
+      v = kSpecials[rng.UniformInt(std::size(kSpecials))];
+}
+
+// One case for the restricted labeled kernels: a label per list length
+// in {1, 2, 7, 8, 9, 16, 17, d} that fits in d, a label with an empty
+// list, and a last label that gets no rows; outliers (-1) among the
+// rows; and kSpecials in the block and the references.
 struct RestrictedCase {
   size_t k = 0;
   std::vector<double> block;
@@ -595,21 +613,8 @@ RestrictedCase MakeRestrictedCase(Rng& rng, size_t rows, size_t d) {
     label = static_cast<int>(rng.UniformInt(c.k)) - 1;  // k - 1: none.
   c.block = RandomBlock(rng, rows, d);
   c.refs = RandomMatrix(rng, c.k, d);
-  const double specials[] = {-0.0,
-                             0.0,
-                             std::numeric_limits<double>::denorm_min(),
-                             -3 * std::numeric_limits<double>::denorm_min(),
-                             std::numeric_limits<double>::min() / 4,
-                             std::numeric_limits<double>::infinity(),
-                             -std::numeric_limits<double>::infinity(),
-                             -std::numeric_limits<double>::quiet_NaN()};
-  const uint64_t num_specials = std::size(specials);
-  for (double& v : c.block)
-    if (rng.UniformInt(64) == 0) v = specials[rng.UniformInt(num_specials)];
-  for (size_t i = 0; i < c.k; ++i)
-    for (size_t j = 0; j < d; ++j)
-      if (rng.UniformInt(16) == 0)
-        c.refs(i, j) = specials[rng.UniformInt(num_specials)];
+  SprinkleSpecials(rng, c.block, 64);
+  SprinkleSpecials(rng, c.refs.data(), 16);
   // Row 0 repeats label 0's reference with its zero signs flipped, so the
   // deviation adds -0.0 terms to a -0.0 partial.
   c.labels[0] = 0;
@@ -692,41 +697,61 @@ TEST(DistanceBatchTest, LabeledAbsDeviationMatchesScalarAndSkipsOutliers) {
 
 TEST(DistanceBatchTest, LocalityAbsDeviationMatchesConsumerLoop) {
   Rng rng(7011);
+  // One scratch for every call, as a block's consumer scratch is reused:
+  // its member list must follow each call's row count.
+  KernelScratch scratch;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // Acc rows as the consumer's row plan builds them: medoid 2 twice
+  // under two radii, medoid 1 with a radius no row is within, and medoid
+  // 4 with one every row is within.
+  const std::vector<size_t> acc_medoid = {0, 2, 2, 1, 3, 4};
+  const std::vector<double> acc_delta = {40.0, 25.0, 60.0, -1.0, 50.0, inf};
+  const size_t num_acc = acc_medoid.size();
+  const size_t kEveryRow = 5;
+  // d crosses the walk's 8-lane groups and its 32-column passes.
+  const size_t kDims[] = {1, 2, 7, 8, 9, 16, 17, 31, 32, 33, 40, 200};
   for (size_t rows : kRaggedRows) {
-    for (size_t d : {size_t{3}, size_t{20}, size_t{37}}) {
+    for (size_t d : kDims) {
       std::vector<double> block = RandomBlock(rng, rows, d);
-      Matrix medoids = RandomMatrix(rng, 4, d);
-      // Signed zeros: medoid 0 holds +0.0 and -0.0 in its first two
-      // dimensions and row 0 copies the medoid with those signs swapped,
-      // so the loop adds -0.0 and +0.0 terms.
-      medoids(0, 0) = 0.0;
-      medoids(0, 1) = -0.0;
-      for (size_t j = 0; j < d; ++j) block[j] = medoids(0, j);
-      block[0] = -0.0;
-      block[1] = 0.0;
-      // Acc rows as the consumer's row plan builds them: medoid 2 twice
-      // under two radii, and medoid 1 with a radius no row is within.
-      const std::vector<size_t> acc_medoid = {0, 2, 2, 1, 3};
-      const std::vector<double> acc_delta = {40.0, 25.0, 60.0, -1.0, 50.0};
-      const size_t num_acc = acc_medoid.size();
+      Matrix medoids = RandomMatrix(rng, 5, d);
+      SprinkleSpecials(rng, block, 64);
+      SprinkleSpecials(rng, medoids.data(), 16);
+      // Signed zeros: medoid 0 alternates +0.0 and -0.0 and row 0 holds
+      // the opposite signs, so the walk adds -0.0 and +0.0 terms.
+      for (size_t j = 0; j < d; ++j) medoids(0, j) = j % 2 == 0 ? 0.0 : -0.0;
+      for (size_t j = 0; j < d; ++j) block[j] = j % 2 == 0 ? -0.0 : 0.0;
       std::vector<std::vector<double>> dist(num_acc,
                                             std::vector<double>(rows));
       for (std::vector<double>& col : dist)
         for (double& v : col) v = rng.Uniform(0, 100);
-      // Rows exactly at the radius are inside (the `<=`).
+      // Rows exactly at the radius are inside (the `<=`); a NaN distance
+      // is inside no radius.
       for (size_t a = 0; a < num_acc; ++a) {
-        if (acc_delta[a] < 0) continue;
-        for (size_t r = a; r < rows; r += 7) dist[a][r] = acc_delta[a];
+        if (a == kEveryRow) continue;
+        if (acc_delta[a] >= 0)
+          for (size_t r = a; r < rows; r += 7) dist[a][r] = acc_delta[a];
+        for (size_t r = a + 3; r < rows; r += 11) dist[a][r] = nan;
       }
       dist[0][0] = 0.0;  // Row 0 lies in medoid 0's locality.
       std::vector<const double*> cols(num_acc);
       for (size_t a = 0; a < num_acc; ++a) cols[a] = dist[a].data();
 
-      // Partials start at -0.0, where a lost zero sign would show.
+      // Partials start at -0.0, where a lost zero sign would show. The
+      // kernel runs over two consecutive row ranges, as the locality
+      // scan runs it tile by tile, into the same partials.
       std::vector<double> sums(num_acc * d, -0.0);
       std::vector<size_t> count(num_acc, 0);
-      LocalityAbsDeviationBatch(block, rows, d, medoids, acc_medoid, cols,
-                                acc_delta, sums.data(), count.data());
+      const size_t split = rows * 2 / 5;
+      const std::span<const double> all(block);
+      LocalityAbsDeviationBatch(all.first(split * d), split, d, medoids,
+                                acc_medoid, cols, acc_delta, scratch,
+                                sums.data(), count.data());
+      std::vector<const double*> rest(num_acc);
+      for (size_t a = 0; a < num_acc; ++a) rest[a] = cols[a] + split;
+      LocalityAbsDeviationBatch(all.subspan(split * d), rows - split, d,
+                                medoids, acc_medoid, rest, acc_delta,
+                                scratch, sums.data(), count.data());
       std::vector<double> expected_sums(num_acc * d, -0.0);
       std::vector<size_t> expected_count(num_acc, 0);
       ScalarLocalityLoop(block, rows, d, medoids, acc_medoid, cols,
@@ -736,7 +761,10 @@ TEST(DistanceBatchTest, LocalityAbsDeviationMatchesConsumerLoop) {
           << "rows=" << rows << " d=" << d;
       ASSERT_EQ(count, expected_count) << "rows=" << rows << " d=" << d;
       EXPECT_EQ(count[3], 0u);
+      EXPECT_EQ(count[kEveryRow], rows);
       EXPECT_GE(count[0], 1u);
+      EXPECT_EQ(scratch.batches, 0u) << "the walk scores no pairs";
+      EXPECT_EQ(scratch.rows_scored, 0u);
     }
   }
 }
@@ -748,7 +776,8 @@ TEST(DistanceBatchTest, LocalityAbsDeviationWithNoAccRowsWritesNothing) {
   const size_t d = 20;
   std::vector<double> block = RandomBlock(rng, rows, d);
   Matrix medoids = RandomMatrix(rng, 3, d);
-  LocalityAbsDeviationBatch(block, rows, d, medoids, {}, {}, {},
+  KernelScratch scratch;
+  LocalityAbsDeviationBatch(block, rows, d, medoids, {}, {}, {}, scratch,
                             /*sums=*/nullptr, /*count=*/nullptr);
 }
 

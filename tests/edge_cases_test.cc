@@ -337,6 +337,53 @@ TEST(EdgeCaseTest, CliqueConstantDimension) {
   ASSERT_TRUE(result.ok());
 }
 
+TEST(EdgeCaseTest, CliqueNonFiniteCoordinateIsAStatus) {
+  // A NaN or infinite coordinate, in a whole column or one cell, read
+  // from memory or from a snapshot: the bounds scan returns
+  // InvalidArgument naming the first such coordinate's row and
+  // dimension, instead of a grid whose interval indices are undefined.
+  GeneratorParams gen;
+  gen.num_points = 600;
+  gen.space_dims = 6;
+  gen.num_clusters = 2;
+  gen.cluster_dim_counts = {3, 3};
+  gen.seed = 5;
+  auto data = GenerateSynthetic(gen);
+  ASSERT_TRUE(data.ok());
+  CliqueParams params;
+  const size_t n = gen.num_points;
+  const double values[] = {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()};
+  for (double value : values) {
+    for (bool whole_column : {true, false}) {
+      Dataset dataset = data->dataset;
+      const size_t first_bad = whole_column ? 0 : n / 2;
+      for (size_t i = first_bad; i < (whole_column ? n : first_bad + 1); ++i)
+        dataset.matrix()(i, 2) = value;
+      const std::string path = TestTempPath("clique_nonfinite.bin");
+      ASSERT_TRUE(WriteBinaryFile(dataset, path).ok());
+      auto disk = DiskSource::Open(path);
+      ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+      MemorySource memory(dataset);
+      const PointSource* sources[] = {&memory, &*disk};
+      const char* names[] = {"memory", "disk"};
+      for (size_t s = 0; s < 2; ++s) {
+        SCOPED_TRACE(std::string(names[s]) + ", value " +
+                     std::to_string(value) +
+                     (whole_column ? ", whole column" : ", one cell"));
+        auto fit = RunCliqueOnSource(*sources[s], params);
+        ASSERT_FALSE(fit.ok()) << fit->clusters.size() << " clusters";
+        EXPECT_EQ(fit.status().code(), StatusCode::kInvalidArgument);
+        const std::string want = "non-finite coordinate at row " +
+                                 std::to_string(first_bad) + ", dimension 2";
+        EXPECT_NE(fit.status().message().find(want), std::string::npos)
+            << fit.status().ToString();
+      }
+    }
+  }
+}
+
 // ---------- Normalization + pipeline ----------
 
 TEST(EdgeCaseTest, ZScoreThenProclusOnScaledData) {

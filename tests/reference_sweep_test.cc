@@ -18,8 +18,10 @@
 // set, normalization): l = d, where every assignment key is the locality
 // key; an unnormalized long climb; k = 1; restarts of 100 iterations,
 // across which the cache carries; a fit resumed from a checkpoint,
-// whose cache starts empty; and lists of 25 or more of d = 40
-// dimensions, which the evaluation sums in several 8-column groups.
+// whose cache starts empty; lists of 25 or more of d = 40 dimensions,
+// which the evaluation sums in several 8-column groups; and d = 200 on
+// a disk snapshot, where the locality scan splits every block into a
+// full row tile and a ragged one.
 
 #include <algorithm>
 #include <cstdint>
@@ -37,6 +39,7 @@
 #include "core/proclus.h"
 #include "data/binary_io.h"
 #include "data/sharded_source.h"
+#include "distance/batch.h"
 #include "gen/synthetic.h"
 #include "reference_proclus.h"
 #include "test_temp.h"
@@ -246,6 +249,12 @@ TEST(ReferenceSweepTest, CacheKeyEdgesMatchReferenceBitForBit) {
       // a remainder. The oracle's Evaluate sums all d columns.
       {"long dimension lists", 1200, 40, 3, 28.0, 1,
        [](ProclusParams* p) { p->num_threads = 2; }},
+      // The locality scan runs its fill and walk one row tile at a time;
+      // at d = 200 a tile holds 80 rows, so each 128-row block (and the
+      // last one, of 104) is a full tile and a ragged one, and the walk
+      // takes seven 32-column passes.
+      {"locality row tiles", 1000, 200, 3, 6.0, 1,
+       [](ProclusParams* p) { p->num_threads = 2; }},
   };
   for (size_t c = 0; c < std::size(kEdges); ++c) {
     const EdgeConfig& edge = kEdges[c];
@@ -292,6 +301,14 @@ TEST(ReferenceSweepTest, CacheKeyEdgesMatchReferenceBitForBit) {
     if (edge.l == static_cast<double>(edge.d)) {
       for (const DimensionSet& dims : production->dimensions)
         EXPECT_EQ(dims.size(), edge.d);
+    }
+    if (edge.d == 200) {
+      const size_t tile = LocalityTileRows(edge.d);
+      const size_t last = edge.n % params.block_rows;
+      EXPECT_EQ(tile, 80u);
+      EXPECT_EQ((params.block_rows + tile - 1) / tile, 2u);
+      EXPECT_NE(params.block_rows % tile, 0u);
+      EXPECT_EQ((last + tile - 1) / tile, 2u);
     }
     if (edge.d == 40) {
       size_t longest = 0;

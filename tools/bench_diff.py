@@ -8,10 +8,17 @@ Both files are bench_util documents ({"binary", "host", "sections":
 [{"title", "values": [[key, value], ...]}]}). For every "<key> median"
 value that both files hold under the same section title, prints the old
 value, the new value and new / old. A key whose name says "seconds" is
-worse when higher; a key ending in "/s" (a rate) is worse when lower; any
-other median is printed without a direction. A change for the worse of
-more than THRESHOLD (10%) is flagged as a regression, and the script
-exits 1 if any key regressed, 0 otherwise (2 on unreadable input).
+worse when higher; a key ending in "/s" (a rate) or named "speedup" is
+worse when lower; any other median is printed without a direction. A
+change for the worse of more than THRESHOLD (10%) is flagged as a
+regression, and the script exits 1 if any key regressed, 0 otherwise (2
+on unreadable input).
+
+A section whose both files hold a "speedup median" (bench/kernels: the
+scalar median over the batched median of one take) is gated on that
+ratio alone. Its absolute rates are printed but never flagged: both
+sides of a cell drift together with the host's load, so pinned takes of
+one build spread by up to 45% per cell while their ratio holds.
 
 When the two files' "host" blocks differ (another CPU count, CPU
 affinity, kernel clone or page size), it first prints a note naming each
@@ -27,6 +34,7 @@ import sys
 import tempfile
 
 SUFFIX = " median"
+SPEEDUP = "speedup" + SUFFIX
 THRESHOLD = 0.10
 
 
@@ -63,7 +71,7 @@ def load_medians(path):
 def direction(key):
     """+1 when higher is worse, -1 when lower is worse, 0 when unknown."""
     name = key[:-len(SUFFIX)]
-    if name.endswith("/s"):
+    if name.endswith("/s") or name == "speedup":
         return -1
     if "seconds" in name:
         return 1
@@ -72,11 +80,15 @@ def direction(key):
 
 def compare(old, new):
     """Rows (title, key, old, new, ratio, regressed) for the shared keys."""
+    shared = set(old) & set(new)
+    by_speedup = {title for title, key in shared if key == SPEEDUP}
     rows = []
-    for title, key in sorted(set(old) & set(new)):
+    for title, key in sorted(shared):
         before, after = old[(title, key)], new[(title, key)]
         ratio = after / before if before != 0 else float("inf")
         sign = direction(key)
+        if title in by_speedup and key != SPEEDUP:
+            sign = 0
         if sign == 0 or before == 0:
             regressed = False
         elif sign > 0:
@@ -144,6 +156,39 @@ def self_test():
                 failures.append("case %d: exit %d with %d regression(s), "
                                 "expected %d with %d" %
                                 (i, code, got, want_code, want_regressions))
+        # A section both files hold a speedup median for is gated on it
+        # alone: its rates may halve while the ratio holds, and a falling
+        # ratio is flagged whatever the rates do.
+        paired = os.path.join(root, "paired.json")
+        with open(paired, "w", encoding="utf-8") as f:
+            json.dump(document([["scalar Mpairs/s median", 100.0],
+                                ["batched Mpairs/s median", 300.0],
+                                ["speedup median", 3.0]]), f)
+        speedup_cases = [
+            # (new values, expected regressions, expected flagged key)
+            ([["scalar Mpairs/s median", 50.0],
+              ["batched Mpairs/s median", 150.0],
+              ["speedup median", 3.0]], 0, None),
+            ([["scalar Mpairs/s median", 120.0],
+              ["batched Mpairs/s median", 300.0],
+              ["speedup median", 2.5]], 1, "speedup median"),
+            ([["scalar Mpairs/s median", 60.0],
+              ["batched Mpairs/s median", 240.0],
+              ["speedup median", 4.0]], 0, None),
+            # Without the ratio in both files the rates are gated again.
+            ([["scalar Mpairs/s median", 50.0],
+              ["batched Mpairs/s median", 150.0]], 2, None),
+        ]
+        for i, (values, want, want_key) in enumerate(speedup_cases):
+            new_path = os.path.join(root, "speedup%d.json" % i)
+            with open(new_path, "w", encoding="utf-8") as f:
+                json.dump(document(values), f)
+            rows = compare(load_medians(paired), load_medians(new_path))
+            flagged = [row[1] for row in rows if row[5]]
+            if len(rows) != len(values) or len(flagged) != want or \
+                    (want_key is not None and flagged != [want_key]):
+                failures.append("speedup case %d: %d row(s), flagged %r" %
+                                (i, len(rows), flagged))
         # Keys match per section: the same key under another title is not
         # shared.
         other = os.path.join(root, "other.json")
@@ -166,7 +211,8 @@ def self_test():
         failures.append("equal host blocks differ")
     if direction("memory seconds median") != 1 or \
             direction("batched Mpairs/s median") != -1 or \
-            direction("count median") != 0:
+            direction("count median") != 0 or \
+            direction("speedup median") != -1:
         failures.append("direction() misreads a key")
     if failures:
         print("bench_diff self-test FAILED:")

@@ -318,7 +318,7 @@ int main(int argc, char** argv) {
     std::vector<std::unique_ptr<PointSource>> slices;
     std::vector<std::unique_ptr<PointSource>> decorated;
     for (size_t s = 0; s < 4; ++s) {
-      slices.push_back(std::make_unique<MemorySliceSource>(
+      slices.push_back(std::make_unique<MemorySource>(
           ds, starts[s], counts[s]));
       FaultPlan plan;
       plan.seed = 900 + s;

@@ -16,17 +16,20 @@
 // and first-touch page-cache misses don't land inside a timed region.
 // Every configuration must reproduce the unsharded consumer bits exactly.
 //
-// Part 3 — cold-cache disk scan: one whole-set scan of the Part 2
-// snapshot with the page cache evicted (posix_fadvise DONTNEED) before
-// each of --reps runs. Here the reads are real device I/O, which one
-// worker's read overlaps with another worker's consumer compute — the
-// regime the 2T thread budget is for.
+// Part 3 — equal thread budget: the Part 2 snapshot as one DiskSource
+// file against its 4-shard SplitIntoShards layout, both at T in {1, 2, 4}
+// threads, so any difference is the shards' own, not their threads'.
+// Each cell runs warm (page-cache hot after one untimed scan per side) and
+// cold (the bench evicts that source's own files with posix_fadvise
+// DONTNEED before every scan, so the reads are device I/O), --reps scans
+// per side, the two sides interleaved; it prints each side's median, min
+// and max and the ratio of the medians.
 //
 // --smoke asserts the bit-identity of every configuration plus a
-// flake-resistant scaling bound (the best sharded disk run may not be
-// slower than 1.15x the single-shard run) and exits nonzero on any
+// flake-resistant scaling bound on Part 2 (the best sharded disk run may
+// not be slower than 1.15x the single-shard run) and exits nonzero on any
 // violation — wired into ctest under the bench_smoke label (RUN_SERIAL:
-// it is a timing assertion).
+// it is a timing assertion). Part 3 is checked for bit-identity only.
 //
 // NOTE: pool size. VMs and containers often under-report
 // hardware_concurrency; set PROCLUS_POOL_THREADS to the real core count
@@ -62,6 +65,9 @@ using namespace proclus;
 using namespace proclus::bench;
 
 constexpr size_t kShardCounts[] = {1, 2, 4, 8};
+// Index of the 4-shard layout in kShardCounts (Part 3).
+constexpr size_t kFourShards = 2;
+static_assert(kShardCounts[kFourShards] == 4);
 
 // Flushes dirty pages of `path` and asks the kernel to drop its page
 // cache, so the next read is real device I/O. Best effort: a failure
@@ -91,30 +97,36 @@ EngineRun RunOnce(const PointSource& source, const ProclusParams& params) {
   return EngineRun{std::move(result).value(), seconds};
 }
 
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t n = values.size();
+  return n % 2 == 1 ? values[n / 2]
+                    : 0.5 * (values[n / 2 - 1] + values[n / 2]);
+}
+
 bool SameClustering(const ProjectedClustering& a,
                     const ProjectedClustering& b) {
   return a.labels == b.labels && a.medoids == b.medoids &&
          a.objective == b.objective && a.iterations == b.iterations;
 }
 
-// One timed whole-set scan configuration of Part 2 / Part 3.
+// One timed whole-set scan configuration of Part 2.
 struct ScanRun {
   double seconds = 0.0;
   RunStats stats;
   bool identical = false;  // Consumer bits match the unsharded run.
 };
 
+// Times `repetitions` scans after one untimed warm-up scan.
 ScanRun TimeScans(const PointSource& source, const Matrix& medoids,
-                  size_t num_threads, size_t repetitions, size_t warmups,
+                  size_t num_threads, size_t repetitions,
                   const LocalityStatsConsumer& reference) {
   ScanRun run;
   ScanOptions options;
   options.num_threads = num_threads;
   LocalityStatsConsumer consumer;
-  for (size_t w = 0; w < warmups; ++w) {
-    if (!consumer.Bind(&medoids).ok()) std::exit(1);
-    if (!ScanExecutor(options).Run(source, {&consumer}).ok()) std::exit(1);
-  }
+  if (!consumer.Bind(&medoids).ok()) std::exit(1);
+  if (!ScanExecutor(options).Run(source, {&consumer}).ok()) std::exit(1);
   options.stats = &run.stats;
   Timer timer;
   for (size_t rep = 0; rep < repetitions; ++rep) {
@@ -252,7 +264,8 @@ int main(int argc, char** argv) {
   // one configuration's files cannot tax another configuration's timing.
   std::vector<ShardedSource> mem_layouts;
   std::vector<ShardedSource> disk_layouts;
-  std::vector<std::string> cleanup;
+  // Each disk layout's shard files, then its manifest.
+  std::vector<std::vector<std::string>> layout_files;
   for (size_t shards : kShardCounts) {
     auto mem_sharded =
         ShardedSource::FromDataset(sweep->dataset, shards, kDefaultBlockRows);
@@ -269,7 +282,7 @@ int main(int argc, char** argv) {
                    manifest.status().ToString().c_str());
       std::exit(1);
     }
-    cleanup.push_back(*manifest);
+    std::vector<std::string> files;
     for (size_t s = 0; s < shards; ++s) {
       std::string shard_file =
           shard_prefix + ".shard" + std::to_string(s) + ".bin";
@@ -278,8 +291,10 @@ int main(int argc, char** argv) {
         ::fdatasync(fd);
         ::close(fd);
       }
-      cleanup.push_back(std::move(shard_file));
+      files.push_back(std::move(shard_file));
     }
+    files.push_back(*manifest);
+    layout_files.push_back(std::move(files));
     auto disk_sharded = ShardedSource::OpenManifest(*manifest);
     if (!disk_sharded.ok()) {
       std::fprintf(stderr, "manifest open failed: %s\n",
@@ -305,8 +320,8 @@ int main(int argc, char** argv) {
     const size_t shards = kShardCounts[i];
     const std::string tag = std::to_string(shards) + " shards";
 
-    ScanRun mem_scan = TimeScans(mem_layouts[i], *medoids, shards, reps,
-                                 /*warmups=*/1, reference);
+    ScanRun mem_scan =
+        TimeScans(mem_layouts[i], *medoids, shards, reps, reference);
     memory_seconds[i] = mem_scan.seconds;
     PrintKV("memory/" + tag + " seconds", mem_scan.seconds);
     PrintKV("memory/" + tag + " rows per sec",
@@ -318,8 +333,8 @@ int main(int argc, char** argv) {
       ok = false;
     }
 
-    ScanRun disk_scan = TimeScans(disk_layouts[i], *medoids, shards, reps,
-                                  /*warmups=*/1, reference);
+    ScanRun disk_scan =
+        TimeScans(disk_layouts[i], *medoids, shards, reps, reference);
     disk_seconds[i] = disk_scan.seconds;
     PrintKV("disk/" + tag + " seconds", disk_scan.seconds);
     PrintKV("disk/" + tag + " rows per sec",
@@ -357,28 +372,70 @@ int main(int argc, char** argv) {
   }
 
   // -------------------------------------------------------------------
-  // Part 3: cold-cache disk scans of the Part 2 snapshot.
+  // Part 3: one file vs its 4-shard layout at an equal thread budget.
   // -------------------------------------------------------------------
-  PrintHeader("Cold-cache disk scan");
-  auto cold = DiskSource::Open(sweep_path);
-  if (!cold.ok()) std::exit(1);
-  std::vector<double> cold_seconds;
-  for (size_t rep = 0; rep < reps; ++rep) {
-    EvictFromPageCache(sweep_path);
-    ScanRun cold_scan =
-        TimeScans(*cold, *medoids, 1, 1, /*warmups=*/0, reference);
-    cold_seconds.push_back(cold_scan.seconds);
-    if (!cold_scan.identical) {
-      std::fprintf(stderr, "FAIL: a cold-cache scan changed the bits\n");
+  PrintHeader("Equal thread budget");
+  auto one_file = DiskSource::Open(sweep_path);
+  if (!one_file.ok()) std::exit(1);
+  std::vector<std::string> four_shard_files = layout_files[kFourShards];
+  four_shard_files.pop_back();  // The manifest is read at open only.
+  struct Side {
+    const char* name;
+    const PointSource* source;
+    std::vector<std::string> files;
+  };
+  const Side sides[] = {{"one file", &*one_file, {sweep_path}},
+                        {"4 shards", &disk_layouts[kFourShards],
+                         four_shard_files}};
+  PrintKV("scans per side", static_cast<double>(reps));
+  // One consumer per side, kept across scans, so no timed scan pays for
+  // first-touching its per-block buffers.
+  LocalityStatsConsumer consumers[std::size(sides)];
+  auto scan_once = [&](size_t i, size_t threads) {
+    ScanOptions scan;
+    scan.num_threads = threads;
+    if (!consumers[i].Bind(&*medoids).ok()) std::exit(1);
+    Timer timer;
+    Status status = ScanExecutor(scan).Run(*sides[i].source, {&consumers[i]});
+    const double seconds = timer.ElapsedSeconds();
+    if (!status.ok()) {
+      std::fprintf(stderr, "scan failed: %s\n", status.ToString().c_str());
+      std::exit(1);
+    }
+    if (consumers[i].stats() != reference.stats()) {
+      std::fprintf(stderr, "FAIL: %s at %zu threads changed the bits\n",
+                   sides[i].name, threads);
       ok = false;
     }
+    return seconds;
+  };
+  for (const bool cold : {false, true}) {
+    for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+      const std::string cell = std::string(cold ? "cold" : "warm") +
+                               " T=" + std::to_string(threads);
+      // Untimed: for a warm cell this also fills the page cache.
+      for (size_t i = 0; i < std::size(sides); ++i) scan_once(i, threads);
+      std::vector<double> seconds[std::size(sides)];
+      for (size_t rep = 0; rep < reps; ++rep) {
+        for (size_t i = 0; i < std::size(sides); ++i) {
+          if (cold)
+            for (const std::string& file : sides[i].files)
+              EvictFromPageCache(file);
+          seconds[i].push_back(scan_once(i, threads));
+        }
+      }
+      for (size_t i = 0; i < std::size(sides); ++i)
+        PrintSpread(cell + " " + sides[i].name + " seconds", seconds[i]);
+      PrintKV(cell + " 4 shards / one file median",
+              Median(seconds[1]) / Median(seconds[0]));
+    }
   }
-  PrintSpread("cold scan seconds", cold_seconds);
 
   PrintKV("all configurations bit-identical", ok ? "yes" : "NO");
   FinishJson("shard_engine");
   std::remove(disk_path.c_str());
   std::remove(sweep_path.c_str());
-  for (const std::string& path : cleanup) std::remove(path.c_str());
+  for (const auto& files : layout_files)
+    for (const std::string& path : files) std::remove(path.c_str());
   return ok ? 0 : 1;
 }

@@ -10,7 +10,9 @@
 // Whatever ReadBinary accepts, the disk read path must accept too and
 // deliver the same rows bit for bit (scans at block sizes 7 and 8192, and
 // Fetch of the first and last row); an input ReadBinary rejects only for a
-// checksum mismatch must make the scan return DataLoss.
+// checksum mismatch must make the scan return DataLoss. Every accepted
+// dataset is also scanned through an unaligned 3-shard memory set at block
+// size 7, so that blocks span shards, and must arrive bit for bit.
 
 #include <unistd.h>
 
@@ -27,6 +29,7 @@
 #include "data/binary_io.h"
 #include "data/engine.h"
 #include "data/point_source.h"
+#include "data/sharded_source.h"
 
 namespace {
 
@@ -113,6 +116,17 @@ void CheckDiskReadPath(const std::string& bytes,
   std::remove(path.c_str());
 }
 
+// Scans `ds` through 3 memory shards whose boundaries (at thirds of the
+// rows) fall inside 7-row blocks, and checks the rows against `ds`.
+void CheckShardedReadPath(const proclus::Dataset& ds) {
+  auto sharded = proclus::ShardedSource::FromDataset(ds, 3, 1);
+  PROCLUS_CHECK(sharded.ok());
+  CopyConsumer consumer;
+  PROCLUS_CHECK(ScanAll(*sharded, 7, &consumer).ok());
+  PROCLUS_CHECK(SameBits(consumer.values().data(), ds.matrix().data().data(),
+                         ds.matrix().data().size()));
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -125,6 +139,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const proclus::Dataset& ds = *result;
   PROCLUS_CHECK(ds.matrix().data().size() == ds.size() * ds.dims());
   PROCLUS_CHECK(ds.dims() > 0 || ds.size() == 0);
+  CheckShardedReadPath(ds);
 
   std::ostringstream out(std::ios::binary);
   PROCLUS_CHECK(proclus::WriteBinary(ds, out).ok());

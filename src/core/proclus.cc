@@ -682,10 +682,19 @@ Result<ProjectedClustering> RunProclusOnSource(const PointSource& source,
   // reads the data three times where the paper's passes read it four.
   phase_timer.Reset();
   const uint64_t scans_before_refine = stats.scans_issued;
-  ClusterStatsConsumer cluster_stats;
-  PROCLUS_RETURN_IF_ERROR(cluster_stats.Bind(&medoid_coords, &best.labels));
-  PROCLUS_RETURN_IF_ERROR(executor.Run(source, {&cluster_stats}));
-  auto refined_dims = FindDimensions(cluster_stats.stats(), params.avg_dims);
+  // The best labels are read by this one scan. Its consumer, with its
+  // per-block label groups, and the labels go before the reassignment
+  // scan allocates its own.
+  Matrix cluster_stats_matrix;
+  {
+    ClusterStatsConsumer cluster_stats;
+    PROCLUS_RETURN_IF_ERROR(
+        cluster_stats.Bind(&medoid_coords, &best.labels));
+    PROCLUS_RETURN_IF_ERROR(executor.Run(source, {&cluster_stats}));
+    cluster_stats_matrix = cluster_stats.TakeStats();
+  }
+  std::vector<int>().swap(best.labels);
+  auto refined_dims = FindDimensions(cluster_stats_matrix, params.avg_dims);
   PROCLUS_RETURN_IF_ERROR(refined_dims.status());
 
   std::vector<std::vector<uint32_t>> dim_lists(k);

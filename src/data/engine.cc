@@ -97,7 +97,6 @@ Status ScanExecutor::Run(const PointSource& source,
     if (stop.load(std::memory_order_relaxed)) return;
     BlockTally& tally = tallies[block];
     ScanSpec spec;
-    spec.block_rows = count;
     spec.first_row = first;
     spec.end_row = first + count;
     size_t hedges_left = options_.max_hedges_per_shard;

@@ -11,10 +11,10 @@
 //
 // One read loop serves every source. ScanExecutor::Run spreads the scan's
 // blocks over pool workers (ParallelBlocks); each worker gets its block's
-// bytes with one single-block ranged Scan of the source — a zero-copy view
-// in memory, a read plus checksum verify into the worker's own buffer on
-// disk, a row-range route on a shard set — and runs every consumer on
-// them before it takes its next block.
+// bytes with one Scan of the source, which reads just that block — a
+// zero-copy view in memory, a read plus checksum verify into the worker's
+// own buffer on disk, a row-range route on a shard set — and runs every
+// consumer on them before it takes its next block.
 //
 // Determinism contract (inherited from common/parallel.h and preserved for
 // every consumer the executor runs):

@@ -1,10 +1,8 @@
 #include "data/fault_source.h"
 
-#include <algorithm>
 #include <string>
 
 #include "common/cancel.h"
-#include "common/parallel.h"
 #include "common/rng.h"
 
 namespace proclus {
@@ -38,7 +36,9 @@ FaultInjectingPointSource::Decision FaultInjectingPointSource::Decide(
                      plan_.short_read_rate) {
     out.kind = FaultKind::kShortRead;
   }
-  out.position = gen.Next();
+  // The position draw once chose which block of a multi-block scan
+  // failed; it is still drawn, so every seed keeps its schedule.
+  (void)gen.Next();
   out.delayed = ToUnit(gen.Next()) < plan_.delay_rate;
   // Stall/hang draws come last so enabling them never perturbs an
   // existing fail/corrupt/delay schedule for the same seed.
@@ -105,45 +105,33 @@ Status FaultInjectingPointSource::ScanBlocks(const ScanSpec& spec,
   }
 
   const uint64_t bytes_before = ThreadScanBytesRead();
-  const size_t range_rows = spec.end_row - spec.first_row;
+  const size_t rows = spec.end_row - spec.first_row;
   if (d.kind == FaultKind::kNone) {
     Status status = inner_->Scan(spec, visit);
     if (status.ok()) {
       NoteClean(read);
-      RecordScan(range_rows, ThreadScanBytesRead() - bytes_before);
+      RecordScan(rows, ThreadScanBytesRead() - bytes_before);
     }
     return status;
   }
 
+  // The inner read runs, so the inner source's counters keep the wasted
+  // physical read truthful, but its block is withheld from the caller; a
+  // short read hands over the first half of it.
   const size_t cols = inner_->dims();
-  const size_t num_blocks = BlockCount(range_rows, spec.block_rows);
-  const size_t fail_block =
-      num_blocks == 0 ? 0 : static_cast<size_t>(d.position % num_blocks);
-  const size_t fail_row = spec.first_row + fail_block * spec.block_rows;
-  // The inner scan is driven to completion but blocks at and after the
-  // fault position are withheld from the caller; the inner source's
-  // counters keep the wasted physical reads truthful.
-  bool tripped = false;
   Status inner_status = inner_->Scan(
-      spec, [&](size_t first, std::span<const double> data, size_t rows) {
-        if (tripped) return;
-        if (first == fail_row) {
-          if (d.kind == FaultKind::kShortRead) {
-            const size_t keep = rows / 2;
-            if (keep > 0) visit(first, data.first(keep * cols), keep);
-          }
-          tripped = true;
-          return;
-        }
-        visit(first, data, rows);
+      spec, [&](size_t first, std::span<const double> data, size_t count) {
+        const size_t keep = count / 2;
+        if (d.kind == FaultKind::kShortRead && keep > 0)
+          visit(first, data.first(keep * cols), keep);
       });
   // A genuine inner failure outranks the injected one.
   if (!inner_status.ok()) return inner_status;
 
   counters_.scan_faults.Add(1);
   const std::string where =
-      " at row " + std::to_string(fail_row) + " (payload byte offset " +
-      std::to_string(static_cast<uint64_t>(fail_row) * cols *
+      " at row " + std::to_string(spec.first_row) + " (payload byte offset " +
+      std::to_string(static_cast<uint64_t>(spec.first_row) * cols *
                      sizeof(double)) +
       ", operation " + std::to_string(op) + ")";
   switch (d.kind) {

@@ -10,16 +10,16 @@
 // own SplitMix64 stream keyed by (plan.seed, operation index) and never
 // touches any algorithm Rng.
 //
-// Fault model per operation (one Scan or Fetch call). The executor reads
-// one block per Scan call, so under it one operation is one block read:
-//  * transient failure  — the operation returns IOError having delivered
-//    only the blocks before a schedule-chosen position;
-//  * short read         — the chosen block is delivered truncated (half its
-//    rows), then the scan returns IOError: exercises the executor's rule
+// Fault model per operation (one Scan or Fetch call). A Scan reads one
+// block, so one scan operation is one block read:
+//  * transient failure  — the operation returns IOError, its block
+//    withheld;
+//  * short read         — the first half of the block's rows is handed
+//    over, then the scan returns IOError: exercises the executor's rule
 //    that only a whole block is consumed;
-//  * detected corruption — the operation returns DataLoss at the chosen
-//    block with block/offset detail, modeling in-flight corruption caught
-//    by an integrity check (a re-read may succeed, so it is retryable;
+//  * detected corruption — the operation returns DataLoss with row/offset
+//    detail, its block withheld, modeling in-flight corruption caught by
+//    an integrity check (a re-read may succeed, so it is retryable;
 //    corrupted bytes are never delivered — persistent on-disk corruption
 //    is DiskSource's own checksum verification, tested separately);
 //  * latency spike      — the operation sleeps plan.delay first
@@ -140,7 +140,6 @@ class FaultInjectingPointSource final : public PointSource {
   enum class FaultKind { kNone, kFail, kCorrupt, kShortRead };
   struct Decision {
     FaultKind kind = FaultKind::kNone;
-    uint64_t position = 0;  // which block of a scan fails (mod num_blocks)
     bool delayed = false;
     bool stalled = false;   // Scan only
     bool hung = false;      // Scan only

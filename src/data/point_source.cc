@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/hash.h"
 #include "common/parallel.h"
 #include "data/binary_io.h"
@@ -26,29 +27,37 @@ uint64_t ThreadScanBytesRead() { return tls_scan_bytes_read; }
 
 // ---------- MemorySource ----------
 
+MemorySource::MemorySource(const Dataset& dataset, size_t first_row,
+                           size_t rows)
+    : dataset_(&dataset),
+      first_row_(first_row),
+      rows_(rows == std::numeric_limits<size_t>::max()
+                ? dataset.size() - first_row
+                : rows) {
+  PROCLUS_CHECK(first_row <= dataset.size() &&
+                rows_ <= dataset.size() - first_row);
+}
+
 Status MemorySource::ScanBlocks(const ScanSpec& spec,
                                 const BlockVisitor& visit) const {
   const size_t d = dataset_->dims();
-  const double* data = dataset_->matrix().data().data();
-  for (size_t first = spec.first_row; first < spec.end_row;) {
-    PROCLUS_RETURN_IF_ERROR(spec.cancel.Check());
-    const size_t rows = std::min(spec.block_rows, spec.end_row - first);
-    visit(first, std::span<const double>(data + first * d, rows * d), rows);
-    first += rows;
-  }
-  // Blocks are zero-copy views.
-  RecordScan(spec.end_row - spec.first_row, /*bytes=*/0);
+  const size_t rows = spec.end_row - spec.first_row;
+  const double* data =
+      dataset_->matrix().data().data() + (first_row_ + spec.first_row) * d;
+  visit(spec.first_row, std::span<const double>(data, rows * d), rows);
+  // The block is a zero-copy view.
+  RecordScan(rows, /*bytes=*/0);
   return Status::OK();
 }
 
 Result<Matrix> MemorySource::Fetch(std::span<const size_t> indices) const {
   Matrix out(indices.size(), dims());
   for (size_t r = 0; r < indices.size(); ++r) {
-    if (indices[r] >= size())
+    if (indices[r] >= rows_)
       return Status::OutOfRange("point index " +
                                 std::to_string(indices[r]) +
                                 " out of range");
-    auto src = dataset_->point(indices[r]);
+    auto src = dataset_->point(first_row_ + indices[r]);
     std::copy(src.begin(), src.end(), out.row(r).begin());
   }
   RecordFetch(indices.size(), /*bytes=*/0);
@@ -209,22 +218,14 @@ Status DiskSource::ScanBlocks(const ScanSpec& spec,
 
   Held held;
   uint64_t bytes = 0;
-  for (size_t first = spec.first_row; first < spec.end_row;) {
-    PROCLUS_RETURN_IF_ERROR(spec.cancel.Check());
-    const size_t rows = std::min(spec.block_rows, spec.end_row - first);
-    // Small blocks inside one checksum block are served from the last
-    // verified read.
-    if (first < held.first || first + rows > held.end) {
-      PROCLUS_RETURN_IF_ERROR(
-          ReadVerified(first, first + rows, buffer, &held, &bytes, kNoPoint));
-    }
-    visit(first,
-          std::span<const double>(held.data + (first - held.first) * cols_,
-                                  rows * cols_),
-          rows);
-    first += rows;
-  }
-  RecordScan(spec.end_row - spec.first_row, bytes);
+  PROCLUS_RETURN_IF_ERROR(ReadVerified(spec.first_row, spec.end_row, buffer,
+                                       &held, &bytes, kNoPoint));
+  const size_t rows = spec.end_row - spec.first_row;
+  visit(spec.first_row,
+        std::span<const double>(
+            held.data + (spec.first_row - held.first) * cols_, rows * cols_),
+        rows);
+  RecordScan(rows, bytes);
   return Status::OK();
 }
 

@@ -1,4 +1,4 @@
-// PointSource: ranged-scan + point-fetch access to a point set,
+// PointSource: ranged-read + point-fetch access to a point set,
 // decoupling the clustering passes from where the data lives.
 //
 // PROCLUS is a database algorithm: every phase is one scan over the data
@@ -7,21 +7,21 @@
 // over an in-memory Dataset or a disk-resident binary snapshot that
 // never fits in RAM.
 //
-//  * Scan(spec, visit) — visits the rows [spec.first_row, spec.end_row)
-//    in consecutive blocks, in order. In-memory sources pass zero-copy
-//    spans; the disk source reads and verifies each block into the
-//    calling thread's read buffer before it hands the block over.
+//  * Scan(spec, visit) — reads one block, the rows
+//    [spec.first_row, spec.end_row), and hands it to `visit` once, whole.
+//    In-memory sources pass a zero-copy span; the disk source reads and
+//    verifies the rows into the calling thread's read buffer first.
 //  * Fetch(indices) — materializes a small set of points (samples,
 //    medoids) by position.
 //
-// The scan executor (data/engine.h) issues one single-block ranged Scan
-// per block, on the pool worker that owns the block, so implementations
-// must support concurrent Scan/Fetch calls from many threads.
+// The scan executor (data/engine.h) is the only reader: it issues one
+// Scan per block, on the pool worker that owns the block, so
+// implementations must support concurrent Scan/Fetch calls from many
+// threads.
 //
 // Delivery rule: a source delivers a block only after it has read (and,
 // where it keeps checksums, verified) all of it. A failed read delivers
-// nothing of the block it failed on, so the caller can retry that block
-// alone.
+// nothing, so the caller can retry that block alone.
 
 #ifndef PROCLUS_DATA_POINT_SOURCE_H_
 #define PROCLUS_DATA_POINT_SOURCE_H_
@@ -45,17 +45,10 @@ namespace proclus {
 
 class ShardedSource;
 
-/// Parameters of one Scan call. The cancellation context is checked by
-/// every source implementation before each block (one relaxed load per
-/// block when only a token is set), so Cancel() or deadline expiry aborts
-/// a running scan within one block's worth of work, returning
-/// kCancelled/kDeadlineExceeded with the blocks after the abort withheld.
+/// Parameters of one Scan call: the block to read and the cancellation
+/// context, which Scan checks once before the read.
 struct ScanSpec {
-  /// Rows per delivered block (must be > 0). Blocks are cut from
-  /// first_row: every block except possibly the last has exactly this many
-  /// rows.
-  size_t block_rows = 0;
-  /// The rows to visit, [first_row, end_row). end_row is clamped to the
+  /// The rows to read, [first_row, end_row). end_row is clamped to the
   /// source's size, so the default range is the whole source.
   size_t first_row = 0;
   size_t end_row = std::numeric_limits<size_t>::max();
@@ -103,16 +96,13 @@ class PointSource {
   /// Dimensionality d.
   virtual size_t dims() const = 0;
 
-  /// Visits the rows [spec.first_row, spec.end_row) in consecutive blocks
-  /// of at most `spec.block_rows` rows, in order of increasing row index
-  /// (see ScanSpec and the delivery rule above). Thread-compatible: may be
-  /// called concurrently from several threads. Checks `spec.cancel` once
-  /// on entry and once per block; a cancelled or deadline-expired scan
-  /// stops delivering and returns the context's status. A range starting
-  /// past the last row is OutOfRange.
+  /// Reads the rows [spec.first_row, min(spec.end_row, size())) and
+  /// calls `visit` once with all of them (see the delivery rule above).
+  /// Thread-compatible: may be called concurrently from several threads.
+  /// Checks `spec.cancel` once, before the read, and returns its status
+  /// when it has fired. A range starting past the last row is OutOfRange;
+  /// an empty range reads nothing, calls no `visit` and counts no scan.
   Status Scan(const ScanSpec& spec, const BlockVisitor& visit) const {
-    if (spec.block_rows == 0)
-      return Status::InvalidArgument("block_rows must be > 0");
     ScanSpec range = spec;
     range.end_row = std::min(spec.end_row, size());
     if (range.first_row > range.end_row)
@@ -121,14 +111,8 @@ class PointSource {
                                 ", past the last row " +
                                 std::to_string(range.end_row));
     PROCLUS_RETURN_IF_ERROR(spec.cancel.Check());
+    if (range.first_row == range.end_row) return Status::OK();
     return ScanBlocks(range, visit);
-  }
-
-  /// Scan without a cancellation context (uninterruptible).
-  Status Scan(size_t block_rows, const BlockVisitor& visit) const {
-    ScanSpec spec;
-    spec.block_rows = block_rows;
-    return Scan(spec, visit);
   }
 
   /// Materializes the points at `indices` (any order, duplicates
@@ -153,13 +137,13 @@ class PointSource {
   IoCounters io() const { return io_.Snapshot(); }
 
  protected:
-  /// The scan hook implementations override (non-virtual-interface: the
-  /// public Scan validates block_rows, clamps end_row to size() and
-  /// pre-checks cancellation once, so every source gets all three
-  /// uniformly). Implementations must honour [first_row, end_row), follow
-  /// the delivery rule, check `spec.cancel` before each block and
-  /// propagate its status; decorators forward the whole spec to their
-  /// inner source.
+  /// The read hook implementations override (non-virtual-interface: the
+  /// public Scan clamps end_row to size(), rejects a range past the end,
+  /// checks cancellation and skips an empty range, so every source gets
+  /// all four uniformly). `spec` holds a non-empty range inside the
+  /// source. Implementations read and verify all of it, then call `visit`
+  /// once with the whole range (the delivery rule); decorators forward
+  /// the spec to their inner source.
   virtual Status ScanBlocks(const ScanSpec& spec,
                             const BlockVisitor& visit) const = 0;
 
@@ -201,16 +185,25 @@ class PointSource {
   mutable IoCounterCells io_;
 };
 
-/// PointSource view over an in-memory Dataset (not owned).
+/// PointSource view over rows [first_row, first_row + rows) of an
+/// in-memory Dataset (not owned): by default all of it. Blocks are
+/// zero-copy views; a slice is the building block of memory sharding.
 class MemorySource final : public PointSource {
  public:
-  /// Wraps `dataset`, which must outlive this source.
-  explicit MemorySource(const Dataset& dataset) : dataset_(&dataset) {}
+  /// Views `rows` rows of `dataset` from `first_row` on (every row from
+  /// there by default). `dataset` must outlive this source, and the rows
+  /// must lie inside it.
+  explicit MemorySource(const Dataset& dataset, size_t first_row = 0,
+                        size_t rows = std::numeric_limits<size_t>::max());
 
-  size_t size() const override { return dataset_->size(); }
+  size_t size() const override { return rows_; }
   size_t dims() const override { return dataset_->dims(); }
   Result<Matrix> Fetch(std::span<const size_t> indices) const override;
-  const Dataset* InMemory() const override { return dataset_; }
+  /// The dataset when this source views all of it; null for a slice.
+  const Dataset* InMemory() const override {
+    return first_row_ == 0 && rows_ == dataset_->size() ? dataset_
+                                                          : nullptr;
+  }
 
  protected:
   Status ScanBlocks(const ScanSpec& spec,
@@ -218,6 +211,8 @@ class MemorySource final : public PointSource {
 
  private:
   const Dataset* dataset_;
+  size_t first_row_;
+  size_t rows_;
 };
 
 /// PointSource over a binary dataset snapshot on disk (the format of

@@ -1,51 +1,12 @@
 #include "data/sharded_source.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <utility>
 
-#include "common/check.h"
 #include "data/binary_io.h"
 
 namespace proclus {
-
-// ---------- MemorySliceSource ----------
-
-MemorySliceSource::MemorySliceSource(const Dataset& dataset, size_t first_row,
-                                     size_t rows)
-    : dataset_(&dataset), first_row_(first_row), rows_(rows) {
-  PROCLUS_CHECK(first_row + rows <= dataset.size());
-}
-
-Status MemorySliceSource::ScanBlocks(const ScanSpec& spec,
-                                     const BlockVisitor& visit) const {
-  const size_t d = dataset_->dims();
-  const double* data = dataset_->matrix().data().data() + first_row_ * d;
-  for (size_t first = spec.first_row; first < spec.end_row;) {
-    PROCLUS_RETURN_IF_ERROR(spec.cancel.Check());
-    const size_t rows = std::min(spec.block_rows, spec.end_row - first);
-    visit(first, std::span<const double>(data + first * d, rows * d), rows);
-    first += rows;
-  }
-  // Blocks are zero-copy views.
-  RecordScan(spec.end_row - spec.first_row, /*bytes=*/0);
-  return Status::OK();
-}
-
-Result<Matrix> MemorySliceSource::Fetch(
-    std::span<const size_t> indices) const {
-  Matrix out(indices.size(), dims());
-  for (size_t r = 0; r < indices.size(); ++r) {
-    if (indices[r] >= rows_)
-      return Status::OutOfRange("point index " + std::to_string(indices[r]) +
-                                " out of range");
-    auto src = dataset_->point(first_row_ + indices[r]);
-    std::copy(src.begin(), src.end(), out.row(r).begin());
-  }
-  RecordFetch(indices.size(), /*bytes=*/0);
-  return out;
-}
-
-// ---------- ShardedSource ----------
 
 Result<ShardedSource> ShardedSource::Create(
     std::vector<std::unique_ptr<PointSource>> shards) {
@@ -116,7 +77,7 @@ Result<ShardedSource> ShardedSource::FromDataset(const Dataset& dataset,
     const size_t first = s * per;
     const size_t count = s + 1 == num_shards ? rows - first : per;
     shards.push_back(
-        std::make_unique<MemorySliceSource>(dataset, first, count));
+        std::make_unique<MemorySource>(dataset, first, count));
   }
   return Create(std::move(shards));
 }
@@ -138,46 +99,36 @@ bool ShardedSource::AlignedTo(size_t block_rows) const {
 Status ShardedSource::ScanBlocks(const ScanSpec& spec,
                                  const BlockVisitor& visit) const {
   const uint64_t bytes_before = ThreadScanBytesRead();
-  std::vector<double> spanning;  // Sized by the first spanning block.
-  for (size_t first = spec.first_row; first < spec.end_row;) {
-    const size_t s = ShardOf(first);
-    const size_t offset = offsets_[s];
-    const size_t shard_end = offset + shards_[s]->size();
-    // The blocks from `first` that end inside shard s are its own scan.
-    const size_t inside =
-        spec.end_row <= shard_end
-            ? spec.end_row
-            : first + (shard_end - first) / spec.block_rows * spec.block_rows;
-    if (inside > first) {
-      ScanSpec local = spec;
-      local.first_row = first - offset;
-      local.end_row = inside - offset;
-      PROCLUS_RETURN_IF_ERROR(shards_[s]->Scan(
-          local, [&](size_t row, std::span<const double> data, size_t rows) {
-            visit(offset + row, data, rows);
-          }));
-      first = inside;
-      continue;
-    }
-    // One block spanning shards s, s+1, ...: read each piece whole into
-    // one buffer (each piece's Scan checks the cancellation context), and
-    // deliver the block once every piece has arrived.
-    const size_t rows = std::min(spec.block_rows, spec.end_row - first);
-    spanning.resize(std::max(spanning.size(), rows * cols_));
-    for (size_t row = first; row < first + rows;) {
+  const size_t rows = spec.end_row - spec.first_row;
+  const size_t s = ShardOf(spec.first_row);
+  const size_t offset = offsets_[s];
+  if (spec.end_row <= offset + shards_[s]->size()) {
+    // Inside shard s: its own read.
+    ScanSpec local = spec;
+    local.first_row -= offset;
+    local.end_row -= offset;
+    PROCLUS_RETURN_IF_ERROR(shards_[s]->Scan(
+        local, [&](size_t row, std::span<const double> data, size_t count) {
+          visit(offset + row, data, count);
+        }));
+  } else {
+    // Spanning shards s, s+1, ...: read each piece whole into one buffer
+    // (each piece's Scan checks the cancellation context), and deliver the
+    // block once every piece has arrived.
+    std::vector<double> spanning(rows * cols_);
+    for (size_t row = spec.first_row; row < spec.end_row;) {
       const size_t p = ShardOf(row);
       const size_t piece_end =
-          std::min(first + rows, offsets_[p] + shards_[p]->size());
+          std::min(spec.end_row, offsets_[p] + shards_[p]->size());
       ScanSpec piece = spec;
-      piece.block_rows = piece_end - row;
       piece.first_row = row - offsets_[p];
       piece.end_row = piece_end - offsets_[p];
       size_t arrived = 0;
       PROCLUS_RETURN_IF_ERROR(shards_[p]->Scan(
           piece, [&](size_t, std::span<const double> data, size_t count) {
             std::copy(data.begin(), data.end(),
-                      spanning.begin() +
-                          static_cast<std::ptrdiff_t>((row - first) * cols_));
+                      spanning.begin() + static_cast<std::ptrdiff_t>(
+                                             (row - spec.first_row) * cols_));
             arrived = count;
           }));
       if (arrived != piece_end - row)
@@ -187,12 +138,9 @@ Status ShardedSource::ScanBlocks(const ScanSpec& spec,
                                std::to_string(piece.end_row) + ")");
       row = piece_end;
     }
-    visit(first, std::span<const double>(spanning.data(), rows * cols_),
-          rows);
-    first += rows;
+    visit(spec.first_row, std::span<const double>(spanning), rows);
   }
-  RecordScan(spec.end_row - spec.first_row,
-             ThreadScanBytesRead() - bytes_before);
+  RecordScan(rows, ThreadScanBytesRead() - bytes_before);
   return Status::OK();
 }
 

@@ -1,15 +1,14 @@
 // ShardedSource: one logical PointSource over an ordered set of shard
 // sources, each holding a contiguous row range of the full point set.
 //
-// A shard set is a row-range router. Its Scan sends the rows of each
-// block to the shard that holds them, so the scan executor (data/engine.h)
-// reads a shard set like any other source: each pool worker reads its own
-// blocks, and the merge stays in global block order, so results are
-// bit-identical to scanning the unsharded snapshot for any shard count,
-// layout and thread count (DESIGN.md §12). A block that spans two shards
-// is read from both into one buffer and delivered once, whole; every
-// other block is the shard's own delivery, passed through without a copy.
-// Fetch() routes each index to the shard owning its row.
+// A shard set is a row-range router. The scan executor (data/engine.h)
+// reads a shard set like any other source, one block per Scan: a block
+// inside one shard is that shard's own read, passed through without a
+// copy, and a block that spans shards is read from each into one buffer
+// and delivered once, whole. Block indices stay those of the unsharded
+// scan, so results are bit-identical to scanning the unsharded snapshot
+// for any shard count, layout and thread count (DESIGN.md §12). Fetch()
+// routes each index to the shard owning its row.
 //
 // Shard boundaries are fixed at construction. SplitIntoShards aligns them
 // to the scan block size (see data/binary_io.h), so no block spans two
@@ -29,30 +28,6 @@
 
 namespace proclus {
 
-/// PointSource over a contiguous row range [first_row, first_row + rows)
-/// of an in-memory Dataset (not owned). The building block for memory
-/// sharding: blocks are zero-copy spans into the parent dataset.
-class MemorySliceSource final : public PointSource {
- public:
-  /// Views rows [first_row, first_row + rows) of `dataset`, which must
-  /// outlive this source. Requires first_row + rows <= dataset.size().
-  MemorySliceSource(const Dataset& dataset, size_t first_row, size_t rows);
-
-  size_t size() const override { return rows_; }
-  size_t dims() const override { return dataset_->dims(); }
-  Result<Matrix> Fetch(std::span<const size_t> indices) const override;
-  // InMemory() stays null: the slice is not the whole dataset.
-
- protected:
-  Status ScanBlocks(const ScanSpec& spec,
-                    const BlockVisitor& visit) const override;
-
- private:
-  const Dataset* dataset_;
-  size_t first_row_;
-  size_t rows_;
-};
-
 /// Logical concatenation of N shard sources (shard i holds rows
 /// [shard_offset(i), shard_offset(i) + shard(i).size())).
 class ShardedSource final : public PointSource {
@@ -69,8 +44,8 @@ class ShardedSource final : public PointSource {
   /// shape against the manifest.
   static Result<ShardedSource> OpenManifest(const std::string& path);
 
-  /// Shards an in-memory dataset into `num_shards` contiguous
-  /// MemorySliceSource ranges, each (except the last) holding a multiple
+  /// Shards an in-memory dataset into `num_shards` contiguous sliced
+  /// MemorySource ranges, each (except the last) holding a multiple
   /// of `align_rows` rows. `dataset` must outlive the source. Shard
   /// counts larger than the row count are clamped.
   static Result<ShardedSource> FromDataset(const Dataset& dataset,
@@ -97,9 +72,9 @@ class ShardedSource final : public PointSource {
   bool AlignedTo(size_t block_rows) const;
 
  protected:
-  /// Routes the range: the blocks inside one shard are that shard's own
-  /// scan (with the spec's cancellation context), and a block that spans
-  /// two shards is read from each into one buffer, then delivered.
+  /// Routes the block: one inside a shard is that shard's read (with the
+  /// spec's cancellation context), and one that spans shards is read
+  /// from each into one buffer, then delivered.
   Status ScanBlocks(const ScanSpec& spec,
                     const BlockVisitor& visit) const override;
 

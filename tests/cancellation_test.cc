@@ -219,7 +219,7 @@ FaultyShardSet MakeFaultyShards(const Dataset& dataset,
   size_t first = 0;
   for (size_t s = 0; s < shard_rows.size(); ++s) {
     set.slices.push_back(
-        std::make_unique<MemorySliceSource>(dataset, first, shard_rows[s]));
+        std::make_unique<MemorySource>(dataset, first, shard_rows[s]));
     first += shard_rows[s];
     auto decorator = std::make_unique<FaultInjectingPointSource>(
         *set.slices.back(), plans[s]);

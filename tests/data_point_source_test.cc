@@ -1,8 +1,14 @@
 #include "data/point_source.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
+#include <limits>
+#include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +16,8 @@
 
 #include "common/rng.h"
 #include "data/binary_io.h"
+#include "data/fault_source.h"
+#include "data/sharded_source.h"
 
 namespace proclus {
 namespace {
@@ -36,24 +44,33 @@ std::string WriteTempSnapshot(const Dataset& dataset, const char* name) {
   return path;
 }
 
-// Collects all scanned data back into one matrix for comparison.
+// Reads the source one block per Scan, as the executor does, and
+// collects the rows back into one matrix. Every read must call `visit`
+// once, with exactly the block asked for.
 Matrix CollectScan(const PointSource& source, size_t block_rows) {
   Matrix out(source.size(), source.dims());
-  std::vector<size_t> firsts;
-  Status status = source.Scan(
-      block_rows,
-      [&](size_t first, std::span<const double> data, size_t rows) {
-        firsts.push_back(first);
-        std::copy(data.begin(), data.end(),
-                  out.data().begin() +
-                      static_cast<long>(first * source.dims()));
-        EXPECT_EQ(data.size(), rows * source.dims());
-      });
-  EXPECT_TRUE(status.ok()) << status.ToString();
-  // Blocks arrive in order with the right strides.
-  for (size_t i = 0; i < firsts.size(); ++i)
-    EXPECT_EQ(firsts[i], i * block_rows);
+  for (size_t first = 0; first < source.size(); first += block_rows) {
+    const size_t end = first + std::min(block_rows, source.size() - first);
+    size_t visits = 0;
+    Status status = source.Scan(
+        {.first_row = first, .end_row = end},
+        [&](size_t row, std::span<const double> data, size_t rows) {
+          ++visits;
+          EXPECT_EQ(row, first);
+          EXPECT_EQ(rows, end - first);
+          EXPECT_EQ(data.size(), rows * source.dims());
+          std::copy(data.begin(), data.end(), out.row(row).begin());
+        });
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(visits, 1u);
+  }
   return out;
+}
+
+// Reads rows [first, end) in one Scan, discarding them.
+Status ReadBlock(const PointSource& source, size_t first, size_t end) {
+  return source.Scan({.first_row = first, .end_row = end},
+                     [](size_t, std::span<const double>, size_t) {});
 }
 
 TEST(MemorySourceTest, ScanReproducesData) {
@@ -85,12 +102,6 @@ TEST(MemorySourceTest, FetchOutOfRange) {
   std::vector<size_t> indices{10};
   EXPECT_EQ(source.Fetch(indices).status().code(),
             StatusCode::kOutOfRange);
-}
-
-TEST(MemorySourceTest, ZeroBlockRowsRejected) {
-  Dataset ds = RandomDataset(10, 2);
-  MemorySource source(ds);
-  EXPECT_FALSE(source.Scan(0, [](size_t, auto, size_t) {}).ok());
 }
 
 TEST(MemorySourceTest, InMemoryExposesDataset) {
@@ -173,7 +184,7 @@ TEST(PointSourceCountersTest, CopiesAndMovedToStartAtZero) {
   auto opened = DiskSource::Open(path);
   ASSERT_TRUE(opened.ok());
   DiskSource original = *std::move(opened);
-  CollectScan(original, 16);
+  CollectScan(original, 64);
   std::vector<size_t> some{0, 63};
   ASSERT_TRUE(original.Fetch(some).ok());
   IoCounters before = original.io();
@@ -252,10 +263,9 @@ TEST(DiskSourceTest, ScanErrorNamesPathOffsetAndSizes) {
   const size_t data_offset = DataOffset(100, kDefaultChecksumBlockRows);
   const size_t row_bytes = 4 * sizeof(double);
   TruncateFile(path, data_offset + 64 * row_bytes);
-  Status status =
-      source->Scan(32, [](size_t, std::span<const double>, size_t) {});
+  Status status = ReadBlock(*source, 0, 32);
   EXPECT_EQ(status.code(), StatusCode::kIOError);
-  // The first scan block, rows [0, 32), lies inside checksum block 0,
+  // The block, rows [0, 32), lies inside checksum block 0,
   // which covers all 100 rows, so its read covers the whole checksum
   // block and runs out of bytes after row 64.
   ExpectMessageContains(status, "'" + path + "'");
@@ -336,8 +346,11 @@ TEST(DiskSourceTest, ScanDetectsCorruptedBlockWithOffset) {
   const size_t row_bytes = 4 * sizeof(double);
   // Flip a byte inside checksum block 1 (row 300).
   FlipByte(path, data_offset + 300 * row_bytes + 3);
-  Status status =
-      source->Scan(128, [](size_t, std::span<const double>, size_t) {});
+  // Blocks inside clean checksum blocks still read; the one over row 300
+  // does not.
+  EXPECT_TRUE(ReadBlock(*source, 0, 128).ok());
+  EXPECT_TRUE(ReadBlock(*source, 512, 600).ok());
+  Status status = ReadBlock(*source, 256, 384);
   EXPECT_EQ(status.code(), StatusCode::kDataLoss);
   ExpectMessageContains(status, "checksum mismatch");
   ExpectMessageContains(status, "block 1");
@@ -369,23 +382,25 @@ TEST(DiskSourceTest, FetchVerifiesOnlyTheContainingBlock) {
   ExpectMessageContains(status, "fetching point 300");
 }
 
+// Hand-writes a version-1 snapshot of `dataset` at `path`: 24-byte
+// header, payload, no checksum table.
+void WriteV1Snapshot(const Dataset& dataset, const std::string& path) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  const char magic[4] = {'P', 'C', 'L', 'S'};
+  const uint32_t version = 1;
+  const uint64_t rows = dataset.size(), cols = dataset.dims();
+  out.write(magic, 4);
+  out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  out.write(reinterpret_cast<const char*>(&rows), sizeof(rows));
+  out.write(reinterpret_cast<const char*>(&cols), sizeof(cols));
+  out.write(reinterpret_cast<const char*>(dataset.matrix().data().data()),
+            static_cast<std::streamsize>(rows * cols * sizeof(double)));
+}
+
 TEST(DiskSourceTest, V1SnapshotsReadableButUnverified) {
-  // Hand-written version-1 snapshot: 24-byte header, payload, no table.
   Dataset ds = RandomDataset(50, 3);
   std::string path = TestTempPath("v1_source.bin");
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    const char magic[4] = {'P', 'C', 'L', 'S'};
-    const uint32_t version = 1;
-    const uint64_t rows = 50, cols = 3;
-    out.write(magic, 4);
-    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
-    out.write(reinterpret_cast<const char*>(&rows), sizeof(rows));
-    out.write(reinterpret_cast<const char*>(&cols), sizeof(cols));
-    out.write(
-        reinterpret_cast<const char*>(ds.matrix().data().data()),
-        static_cast<std::streamsize>(50 * 3 * sizeof(double)));
-  }
+  WriteV1Snapshot(ds, path);
   auto source = DiskSource::Open(path);
   ASSERT_TRUE(source.ok()) << source.status().ToString();
   EXPECT_FALSE(source->verifies_checksums());
@@ -393,9 +408,115 @@ TEST(DiskSourceTest, V1SnapshotsReadableButUnverified) {
   // Without a checksum table, corruption passes silently — which is why
   // WriteBinary emits version 2 by default.
   FlipByte(path, 24 + 7 * 3 * sizeof(double));
-  Status status =
-      source->Scan(16, [](size_t, std::span<const double>, size_t) {});
-  EXPECT_TRUE(status.ok());
+  EXPECT_TRUE(ReadBlock(*source, 0, 16).ok());
+}
+
+// ---------------------------------------------------------------------
+// The Scan contract, for every source kind: a read calls `visit` once,
+// with exactly the rows asked for, bit for bit, and counts one scan.
+// ---------------------------------------------------------------------
+
+struct ContractCase {
+  std::string name;
+  const PointSource* source;
+  // The source views dataset rows [offset, offset + source->size()).
+  size_t offset;
+  // Reads to issue, [first, end); end may run past the source's size.
+  std::vector<std::pair<size_t, size_t>> reads;
+};
+
+template <typename Source>
+const Source* Keep(std::vector<std::unique_ptr<PointSource>>* owned,
+                   Result<Source> opened) {
+  EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+  owned->push_back(std::make_unique<Source>(std::move(opened).value()));
+  return static_cast<const Source*>(owned->back().get());
+}
+
+TEST(PointSourceContractTest, OneVisitWithExactlyTheRowsAskedFor) {
+  const Dataset ds = RandomDataset(1000, 3, 61);
+  const std::string v1_path = TestTempPath("contract_v1.bin");
+  WriteV1Snapshot(ds, v1_path);
+  // Checksum blocks of 64 rows: a read of [50, 200) straddles four.
+  const std::string v2_path = TestTempPath("contract_v2.bin");
+  ASSERT_TRUE(WriteBinaryFile(ds, v2_path, 64).ok());
+
+  std::vector<std::unique_ptr<PointSource>> owned;
+  const MemorySource whole(ds);
+  const MemorySource slice(ds, 200, 500);
+  const DiskSource* v1 = Keep(&owned, DiskSource::Open(v1_path));
+  const DiskSource* v2 = Keep(&owned, DiskSource::Open(v2_path));
+  ASSERT_FALSE(v1->verifies_checksums());
+  ASSERT_TRUE(v2->verifies_checksums());
+  // 4 shards aligned to 64 rows (192-row shards, the last 424), and 8
+  // shards of 125 rows, where [100, 300) spans shards 0, 1 and 2.
+  const ShardedSource* aligned =
+      Keep(&owned, ShardedSource::FromDataset(ds, 4, 64));
+  const ShardedSource* ragged =
+      Keep(&owned, ShardedSource::FromDataset(ds, 8, 1));
+  ASSERT_TRUE(aligned->AlignedTo(64));
+  ASSERT_EQ(ragged->ShardOf(100), 0u);
+  ASSERT_EQ(ragged->ShardOf(299), 2u);
+  const FaultInjectingPointSource clean(whole, FaultPlan{});
+
+  const size_t n = ds.size();
+  const std::vector<ContractCase> cases = {
+      {"memory", &whole, 0, {{0, n}, {0, 1}, {n - 1, n}, {100, 356}}},
+      {"memory slice", &slice, 200, {{0, 500}, {37, 101}, {499, 500}}},
+      {"disk v1", v1, 0, {{0, n}, {5, 260}, {n - 1, n}}},
+      {"disk v2", v2, 0, {{0, n}, {50, 200}, {64, 128}, {990, n}}},
+      {"shards aligned", aligned, 0, {{0, n}, {192, 384}, {0, 64}}},
+      {"shards ragged", ragged, 0, {{100, 300}, {0, n}, {125, 250}}},
+      {"fault injector", &clean, 0, {{0, n}, {10, 20}}},
+  };
+  for (const ContractCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    const PointSource& source = *c.source;
+    const size_t size = source.size();
+    std::vector<std::pair<size_t, size_t>> reads = c.reads;
+    // end_row is clamped to the source's size.
+    reads.emplace_back(size - 5, std::numeric_limits<size_t>::max());
+    for (const auto& [first, end] : reads) {
+      SCOPED_TRACE("rows [" + std::to_string(first) + ", " +
+                   std::to_string(end) + ")");
+      const size_t want = std::min(end, size) - first;
+      const uint64_t scans_before = source.io().scans;
+      size_t visits = 0;
+      Status status = source.Scan(
+          {.first_row = first, .end_row = end},
+          [&](size_t row, std::span<const double> data, size_t rows) {
+            ++visits;
+            EXPECT_EQ(row, first);
+            ASSERT_EQ(rows, want);
+            ASSERT_EQ(data.size(), want * ds.dims());
+            EXPECT_EQ(std::memcmp(data.data(), ds.point(c.offset + row).data(),
+                                  data.size() * sizeof(double)),
+                      0);
+          });
+      ASSERT_TRUE(status.ok()) << status.ToString();
+      EXPECT_EQ(visits, 1u);
+      EXPECT_EQ(source.io().scans, scans_before + 1);
+    }
+
+    // An empty range reads nothing; a range past the end is refused.
+    const uint64_t scans_before = source.io().scans;
+    for (size_t at : {size_t{0}, size_t{3}, size}) {
+      size_t visits = 0;
+      EXPECT_TRUE(source
+                      .Scan({.first_row = at, .end_row = at},
+                            [&](size_t, std::span<const double>,
+                                size_t) { ++visits; })
+                      .ok());
+      EXPECT_EQ(visits, 0u);
+    }
+    EXPECT_EQ(source.io().scans, scans_before);
+    EXPECT_EQ(ReadBlock(source, size + 1, size + 2).code(),
+              StatusCode::kOutOfRange);
+  }
+  EXPECT_EQ(whole.InMemory(), &ds);
+  EXPECT_EQ(slice.InMemory(), nullptr);
+  EXPECT_EQ(MemorySource(ds, 0, n - 1).InMemory(), nullptr);
+  EXPECT_EQ(MemorySource(ds, 0, n).InMemory(), &ds);
 }
 
 }  // namespace

@@ -13,8 +13,8 @@
 //    scan for shards in {1,2,4,8} and for unaligned layouts, populates
 //    RunStats::shard_io, and a full PROCLUS fit over a sharded disk
 //    source matches the single-source fit exactly.
-//  * DiskSource's read loop delivers every block whole and verified, for
-//    any block size, with the failing read's diagnostics.
+//  * DiskSource delivers every block whole and verified, for any block
+//    size, with the failing read's diagnostics.
 
 #include "data/sharded_source.h"
 
@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -55,23 +56,38 @@ Dataset RandomDataset(size_t n, size_t d, uint64_t seed = 5) {
   return Dataset(std::move(m));
 }
 
-// Collects all scanned data back into one matrix, asserting the exact
-// single-source block geometry (ascending `first` at block_rows strides).
+// Reads `source` one block per Scan, as the executor does, until a read
+// fails, and returns that read's status (OK when every block arrived).
+// Each delivery must be exactly the block asked for; `on_block` gets it.
+Status ReadBlocks(
+    const PointSource& source, size_t block_rows,
+    const std::function<void(size_t, std::span<const double>)>& on_block) {
+  for (size_t first = 0; first < source.size(); first += block_rows) {
+    const size_t end = first + std::min(block_rows, source.size() - first);
+    size_t visits = 0;
+    Status status = source.Scan(
+        {.first_row = first, .end_row = end},
+        [&](size_t row, std::span<const double> data, size_t rows) {
+          ++visits;
+          EXPECT_EQ(row, first);
+          EXPECT_EQ(rows, end - first);
+          EXPECT_EQ(data.size(), rows * source.dims());
+          on_block(row, data);
+        });
+    if (!status.ok()) return status;
+    EXPECT_EQ(visits, 1u);
+  }
+  return Status::OK();
+}
+
+// Collects all blocks back into one matrix.
 Matrix CollectScan(const PointSource& source, size_t block_rows) {
   Matrix out(source.size(), source.dims());
-  std::vector<size_t> firsts;
-  Status status = source.Scan(
-      block_rows,
-      [&](size_t first, std::span<const double> data, size_t rows) {
-        firsts.push_back(first);
-        std::copy(data.begin(), data.end(),
-                  out.data().begin() +
-                      static_cast<long>(first * source.dims()));
-        EXPECT_EQ(data.size(), rows * source.dims());
+  Status status = ReadBlocks(
+      source, block_rows, [&](size_t first, std::span<const double> data) {
+        std::copy(data.begin(), data.end(), out.row(first).begin());
       });
   EXPECT_TRUE(status.ok()) << status.ToString();
-  for (size_t i = 0; i < firsts.size(); ++i)
-    EXPECT_EQ(firsts[i], i * block_rows);
   return out;
 }
 
@@ -81,8 +97,7 @@ ShardedSource MakeShards(const Dataset& dataset,
   std::vector<std::unique_ptr<PointSource>> shards;
   size_t first = 0;
   for (size_t rows : shard_rows) {
-    shards.push_back(
-        std::make_unique<MemorySliceSource>(dataset, first, rows));
+    shards.push_back(std::make_unique<MemorySource>(dataset, first, rows));
     first += rows;
   }
   EXPECT_EQ(first, dataset.size());
@@ -108,8 +123,8 @@ TEST(ShardedSourceTest, CreateRejectsDimensionDisagreement) {
   Dataset narrow = RandomDataset(10, 3);
   Dataset wide = RandomDataset(10, 4);
   std::vector<std::unique_ptr<PointSource>> shards;
-  shards.push_back(std::make_unique<MemorySliceSource>(narrow, 0, 10));
-  shards.push_back(std::make_unique<MemorySliceSource>(wide, 0, 10));
+  shards.push_back(std::make_unique<MemorySource>(narrow, 0, 10));
+  shards.push_back(std::make_unique<MemorySource>(wide, 0, 10));
   Status status = ShardedSource::Create(std::move(shards)).status();
   EXPECT_EQ(status.code(), StatusCode::kCorruption);
   ExpectMessageContains(status, "shard 1 has dimensionality 4");
@@ -142,8 +157,15 @@ TEST(ShardedSourceTest, ScanAccountsRowsOnce) {
   Dataset ds = RandomDataset(300, 2);
   ShardedSource sharded = MakeShards(ds, {100, 100, 100});
   CollectScan(sharded, 64);
-  EXPECT_EQ(sharded.io().scans, 1u);
+  // One scan per block read; each shard reads its own rows once, the
+  // blocks spanning rows 100 and 200 from two shards each.
+  EXPECT_EQ(sharded.io().scans, BlockCount(300, 64));
   EXPECT_EQ(sharded.io().rows_scanned, 300u);
+  for (size_t s = 0; s < 3; ++s)
+    EXPECT_EQ(sharded.shard(s).io().rows_scanned, 100u);
+  EXPECT_EQ(sharded.shard(0).io().scans, 2u);
+  EXPECT_EQ(sharded.shard(1).io().scans, 3u);
+  EXPECT_EQ(sharded.shard(2).io().scans, 2u);
 }
 
 TEST(ShardedSourceTest, FetchRoutesToOwningShard) {
@@ -382,11 +404,20 @@ TEST(ShardManifestTest, ScanDetectsChecksumMismatchInOneShard) {
   }
   auto sharded = ShardedSource::OpenManifest(fixture.manifest);
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-  Status status = sharded->Scan(
-      32, [](size_t, std::span<const double>, size_t) {});
-  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
-  ExpectMessageContains(status, "checksum mismatch");
-  ExpectMessageContains(status, shard2);
+  ASSERT_EQ(sharded->shard_offset(2), 256u);
+  ASSERT_EQ(sharded->shard_offset(3), 384u);
+  // A block inside shard 2 and one spanning every shard both fail.
+  for (auto [first, end] : {std::pair<size_t, size_t>{352, 384},
+                            std::pair<size_t, size_t>{0, 600}}) {
+    size_t visits = 0;
+    Status status = sharded->Scan(
+        {.first_row = first, .end_row = end},
+        [&](size_t, std::span<const double>, size_t) { ++visits; });
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+    ExpectMessageContains(status, "checksum mismatch");
+    ExpectMessageContains(status, shard2);
+    EXPECT_EQ(visits, 0u);
+  }
   // The executor surfaces the same permanent error (DataLoss from a real
   // on-disk flip persists across retries).
   ScanOptions options;
@@ -544,8 +575,8 @@ TEST(ShardedExecutorTest, ProclusOverShardedDiskMatchesSingleSource) {
 }
 
 // ---------------------------------------------------------------------
-// DiskSource's read loop, for multi-block, single-block and empty scans
-// alike.
+// DiskSource's block reads, at every block size, for whole-snapshot and
+// empty ranges alike.
 // ---------------------------------------------------------------------
 
 TEST(DiskPrefetchTest, EveryBlockSizeDeliversTheDataset) {
@@ -568,12 +599,13 @@ TEST(DiskPrefetchTest, SingleTileScanDeliversOneBlock) {
   ASSERT_TRUE(WriteBinaryFile(ds, path).ok());
   auto source = DiskSource::Open(path);
   ASSERT_TRUE(source.ok());
-  for (size_t block_rows : {size_t{300}, size_t{1} << 40, SIZE_MAX}) {
-    SCOPED_TRACE("block_rows=" + std::to_string(block_rows));
+  // end_row is clamped to the 300 rows.
+  for (size_t end : {size_t{300}, size_t{1} << 40, SIZE_MAX}) {
+    SCOPED_TRACE("end_row=" + std::to_string(end));
     std::vector<std::pair<size_t, size_t>> blocks;
     Matrix rows(300, 4);
     ASSERT_TRUE(source
-                    ->Scan(block_rows,
+                    ->Scan({.first_row = 0, .end_row = end},
                            [&](size_t first, std::span<const double> data,
                                size_t count) {
                              blocks.emplace_back(first, count);
@@ -597,16 +629,19 @@ TEST(DiskPrefetchTest, EmptySnapshotScanDeliversNothing) {
   auto source = DiskSource::Open(path);
   ASSERT_TRUE(source.ok());
   ASSERT_EQ(source->size(), 0u);
+  // Every range is clamped to the empty one, which reads nothing.
   size_t blocks = 0;
-  for (size_t block_rows : {size_t{1}, size_t{512}, SIZE_MAX}) {
+  for (size_t end : {size_t{1}, size_t{512}, SIZE_MAX}) {
     ASSERT_TRUE(source
-                    ->Scan(block_rows, [&](size_t, std::span<const double>,
-                                           size_t) { ++blocks; })
+                    ->Scan({.first_row = 0, .end_row = end},
+                           [&](size_t, std::span<const double>, size_t) {
+                             ++blocks;
+                           })
                     .ok());
   }
   EXPECT_EQ(blocks, 0u);
   const IoCounters io = source->io();
-  EXPECT_EQ(io.scans, 3u);
+  EXPECT_EQ(io.scans, 0u);
   EXPECT_EQ(io.rows_scanned, 0u);
   EXPECT_EQ(io.bytes_read, 0u);
 }
@@ -634,8 +669,8 @@ TEST(DiskPrefetchTest, ProducerIoFailureSurfacesWithFullDetail) {
   const size_t data_offset = 24 + 16 + 4 * sizeof(uint64_t);  // 4 csum blocks
   TruncateFile(path, data_offset + 700 * row_bytes);
   size_t delivered = 0;
-  Status status = source->Scan(
-      100, [&](size_t, std::span<const double>, size_t) { ++delivered; });
+  Status status = ReadBlocks(
+      *source, 100, [&](size_t, std::span<const double>) { ++delivered; });
   EXPECT_EQ(status.code(), StatusCode::kIOError);
   ExpectMessageContains(status, "'" + path + "'");
   ExpectMessageContains(status, "byte offset");
@@ -664,15 +699,15 @@ TEST(DiskPrefetchTest, ChecksumMismatchDetectedBeforeDelivery) {
     f.put(static_cast<char>(byte ^ 0x5a));
   }
   std::vector<size_t> delivered;
-  Status status = source->Scan(
-      256, [&](size_t first, std::span<const double>, size_t) {
-        delivered.push_back(first);
-      });
+  Status status = ReadBlocks(*source, 256,
+                             [&](size_t first, std::span<const double>) {
+                               delivered.push_back(first);
+                             });
   EXPECT_EQ(status.code(), StatusCode::kDataLoss);
   ExpectMessageContains(status, "checksum mismatch");
   ExpectMessageContains(status, "block 3");
-  // Tiles whose checksum blocks verified were delivered; the damaged tile
-  // never was (256-row scan tiles align with the 256-row checksum blocks
+  // Blocks whose checksum blocks verified were delivered; the damaged one
+  // never was (256-row blocks align with the 256-row checksum blocks
   // here).
   EXPECT_EQ(delivered, (std::vector<size_t>{0, 256, 512}));
 }

@@ -116,7 +116,7 @@ TEST(ShardStressTest, OneRowShardsBitIdentical) {
   std::vector<std::unique_ptr<PointSource>> shards;
   for (size_t r = 0; r < 64; ++r)
     shards.push_back(
-        std::make_unique<MemorySliceSource>(data->dataset, r, 1));
+        std::make_unique<MemorySource>(data->dataset, r, 1));
   auto sharded = ShardedSource::Create(std::move(shards));
   ASSERT_TRUE(sharded.ok());
   ASSERT_EQ(sharded->num_shards(), 64u);

@@ -42,6 +42,12 @@ Dataset RandomDataset(size_t n, size_t d, uint64_t seed = 5) {
   return Dataset(std::move(m));
 }
 
+// Reads rows [first, end) in one Scan, discarding them.
+Status ReadBlock(const PointSource& source, size_t first, size_t end) {
+  return source.Scan({.first_row = first, .end_row = end},
+                     [](size_t, std::span<const double>, size_t) {});
+}
+
 uint64_t ObjectiveBits(double objective) {
   uint64_t bits = 0;
   std::memcpy(&bits, &objective, sizeof(bits));
@@ -98,10 +104,7 @@ TEST(FaultScheduleTest, SameSeedSameOperationsSameFaults) {
         std::vector<size_t> indices{1, 7};
         codes->push_back(faulty.Fetch(indices).status().code());
       } else {
-        codes->push_back(
-            faulty
-                .Scan(64, [](size_t, std::span<const double>, size_t) {})
-                .code());
+        codes->push_back(ReadBlock(faulty, 0, 64).code());
       }
     }
     return faulty.fault_counters();
@@ -126,9 +129,7 @@ TEST(FaultScheduleTest, ZeroRatesInjectNothing) {
   MemorySource inner(ds);
   FaultInjectingPointSource faulty(inner, FaultPlan{});
   for (int i = 0; i < 10; ++i) {
-    EXPECT_TRUE(
-        faulty.Scan(32, [](size_t, std::span<const double>, size_t) {})
-            .ok());
+    EXPECT_TRUE(ReadBlock(faulty, 10 * i, 10 * i + 10).ok());
   }
   FaultCounters counters = faulty.fault_counters();
   EXPECT_EQ(counters.operations, 10u);
@@ -281,17 +282,19 @@ TEST(FaultInjectionTest, ShortReadsDeliverTruncatedBlocks) {
   plan.max_consecutive = 1;
   FaultInjectingPointSource faulty(inner, plan);
 
-  // Operation 0 injects a short read: some block arrives with fewer rows
-  // than the geometry promises and the scan fails.
+  // Operation 0 injects a short read: the block arrives with half the
+  // rows asked for and the read fails.
   size_t delivered = 0;
   bool saw_truncated = false;
   Status status = faulty.Scan(
-      100, [&](size_t, std::span<const double> data, size_t rows) {
+      {.first_row = 100, .end_row = 200},
+      [&](size_t first, std::span<const double> data, size_t rows) {
+        EXPECT_EQ(first, 100u);
         delivered += rows;
         if (rows < 100 && data.size() == rows * 2) saw_truncated = true;
       });
   EXPECT_EQ(status.code(), StatusCode::kIOError);
-  EXPECT_LT(delivered, 400u);
+  EXPECT_EQ(delivered, 50u);
   EXPECT_TRUE(saw_truncated);
   EXPECT_EQ(faulty.fault_counters().injected_short_reads, 1u);
 }
@@ -404,9 +407,7 @@ TEST(FaultConcurrencyTest, CountersExactUnderConcurrentAccess) {
     workers.emplace_back([&faulty] {
       std::vector<size_t> indices{0, 100, 255};
       for (size_t i = 0; i < kScansPerThread; ++i) {
-        Status status = faulty.Scan(
-            64, [](size_t, std::span<const double>, size_t) {});
-        ASSERT_TRUE(status.ok());
+        ASSERT_TRUE(ReadBlock(faulty, 0, 256).ok());
       }
       for (size_t i = 0; i < kFetchesPerThread; ++i)
         ASSERT_TRUE(faulty.Fetch(indices).ok());

@@ -87,7 +87,7 @@ FaultyShardSet MakeFaultyShards(const Dataset& dataset,
   size_t first = 0;
   for (size_t s = 0; s < shard_rows.size(); ++s) {
     set.slices.push_back(
-        std::make_unique<MemorySliceSource>(dataset, first, shard_rows[s]));
+        std::make_unique<MemorySource>(dataset, first, shard_rows[s]));
     first += shard_rows[s];
     FaultPlan plan = base_plan;
     plan.seed = base_plan.seed + s;  // Independent per-shard schedules.
@@ -185,7 +185,7 @@ TEST(ShardFaultTest, PermanentShardFailureFailsTheScan) {
     std::vector<std::unique_ptr<PointSource>> decorated;
     for (size_t s = 0; s < 4; ++s) {
       set.slices.push_back(
-          std::make_unique<MemorySliceSource>(ds, s * 256, 256));
+          std::make_unique<MemorySource>(ds, s * 256, 256));
       auto decorator = std::make_unique<FaultInjectingPointSource>(
           *set.slices.back(), s == 2 ? dying : healthy);
       set.decorators.push_back(decorator.get());

@@ -28,13 +28,13 @@ Enforces invariants that no generic tool knows about:
                       so a check in a sibling branch no longer counts as
                       a guard. See tools/analyzer/rules.py.
   raw-scan            Direct PointSource::Scan / ForEachBlock calls are
-                      forbidden outside the scan engine itself (src/data/
-                      engine.cc, src/data/point_source.cc, and the
-                      fault-injection decorator src/data/fault_source.cc):
-                      every data pass in src/, bench/, and examples/ must go
-                      through a ScanConsumer driven by ScanExecutor::Run, so
-                      scans can be fused and the RunStats scan/byte counters
-                      stay truthful.
+                      forbidden outside the scan executor (src/data/
+                      engine.cc) and the two sources that read through
+                      other sources (src/data/fault_source.cc and src/data/
+                      sharded_source.cc): every data pass in src/, bench/,
+                      and examples/ must go through a ScanConsumer driven by
+                      ScanExecutor::Run, so scans can be fused and the
+                      RunStats scan/byte counters stay truthful.
   raw-ifstream        Direct std::ifstream use in src/data is forbidden
                       outside binary_io.cc and point_source.cc: every other
                       reader must go through ReadFileBytes (data/binary_io.h)
@@ -159,13 +159,14 @@ IOSTREAM_RE = re.compile(r"std\s*::\s*(cout|cerr|clog)\b")
 # tools may exercise the raw API (the executor's own tests have to).
 RAW_SCAN_DIRS = ("src", "bench", "examples")
 
-# The scan machinery itself: the executor that drives consumers over
-# Scan(), the PointSource implementations, the fault-injection decorator
-# (which must drive the inner source's raw scan to simulate mid-scan
-# failures), and the shard set (whose glued Scan restitches the raw
-# per-shard scans into whole-set blocks).
+# The callers of Scan() inside the scan machinery: the executor, which
+# reads each block with one Scan and drives the consumers over it, and the
+# two sources that read one block through other sources: the
+# fault-injection decorator (which reads its inner source's block to fault
+# it) and the shard set (which reads a block from the shard holding it, or
+# from each shard a block spans). The other sources implement ScanBlocks
+# and call no Scan.
 RAW_SCAN_ALLOWLIST = (os.path.join("src", "data", "engine.cc"),
-                      os.path.join("src", "data", "point_source.cc"),
                       os.path.join("src", "data", "fault_source.cc"),
                       os.path.join("src", "data", "sharded_source.cc"))
 
@@ -1076,7 +1077,7 @@ SELF_TEST_FIXTURES = [
      "#include \"data/point_source.h\"\n"
      "namespace proclus {\n"
      "void Sum(const PointSource& source) {\n"
-     "  source.Scan(512, [](size_t, auto, size_t) {});\n"
+     "  source.Scan({}, [](size_t, auto, size_t) {});\n"
      "}\n"
      "void SumPtr(const PointSource* source) {\n"
      "  ForEachBlock(*source);\n"
@@ -1088,7 +1089,7 @@ SELF_TEST_FIXTURES = [
      "#include \"data/engine.h\"\n"
      "namespace proclus {\n"
      "void Drive(const PointSource& source) {\n"
-     "  source.Scan(512, [](size_t, auto, size_t) {});\n"
+     "  source.Scan({}, [](size_t, auto, size_t) {});\n"
      "}\n"
      "}\n",
      []),
@@ -1096,7 +1097,7 @@ SELF_TEST_FIXTURES = [
     ("tests/raw_scan_test.cc",
      "#include \"data/point_source.h\"\n"
      "void Probe(const proclus::PointSource& source) {\n"
-     "  source.Scan(1, [](size_t, auto, size_t) {});\n"
+     "  source.Scan({}, [](size_t, auto, size_t) {});\n"
      "}\n",
      []),
     # Explicit suppression with justification.
@@ -1105,27 +1106,37 @@ SELF_TEST_FIXTURES = [
      "namespace proclus {\n"
      "void Peek(const PointSource& source) {\n"
      "  // One-off probe; stats are not reported from this path.\n"
-     "  source.Scan(512, [](size_t, auto, size_t) {});  // lint:allow(raw-scan)\n"
+     "  source.Scan({}, [](size_t, auto, size_t) {});  // lint:allow(raw-scan)\n"
      "}\n"
      "}\n",
      []),
-    # The shard set's glued Scan restitches raw per-shard scans into
-    # whole-set blocks; the implementation file is allowlisted.
+    # The shard set reads a block from the shards holding it; the
+    # implementation file is allowlisted.
     ("src/data/sharded_source.cc",
      "#include \"data/sharded_source.h\"\n"
      "namespace proclus {\n"
-     "void Glue(const PointSource& shard) {\n"
-     "  shard.Scan(512, [](size_t, auto, size_t) {});\n"
+     "void Route(const PointSource& shard) {\n"
+     "  shard.Scan({}, [](size_t, auto, size_t) {});\n"
      "}\n"
      "}\n",
      []),
+    # The sources themselves implement ScanBlocks and read no other
+    # source, so point_source.cc is not allowlisted.
+    ("src/data/point_source.cc",
+     "#include \"data/point_source.h\"\n"
+     "namespace proclus {\n"
+     "void Reread(const PointSource& source) {\n"
+     "  source.Scan({}, [](size_t, auto, size_t) {});\n"
+     "}\n"
+     "}\n",
+     ["raw-scan"]),
     # The allowlist is file-exact: any other shard-layer helper in
     # src/data still has to route scans through the executor.
     ("src/data/shard_helper.cc",
      "#include \"data/sharded_source.h\"\n"
      "namespace proclus {\n"
      "void Walk(const PointSource& shard) {\n"
-     "  shard.Scan(512, [](size_t, auto, size_t) {});\n"
+     "  shard.Scan({}, [](size_t, auto, size_t) {});\n"
      "}\n"
      "}\n",
      ["raw-scan"]),
